@@ -1,20 +1,26 @@
 """Hot-path speedups — vectorized kernels vs. the retained reference kernels.
 
-The two inner loops that dominate LACB wall-clock each now have a fast
-kernel and a reference kernel (switched by :mod:`repro.perf`):
+The inner loops that dominate LACB wall-clock each have a fast kernel and
+a reference kernel (switched by :mod:`repro.perf`):
 
-* **NeuralUCB scoring** (Eq. 5) — batched ``MLP.param_gradients`` over all
-  grid arms vs. the original per-arm ``param_gradient`` loop.
+* **NeuralUCB scoring** (Eq. 5) — one forward/backward pass over all grid
+  arms with the gradient-free diagonal bonus vs. the original per-arm
+  ``param_gradient`` loop.
+* **Day estimate** (Alg. 2 lines 1-2) — ``estimate_batch`` of a trained
+  personalized bandit over a whole day of brokers (blocked passes) vs.
+  the per-broker ``estimate`` loop on the reference kernels.
 * **CBS pruning** (Alg. 3) — one ``np.partition`` boundary pass over the
   whole utility matrix vs. the per-row quickselect, which Theorem 2 keeps
   as the correctness oracle.
 
-This bench times both kernels on an |B| >= 2000 instance, enforces the
-speedup floors (scoring >= 3x, CBS >= 2x in full mode; "not slower" in
-CI smoke mode), re-checks that the CBS unions are *exactly* equal and a
-seeded LACB-Opt engine run is bit-identical in either mode, and emits
-``BENCH_hotpath.json`` so the speedups are tracked across PRs.  A KM
-solve at city scale is timed alongside for context (recorded, not
+This bench times the kernels on |B| >= 2000 (scoring, CBS) and 500-broker
+(day estimate) instances, enforces the speedup floors (scoring >= 3x,
+estimate >= 2x, CBS >= 2x in full mode; "not slower" in CI smoke mode),
+re-checks that the CBS unions are *exactly* equal, that both estimate
+paths pick identical capacities and leave a bitwise-equal covariance, and
+that a seeded LACB-Opt engine run is bit-identical in either mode, and
+emits ``BENCH_hotpath.json`` so the speedups are tracked across PRs.  A
+KM solve at city scale is timed alongside for context (recorded, not
 gated): pruning only matters because the KM solve it shrinks dominates.
 
 Run modes::
@@ -23,6 +29,7 @@ Run modes::
     REPRO_BENCH_SMOKE=1 PYTHONPATH=src python -m pytest benchmarks/test_hotpath.py --benchmark-only
 """
 
+import copy
 import json
 import os
 import time
@@ -30,6 +37,7 @@ import time
 import numpy as np
 
 from repro import perf
+from repro.bandits import PersonalizedCapacityEstimator
 from repro.bandits.neural_ucb import NNUCBBandit
 from repro.core.config import BanditConfig
 from repro.core.selection import select_candidate_brokers
@@ -51,7 +59,14 @@ CBS_TOP_K = 3
 #: KM solve timed for context only (the work CBS pruning exists to shrink).
 KM_SHAPE = (16, 250) if SMOKE else (64, 2000)
 
+#: Day-estimate instance: brokers per day, and the trained-up days before
+#: the timed one (enough for every broker to finish structured personal
+#: exploration and reach personalized UCB scoring).
+ESTIMATE_BROKERS = 50 if SMOKE else 500
+ESTIMATE_WARM_DAYS = 6
+
 SCORING_FLOOR = 1.0 if SMOKE else 3.0
+ESTIMATE_FLOOR = 1.0 if SMOKE else 2.0
 CBS_FLOOR = 1.0 if SMOKE else 2.0
 
 #: Seeded engine run replayed under both kernel modes; must be bit-identical.
@@ -78,6 +93,34 @@ def _best_of(repeats, fn):
 
 def _make_bandit() -> NNUCBBandit:
     return NNUCBBandit(CONTEXT_DIM, BanditConfig(), np.random.default_rng(3))
+
+
+def _trained_personalized(rng) -> PersonalizedCapacityEstimator:
+    """A personalized LACB estimator after ``ESTIMATE_WARM_DAYS`` fed-back days."""
+    estimator = PersonalizedCapacityEstimator(_make_bandit())
+    for _ in range(ESTIMATE_WARM_DAYS):
+        contexts = rng.normal(0.0, 1.0, size=(ESTIMATE_BROKERS, CONTEXT_DIM))
+        capacities = estimator.estimate_batch(contexts)
+        for broker_id, (context, capacity) in enumerate(zip(contexts, capacities)):
+            estimator.update(
+                context,
+                float(rng.integers(1, int(capacity) + 1)),
+                float(rng.uniform()),
+                broker_id,
+                capacity=float(capacity),
+            )
+    return estimator
+
+
+def _timed_estimates(repeats, estimator, estimate):
+    """Min-of-repeats of one day's estimates, each on a fresh deep copy."""
+    times = []
+    for _ in range(repeats):
+        twin = copy.deepcopy(estimator)
+        tick = time.perf_counter()
+        estimate(twin)
+        times.append(time.perf_counter() - tick)
+    return min(times), times
 
 
 def test_hotpath_speedups(benchmark):
@@ -108,6 +151,42 @@ def test_hotpath_speedups(benchmark):
             fast_scores = bandit.ucb_scores(context)
         np.testing.assert_allclose(fast_scores, reference_scores, rtol=1e-9, atol=1e-12)
         assert int(np.argmax(fast_scores)) == int(np.argmax(reference_scores))
+
+    # ------------------------------------------------------------------
+    # Day estimate: blocked estimate_batch vs. the per-broker reference loop.
+    # ------------------------------------------------------------------
+    estimator = _trained_personalized(np.random.default_rng(13))
+    day_contexts = rng.normal(0.0, 1.0, size=(ESTIMATE_BROKERS, CONTEXT_DIM))
+
+    def batched(twin):
+        return twin.estimate_batch(day_contexts)
+
+    def per_broker(twin):
+        return np.array(
+            [twin.estimate(context, broker_id) for broker_id, context in enumerate(day_contexts)]
+        )
+
+    # Same decisions and the same covariance, bit for bit, before timing.
+    batched_twin, loop_twin = copy.deepcopy(estimator), copy.deepcopy(estimator)
+    with perf.use_fast_kernels(True):
+        batched_capacities = batched(batched_twin)
+    with perf.use_fast_kernels(False):
+        loop_capacities = per_broker(loop_twin)
+    np.testing.assert_array_equal(batched_capacities, loop_capacities)
+    assert batched_twin.base._d_diag.tobytes() == loop_twin.base._d_diag.tobytes()
+    np.testing.assert_array_equal(batched_twin.base._arm_pulls, loop_twin.base._arm_pulls)
+
+    with perf.use_fast_kernels(False):
+        estimate_ref_best, estimate_ref_times = _timed_estimates(
+            REPEATS, estimator, per_broker
+        )
+    with perf.use_fast_kernels(True):
+        estimate_fast_best, estimate_fast_times = _timed_estimates(
+            REPEATS, estimator, batched
+        )
+        # Context only: the same kernel one context at a time.
+        estimate_one_best, _ = _timed_estimates(REPEATS, estimator, per_broker)
+    estimate_speedup = estimate_ref_best / estimate_fast_best
 
     # ------------------------------------------------------------------
     # CBS pruning: one argpartition boundary pass vs. per-row quickselect.
@@ -185,6 +264,20 @@ def test_hotpath_speedups(benchmark):
             "speedup": scoring_speedup,
             "floor": SCORING_FLOOR,
         },
+        "estimate": {
+            "num_brokers": ESTIMATE_BROKERS,
+            "warm_days": ESTIMATE_WARM_DAYS,
+            "num_arms": int(estimator.capacities.size),
+            "reference_seconds": estimate_ref_times,
+            "fast_seconds": estimate_fast_times,
+            "reference_best": estimate_ref_best,
+            "fast_best": estimate_fast_best,
+            "one_context_best": estimate_one_best,
+            "speedup": estimate_speedup,
+            "floor": ESTIMATE_FLOOR,
+            "capacities_identical": True,
+            "covariance_bit_identical": True,
+        },
         "cbs": {
             "shape": list(CBS_SHAPE),
             "top_k": CBS_TOP_K,
@@ -221,6 +314,12 @@ def test_hotpath_speedups(benchmark):
         f"{NUM_CONTEXTS} contexts x {bandit.capacities.size} arms)"
     )
     print(
+        f"Day estimate:      {estimate_ref_best:.3f}s -> {estimate_fast_best:.3f}s "
+        f"({estimate_speedup:.1f}x, floor {ESTIMATE_FLOOR:.0f}x, "
+        f"{ESTIMATE_BROKERS} brokers; one context at a time "
+        f"{estimate_one_best:.3f}s)"
+    )
+    print(
         f"CBS pruning:       {cbs_ref_best * 1e3:.2f}ms -> {cbs_fast_best * 1e3:.2f}ms "
         f"({cbs_speedup:.1f}x, floor {CBS_FLOOR:.0f}x, shape {CBS_SHAPE})"
     )
@@ -230,6 +329,10 @@ def test_hotpath_speedups(benchmark):
     assert scoring_speedup >= SCORING_FLOOR, (
         f"batched NeuralUCB scoring is only {scoring_speedup:.2f}x the per-arm "
         f"loop (floor {SCORING_FLOOR:.1f}x)"
+    )
+    assert estimate_speedup >= ESTIMATE_FLOOR, (
+        f"day-batched estimate_batch is only {estimate_speedup:.2f}x the "
+        f"per-broker reference loop (floor {ESTIMATE_FLOOR:.1f}x)"
     )
     assert cbs_speedup >= CBS_FLOOR, (
         f"argpartition CBS pruning is only {cbs_speedup:.2f}x quickselect "

@@ -45,15 +45,25 @@ class CapacityEstimator(ABC):
         """
 
     def estimate_batch(self, contexts: np.ndarray, broker_ids: np.ndarray | None = None) -> np.ndarray:
-        """Vectorized convenience: one capacity per context row."""
+        """One capacity per context row — the day's ``B.estimate`` calls.
+
+        The single batch entry point: subclasses that can batch the work
+        override :meth:`_estimate_rows`, never this method, so every
+        estimator's day estimate goes through one place.
+        """
         contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
         if broker_ids is None:
             broker_ids = np.arange(contexts.shape[0])
+        return self._estimate_rows(contexts, np.asarray(broker_ids))
+
+    def _estimate_rows(self, contexts: np.ndarray, broker_ids: np.ndarray) -> np.ndarray:
+        """Batch hook: must equal :meth:`estimate` over the rows, in order."""
         return np.array(
             [
                 self.estimate(context, int(broker_id))
                 for context, broker_id in zip(contexts, broker_ids)
-            ]
+            ],
+            dtype=float,
         )
 
 

@@ -29,6 +29,7 @@ from repro.bandits.base import CapacityEstimator
 from repro.core.config import BanditConfig
 from repro.core.types import TrialTriple, triples_from_state, triples_to_state
 from repro.nn import MLP, Adam
+from repro.nn.mlp import gradient_rows, weighted_gradient_norms
 from repro.obs import audit as obs_audit
 from repro.obs import telemetry as obs
 from repro.state.protocol import (
@@ -38,6 +39,59 @@ from repro.state.protocol import (
     set_rng_state,
     versioned,
 )
+
+
+#: Contexts per blocked forward/backward scoring pass
+#: (:meth:`NNUCBBandit.estimate_batch`).  One pass holds every layer's
+#: activations and back-propagated signals for ``SCORING_BLOCK * |C|`` arm
+#: rows — about 1.4 MB for 82 inputs, the default 11-arm grid and (64, 16)
+#: hidden layers — while amortizing NumPy's per-call overhead across the
+#: block.
+SCORING_BLOCK = 64
+
+
+class ArmBlocks:
+    """Lazily computed blocked passes over a day's scoring contexts.
+
+    ``blocks(row)`` returns ``(means, inputs, signals)`` — the
+    :meth:`repro.nn.MLP.forward_backward` parts — for the ``|C|`` arm rows
+    of ``contexts[row]``.  The first request for a row not covered by the
+    current block runs one pass over that row and the next
+    ``SCORING_BLOCK - 1`` rows flagged in ``may_score``; rows never
+    requested before their block is passed over cost nothing, and rows not
+    flagged are never passed at all.  The network must not change while
+    the blocks are in use (it does not within one ``begin_day``).
+    """
+
+    def __init__(
+        self, bandit: "NNUCBBandit", contexts: np.ndarray, may_score: np.ndarray
+    ) -> None:
+        self._bandit = bandit
+        self._contexts = contexts
+        self._queue = np.flatnonzero(may_score)
+        self._slots: dict[int, int] = {}
+        self._parts: tuple[np.ndarray, list[np.ndarray], list[np.ndarray]] | None = None
+
+    def __call__(self, row: int) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        slot = self._slots.get(row)
+        if slot is None:
+            start = int(np.searchsorted(self._queue, row))
+            rows = self._queue[start : start + SCORING_BLOCK]
+            if rows.size == 0 or rows[0] != row:
+                raise KeyError(f"context row {row} was not flagged as scoring")
+            self._slots = {int(r): k for k, r in enumerate(rows)}
+            self._parts = self._bandit.network.forward_backward(
+                self._bandit.arm_feature_rows(self._contexts[rows])
+            )
+            slot = 0
+        arms = self._bandit.capacities.size
+        lo, hi = slot * arms, (slot + 1) * arms
+        means, inputs, signals = self._parts
+        return (
+            means[lo:hi],
+            [activation[lo:hi] for activation in inputs],
+            [signal[lo:hi] for signal in signals],
+        )
 
 
 class NNUCBBandit(CapacityEstimator):
@@ -106,17 +160,20 @@ class NNUCBBandit(CapacityEstimator):
         )
 
     def arm_feature_rows(self, context: np.ndarray) -> np.ndarray:
-        """``(|C|, input_dim)`` feature rows of every grid arm for a context.
+        """Feature rows of every grid arm for one context or a batch of them.
 
-        Bitwise-identical to stacking :meth:`_features` per arm (pure
-        copies), but the capacity-scalar / one-hot tail is precomputed at
-        construction instead of being rebuilt on every scoring call.
+        A ``(context_dim,)`` context gives ``(|C|, input_dim)`` rows; an
+        ``(n, context_dim)`` batch gives ``(n * |C|, input_dim)`` rows,
+        context-major.  Bitwise-identical to stacking :meth:`_features` per
+        arm (pure copies), but the capacity-scalar / one-hot tail is
+        precomputed at construction instead of being rebuilt on every
+        scoring call.
         """
-        context = np.asarray(context, dtype=float)
+        contexts = np.atleast_2d(np.asarray(context, dtype=float))
         return np.concatenate(
             [
-                np.broadcast_to(context, (self.capacities.size, context.size)),
-                self._arm_row_tail,
+                np.repeat(contexts, self.capacities.size, axis=0),
+                np.tile(self._arm_row_tail, (contexts.shape[0], 1)),
             ],
             axis=1,
         )
@@ -133,45 +190,71 @@ class NNUCBBandit(CapacityEstimator):
             value = float(np.sum(gradient**2 / self._d_diag))
         return float(np.sqrt(max(value, 0.0)))
 
-    def exploration_bonuses(self, gradients: np.ndarray) -> np.ndarray:
-        """Batched :meth:`exploration_bonus` over ``(n, d)`` gradient rows.
+    def arm_parts(
+        self, context: np.ndarray
+    ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        """One context's :class:`ArmBlocks` parts: ``(means, inputs, signals)``."""
+        return self.network.forward_backward(self.arm_feature_rows(context))
 
-        The diagonal regime reduces each row with the same pairwise
-        summation as the per-sample path, so given identical gradient rows
-        the bonuses are bit-identical; the ``"full"`` regime loops the
-        (small-model-only) quadratic form per row.
+    def arm_bonuses(self, inputs: list[np.ndarray], signals: list[np.ndarray]) -> np.ndarray:
+        """``sqrt(g^T D^{-1} g)`` per arm row from forward/backward parts.
+
+        The diagonal regime never builds the ``(|C|, d)`` gradient rows:
+        with ``g_W = delta (x) a`` per layer,
+
+            g^T diag(D)^-1 g = sum_l (delta_l^2)^T (1/D_W,l) (a_l^2)
+                                     + (delta_l^2)^T (1/D_b,l),
+
+        one small GEMM per layer against the current ``D``
+        (:func:`repro.nn.mlp.weighted_gradient_norms`).  The ``"full"``
+        regime builds the rows from the same parts and reduces them with
+        ``D^-1``.  Under :func:`repro.perf.reference_kernels` every arm's
+        gradient comes from its own :meth:`repro.nn.MLP.param_gradient`
+        pass instead (the per-arm reference loop).
         """
-        gradients = np.atleast_2d(np.asarray(gradients, dtype=float))
-        if self._d_inv is not None:
-            values = np.array(
-                [float(row @ self._d_inv @ row) for row in gradients]
+        if not perf.fast_kernels_enabled():
+            return np.array(
+                [
+                    self.exploration_bonus(self.network.param_gradient(row))
+                    for row in inputs[0]
+                ]
             )
+        if self._d_inv is not None:
+            rows = gradient_rows(inputs, signals)
+            values = ((rows @ self._d_inv) * rows).sum(axis=1)
         else:
-            values = (gradients**2 / self._d_diag).sum(axis=1)
+            values = weighted_gradient_norms(inputs, signals, 1.0 / self._d_diag)
         return np.sqrt(np.maximum(values, 0.0))
+
+    def score_parts(
+        self, parts: tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]
+    ) -> np.ndarray:
+        """Scores of every arm from :class:`ArmBlocks` parts (Eq. 5)."""
+        means, inputs, signals = parts
+        return self._scores_from(means, self.arm_bonuses(inputs, signals))
+
+    def _scores_from(self, means: np.ndarray, bonuses: np.ndarray) -> np.ndarray:
+        """Combine means and bonuses; stash the split for decision audits."""
+        if obs_audit.current() is not None:
+            self.last_score_parts = (means, bonuses)
+        return self.combine_scores(means, bonuses)
+
+    def combine_scores(self, means: np.ndarray, bonuses: np.ndarray) -> np.ndarray:
+        """Eq. 5's ``mean + alpha * bonus`` — the score-combination hook.
+
+        Subclasses change how the bonus enters the score here and nothing
+        else (:class:`~repro.bandits.thompson.NeuralThompsonBandit` draws
+        its posterior noise in this hook).
+        """
+        return means + self.config.alpha * bonuses
 
     def ucb_scores(self, context: np.ndarray) -> np.ndarray:
         """Upper confidence bound of every candidate capacity (Eq. 5).
 
-        The fast kernel computes every arm's parameter gradient in one
-        batched pass (:meth:`repro.nn.MLP.param_gradients`); the reference
-        kernel is the original per-arm loop, kept as the differential
-        oracle (:mod:`repro.perf`).
+        A one-context call of the day-batched kernel: the arms' forward /
+        backward pass, then :meth:`arm_bonuses` against the current ``D``.
         """
-        means = self.predicted_rewards(context)
-        rows = self.arm_feature_rows(context)
-        if perf.fast_kernels_enabled():
-            bonuses = self.exploration_bonuses(self.network.param_gradients(rows))
-        else:
-            bonuses = np.array(
-                [
-                    self.exploration_bonus(self.network.param_gradient(row))
-                    for row in rows
-                ]
-            )
-        if obs_audit.current() is not None:
-            self.last_score_parts = (means, bonuses)
-        return means + self.config.alpha * bonuses
+        return self.score_parts(self.arm_parts(context))
 
     # ------------------------------------------------------------------
     # Alg. 1: explore, update covariance, learn from feedback
@@ -196,23 +279,24 @@ class NNUCBBandit(CapacityEstimator):
         return self._pick(self.ucb_scores, context)
 
     def _pick(self, score_fn, context: np.ndarray) -> int:
-        return self._pick_explain(score_fn, context)[0]
+        return self._pick_explain(lambda: score_fn(context))[0]
 
-    def _pick_explain(self, score_fn, context: np.ndarray) -> tuple[int, str]:
+    def _pick_explain(self, score) -> tuple[int, str]:
         """:meth:`_pick` plus the rule that fired (for decision audits).
 
-        Returns ``(arm_index, rule)`` with rule one of ``"coverage"``
-        (least-pulled arm under the global pull floor), ``"epsilon"``
-        (exploration draw), or ``"ucb"`` (score argmax with the
-        conservative tie-break).  Consumes exactly the same randomness as
-        before the split — audited runs stay bit-identical.
+        ``score()`` returns every arm's score; it is called only when the
+        UCB rule decides.  Returns ``(arm_index, rule)`` with rule one of
+        ``"coverage"`` (least-pulled arm under the global pull floor),
+        ``"epsilon"`` (exploration draw), or ``"ucb"`` (score argmax with
+        the conservative tie-break).  Consumes exactly the same randomness
+        as before the split — audited runs stay bit-identical.
         """
         self.last_score_parts = None
         if self._arm_pulls.min() < self.config.min_arm_pulls:
             return int(np.argmin(self._arm_pulls)), "coverage"
         if self.config.epsilon > 0 and self._rng.random() < self.config.epsilon:
             return int(self._rng.integers(self.capacities.size)), "epsilon"
-        scores = score_fn(context)
+        scores = score()
         spread = float(scores.max() - scores.min())
         threshold = scores.max() - self.config.tie_tolerance * max(spread, 1e-12)
         qualified = np.nonzero(scores >= threshold)[0]
@@ -243,13 +327,58 @@ class NNUCBBandit(CapacityEstimator):
 
     def estimate(self, context: np.ndarray, broker_id: int | None = None) -> float:
         """Choose the capacity with maximum UCB; update ``D`` (line 12)."""
-        chosen, rule = self._pick_explain(self.ucb_scores, context)
+        return self._estimate_scored(context, broker_id, lambda: self.ucb_scores(context))
+
+    def _estimate_scored(self, context: np.ndarray, broker_id: int | None, score) -> float:
+        """:meth:`estimate` with the arm scores supplied by ``score()``."""
+        chosen, rule = self._pick_explain(score)
         capacity = float(self.capacities[chosen])
         self._note_choice(broker_id, chosen, capacity, rule)
-        self._arm_pulls[chosen] += 1
-        gradient = self.network.param_gradient(self._features(context, capacity))
-        self._update_covariance(gradient)
+        self._commit(chosen, context)
         return capacity
+
+    def _estimate_rows(self, contexts: np.ndarray, broker_ids: np.ndarray) -> np.ndarray:
+        """Day-batched :meth:`estimate`: blocked passes, sequential decisions.
+
+        The network is fixed for the whole call, so the arms' means,
+        activations and back-propagated signals come from
+        :class:`ArmBlocks`; only the ``D``-dependent bonus reduction, the
+        RNG draws and the covariance update run per context, in the same
+        order as the per-context loop.
+        """
+        if not perf.fast_kernels_enabled():
+            return super()._estimate_rows(contexts, broker_ids)
+        blocks = ArmBlocks(self, contexts, np.ones(contexts.shape[0], dtype=bool))
+        return np.array(
+            [
+                self._estimate_scored(
+                    contexts[row],
+                    int(broker_id),
+                    lambda row=row: self.score_parts(blocks(row)),
+                )
+                for row, broker_id in enumerate(broker_ids)
+            ],
+            dtype=float,
+        )
+
+    def _commit(self, chosen: int, context: np.ndarray) -> None:
+        """Count the pull and update ``D`` with the chosen arm's gradient.
+
+        The gradient is a one-row pass (:meth:`repro.nn.MLP.sample_gradient`,
+        bitwise :meth:`~repro.nn.MLP.param_gradient`): batched GEMM rows
+        differ from it by round-off, and ``D`` accumulates every update, so
+        only the one-row gradient keeps the covariance state bit-identical
+        across kernels and batch sizes.
+        """
+        self._arm_pulls[chosen] += 1
+        # Bitwise ``_features(context, capacities[chosen])``: the arm's
+        # precomputed tail carries the same scaled capacity and one-hot.
+        row = np.concatenate([np.asarray(context, dtype=float), self._arm_row_tail[chosen]])
+        if perf.fast_kernels_enabled():
+            gradient = self.network.sample_gradient(row)
+        else:
+            gradient = self.network.param_gradient(row)
+        self._update_covariance(gradient)
 
     def _update_covariance(self, gradient: np.ndarray) -> None:
         """``D <- D + g g^T`` (diagonal: ``D <- D + g*g``)."""

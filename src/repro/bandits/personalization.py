@@ -32,9 +32,8 @@ import numpy as np
 
 from repro import perf
 from repro.bandits.base import CapacityEstimator
-from repro.bandits.neural_ucb import NNUCBBandit
+from repro.bandits.neural_ucb import ArmBlocks, NNUCBBandit
 from repro.core.types import TrialTriple, triples_from_state, triples_to_state
-from repro.obs import audit as obs_audit
 from repro.state.protocol import expect, versioned
 
 #: Grid quantiles visited by each broker's first estimates (structured
@@ -104,28 +103,24 @@ class PersonalizedCapacityEstimator(CapacityEstimator):
     # ------------------------------------------------------------------
     def personalized_scores(self, context: np.ndarray, broker_id: int) -> np.ndarray:
         """UCB scores with the broker's output correction applied."""
-        rows = self.base.arm_feature_rows(context)
+        return self._personal_scores(broker_id, self.base.arm_parts(context))
+
+    def _personal_scores(self, broker_id: int, parts) -> np.ndarray:
+        """Personalized scores from the base bandit's :class:`ArmBlocks` parts.
+
+        The ``"linear"`` head reads the activations entering the last layer
+        — ``inputs[-1]`` of the pass, the shared representation — and the
+        ``"residual"`` mode shifts the shared means; the bonus is the base
+        bandit's, against the shared ``D``.
+        """
+        means, inputs, signals = parts
         if self.mode == "linear" and broker_id in self._linear_heads:
-            features = self.base.network.hidden_features(rows)
+            features = inputs[-1]
             design = np.hstack([features, np.ones((features.shape[0], 1))])
             means = design @ self._linear_heads[broker_id]
         else:
-            means = self.base.network.predict(rows)
             means = means + self._residual_correction(broker_id)
-        if perf.fast_kernels_enabled():
-            bonuses = self.base.exploration_bonuses(
-                self.base.network.param_gradients(rows)
-            )
-        else:
-            bonuses = np.array(
-                [
-                    self.base.exploration_bonus(self.base.network.param_gradient(row))
-                    for row in rows
-                ]
-            )
-        if obs_audit.current() is not None:
-            self.base.last_score_parts = (means, bonuses)
-        return means + self.base.config.alpha * bonuses
+        return self.base._scores_from(means, self.base.arm_bonuses(inputs, signals))
 
     def _residual_correction(self, broker_id: int) -> np.ndarray:
         """Kernel-smoothed, shrunk residual curve over the arm grid."""
@@ -147,32 +142,62 @@ class PersonalizedCapacityEstimator(CapacityEstimator):
     # ------------------------------------------------------------------
     def estimate(self, context: np.ndarray, broker_id: int | None = None) -> float:
         """Structured exploration, then personalized UCB argmax."""
-        if broker_id is None:
-            return self.base.estimate(context, broker_id)
+        return self._estimate_routed(
+            context, broker_id, lambda: self.base.arm_parts(context)
+        )
+
+    def _estimate_rows(self, contexts: np.ndarray, broker_ids: np.ndarray) -> np.ndarray:
+        """Day-batched :meth:`estimate` over the base bandit's blocked passes.
+
+        Rows still in structured exploration never score, so they are left
+        out of the blocked passes; every other row's parts come from one
+        :class:`~repro.bandits.neural_ucb.ArmBlocks` pass per block, and
+        the decisions run per row in order, as in :meth:`estimate`.
+        """
+        if not perf.fast_kernels_enabled():
+            return super()._estimate_rows(contexts, broker_ids)
+        pulls: dict[int, int] = {}
+        may_score = np.ones(contexts.shape[0], dtype=bool)
+        for row, broker_id in enumerate(broker_ids):
+            broker_id = int(broker_id)
+            count = pulls.get(broker_id, self._pull_count.get(broker_id, 0))
+            if count < self.personal_explore:
+                may_score[row] = False
+                pulls[broker_id] = count + 1
+        blocks = ArmBlocks(self.base, contexts, may_score)
+        return np.array(
+            [
+                self._estimate_routed(
+                    contexts[row], int(broker_id), lambda row=row: blocks(row)
+                )
+                for row, broker_id in enumerate(broker_ids)
+            ],
+            dtype=float,
+        )
+
+    def _estimate_routed(self, context: np.ndarray, broker_id: int | None, parts) -> float:
+        """Route one estimate; ``parts()`` supplies the arms' forward/backward parts."""
         pulls = self._pull_count.get(broker_id, 0)
-        if pulls < self.personal_explore:
+        if broker_id is not None and pulls < self.personal_explore:
             self._pull_count[broker_id] = pulls + 1
             quantile = EXPLORE_QUANTILES[pulls]
             chosen = int(round(quantile * (self.base.capacities.size - 1)))
             rule = "personal-explore"
             self.base.last_score_parts = None  # never scored on this path
-        elif len(self._history.get(broker_id, ())) < self.min_triples:
-            return self.base.estimate(context, broker_id)
+        elif broker_id is None or len(self._history.get(broker_id, ())) < self.min_triples:
+            return self.base._estimate_scored(
+                context, broker_id, lambda: self.base.score_parts(parts())
+            )
         else:
             chosen, rule = self.base._pick_explain(
-                lambda ctx: self.personalized_scores(ctx, broker_id), context
+                lambda: self._personal_scores(broker_id, parts())
             )
             if rule == "ucb":
                 rule = "personal-ucb"
         self.base._note_choice(
             broker_id, chosen, float(self.base.capacities[chosen]), rule
         )
-        self.base._arm_pulls[chosen] += 1
-        self.base._update_covariance(
-            self.base.network.param_gradient(
-                self.base._features(context, float(self.base.capacities[chosen]))
-            )
-        )
+        self.base._commit(chosen, context)
         return float(self.base.capacities[chosen])
 
     # ------------------------------------------------------------------

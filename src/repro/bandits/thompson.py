@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import perf
 from repro.bandits.neural_ucb import NNUCBBandit
 from repro.core.config import BanditConfig
 
@@ -33,26 +32,18 @@ class NeuralThompsonBandit(NNUCBBandit):
         rng: randomness source (initialization and posterior samples).
     """
 
-    def ucb_scores(self, context: np.ndarray) -> np.ndarray:
+    def combine_scores(self, means: np.ndarray, bonuses: np.ndarray) -> np.ndarray:
         """Posterior samples per arm (replaces the optimistic bound).
 
-        Named ``ucb_scores`` so every selection safeguard of the base class
-        (coverage floor, epsilon exploration, conservative tie-breaking)
-        applies unchanged.
+        The only override: scoring (one context through ``ucb_scores`` or
+        a day through ``estimate_batch``), every selection safeguard of the
+        base class (coverage floor, epsilon exploration, conservative
+        tie-breaking) and the audit split — where ``bonus`` is the
+        posterior standard deviation — are inherited unchanged.  The noise
+        is drawn here, after the epsilon draw, once per scored decision.
         """
-        means = self.predicted_rewards(context)
-        rows = self.arm_feature_rows(context)
-        if perf.fast_kernels_enabled():
-            deviations = self.exploration_bonuses(self.network.param_gradients(rows))
-        else:
-            deviations = np.array(
-                [
-                    self.exploration_bonus(self.network.param_gradient(row))
-                    for row in rows
-                ]
-            )
         noise = self._rng.normal(0.0, 1.0, size=self.capacities.size)
-        return means + self.config.alpha * deviations * noise
+        return means + self.config.alpha * bonuses * noise
 
     def posterior_mean_scores(self, context: np.ndarray) -> np.ndarray:
         """The noise-free posterior means (for analysis and tests)."""

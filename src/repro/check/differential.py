@@ -26,8 +26,11 @@ The agreements checked:
 * the ``argpartition`` fast kernel vs the quickselect reference: exactly
   equal per-row ``Top_k`` sets and batch unions (see
   :func:`repro.core.selection.topk_selection_mask`).
-* batched MLP scoring (``param_gradients`` + vectorized exploration
-  bonus) vs the per-sample reference path, to floating-point round-off.
+* batched MLP scoring (``forward_backward`` gradient rows and the
+  gradient-free diagonal bonus) vs the per-sample reference path, to
+  floating-point round-off.
+* the day-batched ``estimate_batch`` vs the per-broker ``estimate`` loop:
+  identical capacities and bitwise-identical bandit state.
 """
 
 from __future__ import annotations
@@ -233,8 +236,69 @@ BATCHED_MLP_RTOL = 1e-9
 BATCHED_MLP_ATOL = 1e-12
 
 
+def param_gradients(network, x: np.ndarray) -> np.ndarray:
+    """Oracle: ``(batch, num_params)`` per-sample gradients by einsum.
+
+    Row ``i`` is ``network.param_gradient(x[i])`` in
+    :meth:`~repro.nn.MLP.grad_vector` order, computed by an independent
+    batched backward pass (local caches, outer products batched with
+    einsum).  Agrees with the per-sample path to round-off.
+    """
+    if network.output_dim != 1:
+        raise ValueError("param_gradients requires a scalar-output network")
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != network.input_dim:
+        raise ValueError(
+            f"expected input of shape (batch, {network.input_dim}), got {x.shape}"
+        )
+    batch = x.shape[0]
+    activations = [x]
+    masks: list[np.ndarray] = []
+    out = x
+    for layer in network.layers[:-1]:
+        out = out @ layer.weight.T + layer.bias
+        mask = out > 0.0
+        masks.append(mask)
+        out = out * mask
+        activations.append(out)
+    per_layer: list[tuple[np.ndarray, np.ndarray]] = []
+    grad = np.ones((batch, 1))
+    for index in range(len(network.layers) - 1, -1, -1):
+        layer = network.layers[index]
+        grad_weight = np.einsum("no,nj->noj", grad, activations[index])
+        per_layer.append((grad_weight.reshape(batch, -1), grad))
+        if index > 0:
+            grad = (grad @ layer.weight) * masks[index - 1]
+    chunks: list[np.ndarray] = []
+    for grad_weight, grad_bias in reversed(per_layer):
+        chunks.append(grad_weight)
+        chunks.append(grad_bias)
+    return np.concatenate(chunks, axis=1)
+
+
+def exploration_bonuses(bandit, gradients: np.ndarray) -> np.ndarray:
+    """Oracle: ``sqrt(g^T D^-1 g)`` of an NN-UCB bandit over gradient rows.
+
+    The diagonal regime reduces each row with the same pairwise summation
+    as :meth:`~repro.bandits.NNUCBBandit.exploration_bonus`, so it is
+    bit-identical to that per-row path; the ``"full"`` regime loops it.
+    """
+    gradients = np.atleast_2d(np.asarray(gradients, dtype=float))
+    if bandit._d_inv is not None:
+        values = np.array([float(row @ bandit._d_inv @ row) for row in gradients])
+    else:
+        values = (gradients**2 / bandit._d_diag).sum(axis=1)
+    return np.sqrt(np.maximum(values, 0.0))
+
+
 def assert_batched_scoring_matches(case: tuple) -> None:
-    """Batched MLP gradients/bonuses/scores match the per-sample path.
+    """The block kernel's gradients and bonuses match the per-sample path.
+
+    Checks :meth:`repro.nn.MLP.forward_backward` (means bitwise equal to
+    :meth:`~repro.nn.MLP.predict`), the gradient rows built from its
+    ``(delta, a)`` parts, and the gradient-free diagonal reduction
+    :func:`repro.nn.mlp.weighted_gradient_norms` against one
+    :meth:`~repro.nn.MLP.param_gradient` pass per row.
 
     Args:
         case: ``(layer_sizes, inputs, net_seed)`` — an MLP architecture
@@ -242,11 +306,17 @@ def assert_batched_scoring_matches(case: tuple) -> None:
             the network-initialization seed.
     """
     from repro.nn import MLP
+    from repro.nn.mlp import gradient_rows, weighted_gradient_norms
 
     layer_sizes, inputs, net_seed = case
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     network = MLP(layer_sizes, np.random.default_rng(net_seed))
-    batched = network.param_gradients(inputs)
+    outputs, activations, signals = network.forward_backward(inputs)
+    if not np.array_equal(outputs, network.predict(inputs)):
+        raise AssertionError(
+            f"forward_backward outputs differ from predict on layers {layer_sizes}"
+        )
+    batched = gradient_rows(activations, signals)
     reference = np.stack([network.param_gradient(row) for row in inputs])
     if batched.shape != reference.shape:
         raise AssertionError(
@@ -256,13 +326,15 @@ def assert_batched_scoring_matches(case: tuple) -> None:
     if not np.allclose(batched, reference, rtol=BATCHED_MLP_RTOL, atol=BATCHED_MLP_ATOL):
         worst = float(np.max(np.abs(batched - reference)))
         raise AssertionError(
-            f"batched param_gradients deviates from per-sample path by "
+            f"batched gradient rows deviate from per-sample path by "
             f"{worst!r} on layers {layer_sizes}, batch {inputs.shape}"
         )
     # The diagonal-covariance bonus must agree too (it is the quantity the
     # UCB scores actually consume).
     diag = np.abs(np.random.default_rng(net_seed + 1).normal(size=network.num_params)) + 0.5
-    batched_bonus = np.sqrt(np.maximum((batched**2 / diag).sum(axis=1), 0.0))
+    batched_bonus = np.sqrt(
+        np.maximum(weighted_gradient_norms(activations, signals, 1.0 / diag), 0.0)
+    )
     reference_bonus = np.array(
         [np.sqrt(max(float(np.sum(row**2 / diag)), 0.0)) for row in reference]
     )
@@ -273,3 +345,150 @@ def assert_batched_scoring_matches(case: tuple) -> None:
             f"batched exploration bonus deviates from per-sample path on "
             f"layers {layer_sizes}: {batched_bonus!r} vs {reference_bonus!r}"
         )
+
+
+#: Context width of the batched-estimate property's estimators.
+ESTIMATE_CONTEXT_DIM = 4
+
+
+def _estimate_case_estimator(kind: str, rng: np.random.Generator):
+    """A small, partly trained estimator of ``kind`` for the batch property.
+
+    Warm-up days estimate and feed back a random subset of a broker pool,
+    so the batch under test meets every route: global coverage (no warm-up
+    days), epsilon draws, structured personal exploration, the generic
+    fallback (too little broker history) and personalized UCB.
+    """
+    from repro.bandits import (
+        NeuralThompsonBandit,
+        NNUCBBandit,
+        PersonalizedCapacityEstimator,
+    )
+    from repro.core.config import BanditConfig
+
+    num_arms = int(rng.integers(2, 8))
+    capacities = rng.choice(np.arange(1.0, 41.0), size=num_arms, replace=False)
+    if rng.random() < 0.7:
+        capacities = np.sort(capacities)
+    config = BanditConfig(
+        candidate_capacities=capacities,
+        hidden_sizes=(4,) if kind == "full" else (8, 4),
+        covariance="full" if kind == "full" else "diagonal",
+        min_arm_pulls=int(rng.integers(0, 3)),
+        epsilon=float(rng.choice([0.0, 0.25])),
+        batch_size=8,
+        train_epochs=1,
+        replay_sample=32,
+        minibatch=16,
+    )
+    cls = NeuralThompsonBandit if kind == "thompson" else NNUCBBandit
+    base = cls(ESTIMATE_CONTEXT_DIM, config, rng)
+    estimator = base
+    if kind in ("residual", "linear"):
+        estimator = PersonalizedCapacityEstimator(
+            base,
+            min_triples=int(rng.integers(1, 3)),
+            mode=kind,
+            personal_explore=int(rng.integers(0, 3)),
+        )
+    pool = int(rng.integers(1, 40))
+    for _ in range(int(rng.integers(0, 4))):
+        contexts = rng.normal(size=(pool, ESTIMATE_CONTEXT_DIM))
+        chosen = estimator.estimate_batch(contexts, np.arange(pool))
+        for broker_id in np.flatnonzero(rng.random(pool) < 0.6):
+            estimator.update(
+                contexts[broker_id],
+                float(rng.integers(0, 40)),
+                float(rng.uniform()),
+                int(broker_id),
+                capacity=float(chosen[broker_id]),
+            )
+    return estimator
+
+
+def assert_batched_estimate_matches(case: tuple) -> None:
+    """Day-batched ``estimate_batch`` equals the per-broker ``estimate`` loop.
+
+    Two deep copies of one estimator decide the same broker rows — one
+    through the block kernel of :meth:`CapacityEstimator.estimate_batch`,
+    one by calling ``estimate`` per row — and must end with identical
+    capacities, bitwise-equal ``_d_diag`` / ``_d_inv``, ``_arm_pulls``,
+    personal ``_pull_count`` and RNG state, and scores within
+    :data:`BATCHED_MLP_RTOL`.  With ``audit`` on, both must record the same
+    ``(broker, capacity, rule)`` notes with mean/bonus within tolerance.
+
+    Args:
+        case: ``(kind, num_brokers, audit, seed)`` — kind is one of
+            ``"nnucb"``, ``"residual"``, ``"linear"``, ``"thompson"`` or
+            ``"full"`` (see :func:`repro.check.property.random_estimate_case`).
+    """
+    import copy
+
+    from repro import perf
+    from repro.obs.audit import AuditConfig, DecisionAudit
+    from repro.obs.telemetry import Telemetry, use as use_telemetry
+
+    kind, num_brokers, audit, seed = case
+    rng = np.random.default_rng(seed)
+    with perf.use_fast_kernels(True):
+        estimator = _estimate_case_estimator(kind, rng)
+    contexts = rng.normal(size=(num_brokers, ESTIMATE_CONTEXT_DIM))
+    broker_ids = rng.integers(0, 48, size=num_brokers)
+
+    def run(batched: bool):
+        twin = copy.deepcopy(estimator)
+        base = getattr(twin, "base", twin)
+        scores: list[np.ndarray] = []
+        combine = base.combine_scores
+
+        def recording(means, bonuses):
+            scores.append(combine(means, bonuses))
+            return scores[-1]
+
+        base.combine_scores = recording
+        telemetry = Telemetry()
+        if audit:
+            telemetry.audit_session = DecisionAudit(AuditConfig(), 1, kind)
+        with perf.use_fast_kernels(True), use_telemetry(telemetry):
+            if batched:
+                capacities = twin.estimate_batch(contexts, broker_ids)
+            else:
+                capacities = np.array(
+                    [
+                        twin.estimate(context, int(broker_id))
+                        for context, broker_id in zip(contexts, broker_ids)
+                    ],
+                    dtype=float,
+                )
+        notes = telemetry.audit_session._capacity_notes if audit else []
+        return twin, base, capacities, scores, notes
+
+    batched, batched_base, got, got_scores, got_notes = run(True)
+    looped, looped_base, expected, expected_scores, expected_notes = run(False)
+    where = f"{kind} estimator, {num_brokers} brokers, audit={audit}, seed={seed}"
+    if not np.array_equal(got, expected):
+        raise AssertionError(f"capacities differ on {where}: {got!r} vs {expected!r}")
+    for name in ("_d_diag", "_d_inv", "_arm_pulls"):
+        left, right = getattr(batched_base, name), getattr(looped_base, name)
+        if (left is None) != (right is None) or (
+            left is not None and left.tobytes() != right.tobytes()
+        ):
+            raise AssertionError(f"bandit {name} is not bitwise equal on {where}")
+    if batched_base._rng.bit_generator.state != looped_base._rng.bit_generator.state:
+        raise AssertionError(f"RNG state differs on {where}")
+    if getattr(batched, "_pull_count", None) != getattr(looped, "_pull_count", None):
+        raise AssertionError(f"personal pull counts differ on {where}")
+    if len(got_scores) != len(expected_scores) or not all(
+        np.allclose(a, b, rtol=BATCHED_MLP_RTOL, atol=BATCHED_MLP_ATOL)
+        for a, b in zip(got_scores, expected_scores)
+    ):
+        raise AssertionError(f"arm scores differ beyond round-off on {where}")
+    if [n[:3] for n in got_notes] != [n[:3] for n in expected_notes]:
+        raise AssertionError(f"audit (broker, capacity, rule) notes differ on {where}")
+    for left, right in zip(got_notes, expected_notes):
+        for a, b in zip(left[3:], right[3:]):
+            if (a is None) != (b is None) or (
+                a is not None
+                and not np.isclose(a, b, rtol=BATCHED_MLP_RTOL, atol=BATCHED_MLP_ATOL)
+            ):
+                raise AssertionError(f"audit mean/bonus differ on {where}: {left} vs {right}")

@@ -251,6 +251,26 @@ def random_mlp_case(
     return layer_sizes, inputs, int(rng.integers(0, 2**31))
 
 
+#: Estimator kinds the batched-estimate property draws from.
+ESTIMATOR_KINDS = ("nnucb", "residual", "linear", "thompson", "full")
+
+
+def random_estimate_case(rng: np.random.Generator) -> tuple[str, int, bool, int]:
+    """A ``(kind, num_brokers, audit, seed)`` batched-estimate case.
+
+    Batch sizes sit on the scoring-block edges — 0, 1, ``SCORING_BLOCK``
+    minus one, exactly one block and one past it — where an off-by-one in
+    the blocked passes would show; the seed builds the estimator and its
+    warm-up history (:func:`repro.check.differential.assert_batched_estimate_matches`).
+    """
+    from repro.bandits.neural_ucb import SCORING_BLOCK
+
+    kind = ESTIMATOR_KINDS[int(rng.integers(len(ESTIMATOR_KINDS)))]
+    sizes = (0, 1, SCORING_BLOCK - 1, SCORING_BLOCK, SCORING_BLOCK + 1)
+    num_brokers = sizes[int(rng.integers(len(sizes)))]
+    return kind, num_brokers, bool(rng.integers(2)), int(rng.integers(0, 2**31))
+
+
 def random_perturbation_sequence(
     rng: np.random.Generator,
     max_rows: int = 8,

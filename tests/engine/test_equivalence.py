@@ -189,3 +189,43 @@ def test_fast_and_reference_kernels_bit_identical(algorithm):
     np.testing.assert_array_equal(
         fast.broker_peak_workload, reference.broker_peak_workload
     )
+
+
+@pytest.mark.parametrize("algorithm", ["LACB", "LACB-Opt"])
+def test_fast_and_reference_kernels_leave_identical_bandit_state(algorithm, monkeypatch):
+    """Past structured exploration (seven days, so personalized UCB scoring
+    runs), the day-batched estimate leaves the bandit bitwise where the
+    per-arm reference kernels leave it: covariance, arm pulls, personal
+    pull counts and the shared RNG."""
+    from repro import perf
+    from repro.bandits import NNUCBBandit
+    from repro.engine.loop import DayLoopEngine
+
+    scored = []
+    combine = NNUCBBandit.combine_scores
+
+    def counting(self, means, bonuses):
+        scored.append(perf.fast_kernels_enabled())
+        return combine(self, means, bonuses)
+
+    monkeypatch.setattr(NNUCBBandit, "combine_scores", counting)
+    config = SyntheticConfig(
+        num_brokers=25, num_requests=200, num_days=7, imbalance=0.05, seed=42
+    )
+
+    def run():
+        platform = generate_city(config)
+        matcher = MatcherSpec(algorithm, seed=7).build(platform)
+        DayLoopEngine().run(platform, matcher)
+        return matcher.estimator
+
+    with perf.use_fast_kernels(True):
+        fast_estimator = run()
+    with perf.use_fast_kernels(False):
+        reference_estimator = run()
+    assert scored.count(True) == scored.count(False) > 0
+    fast_base, reference_base = fast_estimator.base, reference_estimator.base
+    assert fast_base._d_diag.tobytes() == reference_base._d_diag.tobytes()
+    np.testing.assert_array_equal(fast_base._arm_pulls, reference_base._arm_pulls)
+    assert fast_estimator._pull_count == reference_estimator._pull_count
+    assert fast_base._rng.bit_generator.state == reference_base._rng.bit_generator.state

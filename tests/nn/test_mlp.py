@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.differential import param_gradients
 from repro.nn import MLP, SGD, Adam
 
 
@@ -144,14 +145,14 @@ def test_forward_shapes_property(batch, hidden):
 
 
 # ----------------------------------------------------------------------
-# Batched per-sample gradients (the fast UCB-scoring kernel)
+# Batched per-sample gradients (the repro.check oracle)
 # ----------------------------------------------------------------------
 def test_param_gradients_matches_per_sample_loop(rng):
     from repro.nn import MLP
 
     network = MLP([7, 16, 8, 1], rng)
     inputs = rng.normal(size=(9, 7))
-    batched = network.param_gradients(inputs)
+    batched = param_gradients(network, inputs)
     reference = np.stack([network.param_gradient(row) for row in inputs])
     assert batched.shape == (9, network.num_params)
     np.testing.assert_allclose(batched, reference, rtol=1e-9, atol=1e-12)
@@ -163,7 +164,7 @@ def test_param_gradients_single_row_is_exact(rng):
     network = MLP([5, 12, 1], rng)
     row = rng.normal(size=5)
     np.testing.assert_array_equal(
-        network.param_gradients(row[None, :])[0], network.param_gradient(row)
+        param_gradients(network, row[None, :])[0], network.param_gradient(row)
     )
 
 
@@ -172,7 +173,7 @@ def test_param_gradients_requires_scalar_output(rng):
 
     network = MLP([4, 6, 2], rng)
     with pytest.raises(ValueError, match="scalar"):
-        network.param_gradients(rng.normal(size=(3, 4)))
+        param_gradients(network, rng.normal(size=(3, 4)))
 
 
 def test_param_gradients_rejects_wrong_width(rng):
@@ -180,7 +181,7 @@ def test_param_gradients_rejects_wrong_width(rng):
 
     network = MLP([4, 6, 1], rng)
     with pytest.raises(ValueError, match="shape"):
-        network.param_gradients(rng.normal(size=(3, 5)))
+        param_gradients(network, rng.normal(size=(3, 5)))
 
 
 def test_param_gradients_preserves_training_state(rng):
@@ -194,8 +195,70 @@ def test_param_gradients_preserves_training_state(rng):
     network.forward(batch)  # training forward whose caches must survive
     network.layers[0].grad_weight += 3.0
     accumulated = [layer.grad_weight.copy() for layer in network.layers]
-    network.param_gradients(rng.normal(size=(7, 4)))
+    param_gradients(network, rng.normal(size=(7, 4)))
     for layer, before in zip(network.layers, accumulated):
         np.testing.assert_array_equal(layer.grad_weight, before)
     # backward() must still consume the training forward's caches.
     network.backward(np.ones((5, 1)))
+
+
+# ----------------------------------------------------------------------
+# Lean one-row gradient (the NN-UCB covariance update)
+# ----------------------------------------------------------------------
+def test_sample_gradient_is_bitwise_param_gradient_with_dead_relus(rng):
+    dead_rows = 0
+    for trial in range(40):
+        depth = int(rng.integers(1, 4))
+        sizes = [int(rng.integers(1, 12))]
+        sizes += [int(rng.integers(1, 24)) for _ in range(depth)] + [1]
+        network = MLP(sizes, rng)
+        for layer in network.layers:
+            layer.bias[:] = rng.normal(size=layer.bias.shape)
+        scale = 10.0 ** int(rng.integers(-2, 3))
+        for row in rng.normal(0.0, scale, size=(6, sizes[0])):
+            lean = network.sample_gradient(row)
+            reference = network.param_gradient(row)
+            assert np.array_equal(lean, reference)
+            assert lean.tobytes() == reference.tobytes()
+            dead_rows += int(np.any(lean == 0.0))
+    assert dead_rows > 0  # dead ReLUs were exercised
+
+
+def test_sample_gradient_leaves_training_state_untouched(rng):
+    network = MLP([5, 9, 4, 1], rng)
+    batch = rng.normal(size=(3, 5))
+    network.zero_grad()
+    network.forward(batch)
+    for layer in network.layers:
+        layer.grad_weight += rng.normal(size=layer.grad_weight.shape)
+        layer.grad_bias += rng.normal(size=layer.grad_bias.shape)
+    grads = [(l.grad_weight.copy(), l.grad_bias.copy()) for l in network.layers]
+    masks = [mask.copy() for mask in network._relu_masks]
+    inputs = [layer._last_input for layer in network.layers]
+    network.sample_gradient(rng.normal(size=5))
+    for layer, (grad_w, grad_b), cached in zip(network.layers, grads, inputs):
+        assert np.array_equal(layer.grad_weight, grad_w)
+        assert np.array_equal(layer.grad_bias, grad_b)
+        assert layer._last_input is cached
+    assert len(network._relu_masks) == len(masks)
+    for mask, before in zip(network._relu_masks, masks):
+        assert np.array_equal(mask, before)
+
+
+def test_forward_backward_outputs_are_bitwise_predict(rng):
+    from repro.nn.mlp import gradient_rows, weighted_gradient_norms
+
+    network = MLP([6, 10, 5, 1], rng)
+    inputs = rng.normal(size=(8, 6))
+    outputs, activations, signals = network.forward_backward(inputs)
+    assert np.array_equal(outputs, network.predict(inputs))
+    assert np.array_equal(activations[-1], network.hidden_features(inputs))
+    rows = gradient_rows(activations, signals)
+    reference = np.stack([network.param_gradient(row) for row in inputs])
+    np.testing.assert_allclose(rows, reference, rtol=1e-12, atol=1e-15)
+    weights = rng.uniform(0.5, 2.0, size=network.num_params)
+    np.testing.assert_allclose(
+        weighted_gradient_norms(activations, signals, weights),
+        (reference**2 * weights).sum(axis=1),
+        rtol=1e-12,
+    )

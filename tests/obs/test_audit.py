@@ -222,3 +222,46 @@ def test_cli_audit_requires_telemetry():
 
     with pytest.raises(SystemExit):
         main(["compare", "--audit"])
+
+
+def test_audit_provenance_identical_under_reference_kernels(tmp_path, capsys):
+    """The day-batched estimate records the same capacity provenance as the
+    per-arm reference kernels: identical (broker, capacity, rule) notes,
+    mean/bonus to round-off, and the same ``explain`` bandit lines."""
+    import re
+
+    from repro import perf
+    from repro.cli import main
+
+    runs = {}
+    for fast in (True, False):
+        directory = tmp_path / ("fast" if fast else "reference")
+        with perf.use_fast_kernels(fast):
+            main(
+                [
+                    "compare", "--brokers", "15", "--requests", "90", "--days", "7",
+                    "--imbalance", "0.1", "--algorithms", "LACB", "--seed", "3",
+                    "--telemetry", str(directory), "--audit",
+                ]
+            )
+        capsys.readouterr()
+        notes = [record["capacity"] for record in read_audit(audit_dir_for(directory)).records()]
+        main(["explain", str(directory), "--limit", "0"])
+        bandit_lines = re.findall(
+            r"bandit: capacity arm (\S+) via (\S+)", capsys.readouterr().out
+        )
+        runs[fast] = (notes, bandit_lines)
+    (fast_notes, fast_lines), (ref_notes, ref_lines) = runs[True], runs[False]
+    rules = {rule for day in fast_notes for rule in day["rule"]}
+    assert {"ucb", "personal-explore", "personal-ucb"} <= rules
+    assert len(fast_notes) == len(ref_notes)
+    for fast, ref in zip(fast_notes, ref_notes):
+        assert fast["broker"] == ref["broker"]
+        assert fast["capacity"] == ref["capacity"]
+        assert fast["rule"] == ref["rule"]
+        for key in ("mean", "bonus"):
+            for left, right in zip(fast[key], ref[key]):
+                assert (left is None) == (right is None)
+                if left is not None:
+                    assert left == pytest.approx(right, rel=1e-9, abs=1e-12)
+    assert fast_lines and fast_lines == ref_lines

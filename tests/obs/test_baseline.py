@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs.baseline import (
     TRAJECTORY_SCHEMA,
+    DuplicateEntryError,
     append_entry,
     baseline_value,
     compare_artifact,
@@ -113,8 +114,10 @@ def test_run_baseline_compares_before_appending(tmp_path):
     assert first[0].status == "no-baseline"
     assert len(appended) == 1
 
-    # Second run: judged against history (the just-appended entry), and the
-    # fresh numbers are never compared against themselves.
+    # Second run (a fresh measurement): judged against history (the
+    # just-appended entry), and the fresh numbers are never compared
+    # against themselves.
+    artifact.write_text(json.dumps(dict(OVERHEAD, overhead_ratio=1.03)))
     second, _ = run_baseline([str(artifact)], str(trajectory_path), append=True)
     assert second[0].status == "ok"
     assert second[0].baseline == pytest.approx(1.02)
@@ -127,3 +130,45 @@ def test_default_artifacts_excludes_trajectory(tmp_path):
     (tmp_path / "notes.json").write_text("{}")
     paths = default_artifacts(tmp_path)
     assert [p.rsplit("/", 1)[1] for p in paths] == ["BENCH_hotpath.json"]
+
+
+def test_append_rejects_already_recorded_content(tmp_path):
+    path = tmp_path / "BENCH_trajectory.json"
+    append_entry(path, HOTPATH, recorded="2026-08-08T00:00:00Z")
+    # Same (bench, smoke, metrics) under a new timestamp and repeat count.
+    with pytest.raises(DuplicateEntryError, match="already recorded"):
+        append_entry(path, dict(HOTPATH, repeats=9), recorded="2026-08-09T00:00:00Z")
+    # Different smoke mode or a changed metric is a new measurement.
+    append_entry(path, dict(HOTPATH, smoke=True))
+    append_entry(path, dict(HOTPATH, cbs={"speedup": 2.2}))
+    assert len(load_trajectory(path)["entries"]) == 3
+
+
+def test_run_baseline_append_is_all_or_nothing(tmp_path):
+    fresh = tmp_path / "BENCH_hotpath.json"
+    fresh.write_text(json.dumps(HOTPATH))
+    stale = tmp_path / "BENCH_obs_overhead.json"
+    stale.write_text(json.dumps(OVERHEAD))
+    trajectory_path = tmp_path / "BENCH_trajectory.json"
+    append_entry(trajectory_path, OVERHEAD)
+    with pytest.raises(DuplicateEntryError):
+        run_baseline([str(fresh), str(stale)], str(trajectory_path), append=True)
+    assert [e["bench"] for e in load_trajectory(trajectory_path)["entries"]] == [
+        "obs_overhead"
+    ]
+    # The same artifact twice in one call is a duplicate too.
+    with pytest.raises(DuplicateEntryError):
+        run_baseline([str(fresh), str(fresh)], str(trajectory_path), append=True)
+
+
+def test_cli_baseline_append_rejects_duplicate(tmp_path):
+    from repro.cli import main
+
+    artifact = tmp_path / "BENCH_obs_overhead.json"
+    artifact.write_text(json.dumps(OVERHEAD))
+    trajectory_path = tmp_path / "BENCH_trajectory.json"
+    args = ["baseline", str(artifact), "--trajectory", str(trajectory_path), "--append"]
+    main(args)
+    with pytest.raises(SystemExit, match="already recorded"):
+        main(args)
+    assert len(load_trajectory(trajectory_path)["entries"]) == 1

@@ -245,7 +245,7 @@ def test_check_command_writes_report(capsys, tmp_path):
     payload = json.loads((report_dir / "check_report.json").read_text())
     assert payload["ok"] is True
     assert payload["violations"] == []
-    assert payload["property_cases"] == 35  # 7 suites x 5 cases
+    assert payload["property_cases"] == 40  # 8 suites x 5 cases
 
 
 def test_compare_with_check_flag(capsys):
