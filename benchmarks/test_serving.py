@@ -40,7 +40,7 @@ import numpy as np
 from repro.algorithms import make_matcher
 from repro.check.serving import check_serving_equivalence
 from repro.engine.hooks import MetricsCollector
-from repro.serving import MicroBatchPolicy, ServingEngine
+from repro.serving import MicroBatchPolicy, ServingEngine, derive_arrivals
 from repro.simulation import SyntheticConfig, generate_city
 
 #: CI smoke mode: small instances, floors relaxed.
@@ -83,7 +83,10 @@ def _serve(policy, window_seconds=WINDOW_SECONDS, profile="bursty"):
     platform = generate_city(CITY)
     matcher = make_matcher(ALGORITHM, platform, seed=7)
     collector = MetricsCollector()
-    engine = ServingEngine(policy=policy, window_seconds=window_seconds, profile=profile)
+    schedule = derive_arrivals(
+        platform.stream, window_seconds=window_seconds, profile=profile
+    )
+    engine = ServingEngine(policy=policy, schedule=schedule)
     report = engine.run(platform, matcher, hooks=[collector])
     return collector.result, report
 

@@ -30,11 +30,15 @@ from __future__ import annotations
 import dataclasses
 import shutil
 import tempfile
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.check.runtime import Violation
 from repro.obs import telemetry as obs
+
+if TYPE_CHECKING:  # imported lazily, like every engine dependency below
+    from repro.engine.loop import DayLoopEngine
 
 #: RunResult fields excluded from the bitwise comparison: decision time is
 #: wall-clock, so two segments can never reproduce one segment's timings.
@@ -127,6 +131,31 @@ def _compare_results(
     return violations
 
 
+def _compare_states(
+    left,
+    right,
+    algorithm: str,
+    prefix: str = "resume",
+    labels: tuple[str, str] = ("straight", "resumed"),
+) -> list[Violation]:
+    """Final ``(matcher, platform)`` snapshots must be state-equal.
+
+    Shared like :func:`_compare_results`; violations are named
+    ``<prefix>.matcher_state_diverges`` / ``<prefix>.platform_state_diverges``.
+    """
+    from repro.state import state_equal
+
+    return [
+        Violation(
+            f"{prefix}.{name}_state_diverges",
+            f"final {name} snapshots differ between {labels[0]} and {labels[1]} runs",
+            algorithm=algorithm,
+        )
+        for name, a, b in zip(("matcher", "platform"), left, right)
+        if not state_equal(a.snapshot(), b.snapshot())
+    ]
+
+
 def check_resume_equivalence(
     algorithm: str = "LACB",
     kill_day: int = 2,
@@ -136,6 +165,8 @@ def check_resume_equivalence(
     seed: int = 7,
     instance_seed: int = 1,
     directory: str | None = None,
+    engine: DayLoopEngine | None = None,
+    **city,
 ) -> list[Violation]:
     """Prove straight-through ≡ checkpoint/kill/resume for one scenario.
 
@@ -147,6 +178,14 @@ def check_resume_equivalence(
         seed / instance_seed: matcher and city seeds.
         directory: checkpoint store location; a throwaway temp directory
             (removed afterwards) when omitted.
+        engine: the engine driving all three segments — any
+            :class:`~repro.engine.loop.DayLoopEngine`, e.g. a
+            :class:`~repro.serving.ServingEngine` whose schedule was
+            derived from this city; a plain day loop when omitted.
+        city: further :class:`~repro.simulation.datasets.SyntheticConfig`
+            fields, e.g. ``appeal_rate`` (appeals re-queue requests into
+            later windows, so a resumed segment must carry the platform's
+            appeal backlog) or ``imbalance`` (requests per window).
 
     Returns:
         Violations (empty when the equivalence holds bitwise).
@@ -159,7 +198,6 @@ def check_resume_equivalence(
         CheckpointStore,
         RunInterrupted,
         StopAfterDay,
-        state_equal,
     )
 
     if not 0 <= kill_day < num_days:
@@ -170,15 +208,16 @@ def check_resume_equivalence(
             num_requests=num_requests,
             num_days=num_days,
             seed=instance_seed,
+            **city,
         )
     )
     temp_dir = None
     if directory is None:
         directory = temp_dir = tempfile.mkdtemp(prefix="repro-resume-check-")
     violations: list[Violation] = []
-    try:
+    if engine is None:
         engine = DayLoopEngine()
-
+    try:
         platform, matcher, collector = _build(platform_spec, algorithm, seed)
         engine.run(platform, matcher, hooks=(collector,))
         straight = collector.result
@@ -226,22 +265,9 @@ def check_resume_equivalence(
         resumed = collector3.result
 
         violations.extend(_compare_results(straight, resumed, algorithm))
-        if not state_equal(matcher.snapshot(), matcher3.snapshot()):
-            violations.append(
-                Violation(
-                    "resume.matcher_state_diverges",
-                    "final matcher snapshots differ between straight and resumed runs",
-                    algorithm=algorithm,
-                )
-            )
-        if not state_equal(platform.snapshot(), platform3.snapshot()):
-            violations.append(
-                Violation(
-                    "resume.platform_state_diverges",
-                    "final platform snapshots differ between straight and resumed runs",
-                    algorithm=algorithm,
-                )
-            )
+        violations.extend(
+            _compare_states((matcher, platform), (matcher3, platform3), algorithm)
+        )
     finally:
         if temp_dir is not None:
             shutil.rmtree(temp_dir, ignore_errors=True)

@@ -21,7 +21,7 @@ artifact of one scheduler or one demand shape.
 
 from __future__ import annotations
 
-from repro.check.resume import _build, _compare_results
+from repro.check.resume import _build, _compare_results, _compare_states
 from repro.check.runtime import Violation
 from repro.obs import telemetry as obs
 
@@ -58,9 +58,8 @@ def check_serving_equivalence(
     """
     from repro.engine.loop import DayLoopEngine
     from repro.engine.spec import PlatformSpec
-    from repro.serving import MicroBatchPolicy, ServingEngine
+    from repro.serving import MicroBatchPolicy, ServingEngine, derive_arrivals
     from repro.simulation.datasets import SyntheticConfig
-    from repro.state import state_equal
 
     platform_spec = PlatformSpec.synthetic(
         SyntheticConfig(
@@ -70,30 +69,22 @@ def check_serving_equivalence(
             seed=instance_seed,
         )
     )
-    violations: list[Violation] = []
-
     platform, matcher, collector = _build(platform_spec, algorithm, seed)
     DayLoopEngine().run(platform, matcher, hooks=(collector,))
-    batch_result = collector.result
 
     platform2, matcher2, collector2 = _build(platform_spec, algorithm, seed)
     engine = ServingEngine(
         policy=MicroBatchPolicy.boundary(window_seconds),
-        window_seconds=window_seconds,
-        profile=profile,
-        arrival_seed=arrival_seed,
+        schedule=derive_arrivals(
+            platform2.stream, window_seconds=window_seconds, profile=profile, seed=arrival_seed
+        ),
     )
     report = engine.run(platform2, matcher2, hooks=(collector2,))
-    serving_result = collector2.result
 
-    violations.extend(
-        _compare_results(
-            batch_result,
-            serving_result,
-            algorithm,
-            prefix="serving",
-            labels=("batch", "serving"),
-        )
+    sides = dict(prefix="serving", labels=("batch", "serving"))
+    violations = _compare_results(collector.result, collector2.result, algorithm, **sides)
+    violations += _compare_states(
+        (matcher, platform), (matcher2, platform2), algorithm, **sides
     )
     if report.flush_reasons["boundary"] != report.micro_batches:
         violations.append(
@@ -101,22 +92,6 @@ def check_serving_equivalence(
                 "serving.policy_not_degenerate",
                 f"boundary policy flushed {report.flush_reasons} — every "
                 "micro-batch must close at the window boundary",
-                algorithm=algorithm,
-            )
-        )
-    if not state_equal(matcher.snapshot(), matcher2.snapshot()):
-        violations.append(
-            Violation(
-                "serving.matcher_state_diverges",
-                "final matcher snapshots differ between batch and serving runs",
-                algorithm=algorithm,
-            )
-        )
-    if not state_equal(platform.snapshot(), platform2.snapshot()):
-        violations.append(
-            Violation(
-                "serving.platform_state_diverges",
-                "final platform snapshots differ between batch and serving runs",
                 algorithm=algorithm,
             )
         )

@@ -302,7 +302,7 @@ def _serve_matcher(name: str, platform, args: argparse.Namespace):
 
 def _cmd_serve(args: argparse.Namespace) -> None:
     from repro.engine.hooks import MetricsCollector
-    from repro.serving import MicroBatchPolicy, ServingEngine
+    from repro.serving import MicroBatchPolicy, ServingEngine, derive_arrivals
 
     if args.equivalence:
         from repro.check.serving import run_serving_suite
@@ -325,13 +325,14 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         platform = platform_spec.build()
         matcher = _serve_matcher(name, platform, args)
         collector = MetricsCollector()
-        engine = ServingEngine(
-            policy=policy,
+        schedule = derive_arrivals(
+            platform.stream,
             window_seconds=args.window_seconds,
             profile=args.profile,
-            arrival_seed=args.arrival_seed,
+            seed=args.arrival_seed,
             burst_amplitude=args.burst_amplitude,
         )
+        engine = ServingEngine(policy=policy, schedule=schedule)
         report = engine.run(platform, matcher, hooks=[collector])
         result = collector.result
         wait_p50, _, wait_p99 = report.wait_quantiles()

@@ -1,20 +1,23 @@
 """The day-loop engine: one authoritative driver of the platform↔matcher protocol.
 
 Every consumer of the reproduction — the experiment runner, the Fig. 8
-sweeps, the real-like-city evaluation, the CLI and the benchmark suite —
-ultimately drives the same loop::
+sweeps, the real-like-city evaluation, the serving mode, the CLI and the
+benchmark suite — ultimately drives the same loop::
 
     platform.reset()
     for each day:
         contexts = platform.start_day(day)
         matcher.begin_day(day, contexts)                       [timed]
-        for each batch:
-            request_ids = platform.batch_requests(day, batch)
-            utilities = platform.predicted_utilities(ids)      [environment]
-            assignment = matcher.assign_batch(...)             [timed]
-            platform.submit_assignment(assignment)
+        for each window:
+            window_ids = platform.batch_requests(day, window)
+            for request_ids in split(window_ids):              [engine step]
+                utilities = platform.predicted_utilities(ids)  [environment]
+                assignment = matcher.assign_batch(...)         [timed]
+                platform.submit_assignment(assignment)
+                served(matcher_seconds)                        [engine step]
         outcome = platform.finish_day()
         matcher.end_day(day, outcome, contexts)                [timed]
+    finish(context)                                            [engine step]
 
 :class:`DayLoopEngine` owns this protocol and emits lifecycle events to
 :class:`~repro.engine.hooks.RunHook` observers, so result accumulation,
@@ -26,6 +29,12 @@ every run without caller wiring; likewise, while runtime invariant checks
 are active (:func:`repro.check.runtime.enable` / ``REPRO_CHECK=1``) it
 attaches a :class:`~repro.check.hook.CheckHook` enforcing per-batch
 feasibility and end-of-day accounting invariants.
+
+The ``[engine step]`` lines are the only place batch and serving mode
+differ: here a window goes to the matcher whole and the other two steps
+do nothing (Alg. 2); :class:`~repro.serving.engine.ServingEngine` splits
+it into micro-batches and books each into its queue.  Hooks, timing and
+``start_day`` resume exist once, here.
 
 Timing seam
 -----------
@@ -192,70 +201,65 @@ class DayLoopEngine:
         for hook in hooks:
             hook.on_run_start(context)
 
-        clock = self.clock
-        cpu_clock = time.process_time
+        timed = self._timed
         for day in range(start_day, context.num_days):
             _set_observed_day(day)
             contexts = platform.start_day(day)
-            cpu_tick = cpu_clock()
-            tick = clock()
-            matcher.begin_day(day, contexts)
-            begin_seconds = clock() - tick
-            begin_cpu = cpu_clock() - cpu_tick
-            day_event = DayStartEvent(
-                day=day,
-                contexts=contexts,
-                matcher_seconds=begin_seconds,
-                matcher_cpu_seconds=begin_cpu,
-            )
+            _, seconds, cpu = timed(matcher.begin_day, day, contexts)
+            day_event = DayStartEvent(day, contexts, seconds, cpu)
             for hook in hooks:
                 hook.on_day_start(day_event)
 
             for batch in range(context.batches_per_day):
-                request_ids = platform.batch_requests(day, batch)
-                if request_ids.size == 0:
+                window_ids = platform.batch_requests(day, batch)
+                if window_ids.size == 0:
                     continue
-                # Environment work: the deployed model's predictions are
-                # computed outside the matcher clock by construction.
-                utilities = platform.predicted_utilities(request_ids)
-                cpu_tick = cpu_clock()
-                tick = clock()
-                assignment = matcher.assign_batch(day, batch, request_ids, utilities)
-                assign_seconds = clock() - tick
-                assign_cpu = cpu_clock() - cpu_tick
-                platform.submit_assignment(assignment)
-                batch_event = BatchAssignedEvent(
-                    day=day,
-                    batch=batch,
-                    request_ids=request_ids,
-                    utilities=utilities,
-                    assignment=assignment,
-                    matcher_seconds=assign_seconds,
-                    matcher_cpu_seconds=assign_cpu,
-                )
-                for hook in hooks:
-                    hook.on_batch_assigned(batch_event)
+                for request_ids in self._split(day, batch, window_ids):
+                    # Environment work: the deployed model's predictions are
+                    # computed outside the matcher clock by construction.
+                    utilities = platform.predicted_utilities(request_ids)
+                    assignment, seconds, cpu = timed(
+                        matcher.assign_batch, day, batch, request_ids, utilities
+                    )
+                    platform.submit_assignment(assignment)
+                    self._served(seconds)
+                    batch_event = BatchAssignedEvent(
+                        day, batch, request_ids, utilities, assignment, seconds, cpu
+                    )
+                    for hook in hooks:
+                        hook.on_batch_assigned(batch_event)
 
             outcome = platform.finish_day()
-            cpu_tick = cpu_clock()
-            tick = clock()
-            matcher.end_day(day, outcome, contexts)
-            end_seconds = clock() - tick
-            end_cpu = cpu_clock() - cpu_tick
-            end_event = DayEndEvent(
-                day=day,
-                outcome=outcome,
-                contexts=contexts,
-                matcher_seconds=end_seconds,
-                matcher_cpu_seconds=end_cpu,
-            )
+            _, seconds, cpu = timed(matcher.end_day, day, outcome, contexts)
+            end_event = DayEndEvent(day, outcome, contexts, seconds, cpu)
             for hook in hooks:
                 hook.on_day_end(end_event)
 
         _set_observed_day(-1)
+        self._finish(context)
         for hook in hooks:
             hook.on_run_end(context)
         return context
+
+    def _timed(self, call: Callable, *args) -> tuple[object, float, float]:
+        """``call(*args)`` on the matcher clock: ``(result, seconds, cpu_seconds)``."""
+        cpu_tick = time.process_time()
+        tick = self.clock()
+        result = call(*args)
+        seconds = self.clock() - tick
+        return result, seconds, time.process_time() - cpu_tick
+
+    def _split(
+        self, day: int, batch: int, request_ids: np.ndarray
+    ) -> Iterable[np.ndarray]:
+        """The matcher batches one platform window is served as (whole here)."""
+        return (request_ids,)
+
+    def _served(self, seconds: float) -> None:
+        """Called after each batch submission with its matcher seconds."""
+
+    def _finish(self, context: RunContext) -> None:
+        """Called after the last day, before the run-end hooks fire."""
 
 
 def _set_observed_day(day: int) -> None:

@@ -13,8 +13,9 @@ Modules:
   (uniform and bursty intra-day profiles);
 - :mod:`repro.serving.microbatch` — the micro-batch policy and the
   load-leveling queue in front of the solver;
-- :mod:`repro.serving.engine` — the :class:`ServingEngine` run loop and
-  its :class:`ServingReport`.
+- :mod:`repro.serving.engine` — the :class:`ServingEngine` (the day
+  loop with windows split into micro-batches) and its
+  :class:`ServingReport`.
 
 The degenerate policy (``MicroBatchPolicy.boundary(window_seconds)``)
 reproduces the batch day loop bit for bit; :mod:`repro.check.serving`

@@ -113,7 +113,8 @@ def derive_arrivals(
 
     Args:
         stream: the pre-generated demand sequence.
-        window_seconds: virtual length of one platform window.
+        window_seconds: virtual length of one platform window (positive
+            and finite).
         profile: ``"uniform"`` or ``"bursty"``.
         seed: seed of the intra-window offset draw.
         burst_amplitude: ramp amplitude of the bursty profile, in
@@ -125,8 +126,10 @@ def derive_arrivals(
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown arrival profile {profile!r} (known: {PROFILES})")
-    if window_seconds <= 0.0:
-        raise ValueError(f"window_seconds must be positive, got {window_seconds}")
+    if not 0.0 < window_seconds < np.inf:
+        raise ValueError(
+            f"window_seconds must be positive and finite, got {window_seconds}"
+        )
     if not 0.0 <= burst_amplitude < 2.0:
         raise ValueError(
             f"burst_amplitude must be in [0, 2), got {burst_amplitude}"

@@ -1,14 +1,16 @@
-"""ServingEngine: the event-driven counterpart of the batch day loop.
+"""ServingEngine: the day loop with windows served as arrival events.
 
-Where :class:`~repro.engine.loop.DayLoopEngine` hands each platform window
-to the matcher as one batch, this engine replays the window's requests as
-*arrival events* (see :mod:`repro.serving.arrivals`), closes micro-batches
-with an adaptive policy (:mod:`repro.serving.microbatch`), and drives the
-**same** ``Matcher``/``Platform`` protocol per micro-batch — emitting the
-standard lifecycle events, so every existing hook (metrics collection,
-telemetry, runtime checks, checkpointing observers) composes unchanged.
-Algorithms built on repeated small solves are exactly what the PR-9
-incremental KM warm start and utility cache exist for; enable them via
+:class:`~repro.engine.loop.DayLoopEngine` runs the serving mode too; this
+subclass only changes how a platform window reaches the matcher.  It
+replays the window's requests as *arrival events* (see
+:mod:`repro.serving.arrivals`), cuts them into micro-batches with an
+adaptive policy (:mod:`repro.serving.microbatch`), and books each served
+micro-batch into a load-leveling queue.  The day loop, the hooks, the
+timing seam and resume via ``start_day`` are the base engine's, so every
+existing hook (metrics collection, telemetry, runtime checks,
+checkpointing) composes unchanged.  Algorithms built on repeated small
+solves are exactly what the incremental KM warm start and utility cache
+exist for; enable them via
 ``AssignmentConfig(incremental=True, utility_cache=True)``.
 
 Latency accounting happens on two clocks, deliberately kept apart:
@@ -27,33 +29,21 @@ Per-request queue wait and end-to-end latency are recorded into
 ``repro.obs`` histograms (``serving.queue_wait`` / ``serving.latency``),
 whose embedded quantile sketches answer p50/p95/p99; micro-batch sizes and
 flush reasons ride along (``serving.microbatch_size``,
-``serving.flushes``).
+``serving.flushes``), and the ``serving.makespan`` /
+``serving.throughput_rps`` gauges are set while the run's algorithm label
+is still active.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.engine.loop import (
-    BatchAssignedEvent,
-    DayEndEvent,
-    DayStartEvent,
-    RunContext,
-    _check_hooks,
-    _set_observed_day,
-    _telemetry_hooks,
-)
+from repro.engine.loop import DayLoopEngine, RunContext
 from repro.obs import telemetry as obs
-from repro.serving.arrivals import (
-    DEFAULT_BURST_AMPLITUDE,
-    DEFAULT_WINDOW_SECONDS,
-    ArrivalSchedule,
-    derive_arrivals,
-)
+from repro.serving.arrivals import ArrivalSchedule
 from repro.serving.microbatch import FLUSH_REASONS, LoadLevelingQueue, MicroBatchPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -129,52 +119,37 @@ class ServingReport:
         return (float(p50), float(p95), float(p99))
 
 
-@dataclass
-class ServingEngine:
-    """Drives one matcher over a platform's horizon, event by event.
+@dataclass(kw_only=True)
+class ServingEngine(DayLoopEngine):
+    """The day loop serving each window as adaptive micro-batches.
 
     Attributes:
         policy: the micro-batch closing policy.
             :meth:`MicroBatchPolicy.boundary` reproduces fixed windows.
-        window_seconds / profile / arrival_seed / burst_amplitude: the
-            arrival-schedule parameters, used when no explicit
-            ``schedule`` is given.
-        schedule: an explicit arrival schedule (must match the platform's
-            window geometry); derived from the platform's stream otherwise.
-        clock: the monotonic timer charged for matcher calls (the same
-            timing seam as the day loop: only ``begin_day`` /
-            ``assign_batch`` / ``end_day`` are measured).
+        schedule: the arrival schedule; must match the platform's window
+            geometry (derive it with
+            :func:`~repro.serving.arrivals.derive_arrivals`).
+        clock: inherited matcher clock (the same timing seam as the day
+            loop: only ``begin_day`` / ``assign_batch`` / ``end_day`` are
+            measured).
     """
 
     policy: MicroBatchPolicy
-    window_seconds: float = DEFAULT_WINDOW_SECONDS
-    profile: str = "uniform"
-    arrival_seed: int = 0
-    burst_amplitude: float = DEFAULT_BURST_AMPLITUDE
-    schedule: ArrivalSchedule | None = None
-    clock: Callable[[], float] = time.perf_counter
-    #: Filled by :meth:`run`; kept for callers that only see the context.
-    last_report: ServingReport | None = field(default=None, repr=False)
+    schedule: ArrivalSchedule
 
     def run(
         self,
         platform: RealEstatePlatform,
         matcher: Matcher,
         hooks: Sequence[RunHook] | Iterable[RunHook] = (),
+        start_day: int = 0,
     ) -> ServingReport:
-        """Serve the whole horizon, notifying ``hooks`` throughout."""
-        hooks = tuple(hooks)
-        hooks += _telemetry_hooks(hooks)
-        hooks += _check_hooks(hooks)
+        """Serve the horizon from ``start_day``, notifying ``hooks`` throughout.
+
+        A resumed run (``start_day > 0``) reports only the days it served:
+        the queue starts empty, which no decision depends on.
+        """
         schedule = self.schedule
-        if schedule is None:
-            schedule = derive_arrivals(
-                platform.stream,
-                window_seconds=self.window_seconds,
-                profile=self.profile,
-                seed=self.arrival_seed,
-                burst_amplitude=self.burst_amplitude,
-            )
         if (
             schedule.num_days != platform.num_days
             or schedule.batches_per_day != platform.batches_per_day
@@ -184,146 +159,68 @@ class ServingEngine:
                 f"{schedule.batches_per_day} windows) does not match the "
                 f"platform ({platform.num_days} x {platform.batches_per_day})"
             )
-        platform.reset()
-        context = RunContext(
-            platform=platform,
-            matcher=matcher,
-            num_days=platform.num_days,
-            num_brokers=platform.num_brokers,
-            batches_per_day=platform.batches_per_day,
-        )
-        for hook in hooks:
-            hook.on_run_start(context)
+        self._queue = LoadLevelingQueue()
+        self._waits: list[np.ndarray] = []
+        self._latencies: list[np.ndarray] = []
+        self._sizes: list[int] = []
+        self._services: list[float] = []
+        self._reasons = dict.fromkeys(FLUSH_REASONS, 0)
+        super().run(platform, matcher, hooks, start_day)
+        return self._report
 
-        clock = self.clock
-        cpu_clock = time.process_time
-        queue = LoadLevelingQueue()
-        waits: list[np.ndarray] = []
-        latencies: list[np.ndarray] = []
-        sizes: list[int] = []
-        services: list[float] = []
-        reasons = dict.fromkeys(FLUSH_REASONS, 0)
+    def _split(
+        self, day: int, batch: int, request_ids: np.ndarray
+    ) -> Iterator[np.ndarray]:
+        times = self.schedule.arrivals_for(day, batch, request_ids)
+        # Stable sort: appealed re-queues (arriving at window open) move to
+        # the front; without appeals this is the identity, which is what
+        # boundary-flush bit-identity rests on.
+        order = np.argsort(times, kind="stable")
+        ids = request_ids[order]
+        times = times[order]
+        for micro in self.policy.split(times, self.schedule.window_end(day, batch)):
+            self._micro = micro, times[micro.start : micro.stop]
+            yield ids[micro.start : micro.stop]
 
-        for day in range(context.num_days):
-            _set_observed_day(day)
-            contexts = platform.start_day(day)
-            cpu_tick = cpu_clock()
-            tick = clock()
-            matcher.begin_day(day, contexts)
-            begin_seconds = clock() - tick
-            begin_cpu = cpu_clock() - cpu_tick
-            day_event = DayStartEvent(
-                day=day,
-                contexts=contexts,
-                matcher_seconds=begin_seconds,
-                matcher_cpu_seconds=begin_cpu,
-            )
-            for hook in hooks:
-                hook.on_day_start(day_event)
-
-            for batch in range(context.batches_per_day):
-                request_ids = platform.batch_requests(day, batch)
-                if request_ids.size == 0:
-                    continue
-                times = schedule.arrivals_for(day, batch, request_ids)
-                # Stable sort: appealed re-queues (arriving at window open)
-                # move to the front; without appeals this is the identity,
-                # which is what boundary-flush bit-identity rests on.
-                order = np.argsort(times, kind="stable")
-                ids = request_ids[order]
-                times = times[order]
-                window_end = schedule.window_end(day, batch)
-                for micro in self.policy.split(times, window_end):
-                    micro_ids = ids[micro.start : micro.stop]
-                    # Environment work stays off the matcher clock, exactly
-                    # as in the day loop's timing seam.
-                    utilities = platform.predicted_utilities(micro_ids)
-                    cpu_tick = cpu_clock()
-                    tick = clock()
-                    assignment = matcher.assign_batch(day, batch, micro_ids, utilities)
-                    assign_seconds = clock() - tick
-                    assign_cpu = cpu_clock() - cpu_tick
-                    platform.submit_assignment(assignment)
-
-                    _service_start, completion = queue.admit(
-                        micro.close_time, assign_seconds
-                    )
-                    micro_times = times[micro.start : micro.stop]
-                    micro_waits = micro.close_time - micro_times
-                    micro_latency = completion - micro_times
-                    waits.append(micro_waits)
-                    latencies.append(micro_latency)
-                    sizes.append(micro.size)
-                    services.append(assign_seconds)
-                    reasons[micro.reason] += 1
-                    self._record_telemetry(micro, micro_waits, micro_latency)
-
-                    batch_event = BatchAssignedEvent(
-                        day=day,
-                        batch=batch,
-                        request_ids=micro_ids,
-                        utilities=utilities,
-                        assignment=assignment,
-                        matcher_seconds=assign_seconds,
-                        matcher_cpu_seconds=assign_cpu,
-                    )
-                    for hook in hooks:
-                        hook.on_batch_assigned(batch_event)
-
-            outcome = platform.finish_day()
-            cpu_tick = cpu_clock()
-            tick = clock()
-            matcher.end_day(day, outcome, contexts)
-            end_seconds = clock() - tick
-            end_cpu = cpu_clock() - cpu_tick
-            end_event = DayEndEvent(
-                day=day,
-                outcome=outcome,
-                contexts=contexts,
-                matcher_seconds=end_seconds,
-                matcher_cpu_seconds=end_cpu,
-            )
-            for hook in hooks:
-                hook.on_day_end(end_event)
-
-        _set_observed_day(-1)
-        for hook in hooks:
-            hook.on_run_end(context)
-
-        all_waits = np.concatenate(waits) if waits else np.zeros(0)
-        all_latencies = np.concatenate(latencies) if latencies else np.zeros(0)
-        report = ServingReport(
-            context=context,
-            profile=schedule.profile,
-            window_seconds=schedule.window_seconds,
-            policy=self.policy,
-            requests=int(all_waits.size),
-            micro_batches=len(sizes),
-            flush_reasons=reasons,
-            queue_waits=all_waits,
-            latencies=all_latencies,
-            batch_sizes=np.asarray(sizes, dtype=int),
-            service_seconds=np.asarray(services),
-            makespan=queue.last_completion,
-        )
-        obs.set_gauge("serving.makespan", report.makespan)
-        obs.set_gauge("serving.throughput_rps", report.throughput_rps)
-        self.last_report = report
-        return report
-
-    @staticmethod
-    def _record_telemetry(
-        micro, micro_waits: np.ndarray, micro_latency: np.ndarray
-    ) -> None:
-        """Book one micro-batch into the active telemetry (no-op when off)."""
+    def _served(self, seconds: float) -> None:
+        micro, times = self._micro
+        _service_start, completion = self._queue.admit(micro.close_time, seconds)
+        waits = micro.close_time - times
+        latencies = completion - times
+        self._waits.append(waits)
+        self._latencies.append(latencies)
+        self._sizes.append(micro.size)
+        self._services.append(seconds)
+        self._reasons[micro.reason] += 1
         if not obs.enabled():
             return
-        for wait, latency in zip(micro_waits, micro_latency):
+        for wait, latency in zip(waits, latencies):
             obs.observe("serving.queue_wait", float(wait), boundaries=WAIT_BOUNDARIES)
             obs.observe("serving.latency", float(latency), boundaries=WAIT_BOUNDARIES)
         obs.observe("serving.microbatch_size", float(micro.size))
         obs.add("serving.flushes", reason=micro.reason)
         obs.add("serving.requests", micro.size)
+
+    def _finish(self, context: RunContext) -> None:
+        waits = np.concatenate(self._waits) if self._waits else np.zeros(0)
+        self._report = report = ServingReport(
+            context=context,
+            profile=self.schedule.profile,
+            window_seconds=self.schedule.window_seconds,
+            policy=self.policy,
+            requests=int(waits.size),
+            micro_batches=len(self._sizes),
+            flush_reasons=self._reasons,
+            queue_waits=waits,
+            latencies=np.concatenate(self._latencies) if self._latencies else np.zeros(0),
+            batch_sizes=np.asarray(self._sizes, dtype=int),
+            service_seconds=np.asarray(self._services),
+            makespan=self._queue.last_completion,
+        )
+        # Set before the run-end hooks: the telemetry hook still carries
+        # this run's algorithm label and has not made its final flush.
+        obs.set_gauge("serving.makespan", report.makespan)
+        obs.set_gauge("serving.throughput_rps", report.throughput_rps)
 
 
 __all__ = ["REPORT_QUANTILES", "WAIT_BOUNDARIES", "ServingEngine", "ServingReport"]

@@ -66,7 +66,8 @@ class MicroBatchPolicy:
 
     Args:
         max_wait: virtual seconds the *first* request of a forming batch
-            may wait before the batch closes.
+            may wait before the batch closes (``inf`` = close at the
+            window boundary; NaN is rejected).
         max_size: close as soon as the batch holds this many requests
             (``None`` = unbounded).
     """
@@ -75,7 +76,8 @@ class MicroBatchPolicy:
     max_size: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_wait <= 0.0:
+        # ``not >`` also rejects NaN; ``inf`` stays valid ("close at the boundary").
+        if not self.max_wait > 0.0:
             raise ValueError(f"max_wait must be positive, got {self.max_wait}")
         if self.max_size is not None and self.max_size < 1:
             raise ValueError(f"max_size must be >= 1, got {self.max_size}")

@@ -95,5 +95,8 @@ def test_validation_rejects_bad_parameters():
         derive_arrivals(stream, profile="poisson")
     with pytest.raises(ValueError, match="window_seconds"):
         derive_arrivals(stream, window_seconds=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="window_seconds"):
+            derive_arrivals(stream, window_seconds=bad)
     with pytest.raises(ValueError, match="burst_amplitude"):
         derive_arrivals(stream, profile="bursty", burst_amplitude=2.0)

@@ -7,6 +7,7 @@ from repro.algorithms import make_matcher
 from repro.engine import DayLoopEngine
 from repro.engine.hooks import MetricsCollector
 from repro.obs import telemetry as obs
+from repro.obs.stream import TelemetryStreamWriter, read_segment
 from repro.serving import (
     WAIT_BOUNDARIES,
     MicroBatchPolicy,
@@ -26,7 +27,8 @@ def _serve(algorithm, policy, profile="uniform", hooks=None, platform=None):
     platform = platform or _platform()
     matcher = make_matcher(algorithm, platform, seed=1)
     collector = MetricsCollector()
-    engine = ServingEngine(policy=policy, profile=profile)
+    schedule = derive_arrivals(platform.stream, profile=profile)
+    engine = ServingEngine(policy=policy, schedule=schedule)
     report = engine.run(platform, matcher, hooks=[collector, *(hooks or [])])
     return collector.result, report
 
@@ -114,3 +116,33 @@ def test_serving_metrics_land_in_telemetry_sketches():
     )
     p50, p95, p99 = hist.sketch.quantiles((0.5, 0.95, 0.99))
     assert 0.0 <= p50 <= p95 <= p99
+
+
+def test_serving_gauges_are_labeled_per_algorithm_and_streamed(tmp_path):
+    telemetry = obs.Telemetry()
+    algorithms = ("Top-1", "KM")
+    with obs.use(telemetry):
+        for algorithm in algorithms:
+            telemetry.stream = TelemetryStreamWriter(tmp_path, segment=algorithm)
+            _serve(algorithm, MicroBatchPolicy(max_wait=5.0, max_size=8))
+    gauge_names = ("serving.makespan", "serving.throughput_rps")
+    gauges = [
+        entry
+        for entry in telemetry.payload()["registry"]["metrics"]
+        if entry["name"] in gauge_names
+    ]
+    # One gauge per (name, algorithm), each written exactly once.
+    assert sorted((e["name"], e["labels"].get("algorithm")) for e in gauges) == sorted(
+        (name, algorithm) for name in gauge_names for algorithm in algorithms
+    )
+    assert all(e["state"]["updates"] == 1 for e in gauges)
+    # The final stream record of each run already carries its gauges.
+    for algorithm in algorithms:
+        segment = read_segment(tmp_path / f"{algorithm}.jsonl")
+        assert segment.final
+        streamed = {
+            e["name"]
+            for e in segment.registry_state["metrics"]
+            if e["labels"].get("algorithm") == algorithm
+        }
+        assert set(gauge_names) <= streamed

@@ -62,8 +62,13 @@ def test_split_of_empty_window_is_empty():
 def test_policy_validation():
     with pytest.raises(ValueError, match="max_wait"):
         MicroBatchPolicy(max_wait=0.0)
+    with pytest.raises(ValueError, match="max_wait"):
+        MicroBatchPolicy(max_wait=float("nan"))
     with pytest.raises(ValueError, match="max_size"):
         MicroBatchPolicy(max_wait=1.0, max_size=0)
+    # An infinite wait is valid: every batch closes at the window boundary.
+    (only,) = MicroBatchPolicy(max_wait=float("inf")).split(np.array([0.0, 1.0, 2.0]), 60.0)
+    assert (only.size, only.close_time, only.reason) == (3, 60.0, "boundary")
 
 
 def test_load_leveling_queue_backlogs_under_saturation():
