@@ -1,7 +1,8 @@
-"""Hot-path speedups — vectorized kernels vs. the retained reference kernels.
+"""Hot-path speedups — vectorized kernels vs. the reference oracles.
 
-The inner loops that dominate LACB wall-clock each have a fast kernel and
-a reference kernel (switched by :mod:`repro.perf`):
+The inner loops that dominate LACB wall-clock each have a production
+kernel and a scalar reference kernel, kept as an oracle in
+:mod:`repro.check.differential`:
 
 * **NeuralUCB scoring** (Eq. 5) — one forward/backward pass over all grid
   arms with the gradient-free diagonal bonus vs. the original per-arm
@@ -10,15 +11,16 @@ a reference kernel (switched by :mod:`repro.perf`):
   personalized bandit over a whole day of brokers (blocked passes) vs.
   the per-broker ``estimate`` loop on the reference kernels.
 * **CBS pruning** (Alg. 3) — one ``np.partition`` boundary pass over the
-  whole utility matrix vs. the per-row quickselect, which Theorem 2 keeps
-  as the correctness oracle.
+  whole utility matrix vs. the per-row quickselect union
+  (``quickselect_union``), which Theorem 2 keeps as the correctness oracle.
 
 This bench times the kernels on |B| >= 2000 (scoring, CBS) and 500-broker
 (day estimate) instances, enforces the speedup floors (scoring >= 3x,
 estimate >= 2x, CBS >= 2x in full mode; "not slower" in CI smoke mode),
 re-checks that the CBS unions are *exactly* equal, that both estimate
 paths pick identical capacities and leave a bitwise-equal covariance, and
-that a seeded LACB-Opt engine run is bit-identical in either mode, and
+that a seeded LACB-Opt engine run is bit-identical with the oracles
+installed (``install_reference_kernels``), and
 emits ``BENCH_hotpath.json`` so the speedups are tracked across PRs.  A
 KM solve at city scale is timed alongside for context (recorded, not
 gated): pruning only matters because the KM solve it shrinks dominates.
@@ -33,12 +35,13 @@ import copy
 import json
 import os
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
-from repro import perf
 from repro.bandits import PersonalizedCapacityEstimator
 from repro.bandits.neural_ucb import NNUCBBandit
+from repro.check.differential import install_reference_kernels, quickselect_union
 from repro.core.config import BanditConfig
 from repro.core.selection import select_candidate_brokers
 from repro.engine import MatcherSpec, PlatformSpec, RunSpec
@@ -69,7 +72,7 @@ SCORING_FLOOR = 1.0 if SMOKE else 3.0
 ESTIMATE_FLOOR = 1.0 if SMOKE else 2.0
 CBS_FLOOR = 1.0 if SMOKE else 2.0
 
-#: Seeded engine run replayed under both kernel modes; must be bit-identical.
+#: Seeded engine run replayed with and without the oracles; must be bit-identical.
 COMPARE_CONFIG = SyntheticConfig(
     num_brokers=20 if SMOKE else 40,
     num_requests=150 if SMOKE else 400,
@@ -112,6 +115,14 @@ def _trained_personalized(rng) -> PersonalizedCapacityEstimator:
     return estimator
 
 
+@contextmanager
+def _oracles(monkeypatch):
+    """Run the body on the reference oracles (undone on exit)."""
+    with monkeypatch.context() as patch:
+        install_reference_kernels(patch)
+        yield
+
+
 def _timed_estimates(repeats, estimator, estimate):
     """Min-of-repeats of one day's estimates, each on a fresh deep copy."""
     times = []
@@ -123,7 +134,7 @@ def _timed_estimates(repeats, estimator, estimate):
     return min(times), times
 
 
-def test_hotpath_speedups(benchmark):
+def test_hotpath_speedups(benchmark, monkeypatch):
     rng = np.random.default_rng(11)
 
     # ------------------------------------------------------------------
@@ -136,19 +147,17 @@ def test_hotpath_speedups(benchmark):
         for context in contexts:
             bandit.ucb_scores(context)
 
-    with perf.use_fast_kernels(False):
+    with _oracles(monkeypatch):
         scoring_ref_best, scoring_ref_times = _best_of(REPEATS, score_all)
-    with perf.use_fast_kernels(True):
-        scoring_fast_best, scoring_fast_times = _best_of(REPEATS, score_all)
+    scoring_fast_best, scoring_fast_times = _best_of(REPEATS, score_all)
     scoring_speedup = scoring_ref_best / scoring_fast_best
 
     # The two kernels must still score identically (to ulp scale) on the
     # bench instance itself, not just in the differential suites.
     for context in contexts[:10]:
-        with perf.use_fast_kernels(False):
+        with _oracles(monkeypatch):
             reference_scores = bandit.ucb_scores(context)
-        with perf.use_fast_kernels(True):
-            fast_scores = bandit.ucb_scores(context)
+        fast_scores = bandit.ucb_scores(context)
         np.testing.assert_allclose(fast_scores, reference_scores, rtol=1e-9, atol=1e-12)
         assert int(np.argmax(fast_scores)) == int(np.argmax(reference_scores))
 
@@ -168,24 +177,20 @@ def test_hotpath_speedups(benchmark):
 
     # Same decisions and the same covariance, bit for bit, before timing.
     batched_twin, loop_twin = copy.deepcopy(estimator), copy.deepcopy(estimator)
-    with perf.use_fast_kernels(True):
-        batched_capacities = batched(batched_twin)
-    with perf.use_fast_kernels(False):
+    batched_capacities = batched(batched_twin)
+    with _oracles(monkeypatch):
         loop_capacities = per_broker(loop_twin)
     np.testing.assert_array_equal(batched_capacities, loop_capacities)
     assert batched_twin.base._d_diag.tobytes() == loop_twin.base._d_diag.tobytes()
     np.testing.assert_array_equal(batched_twin.base._arm_pulls, loop_twin.base._arm_pulls)
 
-    with perf.use_fast_kernels(False):
+    with _oracles(monkeypatch):
         estimate_ref_best, estimate_ref_times = _timed_estimates(
             REPEATS, estimator, per_broker
         )
-    with perf.use_fast_kernels(True):
-        estimate_fast_best, estimate_fast_times = _timed_estimates(
-            REPEATS, estimator, batched
-        )
-        # Context only: the same kernel one context at a time.
-        estimate_one_best, _ = _timed_estimates(REPEATS, estimator, per_broker)
+    estimate_fast_best, estimate_fast_times = _timed_estimates(REPEATS, estimator, batched)
+    # Context only: the same kernel one context at a time.
+    estimate_one_best, _ = _timed_estimates(REPEATS, estimator, per_broker)
     estimate_speedup = estimate_ref_best / estimate_fast_best
 
     # ------------------------------------------------------------------
@@ -199,21 +204,15 @@ def test_hotpath_speedups(benchmark):
 
     cbs_rng = np.random.default_rng(0)
     cbs_ref_best, cbs_ref_times = _best_of(
-        REPEATS,
-        lambda: select_candidate_brokers(utilities, CBS_TOP_K, cbs_rng, method="quickselect"),
+        REPEATS, lambda: quickselect_union(utilities, CBS_TOP_K)
     )
     cbs_fast_best, cbs_fast_times = _best_of(
-        REPEATS,
-        lambda: select_candidate_brokers(utilities, CBS_TOP_K, cbs_rng, method="argpartition"),
+        REPEATS, lambda: select_candidate_brokers(utilities, CBS_TOP_K, cbs_rng)
     )
     cbs_speedup = cbs_ref_best / cbs_fast_best
 
-    reference_union = select_candidate_brokers(
-        utilities, CBS_TOP_K, cbs_rng, method="quickselect"
-    )
-    fast_union = select_candidate_brokers(
-        utilities, CBS_TOP_K, cbs_rng, method="argpartition"
-    )
+    reference_union = quickselect_union(utilities, CBS_TOP_K)
+    fast_union = select_candidate_brokers(utilities, CBS_TOP_K, cbs_rng)
     np.testing.assert_array_equal(fast_union, reference_union)
 
     # ------------------------------------------------------------------
@@ -225,7 +224,7 @@ def test_hotpath_speedups(benchmark):
     )
 
     # ------------------------------------------------------------------
-    # Seeded compare run: fast mode must be bit-identical to reference.
+    # Seeded compare run: bit-identical with the oracles installed.
     # ------------------------------------------------------------------
     def compare_run():
         spec = RunSpec(
@@ -234,9 +233,8 @@ def test_hotpath_speedups(benchmark):
         )
         return execute_spec(spec)
 
-    with perf.use_fast_kernels(True):
-        fast_run = compare_run()
-    with perf.use_fast_kernels(False):
+    fast_run = compare_run()
+    with _oracles(monkeypatch):
         reference_run = compare_run()
     assert fast_run.total_realized_utility == reference_run.total_realized_utility
     assert fast_run.total_predicted_utility == reference_run.total_predicted_utility
@@ -246,8 +244,7 @@ def test_hotpath_speedups(benchmark):
 
     # One recorded pass for the pytest-benchmark tables: the fast scoring
     # kernel, the quantity whose regression this bench exists to catch.
-    with perf.use_fast_kernels(True):
-        benchmark.pedantic(score_all, rounds=1, iterations=1)
+    benchmark.pedantic(score_all, rounds=1, iterations=1)
 
     payload = {
         "bench": "hotpath",

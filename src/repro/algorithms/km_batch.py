@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import perf
 from repro.algorithms.base import Matcher
-from repro.boosting.cache import UtilityPredictionCache
 from repro.core.types import AssignedPair, Assignment
-from repro.matching import IncrementalKMSolver, solve_assignment
+from repro.matching import solve_assignment
 
 
 class BatchKMMatcher(Matcher):
@@ -26,33 +24,14 @@ class BatchKMMatcher(Matcher):
         pad_square: solve on the square-padded |B| x |B| graph (the paper's
             O(|B|^3) formulation); default uses the equivalent rectangular
             solve.
-        incremental: warm-start consecutive batch solves from the recorded
-            trajectory (bit-identical results; ``"repro"`` backend without
-            padding only, and only while the fast kernels are active).
-        utility_cache: attach a
-            :class:`repro.boosting.cache.UtilityPredictionCache` for
-            platforms serving predictions through ``CachedUtilityModel``.
-            Batch KM learns nothing, so the cache is never invalidated
-            here — its rows stay valid until the utility model refits.
     """
 
     name = "KM"
     one_to_one = True
 
-    def __init__(
-        self,
-        backend: str = "repro",
-        pad_square: bool = False,
-        incremental: bool = False,
-        utility_cache: bool = False,
-    ) -> None:
+    def __init__(self, backend: str = "repro", pad_square: bool = False) -> None:
         self.backend = backend
         self.pad_square = pad_square
-        self.incremental = incremental
-        self.utility_cache: UtilityPredictionCache | None = (
-            UtilityPredictionCache() if utility_cache else None
-        )
-        self._incremental_solver: IncrementalKMSolver | None = None
 
     def begin_day(self, day: int, contexts: np.ndarray) -> None:
         """Batch KM is stateless across days."""
@@ -70,19 +49,9 @@ class BatchKMMatcher(Matcher):
         assignment = Assignment(day=day, batch=batch)
         if request_ids.size == 0:
             return assignment
-        if (
-            self.incremental
-            and perf.fast_kernels_enabled()
-            and self.backend == "repro"
-            and not self.pad_square
-        ):
-            if self._incremental_solver is None:
-                self._incremental_solver = IncrementalKMSolver()
-            match = self._incremental_solver.solve(utilities, maximize=True)
-        else:
-            match = solve_assignment(
-                utilities, maximize=True, backend=self.backend, pad_square=self.pad_square
-            )
+        match = solve_assignment(
+            utilities, maximize=True, backend=self.backend, pad_square=self.pad_square
+        )
         for row, col in match.pairs:
             assignment.pairs.append(
                 AssignedPair(int(request_ids[row]), int(col), float(utilities[row, col]))

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.algorithms.base import Matcher
 from repro.bandits import NNUCBBandit, PersonalizedCapacityEstimator
-from repro.boosting.cache import UtilityPredictionCache
 from repro.core.config import LACBConfig
 from repro.core.types import Assignment, DayOutcome
 from repro.core.vfga import ValueFunctionGuidedAssigner
@@ -61,12 +60,6 @@ class LACBMatcher(Matcher):
             self.estimator = base
         self.assigner = ValueFunctionGuidedAssigner(
             num_brokers, self.config.assignment, rng, batches_per_day=batches_per_day
-        )
-        # Cache-aside handle for platforms serving utilities through
-        # repro.boosting.cache.CachedUtilityModel: this matcher owns the
-        # invalidation side of the contract (see end_day).
-        self.utility_cache: UtilityPredictionCache | None = (
-            UtilityPredictionCache() if self.config.assignment.utility_cache else None
         )
         self._day = 0
 
@@ -123,11 +116,6 @@ class LACBMatcher(Matcher):
                     routing_id,
                     capacity=float(self.assigner.capacities[broker_id]),
                 )
-        # The day's value-function and bandit updates just landed; any
-        # utility rows cached under the previous learned state are now
-        # stale by the cache-aside contract.
-        if self.utility_cache is not None:
-            self.utility_cache.notify_learning_update()
 
     # ------------------------------------------------------------------
     # Durable state (repro.state contract)
@@ -147,9 +135,6 @@ class LACBMatcher(Matcher):
                 "estimator": self.estimator.snapshot(),
                 "assigner": self.assigner.snapshot(),
                 "day": int(self._day),
-                "utility_cache": (
-                    None if self.utility_cache is None else self.utility_cache.snapshot()
-                ),
             },
         )
 
@@ -164,13 +149,8 @@ class LACBMatcher(Matcher):
         self.estimator.restore(payload["estimator"])
         self.assigner.restore(payload["assigner"])
         self._day = int(payload["day"])
-        # Older snapshots predate the cache; resuming without one only
-        # costs recomputed rows — results are bit-identical either way.
-        cache_state = payload.get("utility_cache")
-        if cache_state is not None:
-            if self.utility_cache is None:
-                self.utility_cache = UtilityPredictionCache()
-            self.utility_cache.restore(cache_state)
+        # Snapshots from before the prediction-cache option was removed
+        # may carry its memoized rows under an extra key; they are ignored.
 
     # ------------------------------------------------------------------
     # Introspection

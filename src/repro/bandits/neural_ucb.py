@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import perf
 from repro.bandits.base import CapacityEstimator
 from repro.core.config import BanditConfig
 from repro.core.types import TrialTriple, triples_from_state, triples_to_state
@@ -208,17 +207,10 @@ class NNUCBBandit(CapacityEstimator):
         one small GEMM per layer against the current ``D``
         (:func:`repro.nn.mlp.weighted_gradient_norms`).  The ``"full"``
         regime builds the rows from the same parts and reduces them with
-        ``D^-1``.  Under :func:`repro.perf.reference_kernels` every arm's
-        gradient comes from its own :meth:`repro.nn.MLP.param_gradient`
-        pass instead (the per-arm reference loop).
+        ``D^-1``.  The per-arm :meth:`repro.nn.MLP.param_gradient` loop this
+        replaces is the oracle
+        :func:`repro.check.differential.reference_arm_bonuses`.
         """
-        if not perf.fast_kernels_enabled():
-            return np.array(
-                [
-                    self.exploration_bonus(self.network.param_gradient(row))
-                    for row in inputs[0]
-                ]
-            )
         if self._d_inv is not None:
             rows = gradient_rows(inputs, signals)
             values = ((rows @ self._d_inv) * rows).sum(axis=1)
@@ -346,8 +338,6 @@ class NNUCBBandit(CapacityEstimator):
         RNG draws and the covariance update run per context, in the same
         order as the per-context loop.
         """
-        if not perf.fast_kernels_enabled():
-            return super()._estimate_rows(contexts, broker_ids)
         blocks = ArmBlocks(self, contexts, np.ones(contexts.shape[0], dtype=bool))
         return np.array(
             [
@@ -368,17 +358,13 @@ class NNUCBBandit(CapacityEstimator):
         bitwise :meth:`~repro.nn.MLP.param_gradient`): batched GEMM rows
         differ from it by round-off, and ``D`` accumulates every update, so
         only the one-row gradient keeps the covariance state bit-identical
-        across kernels and batch sizes.
+        to the reference oracles and across batch sizes.
         """
         self._arm_pulls[chosen] += 1
         # Bitwise ``_features(context, capacities[chosen])``: the arm's
         # precomputed tail carries the same scaled capacity and one-hot.
         row = np.concatenate([np.asarray(context, dtype=float), self._arm_row_tail[chosen]])
-        if perf.fast_kernels_enabled():
-            gradient = self.network.sample_gradient(row)
-        else:
-            gradient = self.network.param_gradient(row)
-        self._update_covariance(gradient)
+        self._update_covariance(self.network.sample_gradient(row))
 
     def _update_covariance(self, gradient: np.ndarray) -> None:
         """``D <- D + g g^T`` (diagonal: ``D <- D + g*g``)."""

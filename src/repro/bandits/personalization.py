@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import perf
 from repro.bandits.base import CapacityEstimator
 from repro.bandits.neural_ucb import ArmBlocks, NNUCBBandit
 from repro.core.types import TrialTriple, triples_from_state, triples_to_state
@@ -154,8 +153,6 @@ class PersonalizedCapacityEstimator(CapacityEstimator):
         :class:`~repro.bandits.neural_ucb.ArmBlocks` pass per block, and
         the decisions run per row in order, as in :meth:`estimate`.
         """
-        if not perf.fast_kernels_enabled():
-            return super()._estimate_rows(contexts, broker_ids)
         pulls: dict[int, int] = {}
         may_score = np.ones(contexts.shape[0], dtype=bool)
         for row, broker_id in enumerate(broker_ids):

@@ -10,13 +10,9 @@ package implements that learner from scratch:
   gradient boosting with shrinkage and subsampling;
 - :class:`~repro.boosting.utility_model.UtilityModel` — the end-to-end
   utility learner: builds pair features from broker/request attributes,
-  fits on historical assignment outcomes, predicts utility matrices;
-- :mod:`~repro.boosting.cache` — a cache-aside layer memoizing
-  prediction rows by request-feature digest, with explicit invalidation
-  on refits and learning updates.
+  fits on historical assignment outcomes, predicts utility matrices.
 """
 
-from repro.boosting.cache import CachedUtilityModel, UtilityPredictionCache
 from repro.boosting.gbdt import GradientBoostedTrees
 from repro.boosting.tree import RegressionTree
 from repro.boosting.utility_model import UtilityModel, pair_features
@@ -26,6 +22,4 @@ __all__ = [
     "RegressionTree",
     "UtilityModel",
     "pair_features",
-    "CachedUtilityModel",
-    "UtilityPredictionCache",
 ]

@@ -13,7 +13,10 @@ Layers (each usable on its own):
 * :mod:`repro.check.property` — the zero-dependency property-testing
   harness (seeded generators + greedy shrinking).
 * :mod:`repro.check.differential` — cross-implementation oracles
-  (``repro``/``scipy``/``auction``/flow, CBS vs brute force, padding).
+  (``repro``/``scipy``/auction/flow, CBS vs brute force, padding) and the
+  scalar reference kernels the production hot paths replaced.
+* :mod:`repro.check.auction` / :mod:`repro.check.flow` — the Bertsekas
+  auction and min-cost-flow solvers, independent optimality oracles.
 * :mod:`repro.check.selfcheck` — the ``repro check`` CLI diagnostic.
 
 ``CheckHook`` and the selfcheck entry points are exported lazily:

@@ -19,8 +19,9 @@ objective), so against :func:`repro.matching.hungarian.solve_assignment`
 — which *does* report genuine zero-weight pairs — agreement is on the
 total weight, not on the literal pair sets.
 
-Used as an alternative per-batch backend and as another cross-check
-oracle in the property tests.
+A cross-check oracle for the differential suites
+(:func:`repro.check.differential.assert_backends_agree`) and the tests; it
+is not a production matching backend.
 """
 
 from __future__ import annotations

@@ -23,20 +23,29 @@ The agreements checked:
   reference result), with every step additionally cross-validated across
   all four backends.
 * ``candidate_broker_selection`` vs brute-force ``np.sort`` top-k.
-* the ``argpartition`` fast kernel vs the quickselect reference: exactly
-  equal per-row ``Top_k`` sets and batch unions (see
+* the ``argpartition`` production kernel vs the quickselect oracle:
+  exactly equal per-row ``Top_k`` sets and batch unions (see
   :func:`repro.core.selection.topk_selection_mask`).
 * batched MLP scoring (``forward_backward`` gradient rows and the
   gradient-free diagonal bonus) vs the per-sample reference path, to
   floating-point round-off.
 * the day-batched ``estimate_batch`` vs the per-broker ``estimate`` loop:
   identical capacities and bitwise-identical bandit state.
+
+It also holds the scalar reference kernels the production hot paths
+replaced, as oracles: :func:`quickselect_union` (CBS),
+:func:`reference_arm_bonuses` (NN-UCB scoring) and
+:func:`per_context_estimates` (the day estimate).
+:func:`install_reference_kernels` routes a whole run through them, which
+is how the run-level tests prove the shipped kernels bit-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.check.auction import auction_assignment
+from repro.check.flow import min_cost_flow_assignment
 from repro.core.selection import (
     candidate_broker_selection,
     select_candidate_brokers,
@@ -48,8 +57,14 @@ from repro.matching.validation import assert_valid_matching
 #: Base absolute tolerance when comparing exact solvers.
 EXACT_ATOL = 1e-8
 
-#: The auction backend's advertised relative optimality tolerance.
+#: The auction oracle's advertised relative optimality tolerance.
 AUCTION_RTOL = 1e-9
+
+#: Pivot stream of :func:`quickselect_union`.  Quickselect's *output* is
+#: provably pivot-independent (see
+#: :func:`repro.core.selection.topk_selection_mask`), so the oracle draws
+#: its pivots from this private stream and never from a caller's generator.
+_PIVOT_SEED = 0
 
 
 def _scale(weights: np.ndarray) -> float:
@@ -57,12 +72,12 @@ def _scale(weights: np.ndarray) -> float:
 
 
 def assert_backends_agree(weights: np.ndarray) -> None:
-    """All applicable matching backends agree on the optimal total weight.
+    """All matching solvers agree on the optimal total weight.
 
-    ``repro`` and ``scipy`` always run; ``auction`` and the min-cost-flow
-    reduction additionally run when the instance is non-negative (their
-    documented scope).  Every result is structurally validated against the
-    weight matrix.
+    The ``repro`` and ``scipy`` backends always run; the auction and
+    min-cost-flow oracles additionally run when the instance is
+    non-negative (their documented scope).  Every result is structurally
+    validated against the weight matrix.
     """
     weights = np.asarray(weights, dtype=float)
     atol = EXACT_ATOL * max(1.0, _scale(weights))
@@ -77,11 +92,9 @@ def assert_backends_agree(weights: np.ndarray) -> None:
 
     non_negative = weights.size == 0 or float(weights.min()) >= 0.0
     if non_negative:
-        auction = solve_assignment(weights, maximize=True, backend="auction")
+        auction = auction_assignment(weights)
         assert_valid_matching(auction, weights, atol=atol)
         totals["auction"] = auction.total_weight
-        from repro.matching.flow import min_cost_flow_assignment
-
         flow = min_cost_flow_assignment(weights)
         assert_valid_matching(flow, weights, atol=atol)
         totals["flow"] = flow.total_weight
@@ -106,9 +119,9 @@ def assert_incremental_matches_cold(sequence) -> None:
     every step: identical pair lists (same tie resolution) and bitwise
     equal totals.  Equal-value-but-different matchings are a failure here;
     the incremental solver's contract is bit-identity, which is what keeps
-    seeded runs reproducible across kernel modes.  Each step's instance is
-    also pushed through :func:`assert_backends_agree`, cross-validating
-    the shared optimum across all four backends.
+    warm starts invisible in results.  Each step's instance is also pushed
+    through :func:`assert_backends_agree`, cross-validating the shared
+    optimum across all four solvers.
     """
     from repro.matching.incremental import IncrementalKMSolver
 
@@ -196,16 +209,37 @@ def assert_topk_matches_bruteforce(row: np.ndarray, k: int, seed: int = 0) -> No
         )
 
 
+def quickselect_union(
+    utilities: np.ndarray, k: int, rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """Oracle: the per-row quickselect union of Alg. 3 (Theorem-2 reference).
+
+    Each row runs :func:`~repro.core.selection.candidate_broker_selection`
+    with pivots from a private fixed-seed stream, and the union is sorted.
+    ``rng`` is accepted so the oracle drops in for
+    :func:`~repro.core.selection.select_candidate_brokers`; it is never
+    consumed.
+    """
+    utilities = np.asarray(utilities, dtype=float)
+    if utilities.ndim != 2:
+        raise ValueError(f"expected a 2-D utility matrix, got shape {utilities.shape}")
+    pivot_rng = np.random.default_rng(_PIVOT_SEED)
+    selected: set[int] = set()
+    for row in utilities:
+        selected.update(int(i) for i in candidate_broker_selection(row, k, pivot_rng))
+    return np.array(sorted(selected), dtype=int)
+
+
 def assert_fast_topk_matches_quickselect(
     weights: np.ndarray, k: int, seed: int = 0
 ) -> None:
     """The ``argpartition`` kernel returns quickselect's sets *exactly*.
 
-    Per row, the fast mask must equal the quickselect index set (not just
-    a valid ``Top_k``: engine bit-identity across kernel modes rests on
-    the sets being the same), and the two
-    :func:`~repro.core.selection.select_candidate_brokers` kernels must
-    return the identical batch union.
+    Per row, the production mask must equal the quickselect index set (not
+    just a valid ``Top_k``: run-level bit-identity against the oracles
+    rests on the sets being the same), and
+    :func:`~repro.core.selection.select_candidate_brokers` must return the
+    identical batch union as :func:`quickselect_union`.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim == 1:
@@ -220,8 +254,8 @@ def assert_fast_topk_matches_quickselect(
                 f"fast top-{k} set {fast!r} != quickselect set {reference!r} "
                 f"on row {index} of shape {weights.shape}:\n{row!r}"
             )
-    fast_union = select_candidate_brokers(weights, k, rng, method="argpartition")
-    reference_union = select_candidate_brokers(weights, k, rng, method="quickselect")
+    fast_union = select_candidate_brokers(weights, k, rng)
+    reference_union = quickselect_union(weights, k)
     if not np.array_equal(fast_union, reference_union):
         raise AssertionError(
             f"fast union {fast_union!r} != quickselect union {reference_union!r} "
@@ -289,6 +323,47 @@ def exploration_bonuses(bandit, gradients: np.ndarray) -> np.ndarray:
     else:
         values = (gradients**2 / bandit._d_diag).sum(axis=1)
     return np.sqrt(np.maximum(values, 0.0))
+
+
+def reference_arm_bonuses(bandit, inputs: list, signals: list) -> np.ndarray:
+    """Oracle for :meth:`~repro.bandits.NNUCBBandit.arm_bonuses`: per-arm loop.
+
+    Every arm row ``inputs[0][i]`` gets its own
+    :meth:`~repro.nn.MLP.param_gradient` pass, reduced by
+    :meth:`~repro.bandits.NNUCBBandit.exploration_bonus`.  ``signals`` is
+    unused: the oracle recomputes each gradient from its row.
+    """
+    return np.array(
+        [bandit.exploration_bonus(bandit.network.param_gradient(row)) for row in inputs[0]]
+    )
+
+
+def per_context_estimates(estimator, contexts: np.ndarray, broker_ids: np.ndarray) -> np.ndarray:
+    """Oracle for a day-batched ``_estimate_rows``: ``estimate`` per row, in order."""
+    return np.array(
+        [
+            estimator.estimate(context, int(broker_id))
+            for context, broker_id in zip(contexts, broker_ids)
+        ],
+        dtype=float,
+    )
+
+
+def install_reference_kernels(patch) -> None:
+    """Route NN-UCB scoring, the day estimate and CBS through the oracles.
+
+    ``patch`` is a :class:`pytest.MonkeyPatch` (or anything with its
+    ``setattr(target, name, value)``); it scopes and undoes the change.
+    CBS is replaced where :mod:`repro.core.vfga` looks it up.  A seeded
+    run must be bit-identical with or without the oracles installed.
+    """
+    from repro.bandits import NNUCBBandit, PersonalizedCapacityEstimator
+    from repro.core import vfga
+
+    patch.setattr(NNUCBBandit, "arm_bonuses", reference_arm_bonuses)
+    patch.setattr(NNUCBBandit, "_estimate_rows", per_context_estimates)
+    patch.setattr(PersonalizedCapacityEstimator, "_estimate_rows", per_context_estimates)
+    patch.setattr(vfga, "select_candidate_brokers", quickselect_union)
 
 
 def assert_batched_scoring_matches(case: tuple) -> None:
@@ -424,14 +499,12 @@ def assert_batched_estimate_matches(case: tuple) -> None:
     """
     import copy
 
-    from repro import perf
     from repro.obs.audit import AuditConfig, DecisionAudit
     from repro.obs.telemetry import Telemetry, use as use_telemetry
 
     kind, num_brokers, audit, seed = case
     rng = np.random.default_rng(seed)
-    with perf.use_fast_kernels(True):
-        estimator = _estimate_case_estimator(kind, rng)
+    estimator = _estimate_case_estimator(kind, rng)
     contexts = rng.normal(size=(num_brokers, ESTIMATE_CONTEXT_DIM))
     broker_ids = rng.integers(0, 48, size=num_brokers)
 
@@ -449,17 +522,11 @@ def assert_batched_estimate_matches(case: tuple) -> None:
         telemetry = Telemetry()
         if audit:
             telemetry.audit_session = DecisionAudit(AuditConfig(), 1, kind)
-        with perf.use_fast_kernels(True), use_telemetry(telemetry):
+        with use_telemetry(telemetry):
             if batched:
                 capacities = twin.estimate_batch(contexts, broker_ids)
             else:
-                capacities = np.array(
-                    [
-                        twin.estimate(context, int(broker_id))
-                        for context, broker_id in zip(contexts, broker_ids)
-                    ],
-                    dtype=float,
-                )
+                capacities = per_context_estimates(twin, contexts, broker_ids)
         notes = telemetry.audit_session._capacity_notes if audit else []
         return twin, base, capacities, scores, notes
 

@@ -3,9 +3,10 @@
 Maximum-weight bipartite matching reduces to min-cost max-flow on a
 source/sink network with unit capacities.  We implement successive shortest
 paths with Johnson potentials (Bellman-Ford initialization, Dijkstra
-thereafter) from scratch.  Tests use this solver to independently confirm
-that the Hungarian implementation (`repro.matching.hungarian`) is optimal,
-and that CBS pruning (Theorem 2) loses nothing.
+thereafter) from scratch.  The differential suites and the tests use this
+solver to independently confirm that the Hungarian implementation
+(`repro.matching.hungarian`) is optimal, and that CBS pruning (Theorem 2)
+loses nothing; it is not a production matching backend.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ tables.  ``-v`` raises verbosity to DEBUG, ``-q`` lowers it to WARNING.
 from __future__ import annotations
 
 import argparse
+import math
 import time
 
 import numpy as np
@@ -79,6 +80,36 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="worker processes for the runs (1 = serial, 0 = one per CPU)",
     )
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a float ``> 0`` (``inf`` allowed, NaN rejected)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _finite_positive_float(text: str) -> float:
+    """argparse type: a finite float ``> 0``."""
+    value = _positive_float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer ``> 0``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
 
 
 def _add_telemetry_argument(parser: argparse.ArgumentParser) -> None:
@@ -283,23 +314,6 @@ def _cmd_develop(args: argparse.Namespace) -> None:
     )
 
 
-def _serve_matcher(name: str, platform, args: argparse.Namespace):
-    """Build one serving matcher, optionally with the incremental fast path."""
-    from repro.core.config import AssignmentConfig, BanditConfig, LACBConfig
-
-    lacb_config = None
-    if args.incremental and name in ("LACB", "LACB-Opt"):
-        lacb_config = LACBConfig(
-            bandit=BanditConfig(),
-            assignment=AssignmentConfig(
-                use_cbs=(name == "LACB-Opt"),
-                incremental=True,
-                utility_cache=True,
-            ),
-        )
-    return MatcherSpec(name, seed=args.seed, lacb_config=lacb_config).build(platform)
-
-
 def _cmd_serve(args: argparse.Namespace) -> None:
     from repro.engine.hooks import MetricsCollector
     from repro.serving import MicroBatchPolicy, ServingEngine, derive_arrivals
@@ -323,7 +337,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     rows = []
     for name in args.algorithms:
         platform = platform_spec.build()
-        matcher = _serve_matcher(name, platform, args)
+        matcher = MatcherSpec(name, seed=args.seed).build(platform)
         collector = MetricsCollector()
         schedule = derive_arrivals(
             platform.stream,
@@ -643,20 +657,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--window-seconds",
-        type=float,
+        type=_finite_positive_float,
         default=60.0,
         help="virtual length of one platform window on the serving timeline",
     )
     serve.add_argument(
         "--max-wait",
-        type=float,
+        type=_positive_float,
         default=None,
         help="micro-batch max wait in virtual seconds (default: the window "
         "length, i.e. the paper's fixed windows)",
     )
     serve.add_argument(
         "--max-size",
-        type=int,
+        type=_positive_int,
         default=None,
         help="close a micro-batch as soon as it holds this many requests",
     )
@@ -672,12 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.2,
         help="bursty profile amplitude in [0, 2); 0 degenerates to uniform",
-    )
-    serve.add_argument(
-        "--incremental",
-        action="store_true",
-        help="enable warm-started incremental KM + utility cache for the "
-        "LACB-family matchers (bit-identical results, faster micro-batches)",
     )
     serve.add_argument(
         "--equivalence",

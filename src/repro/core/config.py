@@ -117,26 +117,13 @@ class AssignmentConfig:
         use_cbs: enable Candidate Broker Selection (Alg. 3) — the LACB-Opt
             variant.
         matching_backend: ``"repro"`` (from-scratch KM) or ``"scipy"``.
+            Every batch is one fresh solve over that batch's requests
+            (Alg. 2 line 7); no solver state carries across batches.
         matching_pad_square: run KM on the full square |B| x |B| graph as
             Sec. VI-B describes (the O(|B|^3) baseline behaviour); off by
             default — the rectangular solver finds the identical matching
             faster, and the square mode exists for the paper's running-time
             comparisons.
-        incremental: warm-start consecutive batch solves from the previous
-            solve's recorded trajectory
-            (:class:`repro.matching.incremental.IncrementalKMSolver`).
-            Results are bit-identical to the cold solver; the knob only
-            trades memory for repeated-solve speed.  Takes effect with the
-            ``"repro"`` backend without square padding, and only while the
-            fast kernels are active (``REPRO_REFERENCE_KERNELS=1`` routes
-            every solve to the reference cold path).
-        utility_cache: attach a :class:`repro.boosting.cache.
-            UtilityPredictionCache` to the matcher, for platforms serving
-            predictions through :class:`repro.boosting.cache.
-            CachedUtilityModel`.  The matcher invalidates the cache after
-            each day's value-function/bandit updates (the conservative
-            cache-aside contract), so cached rows never outlive the
-            learned state they were computed under.
         check: enable this assigner's runtime solver checks (sampled KM
             optimality vs the SciPy oracle, CBS preservation per Theorem 2)
             even when process-wide checking (:mod:`repro.check.runtime`) is
@@ -151,8 +138,6 @@ class AssignmentConfig:
     use_cbs: bool = False
     matching_backend: str = "repro"
     matching_pad_square: bool = False
-    incremental: bool = False
-    utility_cache: bool = False
     check: bool = False
 
     def __post_init__(self) -> None:

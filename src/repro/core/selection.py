@@ -12,16 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import perf
-
-#: Pivot stream for the quickselect reference path of
-#: :func:`select_candidate_brokers`.  Quickselect's *output* is provably
-#: pivot-independent (see :func:`topk_selection_mask`), so batch pruning
-#: draws its pivots from this private stream instead of the caller's
-#: generator — both kernel modes then leave the engine's RNG untouched and
-#: seeded runs are bit-identical whichever mode is active.
-_PIVOT_SEED = 0
-
 
 def candidate_broker_selection(
     utilities: np.ndarray,
@@ -123,45 +113,22 @@ def select_candidate_brokers(
     utilities: np.ndarray,
     k: int,
     rng: np.random.Generator,
-    method: str | None = None,
 ) -> np.ndarray:
     """Union of per-request candidate sets over a batch (Sec. VI-C).
 
-    ``U_r Top_k^r`` — the pruned broker pool on which LACB-Opt runs KM.
-
-    Two kernels produce the identical union (selected by ``method``, or by
-    :mod:`repro.perf` when omitted): ``"argpartition"`` — the vectorized
-    :func:`topk_selection_mask` over the whole matrix, the default — and
-    ``"quickselect"`` — per-row :func:`candidate_broker_selection`, the
-    Theorem-2 reference.  Neither consumes the caller's generator: the
-    reference draws its pivots from a private stream because quickselect's
-    output is pivot-independent (see :func:`topk_selection_mask`), so runs
-    are bit-identical whichever kernel is active.
+    ``U_r Top_k^r`` — the pruned broker pool on which LACB-Opt runs KM,
+    computed by the vectorized :func:`topk_selection_mask` over the whole
+    matrix.  The union is exactly the one per-row
+    :func:`candidate_broker_selection` produces (the Theorem-2 reference,
+    kept as the oracle :func:`repro.check.differential.quickselect_union`),
+    and it draws no randomness.
 
     Args:
         utilities: ``(|R|, |B|)`` predicted utility matrix of one batch.
         k: per-request candidate size (Corollary 1 uses ``k = |R|``).
-        rng: accepted for API stability; no longer consumed (see above).
-        method: ``"argpartition"``, ``"quickselect"``, or ``None`` for the
-            process-wide kernel mode.
+        rng: accepted for API stability; never consumed.
 
     Returns:
         Sorted unique broker indices participating in the pruned graph.
     """
-    utilities = np.asarray(utilities, dtype=float)
-    if utilities.ndim != 2:
-        raise ValueError(f"expected a 2-D utility matrix, got shape {utilities.shape}")
-    if method is None:
-        method = "argpartition" if perf.fast_kernels_enabled() else "quickselect"
-    if method == "argpartition":
-        mask = topk_selection_mask(utilities, k)
-        return np.flatnonzero(mask.any(axis=0))
-    if method != "quickselect":
-        raise ValueError(
-            f"method must be 'argpartition' or 'quickselect', got {method!r}"
-        )
-    pivot_rng = np.random.default_rng(_PIVOT_SEED)
-    selected: set[int] = set()
-    for row in utilities:
-        selected.update(int(i) for i in candidate_broker_selection(row, k, pivot_rng))
-    return np.array(sorted(selected), dtype=int)
+    return np.flatnonzero(topk_selection_mask(utilities, k).any(axis=0))

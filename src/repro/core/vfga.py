@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import perf
 from repro.check import invariants as check_invariants
 from repro.check import runtime as check_runtime
 from repro.core.config import AssignmentConfig
 from repro.core.selection import select_candidate_brokers
 from repro.core.types import AssignedPair, Assignment
 from repro.core.value_function import CapacityAwareValueFunction
-from repro.matching import IncrementalKMSolver, solve_assignment
+from repro.matching import solve_assignment
 from repro.obs import audit as obs_audit
 from repro.obs import telemetry as obs
 from repro.obs.metrics import RATIO_BOUNDARIES
@@ -89,7 +88,6 @@ class ValueFunctionGuidedAssigner:
         self._capacity_hits = np.zeros(num_brokers)
         self._days_seen = 0
         self._check_state = check_runtime.CheckState() if config.check else None
-        self._incremental_solver: IncrementalKMSolver | None = None
 
     # ------------------------------------------------------------------
     # Day lifecycle
@@ -232,7 +230,12 @@ class ValueFunctionGuidedAssigner:
         next_fraction = self._time_fraction(batch + 1)
         with obs.span("vfga.refine"):
             refined = self._refine(candidate_utilities, available, time_fraction)
-        match = self._solve(refined, available)
+        match = solve_assignment(
+            refined,
+            maximize=True,
+            backend=self.config.matching_backend,
+            pad_square=self.config.matching_pad_square,
+        )
         self._oracle_checks(day, batch, precbs_utilities, kept_columns, refined, match)
 
         # While the time axis is still unsettled (first day with inferred
@@ -283,34 +286,6 @@ class ValueFunctionGuidedAssigner:
         if trail is not None:
             session.commit_batch(trail)
         return assignment
-
-    def _solve(self, refined: np.ndarray, available: np.ndarray):
-        """KM on the refined graph, warm-started when the knob allows it.
-
-        The incremental path engages only for the ``"repro"`` rectangular
-        solver and only while the fast kernels are active — under
-        ``REPRO_REFERENCE_KERNELS=1`` every batch runs the reference cold
-        solve.  Both paths return bit-identical results (pairs, tie
-        resolution and totals), so the knob never changes a seeded run.
-        """
-        if (
-            self.config.incremental
-            and perf.fast_kernels_enabled()
-            and self.config.matching_backend == "repro"
-            and not self.config.matching_pad_square
-        ):
-            if self._incremental_solver is None:
-                self._incremental_solver = IncrementalKMSolver()
-            with obs.span("matching.solve", backend="incremental"):
-                return self._incremental_solver.solve(
-                    refined, maximize=True, column_ids=available
-                )
-        return solve_assignment(
-            refined,
-            maximize=True,
-            backend=self.config.matching_backend,
-            pad_square=self.config.matching_pad_square,
-        )
 
     @staticmethod
     def _alternatives(
@@ -420,11 +395,6 @@ class ValueFunctionGuidedAssigner:
                 "workloads": self.workloads.copy(),
                 "capacity_hits": self._capacity_hits.copy(),
                 "days_seen": int(self._days_seen),
-                "incremental_solver": (
-                    None
-                    if self._incremental_solver is None
-                    else self._incremental_solver.snapshot()
-                ),
             },
         )
 
@@ -450,14 +420,9 @@ class ValueFunctionGuidedAssigner:
         self.workloads = workloads.copy()
         self._capacity_hits = np.array(payload["capacity_hits"], dtype=float)
         self._days_seen = int(payload["days_seen"])
-        # Older snapshots predate the incremental solver; absence means a
-        # cold first solve after resume, which is bit-identical anyway.
-        solver_state = payload.get("incremental_solver")
-        if solver_state is None:
-            self._incremental_solver = None
-        else:
-            self._incremental_solver = IncrementalKMSolver()
-            self._incremental_solver.restore(solver_state)
+        # Snapshots written while the warm-started KM option existed may
+        # carry an ``incremental_solver`` entry.  It only memoized solves
+        # that are bit-identical cold, so it is ignored.
 
     def _refine(
         self, utilities: np.ndarray, broker_ids: np.ndarray, time_fraction: float

@@ -13,15 +13,15 @@ shrinks that graph before solving.  This package provides
   baseline,
 - :mod:`~repro.matching.incremental` — a warm-started KM solver for
   streams of related instances (trajectory resumption; bit-identical to
-  the cold solver),
-- :mod:`~repro.matching.flow` — a successive-shortest-path min-cost-flow
-  solver used in tests to independently verify matching optimality,
+  the cold solver); no matcher uses it,
 - :mod:`~repro.matching.validation` — structural checks on matchings.
+
+The auction and min-cost-flow solvers that cross-check KM optimality are
+oracles in :mod:`repro.check` (:mod:`repro.check.auction`,
+:mod:`repro.check.flow`), not production backends.
 """
 
-from repro.matching.auction import auction_assignment
 from repro.matching.bipartite import MatchResult, pad_to_square
-from repro.matching.flow import min_cost_flow_assignment
 from repro.matching.greedy import greedy_assignment
 from repro.matching.hungarian import hungarian, solve_assignment
 from repro.matching.incremental import IncrementalKMSolver
@@ -33,9 +33,7 @@ __all__ = [
     "hungarian",
     "solve_assignment",
     "IncrementalKMSolver",
-    "auction_assignment",
     "greedy_assignment",
-    "min_cost_flow_assignment",
     "is_valid_matching",
     "assert_valid_matching",
 ]

@@ -20,7 +20,7 @@ import numpy as np
 from repro.matching.bipartite import MatchResult
 from repro.obs import telemetry as obs
 
-_BACKENDS = ("repro", "scipy", "auction")
+_BACKENDS = ("repro", "scipy")
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
@@ -157,10 +157,8 @@ def solve_assignment(
         weights: ``(n_rows, n_cols)`` matrix of edge weights/utilities.
         maximize: maximize total weight (the paper's objective, Eq. 1)
             instead of minimizing cost.
-        backend: ``"repro"`` for the from-scratch Hungarian solver,
-            ``"scipy"`` for ``scipy.optimize.linear_sum_assignment``, or
-            ``"auction"`` for the epsilon-scaled auction algorithm
-            (maximization with non-negative weights only).
+        backend: ``"repro"`` for the from-scratch Hungarian solver or
+            ``"scipy"`` for ``scipy.optimize.linear_sum_assignment``.
         pad_square: pad the instance to a full ``max(n, m) x max(n, m)``
             square before solving, exactly as Sec. VI-B describes ("adding
             |B| - |R| dummy vertices") — the O(|B|^3) behaviour whose cost
@@ -187,12 +185,6 @@ def _solve_assignment(
     weights: np.ndarray, maximize: bool, backend: str, pad_square: bool
 ) -> MatchResult:
     """The actual solve behind :func:`solve_assignment` (validated inputs)."""
-    if backend == "auction":
-        if not maximize:
-            raise ValueError("the auction backend only supports maximization")
-        from repro.matching.auction import auction_assignment
-
-        return auction_assignment(weights)
     n_rows, n_cols = weights.shape
     if n_rows == 0 or n_cols == 0:
         return MatchResult(pairs=[], total_weight=0.0)

@@ -17,8 +17,8 @@ requires each unmatched column to carry zero potential — a reused profile
 cannot know which columns the new instance will leave unmatched
 (:func:`repro.matching.hungarian.hungarian` documents the measured ~85%
 suboptimality).  Worse, even a *value-correct* warm start may return a
-different equally-optimal matching under ties, and this repo promises
-bit-identical seeded runs in fast and reference kernel modes.
+different equally-optimal matching under ties, and a warm start must not
+change a seeded run by a single bit.
 
 Trajectory resumption
 ---------------------
@@ -56,10 +56,11 @@ a changed column identity set, or a changed first row.  Correctness
 never depends on the fallback decision — the prefix comparison is by
 *value*, and a cold solve is just the degenerate ``p = 0`` resumption.
 
-The solver is opt-in (``AssignmentConfig(incremental=True)``) and sits
-behind the :mod:`repro.perf` dual-kernel switch: with
-``REPRO_REFERENCE_KERNELS=1`` every consumer routes to the reference
-cold solver, and seeded runs are bit-identical in either mode.
+No matcher uses this solver: the paper's Alg. 2 solves each batch's new
+requests afresh, and on the benchmark workloads every batch matrix is new,
+so a warm start never applies (see ``docs/performance.md``).  It is kept
+as a tested library component, differential-checked against cold solves
+by :func:`repro.check.differential.assert_incremental_matches_cold`.
 """
 
 from __future__ import annotations

@@ -73,7 +73,6 @@ METRIC_SPECS: dict[str, tuple[MetricSpec, ...]] = {
     ),
     "incremental": (
         MetricSpec("warm.speedup", higher_is_better=True, rel_tol=0.30),
-        MetricSpec("cache.speedup", higher_is_better=True, rel_tol=0.30),
     ),
     "obs_overhead": (
         MetricSpec("overhead_ratio", higher_is_better=False, rel_tol=0.0, abs_tol=0.05),

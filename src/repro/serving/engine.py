@@ -8,10 +8,9 @@ adaptive policy (:mod:`repro.serving.microbatch`), and books each served
 micro-batch into a load-leveling queue.  The day loop, the hooks, the
 timing seam and resume via ``start_day`` are the base engine's, so every
 existing hook (metrics collection, telemetry, runtime checks,
-checkpointing) composes unchanged.  Algorithms built on repeated small
-solves are exactly what the incremental KM warm start and utility cache
-exist for; enable them via
-``AssignmentConfig(incremental=True, utility_cache=True)``.
+checkpointing) composes unchanged.  Each micro-batch is one fresh solve
+over its own new requests, as in the batch loop: consecutive micro-batches
+share no rows, so there is no solver state worth carrying between them.
 
 Latency accounting happens on two clocks, deliberately kept apart:
 

@@ -209,9 +209,7 @@ def test_capacity_and_workload_paths_bucket_identically(rng):
 # ----------------------------------------------------------------------
 # Batched (fast) vs per-sample (reference) scoring
 # ----------------------------------------------------------------------
-def test_fast_and_reference_scores_agree(rng):
-    from repro import perf
-
+def test_fast_and_reference_scores_agree(rng, monkeypatch):
     bandit = _bandit(rng, min_arm_pulls=0, epsilon=0.0)
     # A little training so the network and covariance are non-trivial.
     for _ in range(20):
@@ -221,15 +219,13 @@ def test_fast_and_reference_scores_agree(rng):
     bandit.flush()
     for _ in range(5):
         context = rng.normal(size=3)
-        with perf.use_fast_kernels(True):
-            fast = bandit.ucb_scores(context)
-        with perf.use_fast_kernels(False):
+        fast = bandit.ucb_scores(context)
+        fast_arm = bandit._pick(bandit.ucb_scores, context)
+        with monkeypatch.context() as patch:
+            patch.setattr(NNUCBBandit, "arm_bonuses", differential.reference_arm_bonuses)
             reference = bandit.ucb_scores(context)
-        np.testing.assert_allclose(fast, reference, rtol=1e-9, atol=1e-12)
-        with perf.use_fast_kernels(True):
-            fast_arm = bandit._pick(bandit.ucb_scores, context)
-        with perf.use_fast_kernels(False):
             reference_arm = bandit._pick(bandit.ucb_scores, context)
+        np.testing.assert_allclose(fast, reference, rtol=1e-9, atol=1e-12)
         assert fast_arm == reference_arm
 
 

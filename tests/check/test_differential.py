@@ -1,8 +1,8 @@
 """Differential property suites: backends, padding, CBS, top-k selection.
 
 These are the acceptance-criteria suites: the ``repro`` backend is
-cross-validated against the SciPy oracle (and ``auction`` / min-cost-flow
-where applicable) on >= 200 randomized rectangular instances per run,
+cross-validated against the SciPy oracle (and the auction / min-cost-flow
+oracles where applicable) on >= 200 randomized rectangular instances per run,
 including ties, exact zeros, negatives and degenerate 0-row/0-col shapes.
 """
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.differential import quickselect_union
 from repro.core import candidate_broker_selection, select_candidate_brokers
 from repro.core.selection import topk_selection_mask
 from repro.matching import solve_assignment
@@ -127,41 +128,26 @@ def test_topk_mask_rejects_nan():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 12), st.integers(0, 10_000))
 def test_fast_union_matches_quickselect_union(n_rows, n_cols, k, seed):
-    """Both kernels of select_candidate_brokers return the identical union."""
+    """select_candidate_brokers returns the quickselect oracle's union exactly."""
     case_rng = np.random.default_rng(seed)
     # Coarse quantization forces heavy boundary ties, the adversarial case.
     utilities = case_rng.integers(0, 4, size=(n_rows, n_cols)).astype(float)
-    fast = select_candidate_brokers(utilities, k, case_rng, method="argpartition")
-    reference = select_candidate_brokers(utilities, k, case_rng, method="quickselect")
+    fast = select_candidate_brokers(utilities, k, case_rng)
+    reference = quickselect_union(utilities, k)
     np.testing.assert_array_equal(fast, reference)
-
-
-def test_select_candidate_brokers_rejects_unknown_method(rng):
-    with pytest.raises(ValueError, match="method"):
-        select_candidate_brokers(rng.uniform(size=(2, 5)), 2, rng, method="bogus")
 
 
 def test_union_selection_consumes_no_caller_randomness(rng):
     """Batch pruning must not advance the engine's shared generator.
 
-    Seeded-run bit-identity across kernel modes rests on this: quickselect
-    pivots come from a private stream (the output is pivot-independent),
-    and the argpartition kernel draws nothing at all.
+    Seeded-run bit-identity against the oracles rests on this: the
+    argpartition kernel draws nothing at all, and the quickselect oracle
+    takes its pivots from a private stream (the output is
+    pivot-independent).
     """
     utilities = np.random.default_rng(0).uniform(size=(4, 20))
-    for method in ("argpartition", "quickselect"):
+    for select in (select_candidate_brokers, quickselect_union):
         caller = np.random.default_rng(99)
-        select_candidate_brokers(utilities, 4, caller, method=method)
+        select(utilities, 4, caller)
         untouched = np.random.default_rng(99)
         assert caller.integers(1 << 30) == untouched.integers(1 << 30)
-
-
-def test_default_method_follows_perf_switch(rng):
-    from repro import perf
-
-    utilities = np.random.default_rng(2).uniform(size=(3, 12))
-    with perf.use_fast_kernels(True):
-        fast = select_candidate_brokers(utilities, 3, rng)
-    with perf.use_fast_kernels(False):
-        reference = select_candidate_brokers(utilities, 3, rng)
-    np.testing.assert_array_equal(fast, reference)

@@ -15,7 +15,7 @@ def _assign_once(config, rng, num_brokers=20, batch=4):
     return assigner.assign_batch(0, 0, np.arange(batch), utilities), utilities
 
 
-@pytest.mark.parametrize("backend", ["repro", "scipy", "auction"])
+@pytest.mark.parametrize("backend", ["repro", "scipy"])
 def test_backends_produce_equal_value(backend):
     rng = np.random.default_rng(4)
     utilities = rng.uniform(0.05, 1.0, size=(4, 20))

@@ -158,15 +158,15 @@ def test_run_many_parallel_matches_serial():
 
 
 # ----------------------------------------------------------------------
-# Fast vs reference kernels: seeded runs are bit-identical in either mode
+# Shipped kernels vs the repro.check reference oracles: bit-identical runs
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("algorithm", ["LACB", "LACB-Opt"])
-def test_fast_and_reference_kernels_bit_identical(algorithm):
+def test_fast_and_reference_kernels_bit_identical(algorithm, monkeypatch):
     """The vectorized hot paths (batched NN-UCB scoring, argpartition CBS)
-    must reproduce the retained reference kernels bit-for-bit: CBS returns
-    exactly the same candidate sets without touching the engine's RNG, and
-    arm decisions plus the covariance update are unchanged."""
-    from repro import perf
+    must reproduce the reference oracles bit-for-bit: CBS returns exactly
+    the same candidate sets without touching the engine's RNG, and arm
+    decisions plus the covariance update are unchanged."""
+    from repro.check.differential import install_reference_kernels
     from repro.engine.executor import execute_spec
 
     def run():
@@ -176,9 +176,9 @@ def test_fast_and_reference_kernels_bit_identical(algorithm):
         )
         return execute_spec(spec)
 
-    with perf.use_fast_kernels(True):
-        fast = run()
-    with perf.use_fast_kernels(False):
+    fast = run()
+    with monkeypatch.context() as patch:
+        install_reference_kernels(patch)
         reference = run()
     assert fast.total_realized_utility == reference.total_realized_utility
     assert fast.total_predicted_utility == reference.total_predicted_utility
@@ -195,17 +195,17 @@ def test_fast_and_reference_kernels_bit_identical(algorithm):
 def test_fast_and_reference_kernels_leave_identical_bandit_state(algorithm, monkeypatch):
     """Past structured exploration (seven days, so personalized UCB scoring
     runs), the day-batched estimate leaves the bandit bitwise where the
-    per-arm reference kernels leave it: covariance, arm pulls, personal
+    per-arm reference oracles leave it: covariance, arm pulls, personal
     pull counts and the shared RNG."""
-    from repro import perf
     from repro.bandits import NNUCBBandit
+    from repro.check.differential import install_reference_kernels
     from repro.engine.loop import DayLoopEngine
 
     scored = []
     combine = NNUCBBandit.combine_scores
 
     def counting(self, means, bonuses):
-        scored.append(perf.fast_kernels_enabled())
+        scored.append(1)
         return combine(self, means, bonuses)
 
     monkeypatch.setattr(NNUCBBandit, "combine_scores", counting)
@@ -219,11 +219,12 @@ def test_fast_and_reference_kernels_leave_identical_bandit_state(algorithm, monk
         DayLoopEngine().run(platform, matcher)
         return matcher.estimator
 
-    with perf.use_fast_kernels(True):
-        fast_estimator = run()
-    with perf.use_fast_kernels(False):
+    fast_estimator = run()
+    fast_scored = len(scored)
+    with monkeypatch.context() as patch:
+        install_reference_kernels(patch)
         reference_estimator = run()
-    assert scored.count(True) == scored.count(False) > 0
+    assert len(scored) - fast_scored == fast_scored > 0
     fast_base, reference_base = fast_estimator.base, reference_estimator.base
     assert fast_base._d_diag.tobytes() == reference_base._d_diag.tobytes()
     np.testing.assert_array_equal(fast_base._arm_pulls, reference_base._arm_pulls)

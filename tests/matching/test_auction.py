@@ -1,15 +1,12 @@
-"""Auction solver: exactness vs Hungarian, validation, backend plumbing."""
+"""Auction oracle: exactness vs Hungarian, validation, not a backend."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.matching import (
-    assert_valid_matching,
-    auction_assignment,
-    solve_assignment,
-)
+from repro.check.auction import auction_assignment
+from repro.matching import assert_valid_matching, solve_assignment
 
 
 def test_parameter_validation(rng):
@@ -59,13 +56,6 @@ def test_matches_hungarian_property(n_rows, n_cols, seed):
     assert result.total_weight == pytest.approx(reference.total_weight, abs=1e-6)
 
 
-def test_available_as_backend(rng):
-    weights = rng.uniform(0.05, 1.0, size=(4, 20))
-    via_backend = solve_assignment(weights, backend="auction")
-    direct = auction_assignment(weights)
-    assert via_backend.total_weight == pytest.approx(direct.total_weight)
-
-
-def test_backend_rejects_minimization(rng):
-    with pytest.raises(ValueError):
-        solve_assignment(rng.uniform(size=(3, 3)), maximize=False, backend="auction")
+def test_not_a_production_backend(rng):
+    with pytest.raises(ValueError, match="unknown backend"):
+        solve_assignment(rng.uniform(size=(3, 3)), backend="auction")

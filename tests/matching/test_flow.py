@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from repro.matching import assert_valid_matching, min_cost_flow_assignment
+from repro.check.flow import min_cost_flow_assignment
+from repro.matching import assert_valid_matching
 
 
 def test_simple_instance():

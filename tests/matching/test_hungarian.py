@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from repro.check.flow import min_cost_flow_assignment
 from repro.matching import (
     assert_valid_matching,
     greedy_assignment,
     hungarian,
-    min_cost_flow_assignment,
     solve_assignment,
 )
 

@@ -224,19 +224,21 @@ def test_cli_audit_requires_telemetry():
         main(["compare", "--audit"])
 
 
-def test_audit_provenance_identical_under_reference_kernels(tmp_path, capsys):
+def test_audit_provenance_identical_under_reference_kernels(tmp_path, capsys, monkeypatch):
     """The day-batched estimate records the same capacity provenance as the
-    per-arm reference kernels: identical (broker, capacity, rule) notes,
+    per-arm reference oracles: identical (broker, capacity, rule) notes,
     mean/bonus to round-off, and the same ``explain`` bandit lines."""
     import re
 
-    from repro import perf
+    from repro.check.differential import install_reference_kernels
     from repro.cli import main
 
     runs = {}
     for fast in (True, False):
         directory = tmp_path / ("fast" if fast else "reference")
-        with perf.use_fast_kernels(fast):
+        with monkeypatch.context() as patch:
+            if not fast:
+                install_reference_kernels(patch)
             main(
                 [
                     "compare", "--brokers", "15", "--requests", "90", "--days", "7",

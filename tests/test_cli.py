@@ -459,22 +459,27 @@ def test_serve_command(capsys):
     assert "wait p99 s" in out and "req/s" in out
 
 
-def test_serve_incremental_matches_plain(capsys):
-    args = [
-        "serve",
-        "--brokers", "12", "--requests", "90", "--days", "2",
-        "--algorithms", "LACB-Opt",
-        "--max-wait", "10",
-    ]
-    main(args)
-    plain = capsys.readouterr().out
-    main(args + ["--incremental"])
-    incremental = capsys.readouterr().out
-    # The fast path changes timing columns only; utilities are identical.
-    assert plain.splitlines()[0] == incremental.splitlines()[0]
-    plain_util = plain.splitlines()[3].split()[1]
-    incr_util = incremental.splitlines()[3].split()[1]
-    assert plain_util == incr_util
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--max-wait", "nan"),
+        ("--max-wait", "0"),
+        ("--max-wait", "-1"),
+        ("--window-seconds", "0"),
+        ("--window-seconds", "nan"),
+        ("--window-seconds", "inf"),
+        ("--max-size", "0"),
+        ("--max-size", "-3"),
+    ],
+)
+def test_serve_rejects_bad_knobs_as_usage_errors(flag, value, capsys):
+    """A bad serving knob is an argparse error naming the flag, not a traceback."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--days", "1", "--algorithms", "Top-1", flag, value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"argument {flag}:" in err
 
 
 def test_serve_equivalence_flag(capsys, monkeypatch):

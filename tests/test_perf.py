@@ -1,40 +1,7 @@
-"""The fast-vs-reference kernel switch (:mod:`repro.perf`)."""
+"""The :mod:`repro.perf` guard: the shipped kernels are the only mode."""
 
 from repro import perf
 
 
 def test_fast_kernels_default_on():
-    assert perf.fast_kernels_enabled()
-
-
-def test_set_and_restore():
-    perf.set_fast_kernels(False)
-    try:
-        assert not perf.fast_kernels_enabled()
-    finally:
-        perf.set_fast_kernels(True)
-    assert perf.fast_kernels_enabled()
-
-
-def test_context_manager_restores_on_exception():
-    try:
-        with perf.use_fast_kernels(False):
-            assert not perf.fast_kernels_enabled()
-            raise RuntimeError("boom")
-    except RuntimeError:
-        pass
-    assert perf.fast_kernels_enabled()
-
-
-def test_reference_kernels_context():
-    with perf.reference_kernels():
-        assert not perf.fast_kernels_enabled()
-    assert perf.fast_kernels_enabled()
-
-
-def test_nested_contexts():
-    with perf.use_fast_kernels(False):
-        with perf.use_fast_kernels(True):
-            assert perf.fast_kernels_enabled()
-        assert not perf.fast_kernels_enabled()
     assert perf.fast_kernels_enabled()
