@@ -31,11 +31,16 @@ The agreements checked:
   floating-point round-off.
 * the day-batched ``estimate_batch`` vs the per-broker ``estimate`` loop:
   identical capacities and bitwise-identical bandit state.
+* the platform's table-gather utilities and pair-only affinities vs the
+  per-call-normalising full grid: bitwise equal on a live, appealing,
+  skill-growing, snapshot-restored city.
 
 It also holds the scalar reference kernels the production hot paths
 replaced, as oracles: :func:`quickselect_union` (CBS),
-:func:`reference_arm_bonuses` (NN-UCB scoring) and
-:func:`per_context_estimates` (the day estimate).
+:func:`reference_arm_bonuses` (NN-UCB scoring),
+:func:`per_context_estimates` (the day estimate), and
+:func:`reference_ground_truth_affinity` / :func:`reference_predicted_utility`
+(the platform's utilities).
 :func:`install_reference_kernels` routes a whole run through them, which
 is how the run-level tests prove the shipped kernels bit-identical.
 """
@@ -349,21 +354,182 @@ def per_context_estimates(estimator, contexts: np.ndarray, broker_ids: np.ndarra
     )
 
 
+def reference_match_score(population, stream, request_indices) -> np.ndarray:
+    """Oracle for :func:`~repro.simulation.utility.match_score`: full grid.
+
+    Normalizes every broker's district and house-type preference rows by
+    their max on every call, then weights and sums all five terms over the
+    whole ``(n_requests, |B|)`` grid.
+    """
+    from repro.simulation.brokers import MATCH_WEIGHTS
+
+    request_indices = np.asarray(request_indices, dtype=int)
+    n = request_indices.size
+    district_fit = population.district_pref[:, stream.district[request_indices]].T
+    district_fit = district_fit / np.maximum(
+        population.district_pref.max(axis=1)[None, :], 1e-12
+    )
+    type_fit = population.type_pref[:, stream.house_type[request_indices]].T
+    type_fit = type_fit / np.maximum(population.type_pref.max(axis=1)[None, :], 1e-12)
+    price_fit = 1.0 - np.abs(
+        stream.price[request_indices][:, None] - population.price_pref[None, :]
+    )
+    area_fit = 1.0 - np.abs(
+        stream.area[request_indices][:, None] - population.area_pref[None, :]
+    )
+    response_fit = np.broadcast_to(
+        population.response_rate[None, :], (n, len(population))
+    )
+    return (
+        MATCH_WEIGHTS["district"] * district_fit
+        + MATCH_WEIGHTS["type"] * type_fit
+        + MATCH_WEIGHTS["price"] * price_fit
+        + MATCH_WEIGHTS["area"] * area_fit
+        + MATCH_WEIGHTS["response"] * response_fit
+    )
+
+
+def reference_ground_truth_affinity(
+    population, stream, request_indices, broker_indices=None
+) -> np.ndarray:
+    """Oracle for :func:`~repro.simulation.utility.ground_truth_affinity`.
+
+    Always builds the whole affinity grid from :func:`reference_match_score`;
+    pair affinities are read off it, one entry per row.
+    """
+    from repro.simulation.utility import MATCH_FLOOR
+
+    request_indices = np.asarray(request_indices, dtype=int)
+    fit = reference_match_score(population, stream, request_indices)
+    affinity = population.base_quality[None, :] * (
+        MATCH_FLOOR + (1.0 - MATCH_FLOOR) * fit
+    )
+    affinity = affinity * stream.value_multiplier[request_indices][:, None]
+    if broker_indices is None:
+        return affinity
+    return affinity[np.arange(request_indices.size), np.asarray(broker_indices, dtype=int)]
+
+
+def reference_predicted_utility(population, stream, request_indices) -> np.ndarray:
+    """Oracle for :func:`~repro.simulation.utility.predicted_utility`."""
+    from repro.simulation.utility import PREDICTION_NOISE_SCALE
+
+    request_indices = np.asarray(request_indices, dtype=int)
+    affinity = reference_ground_truth_affinity(population, stream, request_indices)
+    noise = stream.noise_embedding[request_indices] @ population.noise_embedding.T
+    return np.clip(affinity * (1.0 + PREDICTION_NOISE_SCALE * noise), 1e-6, 1.0)
+
+
 def install_reference_kernels(patch) -> None:
-    """Route NN-UCB scoring, the day estimate and CBS through the oracles.
+    """Route NN-UCB scoring, the day estimate, CBS and the platform's
+    utilities through the oracles.
 
     ``patch`` is a :class:`pytest.MonkeyPatch` (or anything with its
     ``setattr(target, name, value)``); it scopes and undoes the change.
-    CBS is replaced where :mod:`repro.core.vfga` looks it up.  A seeded
-    run must be bit-identical with or without the oracles installed.
+    CBS is replaced where :mod:`repro.core.vfga` looks it up, the utility
+    functions where :mod:`repro.simulation.platform` does.  A seeded run
+    must be bit-identical with or without the oracles installed.
     """
     from repro.bandits import NNUCBBandit, PersonalizedCapacityEstimator
     from repro.core import vfga
+    from repro.simulation import platform
 
     patch.setattr(NNUCBBandit, "arm_bonuses", reference_arm_bonuses)
     patch.setattr(NNUCBBandit, "_estimate_rows", per_context_estimates)
     patch.setattr(PersonalizedCapacityEstimator, "_estimate_rows", per_context_estimates)
     patch.setattr(vfga, "select_candidate_brokers", quickselect_union)
+    patch.setattr(platform, "ground_truth_affinity", reference_ground_truth_affinity)
+    patch.setattr(platform, "predicted_utility", reference_predicted_utility)
+
+
+def _assert_bitwise(name: str, got: np.ndarray, expected: np.ndarray, where: str) -> None:
+    if got.shape != expected.shape or not np.array_equal(
+        got.view(np.int64), expected.view(np.int64)
+    ):
+        raise AssertionError(
+            f"{name} is not bitwise equal to its oracle on {where}:\n"
+            f"{got!r}\nvs\n{expected!r}"
+        )
+
+
+def assert_platform_utilities_match(case: tuple) -> None:
+    """Platform utilities equal the full-grid oracles, bit for bit.
+
+    Drives a small city day by day with random (deliberately poor)
+    assignments, so appeals block pairs and re-queue requests and skill
+    growth moves ``base_quality``.  On every batch it compares, as int64
+    views: :func:`~repro.simulation.utility.predicted_utility`, the full
+    :func:`~repro.simulation.utility.ground_truth_affinity` grid and the
+    pair-only affinity against :func:`reference_predicted_utility` /
+    :func:`reference_ground_truth_affinity`, and
+    :meth:`~repro.simulation.platform.RealEstatePlatform.predicted_utilities`
+    against the oracle grid with the blocked pairs zeroed one request at a
+    time.  Halfway through it snapshots the platform; at the end it
+    restores that snapshot, into the same platform and into a freshly
+    generated one, and replays the remaining days under the same checks.
+
+    Args:
+        case: ``(config_kwargs, seed)`` — :class:`SyntheticConfig` fields
+            and the assignment-draw seed (see
+            :func:`repro.check.property.random_platform_case`).
+    """
+    from repro.core.types import AssignedPair, Assignment
+    from repro.simulation import SyntheticConfig, generate_city
+    from repro.simulation.utility import ground_truth_affinity, predicted_utility
+
+    config_kwargs, seed = case
+    config = SyntheticConfig(**config_kwargs)
+
+    def check_batch(platform, requests, brokers, where):
+        population, stream = platform.population, platform.stream
+        oracle = reference_predicted_utility(population, stream, requests)
+        blocked_oracle = oracle.copy()
+        for row, request_id in enumerate(requests):
+            blocked = platform._blocked_pairs.get(int(request_id))
+            if blocked:
+                blocked_oracle[row, list(blocked)] = 0.0
+        for name, got, expected in (
+            ("predicted_utility", predicted_utility(population, stream, requests), oracle),
+            (
+                "ground_truth_affinity",
+                ground_truth_affinity(population, stream, requests),
+                reference_ground_truth_affinity(population, stream, requests),
+            ),
+            (
+                "pair affinity",
+                ground_truth_affinity(population, stream, requests, brokers),
+                reference_ground_truth_affinity(population, stream, requests, brokers),
+            ),
+            (
+                "RealEstatePlatform.predicted_utilities",
+                platform.predicted_utilities(requests),
+                blocked_oracle,
+            ),
+        ):
+            _assert_bitwise(name, got, expected, where)
+
+    def drive(platform, days, rng, label):
+        for day in days:
+            platform.start_day(day)
+            for batch in range(platform.batches_per_day):
+                requests = platform.batch_requests(day, batch)
+                brokers = rng.integers(0, platform.num_brokers, size=requests.size)
+                where = f"{label} day {day} batch {batch} of {config}"
+                check_batch(platform, requests, brokers, where)
+                pairs = [
+                    AssignedPair(int(r), int(b), 0.0) for r, b in zip(requests, brokers)
+                ]
+                platform.submit_assignment(Assignment(day, batch, pairs))
+            platform.finish_day()
+
+    platform = generate_city(config)
+    half = config.num_days // 2
+    drive(platform, range(half), np.random.default_rng(seed), "straight")
+    snapshot = platform.snapshot()
+    drive(platform, range(half, config.num_days), np.random.default_rng(seed + 1), "straight")
+    for label, target in (("restored", platform), ("rebuilt", generate_city(config))):
+        target.restore(snapshot)
+        drive(target, range(half, config.num_days), np.random.default_rng(seed + 1), label)
 
 
 def assert_batched_scoring_matches(case: tuple) -> None:

@@ -271,6 +271,27 @@ def random_estimate_case(rng: np.random.Generator) -> tuple[str, int, bool, int]
     return kind, num_brokers, bool(rng.integers(2)), int(rng.integers(0, 2**31))
 
 
+def random_platform_case(rng: np.random.Generator) -> tuple[dict, int]:
+    """A ``(config_kwargs, seed)`` small-city case for the platform property.
+
+    Pools of 1-30 brokers over 1-8 districts and 2-4 days; appeals and
+    skill growth are each on in roughly two cases of three, so blocked
+    pairs, re-queues and a moving ``base_quality`` all occur (see
+    :func:`repro.check.differential.assert_platform_utilities_match`).
+    """
+    config = {
+        "num_brokers": int(rng.integers(1, 31)),
+        "num_requests": int(rng.integers(1, 121)),
+        "num_days": int(rng.integers(2, 5)),
+        "imbalance": float(rng.uniform(0.02, 0.6)),
+        "num_districts": int(rng.integers(1, 9)),
+        "appeal_rate": float(rng.choice([0.0, rng.uniform(0.05, 0.95)], p=[1 / 3, 2 / 3])),
+        "skill_growth": float(rng.choice([0.0, rng.uniform(0.01, 0.3)], p=[1 / 3, 2 / 3])),
+        "seed": int(rng.integers(0, 2**31)),
+    }
+    return config, int(rng.integers(0, 2**31))
+
+
 def random_perturbation_sequence(
     rng: np.random.Generator,
     max_rows: int = 8,

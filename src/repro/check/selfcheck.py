@@ -12,8 +12,9 @@ Runs the whole correctness layer against a small simulated city:
    :mod:`repro.check.differential` over randomized instances: backend
    agreement, square-padding agreement, CBS preservation, warm-started
    incremental KM vs cold solves over perturbation sequences, top-k
-   selection vs brute force, batched MLP scoring, and the day-batched
-   capacity estimate vs the per-broker loop.
+   selection vs brute force, batched MLP scoring, the day-batched
+   capacity estimate vs the per-broker loop, and the platform's
+   utilities vs their full-grid oracles.
 
 Everything found comes back in one :class:`SelfCheckReport`; the CLI
 renders it and exits nonzero when any violation survived.
@@ -22,8 +23,6 @@ renders it and exits nonzero when any violation survived.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.check import differential, property as prop, runtime
 from repro.check.runtime import CheckState, Violation
@@ -176,6 +175,12 @@ def _run_property_phase(
             "property.batched_estimate_matches",
             differential.assert_batched_estimate_matches,
             prop.random_estimate_case,
+            None,
+        ),
+        (
+            "property.platform_utilities_match",
+            differential.assert_platform_utilities_match,
+            prop.random_platform_case,
             None,
         ),
     ]

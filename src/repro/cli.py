@@ -64,10 +64,13 @@ log = get_logger("cli")
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--brokers", type=int, default=200, help="number of brokers |B|")
-    parser.add_argument("--requests", type=int, default=8000, help="number of requests |R|")
-    parser.add_argument("--days", type=int, default=14, help="covering days")
-    parser.add_argument("--imbalance", type=float, default=0.015, help="sigma = |R|/|B| per batch")
+    parser.add_argument("--brokers", type=_positive_int, default=200, help="number of brokers |B|")
+    parser.add_argument("--requests", type=_positive_int, default=8000, help="number of requests |R|")
+    parser.add_argument("--days", type=_positive_int, default=14, help="covering days")
+    parser.add_argument(
+        "--imbalance", type=_finite_positive_float, default=0.015,
+        help="sigma = |R|/|B| per batch",
+    )
     parser.add_argument("--seed", type=int, default=7, help="matcher seed")
     parser.add_argument("--instance-seed", type=int, default=1, help="city generation seed")
     _add_jobs_argument(parser)
@@ -109,6 +112,17 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _amplitude(text: str) -> float:
+    """argparse type: a finite ramp amplitude in ``[0, 2)``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value < 2.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2), got {text!r}")
     return value
 
 
@@ -645,10 +659,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="event-driven serving mode (micro-batched matching)"
     )
-    serve.add_argument("--brokers", type=int, default=50, help="number of brokers |B|")
-    serve.add_argument("--requests", type=int, default=2000, help="number of requests |R|")
-    serve.add_argument("--days", type=int, default=7, help="covering days")
-    serve.add_argument("--imbalance", type=float, default=0.015, help="sigma = |R|/|B| per batch")
+    serve.add_argument("--brokers", type=_positive_int, default=50, help="number of brokers |B|")
+    serve.add_argument("--requests", type=_positive_int, default=2000, help="number of requests |R|")
+    serve.add_argument("--days", type=_positive_int, default=7, help="covering days")
+    serve.add_argument(
+        "--imbalance", type=_finite_positive_float, default=0.015,
+        help="sigma = |R|/|B| per batch",
+    )
     serve.add_argument("--seed", type=int, default=7, help="matcher seed")
     serve.add_argument("--instance-seed", type=int, default=1, help="city generation seed")
     serve.add_argument(
@@ -683,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--arrival-seed", type=int, default=0, help="arrival draw seed")
     serve.add_argument(
         "--burst-amplitude",
-        type=float,
+        type=_amplitude,
         default=1.2,
         help="bursty profile amplitude in [0, 2); 0 degenerates to uniform",
     )
@@ -787,9 +804,9 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check", help="correctness self-diagnostic (invariants + property suites)"
     )
-    check.add_argument("--brokers", type=int, default=25, help="number of brokers |B|")
-    check.add_argument("--requests", type=int, default=250, help="number of requests |R|")
-    check.add_argument("--days", type=int, default=3, help="covering days")
+    check.add_argument("--brokers", type=_positive_int, default=25, help="number of brokers |B|")
+    check.add_argument("--requests", type=_positive_int, default=250, help="number of requests |R|")
+    check.add_argument("--days", type=_positive_int, default=3, help="covering days")
     check.add_argument("--seed", type=int, default=7, help="matcher seed")
     check.add_argument("--instance-seed", type=int, default=1, help="city generation seed")
     check.add_argument(

@@ -14,6 +14,17 @@ import numpy as np
 from repro.simulation.attributes import HOUSE_TYPES, BrokerProfile, generate_profile
 from repro.simulation.response import ResponseCurve, sample_response_curve
 
+#: Relative weights of the preference-fit components of the matching
+#: utility (:func:`repro.simulation.utility.match_score`).  They live here
+#: because the population pre-scales its preference tables by them.
+MATCH_WEIGHTS = {
+    "district": 0.35,
+    "type": 0.15,
+    "price": 0.25,
+    "area": 0.15,
+    "response": 0.10,
+}
+
 
 @dataclass
 class BrokerPopulation:
@@ -38,6 +49,17 @@ class BrokerPopulation:
         response_rate: ``(B,)`` one-minute response rates.
         noise_embedding: ``(B, k)`` fixed embedding generating deterministic
             model noise in the deployed utility predictor.
+        district_fit: ``(D, B)`` weight-scaled district fit: each broker's
+            preference row divided by its max, times
+            ``MATCH_WEIGHTS["district"]``, stored broker-minor so a request
+            gathers one contiguous row.
+        type_fit: ``(3, B)`` the same for house types.
+        response_fit: ``(B,)`` ``MATCH_WEIGHTS["response"] * response_rate``.
+
+    The three fit tables are derived once, here, from the preference
+    arrays; tables and sources are read-only, so no later write can leave
+    them stale.  ``base_quality`` is not part of them: skill growth moves
+    it, so the utility reads it per call.
     """
 
     profiles: list[BrokerProfile]
@@ -54,9 +76,24 @@ class BrokerPopulation:
     response_rate: np.ndarray
     noise_embedding: np.ndarray
     latent_capacity: np.ndarray = field(init=False)
+    district_fit: np.ndarray = field(init=False, repr=False)
+    type_fit: np.ndarray = field(init=False, repr=False)
+    response_fit: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.latent_capacity = np.array([curve.capacity for curve in self.curves])
+        self.district_fit = _weighted_fit(self.district_pref, MATCH_WEIGHTS["district"])
+        self.type_fit = _weighted_fit(self.type_pref, MATCH_WEIGHTS["type"])
+        self.response_fit = MATCH_WEIGHTS["response"] * self.response_rate
+        for array in (
+            self.district_pref,
+            self.type_pref,
+            self.response_rate,
+            self.district_fit,
+            self.type_fit,
+            self.response_fit,
+        ):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.profiles)
@@ -70,6 +107,12 @@ class BrokerPopulation:
     def context_dim(self) -> int:
         """Dimension of the static part of the working-status context."""
         return self.static_context.shape[1]
+
+
+def _weighted_fit(preference: np.ndarray, weight: float) -> np.ndarray:
+    """``(K, B)`` table ``weight * preference[b, k] / max_k preference[b]``."""
+    scale = np.maximum(preference.max(axis=1), 1e-12)
+    return np.ascontiguousarray((weight * (preference / scale[:, None])).T)
 
 
 def generate_population(
@@ -125,4 +168,4 @@ def generate_population(
     )
 
 
-__all__ = ["BrokerPopulation", "generate_population", "HOUSE_TYPES"]
+__all__ = ["BrokerPopulation", "MATCH_WEIGHTS", "generate_population", "HOUSE_TYPES"]

@@ -219,10 +219,14 @@ class RealEstatePlatform:
         request_indices = np.asarray(request_indices, dtype=int)
         utilities = predicted_utility(self.population, self.stream, request_indices)
         if self._blocked_pairs:
-            for row, request_id in enumerate(request_indices):
-                blocked = self._blocked_pairs.get(int(request_id))
-                if blocked:
-                    utilities[row, list(blocked)] = 0.0
+            blocked = [
+                (row, broker)
+                for row, request_id in enumerate(request_indices.tolist())
+                for broker in self._blocked_pairs.get(request_id, ())
+            ]
+            if blocked:
+                rows, brokers = zip(*blocked)
+                utilities[list(rows), list(brokers)] = 0.0
         return utilities
 
     def submit_assignment(self, assignment: Assignment) -> None:
@@ -234,17 +238,21 @@ class RealEstatePlatform:
             return
         request_ids = np.array([pair.request_id for pair in assignment.pairs], dtype=int)
         broker_ids = np.array([pair.broker_id for pair in assignment.pairs], dtype=int)
-        affinity = ground_truth_affinity(self.population, self.stream, request_ids)
-        pair_affinity = affinity[np.arange(len(request_ids)), broker_ids]
 
         if self.appeal_rate > 0.0:
             # A client's appeal propensity scales with how much worse the
             # assigned broker fits than the best broker available for that
-            # request (Sec. VI-B's dissatisfaction mechanism).
+            # request (Sec. VI-B's dissatisfaction mechanism), so appeals
+            # need each request's whole affinity row.
+            affinity = ground_truth_affinity(self.population, self.stream, request_ids)
+            pair_affinity = affinity[np.arange(len(request_ids)), broker_ids]
             row_best = affinity.max(axis=1)
             appeal_prob = self.appeal_rate * (1.0 - pair_affinity / row_best)
             appealed = self._rng.random(len(request_ids)) < appeal_prob
         else:
+            pair_affinity = ground_truth_affinity(
+                self.population, self.stream, request_ids, broker_ids
+            )
             appealed = np.zeros(len(request_ids), dtype=bool)
 
         served = ~appealed

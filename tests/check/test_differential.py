@@ -215,3 +215,45 @@ def test_batched_estimate_assert_catches_misaligned_block(monkeypatch):
     with pytest.raises(AssertionError):
         for seed in range(5):
             differential.assert_batched_estimate_matches(("nnucb", 65, False, seed))
+
+
+# ----------------------------------------------------------------------
+# Platform utilities vs the full-grid oracles
+# ----------------------------------------------------------------------
+def test_platform_utilities_match_on_randomized_cities():
+    assert (
+        run_property(
+            differential.assert_platform_utilities_match,
+            prop.random_platform_case,
+            num_cases=40,
+            seed=5,
+        )
+        == 40
+    )
+
+
+def test_platform_utilities_match_with_appeals_and_skill_growth():
+    config = {
+        "num_brokers": 12, "num_requests": 120, "num_days": 4, "imbalance": 0.3,
+        "appeal_rate": 0.8, "skill_growth": 0.2, "seed": 3,
+    }
+    differential.assert_platform_utilities_match((config, 0))
+
+
+@pytest.mark.parametrize("pairs_only", [False, True])
+def test_platform_utilities_assert_catches_one_ulp(monkeypatch, pairs_only):
+    """A one-ulp drift in the shipped fit, grid or pairs, is caught."""
+    from repro.simulation import utility
+
+    real = utility.match_score
+
+    def drifted(population, stream, request_indices, broker_indices=None):
+        fit = real(population, stream, request_indices, broker_indices)
+        if (broker_indices is not None) == pairs_only:
+            fit = np.nextafter(fit, np.inf)
+        return fit
+
+    monkeypatch.setattr(utility, "match_score", drifted)
+    config = {"num_brokers": 6, "num_requests": 20, "num_days": 2, "seed": 1}
+    with pytest.raises(AssertionError, match="not bitwise equal"):
+        differential.assert_platform_utilities_match((config, 0))

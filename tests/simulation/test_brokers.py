@@ -23,6 +23,28 @@ def test_array_shapes(rng):
     assert np.all(np.isfinite(population.static_context))
 
 
+def test_preference_tables_gather_rows(rng):
+    population = generate_population(30, 6, rng)
+    assert population.district_fit.shape == (6, 30)
+    assert population.type_fit.shape == (3, 30)
+    assert population.response_fit.shape == (30,)
+    assert population.district_fit.flags.c_contiguous
+    # A broker's favourite district and house type carry the full weight.
+    np.testing.assert_allclose(population.district_fit.max(axis=0), 0.35)
+    np.testing.assert_allclose(population.type_fit.max(axis=0), 0.15)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["district_pref", "type_pref", "response_rate", "district_fit", "type_fit", "response_fit"],
+)
+def test_preference_tables_and_sources_are_read_only(rng, name):
+    """The fit tables are derived once; writing a source would leave them stale."""
+    population = generate_population(5, 4, rng)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(population, name)[0] = 0.5
+
+
 def test_quality_mean_matches_fig2_band(rng):
     population = generate_population(500, 6, rng)
     # The city-level plateau of Fig. 2 sits around 14-27%.

@@ -91,7 +91,7 @@ def test_reset_restores_clean_state(tiny_platform):
     np.testing.assert_allclose(first.realized_utility, second.realized_utility)
 
 
-def test_appeals_requeue_and_block():
+def test_appeals_requeue_and_block(monkeypatch):
     config = SyntheticConfig(
         num_brokers=20, num_requests=300, num_days=2, imbalance=0.1, seed=4, appeal_rate=0.6
     )
@@ -116,6 +116,48 @@ def test_appeals_requeue_and_block():
     blocked_utilities = platform.predicted_utilities(np.array(sorted(appealed)))
     blocked_any = (blocked_utilities == 0.0).any(axis=1)
     assert blocked_any.all()
+
+    # The same city with appeals, skill growth and a real matcher runs
+    # bit-identically through the full-grid utility oracles: every utility
+    # matrix and every running per-broker affinity sum (pair affinities
+    # land exactly in an empty accumulator, so a one-ulp drift shows).
+    from repro.check.differential import install_reference_kernels
+    from repro.engine import MatcherSpec
+    from repro.engine.hooks import RunHook
+    from repro.engine.loop import DayLoopEngine
+
+    class Recorder(RunHook):
+        def __init__(self):
+            self.seen = []
+
+        def on_run_start(self, context):
+            self.platform = context.platform
+
+        def on_batch_assigned(self, event):
+            self.seen.append(event.utilities.tobytes())
+            self.seen.append(self.platform._today_affinity.tobytes())
+
+    dynamic = SyntheticConfig(
+        num_brokers=20, num_requests=300, num_days=3, imbalance=0.1, seed=4,
+        appeal_rate=0.6, skill_growth=0.05,
+    )
+
+    def run():
+        city, recorder = generate_city(dynamic), Recorder()
+        DayLoopEngine().run(city, MatcherSpec("LACB", seed=7).build(city), [recorder])
+        return city, recorder.seen
+
+    shipped_city, shipped = run()
+    with monkeypatch.context() as patch:
+        install_reference_kernels(patch)
+        oracle_city, oracle = run()
+    assert shipped_city._blocked_pairs and shipped_city._blocked_pairs == oracle_city._blocked_pairs
+    assert len(shipped) == len(oracle) > 0
+    assert shipped == oracle
+    assert (
+        shipped_city.population.base_quality.tobytes()
+        == oracle_city.population.base_quality.tobytes()
+    )
 
 
 def test_signup_rate_curve_probe(tiny_platform):

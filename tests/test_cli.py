@@ -245,7 +245,7 @@ def test_check_command_writes_report(capsys, tmp_path):
     payload = json.loads((report_dir / "check_report.json").read_text())
     assert payload["ok"] is True
     assert payload["violations"] == []
-    assert payload["property_cases"] == 40  # 8 suites x 5 cases
+    assert payload["property_cases"] == 45  # 9 suites x 5 cases
 
 
 def test_compare_with_check_flag(capsys):
@@ -476,6 +476,31 @@ def test_serve_rejects_bad_knobs_as_usage_errors(flag, value, capsys):
     """A bad serving knob is an argparse error naming the flag, not a traceback."""
     with pytest.raises(SystemExit) as excinfo:
         main(["serve", "--days", "1", "--algorithms", "Top-1", flag, value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"argument {flag}:" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (command, flag, "0")
+        for command in ("compare", "serve", "check")
+        for flag in ("--brokers", "--requests", "--days")
+    ]
+    + [
+        ("compare", "--imbalance", "nan"),
+        ("serve", "--imbalance", "nan"),
+        ("serve", "--burst-amplitude", "5"),
+        ("serve", "--burst-amplitude", "nan"),
+    ],
+)
+def test_city_knobs_reject_bad_values_as_usage_errors(command, flag, value, capsys):
+    """A bad city-size or arrival knob is an argparse error, not a traceback."""
+    algorithms = "KM" if command == "check" else "Top-1"
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--algorithms", algorithms, flag, value])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:")
