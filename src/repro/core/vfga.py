@@ -30,7 +30,6 @@ from repro.core.value_function import CapacityAwareValueFunction
 from repro.matching import solve_assignment
 from repro.obs import audit as obs_audit
 from repro.obs import telemetry as obs
-from repro.obs.metrics import RATIO_BOUNDARIES
 from repro.state.protocol import (
     StateError,
     expect,
@@ -219,9 +218,7 @@ class ValueFunctionGuidedAssigner:
             candidate_utilities = candidate_utilities[:, local]
             pruned_ratio = 1.0 - available.size / before
             obs.set_gauge("cbs.pruned_broker_ratio", pruned_ratio)
-            obs.observe(
-                "cbs.pruned_broker_ratio_hist", pruned_ratio, boundaries=RATIO_BOUNDARIES
-            )
+            obs.observe("cbs.pruned_broker_ratio_hist", pruned_ratio)
             if trail is not None:
                 trail.kept = int(available.size)
                 trail.pruned_ratio = float(pruned_ratio)

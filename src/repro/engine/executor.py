@@ -11,7 +11,7 @@ Telemetry crosses the process boundary the same way: when the parent has
 serial or pooled — runs against its *own* fresh
 :class:`~repro.obs.telemetry.Telemetry`, and the serialized payloads
 (registry dump + span records) are merged into the parent's telemetry in
-spec order.  Counter and histogram merges are exact, so the merged metrics
+spec order.  Counter and distribution merges are exact, so the merged metrics
 of a ``jobs=2`` run equal the ``jobs=1`` run bit-for-bit; worker spans land
 in their own Chrome-trace lane.
 
@@ -160,7 +160,7 @@ def run_many(
                 return list(pool.map(execute_spec, specs))
             observed = list(pool.map(_execute_observed_task, tasks))
 
-    # Merge in spec order: counter/histogram folds are exact, so the merged
+    # Merge in spec order: counter/distribution folds are exact, so the merged
     # registry is bit-identical for any jobs value.
     for _result, payload in observed:
         telemetry.merge_payload(payload)

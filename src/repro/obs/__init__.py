@@ -3,12 +3,12 @@
 Layers, each usable on its own:
 
 - :mod:`~repro.obs.metrics` — zero-dependency counters / gauges /
-  histograms / timers in a :class:`MetricsRegistry` with exact cross-process
+  distributions in a :class:`MetricsRegistry` with exact cross-process
   merge and a Prometheus text exporter;
 - :mod:`~repro.obs.quantiles` — the mergeable log-bucketed
-  :class:`QuantileSketch` behind every histogram/timer's p50/p95/p99
-  (bounded relative error, bit-identical under any merge order the repo
-  uses);
+  :class:`QuantileSketch`, the registry's one distribution type and the
+  source of every p50/p95/p99 (bounded relative error, bit-identical under
+  any merge order the repo uses);
 - :mod:`~repro.obs.tracing` — :class:`Tracer` span records (wall + CPU,
   day-stamped) with JSONL and Chrome ``trace_event`` (Perfetto-loadable)
   export;
@@ -52,16 +52,7 @@ from repro.obs.audit import AuditConfig, AuditView, DecisionAudit, read_audit
 from repro.obs.hook import TelemetryHook
 from repro.obs.logging import get_logger, setup_cli_logging
 from repro.obs.manifest import build_manifest, git_sha, repro_version, write_manifest
-from repro.obs.metrics import (
-    COUNT_BOUNDARIES,
-    DURATION_BOUNDARIES,
-    RATIO_BOUNDARIES,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timer,
-)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.quality import QualityMonitor
 from repro.obs.quantiles import REPORT_QUANTILES, QuantileSketch
 from repro.obs.stream import TelemetryStreamWriter, read_stream
@@ -73,23 +64,18 @@ __all__ = [
     "AlertMonitor",
     "AuditConfig",
     "AuditView",
-    "COUNT_BOUNDARIES",
     "Counter",
-    "DURATION_BOUNDARIES",
     "DecisionAudit",
     "DriftDetector",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "QualityMonitor",
     "QuantileSketch",
-    "RATIO_BOUNDARIES",
     "REPORT_QUANTILES",
     "SpanRecord",
     "Telemetry",
     "TelemetryHook",
     "TelemetryStreamWriter",
-    "Timer",
     "Tracer",
     "build_manifest",
     "current",

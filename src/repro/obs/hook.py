@@ -2,9 +2,9 @@
 
 The day-loop engine measures matcher seconds itself (the timing seam of
 :mod:`repro.engine.loop`); this hook never re-times anything.  It books the
-engine-measured ``matcher_seconds`` into per-phase timers
+engine-measured ``matcher_seconds`` into per-phase distributions
 (``engine.begin_day`` / ``engine.assign_batch`` / ``engine.end_day`` —
-their totals sum exactly to ``RunResult.decision_time``), synthesizes the
+their sums add up exactly to ``RunResult.decision_time``), synthesizes the
 corresponding spans for the Chrome trace (carrying the engine-measured CPU
 seconds), and accumulates the workload / utility / assignment
 distributions the paper's figures are built from.
@@ -32,13 +32,8 @@ from repro.engine.hooks import RunHook
 from repro.engine.loop import BatchAssignedEvent, DayEndEvent, DayStartEvent, RunContext
 from repro.obs.alerts import AlertMonitor
 from repro.obs.audit import AuditWriter, DecisionAudit
-from repro.obs.metrics import COUNT_BOUNDARIES
 from repro.obs.quality import QualityMonitor
 from repro.obs.telemetry import Telemetry
-
-#: Histogram boundaries for per-day realized utility (spans tiny test
-#: instances through paper-scale cities).
-UTILITY_BOUNDARIES = (0.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0)
 
 
 class TelemetryHook(RunHook):
@@ -68,22 +63,16 @@ class TelemetryHook(RunHook):
         # every batch, and per-call registry lookups (label sorting, key
         # construction) would dominate the telemetry overhead budget.
         registry, labels = telemetry.registry, telemetry.labels()
-        self._begin_timer = registry.timer("engine.begin_day", **labels)
-        self._assign_timer = registry.timer("engine.assign_batch", **labels)
-        self._end_timer = registry.timer("engine.end_day", **labels)
+        self._begin_day = registry.distribution("engine.begin_day", **labels)
+        self._assign_batch = registry.distribution("engine.assign_batch", **labels)
+        self._end_day = registry.distribution("engine.end_day", **labels)
         self._batches = registry.counter("engine.batches", **labels)
         self._assignments = registry.counter("engine.assignments", **labels)
         self._days = registry.counter("engine.days", **labels)
         self._served = registry.counter("engine.served_broker_days", **labels)
-        self._batch_requests = registry.histogram(
-            "engine.batch_requests", boundaries=COUNT_BOUNDARIES, **labels
-        )
-        self._day_utility = registry.histogram(
-            "engine.day_utility", boundaries=UTILITY_BOUNDARIES, **labels
-        )
-        self._broker_workload = registry.histogram(
-            "engine.broker_workload", boundaries=COUNT_BOUNDARIES, **labels
-        )
+        self._batch_requests = registry.distribution("engine.batch_requests", **labels)
+        self._day_utility = registry.distribution("engine.day_utility", **labels)
+        self._broker_workload = registry.distribution("engine.broker_workload", **labels)
         # Progress accounting for the streaming feed (wall clock, not the
         # decision-time seam: req/s is a serving-rate, not a result).
         self._run_meta = {
@@ -114,7 +103,7 @@ class TelemetryHook(RunHook):
             )
 
     def on_day_start(self, event: DayStartEvent) -> None:
-        self._begin_timer.observe(event.matcher_seconds)
+        self._begin_day.observe(event.matcher_seconds)
         self.telemetry.record_span(
             "engine.begin_day",
             event.matcher_seconds,
@@ -123,7 +112,7 @@ class TelemetryHook(RunHook):
         )
 
     def on_batch_assigned(self, event: BatchAssignedEvent) -> None:
-        self._assign_timer.observe(event.matcher_seconds)
+        self._assign_batch.observe(event.matcher_seconds)
         self.telemetry.record_span(
             "engine.assign_batch",
             event.matcher_seconds,
@@ -138,7 +127,7 @@ class TelemetryHook(RunHook):
         self._quality.on_batch(event)
 
     def on_day_end(self, event: DayEndEvent) -> None:
-        self._end_timer.observe(event.matcher_seconds)
+        self._end_day.observe(event.matcher_seconds)
         self.telemetry.record_span(
             "engine.end_day",
             event.matcher_seconds,
@@ -149,8 +138,7 @@ class TelemetryHook(RunHook):
         outcome = event.outcome
         self._day_utility.observe(float(outcome.total_realized_utility))
         workloads = np.asarray(outcome.workloads)
-        for workload in workloads:
-            self._broker_workload.observe(float(workload))
+        self._broker_workload.observe_many(workloads)
         self._served.inc(int((workloads > 0).sum()))
         telemetry = self.telemetry
         quality = self._quality.on_day_end(event)
@@ -215,8 +203,8 @@ class TelemetryHook(RunHook):
         dispersion = (
             float(workloads.std() / mean_workload) if mean_workload > 0 else 0.0
         )
-        sketch = self._assign_timer.sketch
-        p50, p95, p99 = sketch.quantiles() if sketch.count else (0.0, 0.0, 0.0)
+        assign = self._assign_batch
+        p50, p95, p99 = assign.quantiles() if assign.count else (0.0, 0.0, 0.0)
         return dict(
             self._run_meta,
             day=event.day,
@@ -225,9 +213,7 @@ class TelemetryHook(RunHook):
             requests=self._requests_seen,
             wall_seconds=wall,
             requests_per_second=(self._requests_seen / wall) if wall > 0 else 0.0,
-            decision_seconds=(
-                self._begin_timer.total + self._assign_timer.total + self._end_timer.total
-            ),
+            decision_seconds=self._begin_day.sum + assign.sum + self._end_day.sum,
             assign_p50=p50,
             assign_p95=p95,
             assign_p99=p99,

@@ -1,37 +1,25 @@
-"""Zero-dependency metrics primitives: counters, gauges, histograms, timers.
+"""Zero-dependency metrics primitives: counters, gauges, distributions.
 
 The registry is the process-local half of the observability story: every
 worker process accumulates into its own :class:`MetricsRegistry`, the
 registry serializes to plain data (:meth:`MetricsRegistry.to_dict`), and
 the parent folds worker payloads back in with :meth:`MetricsRegistry.merge`.
-Merging is exact for counters and histograms (integer bucket counts, float
-sums folded in spec order), which is what makes a ``jobs=2`` sweep's merged
-metrics bit-for-bit equal to the ``jobs=1`` run's.
+Merging is exact (integer bucket counts, float sums folded in spec order),
+which is what makes a ``jobs=2`` sweep's merged metrics bit-for-bit equal
+to the ``jobs=1`` run's.
 
-Histogram bucket semantics follow the Prometheus convention: boundaries are
-*inclusive upper bounds* (``le``), so a value landing exactly on a boundary
-is counted in that boundary's bucket; values above the last boundary go to
-the overflow bucket.
+There is one distribution type, the
+:class:`~repro.obs.quantiles.QuantileSketch` (``kind = "distribution"``).
+Durations (the ``engine.*`` phases and ``span.*`` series), sizes,
+workloads and ratios all use it, so no call site picks bucket boundaries,
+and every distribution is exported as a Prometheus ``summary``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.obs.quantiles import REPORT_QUANTILES, QuantileSketch
-
-#: Default histogram boundaries for second-scale durations.
-DURATION_BOUNDARIES = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-    0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
-
-#: Default histogram boundaries for non-negative counts (workloads, sizes).
-COUNT_BOUNDARIES = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0)
-
-#: Default histogram boundaries for ratios in ``[0, 1]``.
-RATIO_BOUNDARIES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 #: Labels are stored canonically as a sorted tuple of (key, value) pairs.
 LabelItems = tuple[tuple[str, str], ...]
@@ -90,148 +78,12 @@ class Gauge:
         self.updates = int(state["updates"])
 
 
-class Histogram:
-    """Fixed-boundary histogram with inclusive (``le``) upper bounds.
+_KINDS = {cls.kind: cls for cls in (Counter, Gauge, QuantileSketch)}
 
-    Alongside the fixed buckets every histogram feeds a
-    :class:`~repro.obs.quantiles.QuantileSketch`, so p50/p95/p99 are
-    available with bounded relative error regardless of how coarse the
-    configured boundaries are; the sketch merges exactly, like the
-    bucket counts.
+#: Kinds written before distributions replaced them; loaded as distributions.
+_LEGACY_DISTRIBUTIONS = ("histogram", "timer")
 
-    Args:
-        boundaries: strictly increasing bucket upper bounds.  Observations
-            land in the first bucket whose boundary is ``>= value``; values
-            above the last boundary land in the overflow bucket.
-    """
-
-    kind = "histogram"
-    __slots__ = ("boundaries", "counts", "sum", "sketch")
-
-    def __init__(self, boundaries: Iterable[float] = DURATION_BOUNDARIES) -> None:
-        bounds = tuple(float(b) for b in boundaries)
-        if not bounds:
-            raise ValueError("histograms need at least one bucket boundary")
-        if any(b >= c for b, c in zip(bounds, bounds[1:])):
-            raise ValueError(f"boundaries must be strictly increasing, got {bounds}")
-        self.boundaries = bounds
-        self.counts = [0] * (len(bounds) + 1)  # final slot = overflow
-        self.sum = 0.0
-        self.sketch = QuantileSketch()
-
-    @property
-    def count(self) -> int:
-        """Total number of observations."""
-        return sum(self.counts)
-
-    def observe(self, value: float) -> None:
-        """Count ``value``; a value exactly on a boundary joins that bucket."""
-        value = float(value)
-        self.counts[bisect_left(self.boundaries, value)] += 1
-        self.sum += value
-        self.sketch.observe(value)
-
-    def quantile(self, q: float) -> float:
-        """Sketch-backed quantile estimate (see :class:`QuantileSketch`)."""
-        return self.sketch.quantile(q)
-
-    def merge(self, other: Histogram) -> None:
-        if other.boundaries != self.boundaries:
-            raise ValueError(
-                f"cannot merge histograms with different boundaries: "
-                f"{self.boundaries} vs {other.boundaries}"
-            )
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        self.sum += other.sum
-        self.sketch.merge(other.sketch)
-
-    def state(self) -> dict:
-        return {
-            "boundaries": list(self.boundaries),
-            "counts": list(self.counts),
-            "sum": self.sum,
-            "sketch": self.sketch.state(),
-        }
-
-    def load(self, state: Mapping) -> None:
-        self.boundaries = tuple(float(b) for b in state["boundaries"])
-        self.counts = [int(c) for c in state["counts"]]
-        self.sum = float(state["sum"])
-        # Payloads from pre-sketch versions carry no sketch; start empty.
-        if "sketch" in state:
-            self.sketch = QuantileSketch.from_state(state["sketch"])
-        else:
-            self.sketch = QuantileSketch()
-
-
-class Timer:
-    """Duration accumulator: call count, total seconds, min/max, quantiles.
-
-    Every observation also feeds a
-    :class:`~repro.obs.quantiles.QuantileSketch`, so per-phase p50/p95/p99
-    survive the cross-process registry merge exactly.
-    """
-
-    kind = "timer"
-    __slots__ = ("count", "total", "min", "max", "sketch")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = 0.0
-        self.sketch = QuantileSketch()
-
-    def observe(self, seconds: float) -> None:
-        seconds = float(seconds)
-        self.count += 1
-        self.total += seconds
-        if seconds < self.min:
-            self.min = seconds
-        if seconds > self.max:
-            self.max = seconds
-        self.sketch.observe(seconds)
-
-    @property
-    def mean(self) -> float:
-        """Mean seconds per call (0 when never observed)."""
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Sketch-backed quantile estimate (see :class:`QuantileSketch`)."""
-        return self.sketch.quantile(q)
-
-    def merge(self, other: Timer) -> None:
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        self.sketch.merge(other.sketch)
-
-    def state(self) -> dict:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "sketch": self.sketch.state(),
-        }
-
-    def load(self, state: Mapping) -> None:
-        self.count = int(state["count"])
-        self.total = float(state["total"])
-        self.min = float(state["min"])
-        self.max = float(state["max"])
-        # Payloads from pre-sketch versions carry no sketch; start empty.
-        if "sketch" in state:
-            self.sketch = QuantileSketch.from_state(state["sketch"])
-        else:
-            self.sketch = QuantileSketch()
-
-
-_KINDS = {cls.kind: cls for cls in (Counter, Gauge, Histogram, Timer)}
-
-Metric = Counter | Gauge | Histogram | Timer
+Metric = Counter | Gauge | QuantileSketch
 
 
 def _canonical_labels(labels: Mapping[str, object]) -> LabelItems:
@@ -242,8 +94,7 @@ class MetricsRegistry:
     """Get-or-create store of labeled metrics with exact merge semantics.
 
     Metric identity is ``(name, labels)``; requesting an existing metric
-    with a conflicting kind (or, for histograms, different boundaries)
-    raises rather than silently forking the series.
+    with a conflicting kind raises rather than silently forking the series.
     """
 
     def __init__(self) -> None:
@@ -252,11 +103,11 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Get-or-create accessors
     # ------------------------------------------------------------------
-    def _get(self, kind: type, name: str, labels: Mapping[str, object], **kwargs) -> Metric:
+    def _get(self, kind: type, name: str, labels: Mapping[str, object]) -> Metric:
         key = (name, _canonical_labels(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            metric = kind(**kwargs)
+            metric = kind()
             self._metrics[key] = metric
         elif not isinstance(metric, kind):
             raise ValueError(
@@ -270,20 +121,8 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels) -> Gauge:
         return self._get(Gauge, name, labels)
 
-    def histogram(
-        self, name: str, boundaries: Iterable[float] = DURATION_BOUNDARIES, **labels
-    ) -> Histogram:
-        histogram = self._get(Histogram, name, labels, boundaries=boundaries)
-        wanted = tuple(float(b) for b in boundaries)
-        if histogram.boundaries != wanted:
-            raise ValueError(
-                f"histogram {name!r} already registered with boundaries "
-                f"{histogram.boundaries}, requested {wanted}"
-            )
-        return histogram
-
-    def timer(self, name: str, **labels) -> Timer:
-        return self._get(Timer, name, labels)
+    def distribution(self, name: str, **labels) -> QuantileSketch:
+        return self._get(QuantileSketch, name, labels)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -317,38 +156,39 @@ class MetricsRegistry:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> MetricsRegistry:
+        """Rebuild a registry from :meth:`to_dict` output.
+
+        Older payloads still load: a legacy ``"histogram"`` or ``"timer"``
+        entry becomes a distribution holding its embedded ``"sketch"``
+        state (empty if the entry predates sketches), which carries the
+        count, sum, extremes and quantiles those types reported.
+        """
         registry = cls()
         for entry in payload["metrics"]:
-            kind = _KINDS[entry["kind"]]
-            metric = kind.__new__(kind)
-            if kind is Histogram:
-                metric.boundaries = ()
-                metric.counts = []
-                metric.sum = 0.0
-            else:
-                kind.__init__(metric)
-            metric.load(entry["state"])
+            kind, state = entry["kind"], entry["state"]
+            if kind in _LEGACY_DISTRIBUTIONS:
+                kind, state = "distribution", state.get("sketch")
+            metric = _KINDS[kind]()
+            if state is not None:
+                metric.load(state)
             registry._metrics[(entry["name"], _canonical_labels(entry["labels"]))] = metric
         return registry
 
     def merge(self, other: MetricsRegistry | Mapping) -> None:
         """Fold another registry (or its :meth:`to_dict` payload) into this one.
 
-        Counter and histogram merges are exact (sums of integers plus float
-        additions applied in caller-controlled order), so merging worker
-        payloads in spec order reproduces the serial run bit-for-bit.
+        Counter and distribution merges are exact (sums of integers plus
+        float additions applied in caller-controlled order), so merging
+        worker payloads in spec order reproduces the serial run bit-for-bit.
         """
         if not isinstance(other, MetricsRegistry):
             other = MetricsRegistry.from_dict(other)
         for (name, labels), metric in sorted(other._metrics.items()):
             existing = self._metrics.get((name, labels))
             if existing is None:
-                # Adopt a fresh instance so the source registry stays intact.
-                if isinstance(metric, Histogram):
-                    clone = Histogram(boundaries=metric.boundaries)
-                else:
-                    clone = type(metric)()
-                clone.merge(metric)
+                # Adopt a copy so the source registry stays intact.
+                clone = type(metric)()
+                clone.load(metric.state())
                 self._metrics[(name, labels)] = clone
             elif existing.kind != metric.kind:
                 raise ValueError(
@@ -361,45 +201,33 @@ class MetricsRegistry:
     # Prometheus exposition
     # ------------------------------------------------------------------
     def prometheus_text(self, prefix: str = "repro") -> str:
-        """Render every metric in the Prometheus text exposition format."""
+        """Render every metric in the Prometheus text exposition format.
+
+        Counters and gauges are one sample each.  A distribution is a
+        ``summary`` under its registered name: ``quantile="0.5|0.95|0.99"``
+        samples (omitted while it is empty), then ``_sum`` and ``_count``.
+        """
         lines: list[str] = []
         seen_types: set[str] = set()
         for (name, labels), metric in sorted(self._metrics.items()):
             base = _prom_name(prefix, name)
-            if isinstance(metric, Counter):
-                _prom_type(lines, seen_types, base, "counter")
+            _prom_type(lines, seen_types, base, _PROM_TYPES[metric.kind])
+            if not isinstance(metric, QuantileSketch):
                 lines.append(f"{base}{_prom_labels(labels)} {_prom_value(metric.value)}")
-            elif isinstance(metric, Gauge):
-                _prom_type(lines, seen_types, base, "gauge")
-                lines.append(f"{base}{_prom_labels(labels)} {_prom_value(metric.value)}")
-            elif isinstance(metric, Histogram):
-                _prom_type(lines, seen_types, base, "histogram")
-                cumulative = 0
-                for boundary, count in zip(metric.boundaries, metric.counts):
-                    cumulative += count
+                continue
+            if metric.count:
+                for q in REPORT_QUANTILES:
                     lines.append(
-                        f"{base}_bucket{_prom_labels(labels, le=_prom_value(boundary))} "
-                        f"{cumulative}"
+                        f"{base}{_prom_labels(labels, quantile=_prom_value(q))} "
+                        f"{_prom_value(metric.quantile(q))}"
                     )
-                lines.append(
-                    f"{base}_bucket{_prom_labels(labels, le='+Inf')} {metric.count}"
-                )
-                lines.append(f"{base}_sum{_prom_labels(labels)} {_prom_value(metric.sum)}")
-                lines.append(f"{base}_count{_prom_labels(labels)} {metric.count}")
-            elif isinstance(metric, Timer):
-                _prom_type(lines, seen_types, f"{base}_seconds", "summary")
-                if metric.count:
-                    for q in REPORT_QUANTILES:
-                        lines.append(
-                            f"{base}_seconds"
-                            f"{_prom_labels(labels, quantile=_prom_value(q))} "
-                            f"{_prom_value(metric.quantile(q))}"
-                        )
-                lines.append(
-                    f"{base}_seconds_sum{_prom_labels(labels)} {_prom_value(metric.total)}"
-                )
-                lines.append(f"{base}_seconds_count{_prom_labels(labels)} {metric.count}")
+            lines.append(f"{base}_sum{_prom_labels(labels)} {_prom_value(metric.sum)}")
+            lines.append(f"{base}_count{_prom_labels(labels)} {metric.count}")
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+#: Prometheus metric type of each registry kind.
+_PROM_TYPES = {"counter": "counter", "gauge": "gauge", "distribution": "summary"}
 
 
 def _prom_name(prefix: str, name: str) -> str:

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.metrics import COUNT_BOUNDARIES, RATIO_BOUNDARIES
-
 #: Every Nth batch (by global index) gets an oracle solve.  Dense enough
 #: to track drift at paper scale, sparse enough to stay inside the 5%
 #: telemetry overhead budget (each solve is one small SciPy LSA).
@@ -124,13 +122,12 @@ def estimated_capacities_of(matcher) -> np.ndarray | None:
 # The per-run monitor driven by TelemetryHook
 # ----------------------------------------------------------------------
 class QualityMonitor:
-    """Accumulate quality gauges/histograms for one engine run.
+    """Accumulate quality gauges and distributions for one engine run.
 
     Metrics are resolved once at construction (the same reasoning as
     :class:`~repro.obs.hook.TelemetryHook`'s per-event metrics).  Day-level
-    distributions observe into mergeable histograms — one observation per
-    day, so a killed-and-resumed run's merged sketches equal the
-    straight-through run's exactly.
+    distributions get one observation per day, so a killed-and-resumed
+    run's merged sketches equal the straight-through run's exactly.
     """
 
     def __init__(self, telemetry, context) -> None:
@@ -143,15 +140,9 @@ class QualityMonitor:
         self._matched = registry.counter("quality.regret_matched_utility", **labels)
         self._oracle = registry.counter("quality.regret_oracle_utility", **labels)
         self._regret_batches = registry.counter("quality.regret_batches", **labels)
-        self._gini_days = registry.histogram(
-            "quality.workload_gini_days", boundaries=RATIO_BOUNDARIES, **labels
-        )
-        self._overload_days = registry.histogram(
-            "quality.overload_rate_days", boundaries=RATIO_BOUNDARIES, **labels
-        )
-        self._mae_days = registry.histogram(
-            "quality.capacity_mae_days", boundaries=COUNT_BOUNDARIES, **labels
-        )
+        self._gini_days = registry.distribution("quality.workload_gini_days", **labels)
+        self._overload_days = registry.distribution("quality.overload_rate_days", **labels)
+        self._mae_days = registry.distribution("quality.capacity_mae_days", **labels)
 
     def on_batch(self, event) -> None:
         """Sampled regret accounting for one assigned batch."""

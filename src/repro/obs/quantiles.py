@@ -7,13 +7,13 @@ within relative error ``alpha`` of an exact order statistic (for values
 inside the trackable range).  Memory is ``O(log(max/min) / alpha)`` —
 a few hundred buckets even for nanoseconds-to-hours data.
 
-The sketch is the percentile half of the registry's cross-process merge
-guarantee: bucket counts are integers (merge is exact and
-order-independent) and the float ``sum`` folds in caller-controlled
-order, so a ``jobs=N`` run's merged sketch — and therefore its
-p50/p95/p99 — is bit-for-bit equal to the ``jobs=1`` run's.  Quantile
-*queries* are pure functions of the bucket counts: two sketches with
-equal state return equal quantiles, always.
+It is also the metrics registry's one distribution type, and so the
+percentile half of the registry's cross-process merge guarantee: bucket
+counts are integers (merge is exact and order-independent) and the float
+``sum`` folds in caller-controlled order, so a ``jobs=N`` run's merged
+sketch — and therefore its p50/p95/p99 — is bit-for-bit equal to the
+``jobs=1`` run's.  Quantile *queries* are pure functions of the bucket
+counts: two sketches with equal state return equal quantiles, always.
 
 Edge values:
 
@@ -48,11 +48,15 @@ REPORT_QUANTILES = (0.5, 0.95, 0.99)
 class QuantileSketch:
     """Log-bucketed quantile sketch with exact, order-independent merge.
 
+    This is also the metrics registry's distribution type
+    (:meth:`~repro.obs.metrics.MetricsRegistry.distribution`).
+
     Args:
         alpha: relative accuracy bound of reported quantiles; two sketches
             merge only when their ``alpha`` matches exactly.
     """
 
+    kind = "distribution"
     __slots__ = ("alpha", "_gamma", "_inv_log_gamma", "count", "sum",
                  "min", "max", "zero", "nan", "pos", "neg")
 
@@ -102,6 +106,11 @@ class QuantileSketch:
         else:
             index = self._index(-value)
             self.neg[index] = self.neg.get(index, 0) + 1
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Fold a batch in, exactly as :meth:`observe` on each value in order."""
+        for value in values:
+            self.observe(value)
 
     # ------------------------------------------------------------------
     # Queries

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 
-from repro.obs.metrics import MetricsRegistry, Timer
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.quantiles import REPORT_QUANTILES
 from repro.obs.telemetry import MANIFEST_JSON, METRICS_JSON, SPANS_JSONL
 from repro.obs.tracing import SpanRecord
@@ -102,9 +102,8 @@ def decision_time_by_algorithm(registry: MetricsRegistry) -> dict[str, float]:
     totals: dict[str, float] = {}
     for phase in ENGINE_PHASES:
         for labels, metric in registry.find(phase):
-            if isinstance(metric, Timer):
-                algorithm = labels.get("algorithm", "")
-                totals[algorithm] = totals.get(algorithm, 0.0) + metric.total
+            algorithm = labels.get("algorithm", "")
+            totals[algorithm] = totals.get(algorithm, 0.0) + metric.sum
     return totals
 
 
@@ -113,10 +112,10 @@ def phase_rows(registry: MetricsRegistry) -> list[tuple]:
     p50 ms, p95 ms, p99 ms).
 
     Engine phases come first (they partition decision time); interior spans
-    (``span.*`` timers) follow, ordered by total descending.  Shares are
+    (``span.*`` distributions) follow, ordered by total descending.  Shares are
     relative to the algorithm's decision time; interior spans nest inside
     engine phases, so their shares are a drill-down, not a second sum.
-    Percentiles come from each timer's quantile sketch — exact across
+    Percentiles come from each phase's quantile sketch — exact across
     process merges, so a ``jobs=8`` sweep reports the same tail latencies
     as the serial run.
     """
@@ -124,7 +123,7 @@ def phase_rows(registry: MetricsRegistry) -> list[tuple]:
     engine_rows = []
     span_rows = []
     for name, labels, metric in registry.items():
-        if not isinstance(metric, Timer):
+        if metric.kind != "distribution":
             continue
         algorithm = labels.get("algorithm", "")
         if name in ENGINE_PHASES:
@@ -137,14 +136,14 @@ def phase_rows(registry: MetricsRegistry) -> list[tuple]:
         else:
             continue
         total = decision.get(algorithm, 0.0)
-        share = f"{metric.total / total:7.1%}" if total > 0 else "      -"
-        p50, p95, p99 = (
-            (metric.quantile(q) * 1e3 for q in REPORT_QUANTILES)
-            if metric.count
-            else (0.0, 0.0, 0.0)
-        )
+        share = f"{metric.sum / total:7.1%}" if total > 0 else "      -"
+        if metric.count:
+            p50, p95, p99 = (metric.quantile(q) * 1e3 for q in REPORT_QUANTILES)
+            mean = metric.sum / metric.count
+        else:
+            p50 = p95 = p99 = mean = 0.0
         bucket.append(
-            (algorithm, phase, metric.count, metric.total, metric.mean * 1e3,
+            (algorithm, phase, metric.count, metric.sum, mean * 1e3,
              share, p50, p95, p99)
         )
     engine_rows.sort(key=lambda row: (row[0], -row[3]))

@@ -12,9 +12,9 @@ with a :class:`~repro.obs.tracing.Tracer` and a ``run_label`` (the current
 matcher's display name, maintained by
 :class:`~repro.obs.hook.TelemetryHook`) that is stamped onto every span
 and metric as an ``algorithm`` label.  Spans double-book: each finished
-span also feeds a ``span.<name>`` timer in the registry, so per-phase time
-totals survive the cross-process registry merge even though raw span
-timestamps do not align across processes.
+span also feeds a ``span.<name>`` distribution in the registry, so
+per-phase time totals survive the cross-process registry merge even
+though raw span timestamps do not align across processes.
 
 Activate with :func:`enable` / :func:`disable`, or scoped with::
 
@@ -29,13 +29,9 @@ import contextlib
 import json
 import os
 import time
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
-from repro.obs.metrics import (
-    COUNT_BOUNDARIES,
-    DURATION_BOUNDARIES,
-    MetricsRegistry,
-)
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import SpanRecord, Tracer, _Span
 
 #: Exported file names inside a telemetry directory.
@@ -86,10 +82,10 @@ class Telemetry:
         self.audit_session = None
         self.audit_writer = None
         # Hot-path caches, invalidated on every run-label change: resolved
-        # metric instances (skipping per-call label canonicalization) and
-        # one shared attrs dict for spans without explicit attributes
+        # metric instances keyed by (kind, name), span series under
+        # ("span", span name), skipping per-call label canonicalization;
+        # and one shared attrs dict for spans without explicit attributes
         # (treated as frozen — never mutated after creation).
-        self._span_timers: dict[str, object] = {}
         self._metric_cache: dict[tuple[str, str], object] = {}
         self._label_attrs: dict[str, str] = {}
 
@@ -99,7 +95,6 @@ class Telemetry:
     def set_run_label(self, label: str | None) -> None:
         """Set the algorithm label stamped onto spans and metrics."""
         self.run_label = label
-        self._span_timers.clear()
         self._metric_cache.clear()
         self._label_attrs = {"algorithm": label} if label else {}
 
@@ -111,7 +106,7 @@ class Telemetry:
     # Span + metric entry points
     # ------------------------------------------------------------------
     def span(self, name: str, **attrs: str):
-        """A live span; also feeds the ``span.<name>`` timer on exit."""
+        """A live span; also feeds the ``span.<name>`` distribution on exit."""
         if not attrs:
             # The common case shares one frozen label dict across spans.
             return _Span(self.tracer, name, self._label_attrs)
@@ -128,59 +123,38 @@ class Telemetry:
         self.tracer.record_span(name, duration, cpu=cpu, **attrs)
 
     def _book_span(self, record: SpanRecord) -> None:
-        timer = self._span_timers.get(record.name)
-        if timer is None:
-            timer = self.registry.timer(f"span.{record.name}", **self.labels())
-            self._span_timers[record.name] = timer
-        timer.observe(record.duration)
+        key = ("span", record.name)
+        sketch = self._metric_cache.get(key)
+        if sketch is None:
+            sketch = self.registry.distribution(f"span.{record.name}", **self.labels())
+            self._metric_cache[key] = sketch
+        sketch.observe(record.duration)
+
+    def _metric(self, kind: str, name: str, labels: Mapping[str, object]):
+        """The registry's ``kind`` metric, resolved once per run label."""
+        if labels:
+            return getattr(self.registry, kind)(name, **{**self.labels(), **labels})
+        metric = self._metric_cache.get((kind, name))
+        if metric is None:
+            metric = getattr(self.registry, kind)(name, **self.labels())
+            self._metric_cache[(kind, name)] = metric
+        return metric
 
     def add(self, name: str, amount: float = 1.0, **labels) -> None:
         """Increment a labeled counter (run label applied automatically)."""
-        if labels:
-            self.registry.counter(name, **{**self.labels(), **labels}).inc(amount)
-            return
-        counter = self._metric_cache.get(("counter", name))
-        if counter is None:
-            counter = self.registry.counter(name, **self.labels())
-            self._metric_cache[("counter", name)] = counter
-        counter.inc(amount)
+        self._metric("counter", name, labels).inc(amount)
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
         """Set a labeled gauge (run label applied automatically)."""
-        if labels:
-            self.registry.gauge(name, **{**self.labels(), **labels}).set(value)
-            return
-        gauge = self._metric_cache.get(("gauge", name))
-        if gauge is None:
-            gauge = self.registry.gauge(name, **self.labels())
-            self._metric_cache[("gauge", name)] = gauge
-        gauge.set(value)
+        self._metric("gauge", name, labels).set(value)
 
-    def observe(
-        self,
-        name: str,
-        value: float,
-        boundaries: Iterable[float] = DURATION_BOUNDARIES,
-        **labels,
-    ) -> None:
-        """Observe into a labeled histogram (run label applied automatically).
+    def observe(self, name: str, value: float, **labels) -> None:
+        """Observe into a labeled distribution (run label applied automatically)."""
+        self._metric("distribution", name, labels).observe(value)
 
-        Boundaries are fixed at a histogram's first registration; the cached
-        fast path assumes every call site of one name agrees on them (the
-        registry raises on the first conflicting registration).
-        """
-        if labels:
-            self.registry.histogram(
-                name, boundaries=boundaries, **{**self.labels(), **labels}
-            ).observe(value)
-            return
-        histogram = self._metric_cache.get(("histogram", name))
-        if histogram is None:
-            histogram = self.registry.histogram(
-                name, boundaries=boundaries, **self.labels()
-            )
-            self._metric_cache[("histogram", name)] = histogram
-        histogram.observe(value)
+    def observe_many(self, name: str, values, **labels) -> None:
+        """Observe a batch of values into a labeled distribution, in order."""
+        self._metric("distribution", name, labels).observe_many(values)
 
     # ------------------------------------------------------------------
     # Cross-process payloads
@@ -290,13 +264,15 @@ def set_gauge(name: str, value: float, **labels) -> None:
         telemetry.set_gauge(name, value, **labels)
 
 
-def observe(
-    name: str,
-    value: float,
-    boundaries: Iterable[float] = COUNT_BOUNDARIES,
-    **labels,
-) -> None:
-    """Histogram observation against the active telemetry; no-op when disabled."""
+def observe(name: str, value: float, **labels) -> None:
+    """Distribution observation against the active telemetry; no-op when disabled."""
     telemetry = _ACTIVE
     if telemetry is not None:
-        telemetry.observe(name, value, boundaries=boundaries, **labels)
+        telemetry.observe(name, value, **labels)
+
+
+def observe_many(name: str, values, **labels) -> None:
+    """Batched distribution observation; no-op when disabled."""
+    telemetry = _ACTIVE
+    if telemetry is not None:
+        telemetry.observe_many(name, values, **labels)

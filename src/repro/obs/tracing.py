@@ -249,4 +249,5 @@ class Tracer:
         from repro.state.io import atomic_open
 
         with atomic_open(path, "w") as handle:
-            json.dump(self.chrome_trace(), handle)
+            # One dumps + write: json.dump streams thousands of tiny chunks.
+            handle.write(json.dumps(self.chrome_trace()))

@@ -29,12 +29,7 @@ from repro.serving.arrivals import (
     ArrivalSchedule,
     derive_arrivals,
 )
-from repro.serving.engine import (
-    REPORT_QUANTILES,
-    WAIT_BOUNDARIES,
-    ServingEngine,
-    ServingReport,
-)
+from repro.serving.engine import REPORT_QUANTILES, ServingEngine, ServingReport
 from repro.serving.microbatch import (
     FLUSH_REASONS,
     LoadLevelingQueue,
@@ -54,6 +49,5 @@ __all__ = [
     "REPORT_QUANTILES",
     "ServingEngine",
     "ServingReport",
-    "WAIT_BOUNDARIES",
     "derive_arrivals",
 ]

@@ -25,12 +25,12 @@ Latency accounting happens on two clocks, deliberately kept apart:
   real solver cost and saturate like a real server.
 
 Per-request queue wait and end-to-end latency are recorded into
-``repro.obs`` histograms (``serving.queue_wait`` / ``serving.latency``),
-whose embedded quantile sketches answer p50/p95/p99; micro-batch sizes and
-flush reasons ride along (``serving.microbatch_size``,
-``serving.flushes``), and the ``serving.makespan`` /
-``serving.throughput_rps`` gauges are set while the run's algorithm label
-is still active.
+``repro.obs`` distributions (``serving.queue_wait`` / ``serving.latency``)
+with one ``observe_many`` call per micro-batch; their quantile sketches
+answer p50/p95/p99.  Micro-batch sizes and flush reasons ride along
+(``serving.microbatch_size``, ``serving.flushes``), and the
+``serving.makespan`` / ``serving.throughput_rps`` gauges are set while the
+run's algorithm label is still active.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.engine.loop import DayLoopEngine, RunContext
 from repro.obs import telemetry as obs
+from repro.obs.quantiles import REPORT_QUANTILES
 from repro.serving.arrivals import ArrivalSchedule
 from repro.serving.microbatch import FLUSH_REASONS, LoadLevelingQueue, MicroBatchPolicy
 
@@ -49,16 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.algorithms.base import Matcher
     from repro.engine.hooks import RunHook
     from repro.simulation.platform import RealEstatePlatform
-
-#: Histogram boundaries for virtual-time waits/latencies (sub-second
-#: micro-batch waits through minute-scale saturated backlogs).
-WAIT_BOUNDARIES = (
-    0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-    1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0,
-)
-
-#: Report quantiles, matching the repo-wide sketch convention.
-REPORT_QUANTILES = (0.5, 0.95, 0.99)
 
 
 @dataclass
@@ -193,9 +184,8 @@ class ServingEngine(DayLoopEngine):
         self._reasons[micro.reason] += 1
         if not obs.enabled():
             return
-        for wait, latency in zip(waits, latencies):
-            obs.observe("serving.queue_wait", float(wait), boundaries=WAIT_BOUNDARIES)
-            obs.observe("serving.latency", float(latency), boundaries=WAIT_BOUNDARIES)
+        obs.observe_many("serving.queue_wait", waits)
+        obs.observe_many("serving.latency", latencies)
         obs.observe("serving.microbatch_size", float(micro.size))
         obs.add("serving.flushes", reason=micro.reason)
         obs.add("serving.requests", micro.size)
@@ -222,4 +212,4 @@ class ServingEngine(DayLoopEngine):
         obs.set_gauge("serving.throughput_rps", report.throughput_rps)
 
 
-__all__ = ["REPORT_QUANTILES", "WAIT_BOUNDARIES", "ServingEngine", "ServingReport"]
+__all__ = ["REPORT_QUANTILES", "ServingEngine", "ServingReport"]

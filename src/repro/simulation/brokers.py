@@ -57,9 +57,10 @@ class BrokerPopulation:
         response_fit: ``(B,)`` ``MATCH_WEIGHTS["response"] * response_rate``.
 
     The three fit tables are derived once, here, from the preference
-    arrays; tables and sources are read-only, so no later write can leave
-    them stale.  ``base_quality`` is not part of them: skill growth moves
-    it, so the utility reads it per call.
+    arrays; tables and sources are read-only, also in deep copies and
+    unpickled copies, so no later write can leave them stale.
+    ``base_quality`` is not part of them: skill growth moves it, so the
+    utility reads it per call.
     """
 
     profiles: list[BrokerProfile]
@@ -85,6 +86,14 @@ class BrokerPopulation:
         self.district_fit = _weighted_fit(self.district_pref, MATCH_WEIGHTS["district"])
         self.type_fit = _weighted_fit(self.type_pref, MATCH_WEIGHTS["type"])
         self.response_fit = MATCH_WEIGHTS["response"] * self.response_rate
+        self._freeze()
+
+    def __setstate__(self, state: dict) -> None:
+        # deepcopy and unpickling rebuild every array writeable.
+        self.__dict__.update(state)
+        self._freeze()
+
+    def _freeze(self) -> None:
         for array in (
             self.district_pref,
             self.type_pref,

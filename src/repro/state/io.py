@@ -68,7 +68,8 @@ def atomic_write_bytes(path, data: bytes) -> str:
 def atomic_write_json(path, payload, indent: int | None = 2, default=None) -> str:
     """Atomically write ``payload`` as sorted-key JSON; returns the path."""
     with atomic_open(path, "w") as handle:
-        json.dump(payload, handle, indent=indent, sort_keys=True, default=default)
+        # One dumps + write: json.dump streams many tiny chunks.
+        handle.write(json.dumps(payload, indent=indent, sort_keys=True, default=default))
     return os.fspath(path)
 
 

@@ -165,21 +165,38 @@ def test_fast_and_reference_kernels_bit_identical(algorithm, monkeypatch):
     """The vectorized hot paths (batched NN-UCB scoring, argpartition CBS)
     must reproduce the reference oracles bit-for-bit: CBS returns exactly
     the same candidate sets without touching the engine's RNG, and arm
-    decisions plus the covariance update are unchanged."""
+    decisions plus the covariance update are unchanged.  Every utility
+    matrix the platform reveals is compared bytewise too: a one-ulp drift
+    in the utility kernel vanishes in the run totals below."""
     from repro.check.differential import install_reference_kernels
     from repro.engine.executor import execute_spec
+    from repro.simulation.platform import RealEstatePlatform
+
+    revealed = RealEstatePlatform.predicted_utilities
 
     def run():
+        matrices = []
+
+        def recording(platform, request_indices):
+            utilities = revealed(platform, request_indices)
+            matrices.append(utilities.tobytes())
+            return utilities
+
         spec = RunSpec(
             platform=PlatformSpec.synthetic(GOLDEN_CONFIG),
             matcher=MatcherSpec(algorithm, seed=7),
         )
-        return execute_spec(spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(RealEstatePlatform, "predicted_utilities", recording)
+            return execute_spec(spec), matrices
 
-    fast = run()
+    fast, fast_matrices = run()
     with monkeypatch.context() as patch:
         install_reference_kernels(patch)
-        reference = run()
+        reference, reference_matrices = run()
+    assert len(fast_matrices) == len(reference_matrices) > 0
+    for batch, (ours, oracle) in enumerate(zip(fast_matrices, reference_matrices)):
+        assert ours == oracle, f"utility matrix {batch} differs from the oracle's"
     assert fast.total_realized_utility == reference.total_realized_utility
     assert fast.total_predicted_utility == reference.total_predicted_utility
     assert fast.num_assigned == reference.num_assigned

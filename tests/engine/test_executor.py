@@ -61,12 +61,17 @@ def _telemetry_grid():
     ]
 
 
+#: Distributions of measured seconds: they differ between any two runs.
+TIMING_SERIES = ("span.", "engine.begin_day", "engine.assign_batch", "engine.end_day")
+
+
 def _comparable_metrics(telemetry):
-    """Counters and histograms (the exactly-mergeable kinds) as plain data."""
+    """Counters and seeded distributions (exactly mergeable) as plain data."""
     return [
         entry
         for entry in telemetry.registry.to_dict()["metrics"]
-        if entry["kind"] in ("counter", "histogram")
+        if entry["kind"] == "counter"
+        or (entry["kind"] == "distribution" and not entry["name"].startswith(TIMING_SERIES))
     ]
 
 
@@ -75,7 +80,7 @@ def test_parallel_telemetry_merge_is_bit_identical_to_serial():
 
     Regression test: with jobs>1 the runs execute in worker processes, so
     any telemetry accumulated there is lost unless ``execute_spec`` ships
-    it back and the parent merges it.  Counters and histograms merge
+    it back and the parent merges it.  Counters and distributions merge
     exactly, so the jobs=2 registry must equal the jobs=1 registry
     bit-for-bit.
     """
@@ -95,7 +100,7 @@ def test_parallel_telemetry_merge_is_bit_identical_to_serial():
 def test_parallel_percentiles_bit_identical_to_serial():
     """p50/p95/p99 must not depend on the jobs knob, bit for bit.
 
-    Histogram sketches merge as integer bucket counts in spec order, so
+    Distribution sketches merge as integer bucket counts in spec order, so
     the merged quantiles of a jobs=2 run equal the serial run exactly —
     not approximately.  ``engine.batch_requests`` is deterministic (batch
     sizes are seeded), making the comparison meaningful.
@@ -103,18 +108,12 @@ def test_parallel_percentiles_bit_identical_to_serial():
     serial, parallel = Telemetry(), Telemetry()
     run_many(_telemetry_grid(), jobs=1, telemetry=serial)
     run_many(_telemetry_grid(), jobs=2, telemetry=parallel)
-    from repro.obs.metrics import COUNT_BOUNDARIES
-
     for algorithm in ("LACB-Opt", "Top-3"):
-        a = serial.registry.histogram(
-            "engine.batch_requests", boundaries=COUNT_BOUNDARIES, algorithm=algorithm
-        )
-        b = parallel.registry.histogram(
-            "engine.batch_requests", boundaries=COUNT_BOUNDARIES, algorithm=algorithm
-        )
-        assert a.sketch.count > 0
-        assert a.sketch.state() == b.sketch.state()
-        assert a.sketch.quantiles() == b.sketch.quantiles()
+        a = serial.registry.distribution("engine.batch_requests", algorithm=algorithm)
+        b = parallel.registry.distribution("engine.batch_requests", algorithm=algorithm)
+        assert a.count > 0
+        assert a.state() == b.state()
+        assert a.quantiles() == b.quantiles()
         for q in (0.5, 0.95, 0.99):
             assert a.quantile(q) == b.quantile(q)  # exact equality, no approx
 

@@ -40,7 +40,7 @@ def test_engine_phase_timers_sum_exactly_to_decision_time():
     telemetry, result = _run_with_telemetry()
     label = {"algorithm": "LACB-Opt"}
     phase_total = sum(
-        telemetry.registry.timer(phase, **label).total for phase in ENGINE_PHASES
+        telemetry.registry.distribution(phase, **label).sum for phase in ENGINE_PHASES
     )
     # Both sides add the same engine-measured floats in the same order.
     assert phase_total == pytest.approx(result.decision_time, rel=1e-12)
@@ -53,8 +53,8 @@ def test_engine_counters_and_distributions():
     assert registry.counter("engine.runs", **label).value == 1
     assert registry.counter("engine.days", **label).value == 3
     assert registry.counter("engine.assignments", **label).value == result.num_assigned
-    workload_histogram = registry.find("engine.broker_workload")[0][1]
-    assert workload_histogram.count == 30 * 3  # every broker, every day
+    workloads = registry.find("engine.broker_workload")[0][1]
+    assert workloads.count == 30 * 3  # every broker, every day
 
 
 def test_instrumented_spans_cover_decision_time_within_10_percent():
@@ -69,13 +69,13 @@ def test_instrumented_spans_cover_decision_time_within_10_percent():
     label = {"algorithm": "LACB-Opt"}
     top_level = ("bandit.predict", "vfga.assign_batch", "vfga.end_day", "bandit.update")
     covered = sum(
-        telemetry.registry.timer(f"span.{name}", **label).total for name in top_level
+        telemetry.registry.distribution(f"span.{name}", **label).sum for name in top_level
     )
     assert covered <= result.decision_time * 1.02
     assert covered >= result.decision_time * 0.90
     # The interior spans the paper's timing story is about all fired.
     for interior in ("matching.solve", "matching.cbs_prune", "vfga.td_update"):
-        assert telemetry.registry.timer(f"span.{interior}", **label).count > 0
+        assert telemetry.registry.distribution(f"span.{interior}", **label).count > 0
     ratio_gauge = telemetry.registry.gauge("cbs.pruned_broker_ratio", **label)
     assert ratio_gauge.updates > 0
     assert 0.0 <= ratio_gauge.value <= 1.0

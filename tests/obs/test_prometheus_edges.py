@@ -3,13 +3,19 @@
 The exporter output is consumed verbatim by Prometheus' text parser, so
 these tests pin the format corners: empty registries, label values with
 quotes/backslashes/newlines, non-finite observations, zero-count
-histograms and timer summary quantiles.
+distributions and summary quantiles.
 """
 
+import json
 import math
+import os
 
-from repro.obs.metrics import COUNT_BOUNDARIES, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, _prom_labels
 from repro.obs.quantiles import REPORT_QUANTILES
+
+LEGACY_METRICS = os.path.join(
+    os.path.dirname(__file__), "data", "legacy_telemetry", "metrics.json"
+)
 
 
 def test_empty_registry_renders_empty_string():
@@ -41,32 +47,33 @@ def test_non_finite_values_render_prometheus_spellings():
 
 
 def test_zero_count_histogram_exports_complete_series():
+    """An empty distribution is a summary with zero sum and count."""
     registry = MetricsRegistry()
-    registry.histogram("empty", boundaries=COUNT_BOUNDARIES)
+    registry.distribution("empty")
     text = registry.prometheus_text()
-    # All cumulative buckets present and zero, +Inf bucket, sum and count.
-    assert text.count("repro_empty_bucket") == len(COUNT_BOUNDARIES) + 1
-    assert 'le="+Inf"} 0' in text
-    assert "repro_empty_sum 0" in text
-    assert "repro_empty_count 0" in text
+    assert text == (
+        "# TYPE repro_empty summary\n"
+        "repro_empty_sum 0\n"
+        "repro_empty_count 0\n"
+    )
 
 
 def test_zero_count_timer_has_no_quantile_lines():
     registry = MetricsRegistry()
-    registry.timer("idle")
+    registry.distribution("idle")
     text = registry.prometheus_text()
     assert "quantile=" not in text
-    assert "repro_idle_seconds_count 0" in text
+    assert "repro_idle_count 0" in text
 
 
 def test_timer_summary_quantiles_present_and_ordered():
     registry = MetricsRegistry()
-    timer = registry.timer("solve", algorithm="LACB-Opt")
+    timer = registry.distribution("solve", algorithm="LACB-Opt")
     for value in (0.001, 0.002, 0.010, 0.100):
         timer.observe(value)
     text = registry.prometheus_text()
     for q in REPORT_QUANTILES:
-        assert f'quantile="{q}"' in text
+        assert f'repro_solve{{algorithm="LACB-Opt",quantile="{q}"}}' in text
     # Quantile values are monotone in q for this sample.
     values = []
     for line in text.splitlines():
@@ -77,10 +84,44 @@ def test_timer_summary_quantiles_present_and_ordered():
 
 def test_non_finite_histogram_observation_keeps_export_parseable():
     registry = MetricsRegistry()
-    histogram = registry.histogram("weird", boundaries=(1.0, 10.0))
-    histogram.observe(math.inf)
-    histogram.observe(math.nan)
+    distribution = registry.distribution("weird")
+    distribution.observe(math.inf)
+    distribution.observe(math.nan)
     text = registry.prometheus_text()
-    # Sum is NaN (inf + nan); every line still renders and count is exact.
-    assert "repro_weird_sum NaN" in text
+    # NaN is counted but kept out of the sum (and the quantiles); every
+    # line still renders in Prometheus spelling and count is exact.
+    assert "repro_weird_sum +Inf" in text
     assert "repro_weird_count 2" in text
+    assert 'repro_weird{quantile="0.5"} +Inf' in text
+
+
+def test_every_series_is_a_counter_gauge_or_complete_summary():
+    """Exactly three exposition types, and every summary series carries
+    its quantile lines (unless empty), ``_sum`` and ``_count``."""
+    with open(LEGACY_METRICS, encoding="utf-8") as handle:
+        registry = MetricsRegistry.from_dict(json.load(handle))
+    registry.distribution("empty_series")
+    registry.distribution("nan_only").observe(math.nan)
+    text = registry.prometheus_text()
+    types = dict(
+        line.split()[2:4] for line in text.splitlines() if line.startswith("# TYPE")
+    )
+    assert set(types.values()) == {"counter", "gauge", "summary"}
+    samples = [line for line in text.splitlines() if not line.startswith("#")]
+    for name, labels, metric in registry.items():
+        base = "repro_" + "".join(c if c.isalnum() else "_" for c in name)
+        kind = types[base]
+        assert kind == {"counter": "counter", "gauge": "gauge", "distribution": "summary"}[
+            metric.kind
+        ]
+        series = _prom_labels(tuple(sorted(labels.items())))
+        if kind != "summary":
+            assert sum(line.startswith(f"{base}{series} ") for line in samples) == 1
+            continue
+        assert f"{base}_count{series} {metric.count}" in samples
+        assert sum(line.startswith(f"{base}_sum{series} ") for line in samples) == 1
+        inner = series[1:-1] + "," if series else ""
+        quantile = f'{base}{{{inner}quantile="'
+        quantile_lines = [line for line in samples if line.startswith(quantile)]
+        assert len(quantile_lines) == (len(REPORT_QUANTILES) if metric.count else 0)
+    assert "_bucket" not in text and "_seconds" not in text

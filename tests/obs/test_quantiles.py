@@ -4,10 +4,12 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.obs.quantiles import (
     MAX_TRACKABLE,
+    MIN_TRACKABLE,
     REPORT_QUANTILES,
     QuantileSketch,
 )
@@ -137,3 +139,72 @@ def test_quantile_is_pure_function_of_state():
     for value in (5.0, 0.2, 1.0, 0.1, 0.4, 0.2):
         second.observe(value)
     assert first.quantiles() == second.quantiles()
+
+
+# ----------------------------------------------------------------------
+# observe_many: bit-for-bit the same as looping observe
+# ----------------------------------------------------------------------
+def _exact_state(sketch):
+    """state() with the floats as hex, so -0.0 and one-ulp sums differ."""
+    state = sketch.state()
+    for key in ("sum", "min", "max"):
+        state[key] = float.hex(state[key])
+    return state
+
+
+def _bucket_edges():
+    gamma = QuantileSketch()._gamma
+    edges = np.array([gamma**i for i in range(-1300, 1700, 7)])
+    return np.concatenate(
+        [edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)]
+    )
+
+
+_RNG = np.random.default_rng(2024)
+OBSERVE_MANY_INPUTS = {
+    "lognormal": _RNG.lognormal(0.0, 3.0, size=20000),
+    "bucket_edges_and_ulps": _bucket_edges(),
+    "negative_edges_and_ulps": -_bucket_edges(),
+    # observe keeps whichever signed zero comes first as min and max.
+    "zeros": np.array([0.0, -0.0] * 40),
+    "zeros_negative_first": np.array([-0.0, 0.0] * 40),
+    "sub_min_trackable": np.array(
+        [MIN_TRACKABLE, -MIN_TRACKABLE, MIN_TRACKABLE / 3, np.nextafter(MIN_TRACKABLE, 1.0)] * 25
+    ),
+    "negatives": -_RNG.lognormal(0.0, 2.0, size=500),
+    "nan": np.where(_RNG.random(300) < 0.3, np.nan, _RNG.normal(size=300)),
+    "all_nan": np.full(100, np.nan),
+    "infinities": np.array([np.inf, -np.inf, 1.0, MAX_TRACKABLE * 10, -1e300] * 20),
+    "mixed_signs": np.concatenate([_RNG.normal(size=400), [0.0, -0.0, np.nan, np.inf]]),
+    "empty": np.array([]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVE_MANY_INPUTS))
+@pytest.mark.parametrize("prefix", [(), (3.0, -0.0), (math.inf, math.nan)])
+def test_observe_many_equals_looped_observe(name, prefix):
+    values = OBSERVE_MANY_INPUTS[name]
+    looped, batched, chunked = QuantileSketch(), QuantileSketch(), QuantileSketch()
+    for sketch in (looped, batched, chunked):
+        for value in prefix:
+            sketch.observe(value)
+    for value in values:
+        looped.observe(float(value))
+    batched.observe_many(values)
+    # Chunks of several sizes, including an empty tail for short inputs.
+    for start, stop in ((0, 5), (5, 100), (100, values.size)):
+        chunked.observe_many(values[start:stop])
+    assert _exact_state(batched) == _exact_state(looped)
+    assert _exact_state(chunked) == _exact_state(looped)
+
+
+def test_observe_many_sum_is_a_sequential_fold():
+    """The pairwise ndarray.sum rounds differently; observe_many must not."""
+    values = np.random.default_rng(5).lognormal(0.0, 4.0, size=5000)
+    sequential = 0.0
+    for value in values.tolist():
+        sequential += value
+    assert float.hex(float(values.sum())) != float.hex(sequential)
+    sketch = QuantileSketch()
+    sketch.observe_many(values)
+    assert float.hex(sketch.sum) == float.hex(sequential)

@@ -1,5 +1,7 @@
 """Report rendering: per-phase breakdown from an exported telemetry dir."""
 
+import os
+
 import pytest
 
 from repro.obs.report import (
@@ -16,11 +18,11 @@ def _fake_run_telemetry() -> Telemetry:
     telemetry = Telemetry()
     telemetry.set_run_label("LACB-Opt")
     label = telemetry.labels()
-    telemetry.registry.timer("engine.begin_day", **label).observe(0.2)
-    telemetry.registry.timer("engine.assign_batch", **label).observe(0.7)
-    telemetry.registry.timer("engine.end_day", **label).observe(0.1)
-    telemetry.registry.timer("span.matching.solve", **label).observe(0.5)
-    telemetry.registry.timer("span.engine.begin_day", **label).observe(0.2)
+    telemetry.registry.distribution("engine.begin_day", **label).observe(0.2)
+    telemetry.registry.distribution("engine.assign_batch", **label).observe(0.7)
+    telemetry.registry.distribution("engine.end_day", **label).observe(0.1)
+    telemetry.registry.distribution("span.matching.solve", **label).observe(0.5)
+    telemetry.registry.distribution("span.engine.begin_day", **label).observe(0.2)
     telemetry.add("engine.runs")
     return telemetry
 
@@ -68,9 +70,9 @@ def test_phase_rows_percentiles_come_from_the_sketch():
     label = telemetry.labels()
     telemetry.set_run_label("LACB-Opt")
     label = telemetry.labels()
-    timer = telemetry.registry.timer("engine.assign_batch", **label)
+    assign = telemetry.registry.distribution("engine.assign_batch", **label)
     for ms in range(1, 101):  # 1..100 ms ramp
-        timer.observe(ms / 1000.0)
+        assign.observe(ms / 1000.0)
     (row,) = phase_rows(telemetry.registry)
     p50, p95, p99 = row[6], row[7], row[8]
     # Milliseconds, monotone, and within the sketch's accuracy bound.
@@ -81,7 +83,7 @@ def test_phase_rows_percentiles_come_from_the_sketch():
 
 def test_phase_rows_zero_count_timer_reports_zero_percentiles():
     telemetry = Telemetry()
-    telemetry.registry.timer("engine.assign_batch", algorithm="KM")
+    telemetry.registry.distribution("engine.assign_batch", algorithm="KM")
     (row,) = phase_rows(telemetry.registry)
     assert (row[6], row[7], row[8]) == (0.0, 0.0, 0.0)
 
@@ -228,3 +230,12 @@ def test_render_report_includes_quality_table_when_gauged(tmp_path):
     # Gauges this run never produced render as dashes, not zeros.
     quality_line = [ln for ln in report.splitlines() if "0.420" in ln][0]
     assert " - " in quality_line
+
+
+def test_report_of_a_legacy_telemetry_dir_is_unchanged():
+    """A metrics.json written when phases were Timers and sizes Histograms
+    renders exactly the text the report printed then (captured with it)."""
+    data = os.path.join(os.path.dirname(__file__), "data")
+    with open(os.path.join(data, "legacy_report.txt"), encoding="utf-8") as handle:
+        expected = handle.read()
+    assert render_report(os.path.join(data, "legacy_telemetry")) + "\n" == expected

@@ -33,7 +33,7 @@ def _comparable(registry):
     return [
         entry
         for entry in registry.to_dict()["metrics"]
-        if entry["kind"] in ("counter", "histogram")
+        if entry["kind"] in ("counter", "distribution")
     ]
 
 
@@ -139,8 +139,7 @@ def test_merged_registry_percentiles_survive_prior_spans_calls(tmp_path):
     view.spans()
     view.spans()  # repeated merges must be idempotent too
     for registry in (view.merged_registry(), untouched.merged_registry()):
-        timer = registry.timer("engine.assign_batch", algorithm="Top-3")
-        assert timer.count > 0
+        assert registry.distribution("engine.assign_batch", algorithm="Top-3").count > 0
     assert _comparable(view.merged_registry()) == _comparable(untouched.merged_registry())
 
 
@@ -195,9 +194,9 @@ def test_kill_mid_run_leaves_recoverable_partial_stream(tmp_path):
     registry = view.merged_registry()
     assert registry.counter("engine.days", algorithm="Top-3").value == 1
     # The partial registry's sketches answer quantile queries sanely.
-    timer = registry.timer("engine.assign_batch", algorithm="Top-3")
-    assert timer.count > 0
-    assert timer.quantile(0.99) >= timer.quantile(0.5)
+    assign = registry.distribution("engine.assign_batch", algorithm="Top-3")
+    assert assign.count > 0
+    assert assign.quantile(0.99) >= assign.quantile(0.5)
 
 
 def test_report_falls_back_to_stream_for_crashed_run(tmp_path):

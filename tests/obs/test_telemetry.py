@@ -27,7 +27,8 @@ def test_disabled_helpers_are_no_ops():
     with obs.span("anything", algorithm="X"):
         obs.add("counter")
         obs.set_gauge("gauge", 1.0)
-        obs.observe("histogram", 2.0)
+        obs.observe("distribution", 2.0)
+        obs.observe_many("distribution", [1.0, 2.0])
     # Nothing was recorded anywhere: no active telemetry exists to hold it.
     assert obs.current() is None
 
@@ -62,9 +63,9 @@ def test_run_label_stamps_spans_and_metrics():
     (record,) = telemetry.tracer.records
     assert record.attrs["algorithm"] == "LACB-Opt"
     assert telemetry.registry.counter("n", algorithm="LACB-Opt").value == 1.0
-    # Spans double-book into span.<name> timers carrying the same label.
-    timer = telemetry.registry.timer("span.phase", algorithm="LACB-Opt")
-    assert timer.count == 1
+    # Spans double-book into span.<name> distributions carrying the same label.
+    series = telemetry.registry.distribution("span.phase", algorithm="LACB-Opt")
+    assert series.count == 1
 
 
 def test_span_timer_cache_respects_label_changes():
@@ -75,8 +76,8 @@ def test_span_timer_cache_respects_label_changes():
     telemetry.set_run_label("B")
     with telemetry.span("phase"):
         pass
-    assert telemetry.registry.timer("span.phase", algorithm="A").count == 1
-    assert telemetry.registry.timer("span.phase", algorithm="B").count == 1
+    assert telemetry.registry.distribution("span.phase", algorithm="A").count == 1
+    assert telemetry.registry.distribution("span.phase", algorithm="B").count == 1
 
 
 def test_payload_merge_is_exact():

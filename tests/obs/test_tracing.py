@@ -109,3 +109,38 @@ def test_chrome_trace_schema_is_perfetto_loadable(tmp_path):
     assert solve["cat"] == "matching"
     assert solve["dur"] == 1000.0  # 1 ms in microseconds
     assert solve["args"] == {"backend": "repro"}
+
+
+def test_chrome_trace_export_bytes_equal_json_dumps(tmp_path):
+    """The exported file is exactly ``json.dumps(chrome_trace())``, which is
+    also byte-for-byte what ``json.dump`` streamed into the file."""
+    clock = FakeClock()
+    tracer = Tracer(clock=clock)
+    for day in range(3):
+        with tracer.span("engine.day", day=str(day), note='quote " and \\ slash'):
+            clock.advance(0.25)
+            with tracer.span("matching.solve", backend="repro"):
+                clock.advance(1e-7)
+    tracer.record_span("engine.begin_day", 0.5, cpu=0.125)
+
+    path = tmp_path / "trace.json"
+    tracer.export_chrome_trace(path)
+    expected = json.dumps(tracer.chrome_trace())
+    assert path.read_bytes() == expected.encode("utf-8")
+    streamed = tmp_path / "streamed.json"
+    with open(streamed, "w", encoding="utf-8") as handle:
+        json.dump(tracer.chrome_trace(), handle)
+    assert path.read_bytes() == streamed.read_bytes()
+
+
+def test_atomic_write_json_bytes_equal_streamed_dump(tmp_path):
+    from repro.state.io import atomic_write_json
+
+    payload = {"b": [1.5, float("inf"), None], "a": {"nested": "é\n"}, "c": 1e-300}
+    for indent in (None, 2):
+        path = tmp_path / f"written-{indent}.json"
+        atomic_write_json(path, payload, indent=indent)
+        streamed = tmp_path / f"streamed-{indent}.json"
+        with open(streamed, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=indent, sort_keys=True)
+        assert path.read_bytes() == streamed.read_bytes()

@@ -7,13 +7,9 @@ from repro.algorithms import make_matcher
 from repro.engine import DayLoopEngine
 from repro.engine.hooks import MetricsCollector
 from repro.obs import telemetry as obs
+from repro.obs.quantiles import QuantileSketch
 from repro.obs.stream import TelemetryStreamWriter, read_segment
-from repro.serving import (
-    WAIT_BOUNDARIES,
-    MicroBatchPolicy,
-    ServingEngine,
-    derive_arrivals,
-)
+from repro.serving import MicroBatchPolicy, ServingEngine, derive_arrivals
 from repro.simulation import SyntheticConfig, generate_city
 
 CONFIG = SyntheticConfig(num_brokers=20, num_requests=100, num_days=2, imbalance=0.1, seed=11)
@@ -107,15 +103,21 @@ def test_serving_metrics_land_in_telemetry_sketches():
     names = {entry["name"] for entry in metrics}
     assert {"serving.queue_wait", "serving.latency", "serving.microbatch_size"} <= names
     wait = next(e for e in metrics if e["name"] == "serving.queue_wait")
-    assert sum(wait["state"]["counts"]) == report.requests
+    assert wait["kind"] == "distribution"
+    assert wait["state"]["count"] == report.requests
     flushes = [e for e in metrics if e["name"] == "serving.flushes"]
     assert sum(int(e["state"]["value"]) for e in flushes) == report.micro_batches
-    # The embedded sketch answers the serving-latency quantiles.
-    hist = telemetry.registry.histogram(
-        "serving.queue_wait", boundaries=WAIT_BOUNDARIES, algorithm="Top-1"
-    )
-    p50, p95, p99 = hist.sketch.quantiles((0.5, 0.95, 0.99))
+    # The distribution answers the serving-latency quantiles.
+    wait = telemetry.registry.distribution("serving.queue_wait", algorithm="Top-1")
+    p50, p95, p99 = wait.quantiles((0.5, 0.95, 0.99))
     assert 0.0 <= p50 <= p95 <= p99
+    # One batched observation per micro-batch leaves the state of one
+    # observation per request, in service order (waits are virtual time).
+    per_request = QuantileSketch()
+    for value in report.queue_waits:
+        per_request.observe(float(value))
+    assert wait.state() == per_request.state()
+    assert float.hex(wait.sum) == float.hex(per_request.sum)
 
 
 def test_serving_gauges_are_labeled_per_algorithm_and_streamed(tmp_path):

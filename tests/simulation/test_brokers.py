@@ -1,5 +1,8 @@
 """Broker populations: arrays, skill correlation, determinism."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -39,10 +42,18 @@ def test_preference_tables_gather_rows(rng):
     ["district_pref", "type_pref", "response_rate", "district_fit", "type_fit", "response_fit"],
 )
 def test_preference_tables_and_sources_are_read_only(rng, name):
-    """The fit tables are derived once; writing a source would leave them stale."""
+    """The fit tables are derived once; writing a source would leave them stale.
+
+    The guard must survive copies too: numpy rebuilds copied arrays
+    writeable, in a deepcopy as in a pickle round trip.
+    """
     population = generate_population(5, 4, rng)
-    with pytest.raises(ValueError, match="read-only"):
-        getattr(population, name)[0] = 0.5
+    copies = (copy.deepcopy(population), pickle.loads(pickle.dumps(population)))
+    for candidate in (population, *copies):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(candidate, name)[0] = 0.5
+    for duplicate in copies:
+        np.testing.assert_array_equal(getattr(duplicate, name), getattr(population, name))
 
 
 def test_quality_mean_matches_fig2_band(rng):

@@ -7,7 +7,6 @@ from repro.engine.hooks import MetricsCollector
 from repro.engine.loop import DayLoopEngine
 from repro.engine.spec import MatcherSpec, PlatformSpec
 from repro.obs import telemetry as obs
-from repro.obs.metrics import COUNT_BOUNDARIES
 from repro.obs.stream import TelemetryStreamWriter, read_stream
 from repro.obs.telemetry import Telemetry
 from repro.simulation import SyntheticConfig
@@ -94,14 +93,12 @@ def test_resumed_run_merged_percentiles_equal_straight_through(tmp_path):
     merged.registry.merge(killed.registry.to_dict())
     merged.registry.merge(resumed.registry.to_dict())
 
-    def batch_hist(telemetry):
-        return telemetry.registry.histogram(
-            "engine.batch_requests", boundaries=COUNT_BOUNDARIES, algorithm="Top-3"
-        )
+    def batch_requests(telemetry):
+        return telemetry.registry.distribution("engine.batch_requests", algorithm="Top-3")
 
-    a, b = batch_hist(straight), batch_hist(merged)
-    assert a.sketch.count > 0
-    assert a.sketch.state() == b.sketch.state()
+    a, b = batch_requests(straight), batch_requests(merged)
+    assert a.count > 0
+    assert a.state() == b.state()
     for q in (0.5, 0.95, 0.99):
         assert a.quantile(q) == b.quantile(q)
     # Request totals partition exactly across the kill boundary too.
@@ -118,7 +115,5 @@ def test_resumed_run_merged_percentiles_equal_straight_through(tmp_path):
     view = read_stream(tmp_path / "stream")
     assert [s.final for s in view.segments] == [False, True]
     assert view.segments[0].day == KILL_DAY - 1
-    c = view.merged_registry().histogram(
-        "engine.batch_requests", boundaries=COUNT_BOUNDARIES, algorithm="Top-3"
-    )
-    assert 0 < c.sketch.count < a.sketch.count
+    c = view.merged_registry().distribution("engine.batch_requests", algorithm="Top-3")
+    assert 0 < c.count < a.count
