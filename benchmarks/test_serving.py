@@ -21,8 +21,11 @@ Two claims this bench tracks:
   transparency, never gated.
 
 Serving-vs-batch equivalence is asserted *before* any timing: the
-boundary-flush run must be bit-identical to the batch day loop for every
-suite algorithm (the neural VFGA-style matcher, LACB and LACB-Opt).
+boundary-flush serving twin of a batch run spec must be bit-identical to
+it (results and final matcher/platform state) for every suite algorithm
+(the neural VFGA-style matcher, LACB and LACB-Opt).  Every run here is a
+serving :class:`~repro.engine.spec.RunSpec`, the path ``repro-lacb
+serve`` takes.
 
 Emits ``BENCH_serving.json`` (tracked by ``repro-lacb baseline``).
 
@@ -32,16 +35,17 @@ Run modes::
     REPRO_BENCH_SMOKE=1 PYTHONPATH=src python -m pytest benchmarks/test_serving.py --benchmark-only
 """
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 
-from repro.algorithms import make_matcher
-from repro.check.serving import check_serving_equivalence
-from repro.engine.hooks import MetricsCollector
-from repro.serving import MicroBatchPolicy, ServingEngine, derive_arrivals
-from repro.simulation import SyntheticConfig, generate_city
+from repro.check.resume import _compare_results, _compare_states
+from repro.engine import MatcherSpec, PlatformSpec, RunSpec
+from repro.serving import ServingSpec
+from repro.simulation import SyntheticConfig
+from repro.state import CheckpointStore
 
 #: CI smoke mode: small instances, floors relaxed.
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
@@ -59,7 +63,15 @@ CITY = SyntheticConfig(
 )
 ALGORITHM = "LACB"
 WINDOW_SECONDS = 60.0
-ADAPTIVE = MicroBatchPolicy(max_wait=5.0, max_size=32)
+ADAPTIVE = ServingSpec(window_seconds=WINDOW_SECONDS, profile="bursty", max_wait=5.0, max_size=32)
+#: The fixed-window twin: max_wait defaults to the window length.
+FIXED = ServingSpec(window_seconds=WINDOW_SECONDS, profile="bursty")
+
+#: The small city the equivalence proof runs on: twelve requests per
+#: window, so row order inside a window matters.
+EQUIVALENCE_CITY = SyntheticConfig(
+    num_brokers=12, num_requests=90, num_days=3, imbalance=1.0, seed=1
+)
 
 #: Deterministic floors: fixed-window p99 queue wait sits near the window
 #: length while the adaptive policy's is bounded by max_wait, so the true
@@ -79,32 +91,56 @@ SWEEP_WINDOWS = (
 RESULT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_serving.json")
 
 
-def _serve(policy, window_seconds=WINDOW_SECONDS, profile="bursty"):
-    platform = generate_city(CITY)
-    matcher = make_matcher(ALGORITHM, platform, seed=7)
-    collector = MetricsCollector()
-    schedule = derive_arrivals(
-        platform.stream, window_seconds=window_seconds, profile=profile
+def _serve(serving, platform):
+    spec = RunSpec(
+        platform=PlatformSpec.synthetic(CITY),
+        matcher=MatcherSpec(ALGORITHM, seed=7),
+        serving=serving,
     )
-    engine = ServingEngine(policy=policy, schedule=schedule)
-    report = engine.run(platform, matcher, hooks=[collector])
-    return collector.result, report
+    result = spec.run(platform)
+    return result, result.serving
 
 
-def test_serving_saturation(benchmark):
+def _equivalence_violations(algorithm, root):
+    """Batch spec vs its boundary-flush serving twin: results and the final
+    matcher/platform checkpoints must match bitwise."""
+    batch = RunSpec(
+        platform=PlatformSpec.synthetic(EQUIVALENCE_CITY),
+        matcher=MatcherSpec(algorithm, seed=7),
+        store_outcomes=True,
+        store_assignments=True,
+        checkpoint_dir=root,
+    )
+    twin = dataclasses.replace(batch, serving=ServingSpec())
+    results, states = [], []
+    for spec in (batch, twin):
+        results.append(spec.run())
+        state = CheckpointStore(spec.run_directory(root)).load()
+        states.append((state["matcher"], state["platform"]))
+    report = results[1].serving
+    sides = dict(prefix="serving", labels=("batch", "serving"))
+    served = dataclasses.replace(results[1], serving=None)
+    violations = _compare_results(results[0], served, algorithm, **sides)
+    violations += _compare_states(states[0], states[1], algorithm, **sides)
+    assert report.flush_reasons["boundary"] == report.micro_batches
+    return violations
+
+
+def test_serving_saturation(benchmark, tmp_path):
     # ------------------------------------------------------------------
     # Correctness before timing: boundary-flush serving is bit-identical
     # to the batch day loop for every suite algorithm.
     # ------------------------------------------------------------------
     for algorithm in EQUIVALENCE_ALGORITHMS:
-        violations = check_serving_equivalence(algorithm=algorithm, num_days=3)
+        violations = _equivalence_violations(algorithm, str(tmp_path))
         assert violations == [], f"{algorithm}: {[str(v) for v in violations]}"
 
     # ------------------------------------------------------------------
     # Adaptive vs fixed windows on the bursty profile (gated ratios).
     # ------------------------------------------------------------------
-    fixed_result, fixed = _serve(MicroBatchPolicy.boundary(WINDOW_SECONDS))
-    adaptive_result, adaptive = _serve(ADAPTIVE)
+    platform = PlatformSpec.synthetic(CITY).build()
+    fixed_result, fixed = _serve(FIXED, platform)
+    adaptive_result, adaptive = _serve(ADAPTIVE, platform)
 
     fixed_p99 = fixed.wait_quantiles()[2]
     adaptive_p99 = adaptive.wait_quantiles()[2]
@@ -118,10 +154,8 @@ def test_serving_saturation(benchmark):
     # ------------------------------------------------------------------
     curve = []
     for window in SWEEP_WINDOWS:
-        _, report = _serve(ADAPTIVE, window_seconds=window)
-        offered = report.requests / (
-            CITY.num_days * report.context.batches_per_day * window
-        )
+        _, report = _serve(dataclasses.replace(ADAPTIVE, window_seconds=window), platform)
+        offered = report.requests / (CITY.num_days * platform.batches_per_day * window)
         utilization = (
             float(report.service_seconds.sum()) / report.makespan
             if report.makespan > 0
@@ -143,7 +177,7 @@ def test_serving_saturation(benchmark):
 
     # One recorded pass for the pytest-benchmark tables: the adaptive
     # bursty serving run, the hot loop this bench exists to watch.
-    benchmark.pedantic(lambda: _serve(ADAPTIVE), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: _serve(ADAPTIVE, platform), rounds=1, iterations=1)
 
     payload = {
         "bench": "serving",

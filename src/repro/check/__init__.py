@@ -51,8 +51,6 @@ __all__ = [
     "run_self_check",
     "check_resume_equivalence",
     "run_resume_suite",
-    "check_serving_equivalence",
-    "run_serving_suite",
 ]
 
 _LAZY = {
@@ -61,8 +59,6 @@ _LAZY = {
     "run_self_check": ("repro.check.selfcheck", "run_self_check"),
     "check_resume_equivalence": ("repro.check.resume", "check_resume_equivalence"),
     "run_resume_suite": ("repro.check.resume", "run_resume_suite"),
-    "check_serving_equivalence": ("repro.check.serving", "check_serving_equivalence"),
-    "run_serving_suite": ("repro.check.serving", "run_serving_suite"),
 }
 
 

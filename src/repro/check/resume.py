@@ -30,21 +30,22 @@ from __future__ import annotations
 import dataclasses
 import shutil
 import tempfile
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.check.runtime import Violation
 from repro.obs import telemetry as obs
 
-if TYPE_CHECKING:  # imported lazily, like every engine dependency below
-    from repro.engine.loop import DayLoopEngine
-
 #: RunResult fields excluded from the bitwise comparison: decision time is
 #: wall-clock, so two segments can never reproduce one segment's timings.
 #: Timer *state* still round-trips (totals accumulate across segments) —
 #: that is covered by the hook round-trip tests, not by equivalence.
 TIMING_FIELDS = ("decision_time", "daily_decision_time")
+
+#: ServingReport fields excluded likewise: latencies, service seconds and
+#: the makespan carry measured solver time.  Queue waits, batch sizes,
+#: flush reasons and request counts are virtual time and compare bitwise.
+SERVING_TIMING_FIELDS = ("latencies", "service_seconds", "makespan")
 
 #: Algorithms cycled by :func:`run_resume_suite` — the stateless KM
 #: baseline, the full LACB stack (bandit + value function + shared RNG)
@@ -72,10 +73,11 @@ def _compare_results(
 ) -> list[Violation]:
     """Bitwise RunResult comparison, timing excluded.
 
-    Shared by every ≡-style suite: resume equivalence compares a straight
-    run against a checkpoint/kill/resume run, serving equivalence
-    (:mod:`repro.check.serving`) a batch day loop against a
-    boundary-flush serving run.  ``prefix`` names the violations
+    Shared by every ≡-style check: resume equivalence compares a straight
+    run against a checkpoint/kill/resume run, serving equivalence a batch
+    spec against its boundary-flush serving twin.  A serving report on
+    both sides compares field by field, :data:`SERVING_TIMING_FIELDS`
+    excluded.  ``prefix`` names the violations
     (``<prefix>.result_diverges`` etc.), ``labels`` the two sides.
     """
     violations: list[Violation] = []
@@ -114,20 +116,28 @@ def _compare_results(
                     )
                 )
             continue
-        if isinstance(a, np.ndarray):
-            same = a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
-        elif isinstance(a, float):
-            same = a == b or (np.isnan(a) and np.isnan(b))
-        else:
-            same = a == b
-        if not same:
-            violations.append(
-                Violation(
-                    f"{prefix}.result_diverges",
-                    f"RunResult.{field.name}: {left} {a!r} != {right} {b!r}",
-                    algorithm=algorithm,
+        pairs = [(field.name, a, b)]
+        if field.name == "serving" and a is not None and b is not None:
+            pairs = [
+                (f"serving.{f.name}", getattr(a, f.name), getattr(b, f.name))
+                for f in dataclasses.fields(a)
+                if f.name not in SERVING_TIMING_FIELDS
+            ]
+        for name, x, y in pairs:
+            if isinstance(x, np.ndarray):
+                same = x.shape == y.shape and np.array_equal(x, y, equal_nan=True)
+            elif isinstance(x, float):
+                same = x == y or (np.isnan(x) and np.isnan(y))
+            else:
+                same = x == y
+            if not same:
+                violations.append(
+                    Violation(
+                        f"{prefix}.result_diverges",
+                        f"RunResult.{name}: {left} {x!r} != {right} {y!r}",
+                        algorithm=algorithm,
+                    )
                 )
-            )
     return violations
 
 
@@ -140,8 +150,11 @@ def _compare_states(
 ) -> list[Violation]:
     """Final ``(matcher, platform)`` snapshots must be state-equal.
 
-    Shared like :func:`_compare_results`; violations are named
-    ``<prefix>.matcher_state_diverges`` / ``<prefix>.platform_state_diverges``.
+    ``left`` / ``right`` are ``(matcher snapshot, platform snapshot)``
+    pairs: taken from live objects, or loaded from a run's final
+    checkpoint.  Shared like :func:`_compare_results`; violations are
+    named ``<prefix>.matcher_state_diverges`` /
+    ``<prefix>.platform_state_diverges``.
     """
     from repro.state import state_equal
 
@@ -152,7 +165,7 @@ def _compare_states(
             algorithm=algorithm,
         )
         for name, a, b in zip(("matcher", "platform"), left, right)
-        if not state_equal(a.snapshot(), b.snapshot())
+        if not state_equal(a, b)
     ]
 
 
@@ -165,8 +178,6 @@ def check_resume_equivalence(
     seed: int = 7,
     instance_seed: int = 1,
     directory: str | None = None,
-    engine: DayLoopEngine | None = None,
-    **city,
 ) -> list[Violation]:
     """Prove straight-through ≡ checkpoint/kill/resume for one scenario.
 
@@ -178,14 +189,6 @@ def check_resume_equivalence(
         seed / instance_seed: matcher and city seeds.
         directory: checkpoint store location; a throwaway temp directory
             (removed afterwards) when omitted.
-        engine: the engine driving all three segments — any
-            :class:`~repro.engine.loop.DayLoopEngine`, e.g. a
-            :class:`~repro.serving.ServingEngine` whose schedule was
-            derived from this city; a plain day loop when omitted.
-        city: further :class:`~repro.simulation.datasets.SyntheticConfig`
-            fields, e.g. ``appeal_rate`` (appeals re-queue requests into
-            later windows, so a resumed segment must carry the platform's
-            appeal backlog) or ``imbalance`` (requests per window).
 
     Returns:
         Violations (empty when the equivalence holds bitwise).
@@ -208,15 +211,13 @@ def check_resume_equivalence(
             num_requests=num_requests,
             num_days=num_days,
             seed=instance_seed,
-            **city,
         )
     )
     temp_dir = None
     if directory is None:
         directory = temp_dir = tempfile.mkdtemp(prefix="repro-resume-check-")
     violations: list[Violation] = []
-    if engine is None:
-        engine = DayLoopEngine()
+    engine = DayLoopEngine()
     try:
         platform, matcher, collector = _build(platform_spec, algorithm, seed)
         engine.run(platform, matcher, hooks=(collector,))
@@ -266,7 +267,11 @@ def check_resume_equivalence(
 
         violations.extend(_compare_results(straight, resumed, algorithm))
         violations.extend(
-            _compare_states((matcher, platform), (matcher3, platform3), algorithm)
+            _compare_states(
+                (matcher.snapshot(), platform.snapshot()),
+                (matcher3.snapshot(), platform3.snapshot()),
+                algorithm,
+            )
         )
     finally:
         if temp_dir is not None:

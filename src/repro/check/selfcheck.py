@@ -43,6 +43,7 @@ class SelfCheckReport:
         invariants_checked: structural invariant evaluations performed.
         solver_checks: sampled solver-oracle spot checks performed.
         property_cases: randomized property cases run (across all suites).
+        resume_cases: checkpoint/kill/resume equivalence cases run.
         algorithms: algorithm names the invariant phase drove.
     """
 

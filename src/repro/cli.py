@@ -7,8 +7,8 @@ Subcommands:
 - ``city``     — the Fig. 9-11 evaluation on a real-like city;
 - ``motivate`` — the Sec. II measurement study (Figs. 2-4);
 - ``serve``    — event-driven serving mode: micro-batched matching over a
-  deterministic arrival process, with queue-wait/latency quantiles
-  (``--equivalence`` proves boundary-flush serving ≡ the batch day loop);
+  deterministic arrival process, with queue-wait/latency quantiles (one
+  serving :class:`~repro.engine.spec.RunSpec` per algorithm);
 - ``timing``   — the per-batch matching-cost profile (the CBS speedup);
 - ``report``   — render the telemetry a ``--telemetry DIR`` run exported
   (falls back to streamed partials when the run crashed before export);
@@ -21,9 +21,10 @@ Subcommands:
   small simulated city plus the differential property suites
   (see ``docs/correctness.md``).
 
-``compare``, ``sweep`` and ``city`` additionally accept ``--check``, which
-runs them with runtime invariant enforcement on (aborting on the first
-violation); checks observe only and never change results.
+``compare``, ``sweep``, ``city`` and ``serve`` additionally accept
+``--check``, which runs them with runtime invariant enforcement on
+(aborting on the first violation); checks observe only and never change
+results.
 
 Output discipline: result tables go to **stdout**; everything diagnostic
 (progress, destinations, warnings) goes through :mod:`repro.obs.logging`
@@ -329,46 +330,30 @@ def _cmd_develop(args: argparse.Namespace) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> None:
-    from repro.engine.hooks import MetricsCollector
-    from repro.serving import MicroBatchPolicy, ServingEngine, derive_arrivals
+    from repro.serving import ServingSpec
 
-    if args.equivalence:
-        from repro.check.serving import run_serving_suite
-
-        cases, violations = run_serving_suite(num_days=min(args.days, 4))
-        print(f"serving equivalence: {cases} case(s) checked")
-        if violations:
-            print(f"FAILED: {len(violations)} violation(s)")
-            for violation in violations:
-                print(f"  - {violation}")
-            raise SystemExit(1)
-        print("OK: boundary-flush serving is bit-identical to the batch day loop")
-        return
-
+    serving = ServingSpec(
+        window_seconds=args.window_seconds,
+        profile=args.profile,
+        arrival_seed=args.arrival_seed,
+        burst_amplitude=args.burst_amplitude,
+        max_wait=args.max_wait,
+        max_size=args.max_size,
+    )
     platform_spec = PlatformSpec.synthetic(_config_from(args))
-    max_wait = args.max_wait if args.max_wait is not None else args.window_seconds
-    policy = MicroBatchPolicy(max_wait=max_wait, max_size=args.max_size)
+    specs = [
+        RunSpec(platform=platform_spec, matcher=MatcherSpec(name, seed=args.seed), serving=serving)
+        for name in args.algorithms
+    ]
     rows = []
-    for name in args.algorithms:
-        platform = platform_spec.build()
-        matcher = MatcherSpec(name, seed=args.seed).build(platform)
-        collector = MetricsCollector()
-        schedule = derive_arrivals(
-            platform.stream,
-            window_seconds=args.window_seconds,
-            profile=args.profile,
-            seed=args.arrival_seed,
-            burst_amplitude=args.burst_amplitude,
-        )
-        engine = ServingEngine(policy=policy, schedule=schedule)
-        report = engine.run(platform, matcher, hooks=[collector])
-        result = collector.result
+    for name, run in zip(args.algorithms, run_many(specs)):
+        report = run.serving
         wait_p50, _, wait_p99 = report.wait_quantiles()
         _, _, latency_p99 = report.latency_quantiles()
         rows.append(
             (
                 name,
-                result.total_realized_utility,
+                run.total_realized_utility,
                 report.requests,
                 report.micro_batches,
                 wait_p50,
@@ -392,7 +377,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
             rows,
             title=(
                 f"Serving mode ({args.profile} arrivals, window {args.window_seconds:g}s, "
-                f"max-wait {max_wait:g}s"
+                f"max-wait {serving.policy.max_wait:g}s"
                 + (f", max-size {args.max_size}" if args.max_size else "")
                 + ")"
             ),
@@ -703,12 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_amplitude,
         default=1.2,
         help="bursty profile amplitude in [0, 2); 0 degenerates to uniform",
-    )
-    serve.add_argument(
-        "--equivalence",
-        action="store_true",
-        help="run the serving-vs-batch equivalence suite instead of serving "
-        "(exits non-zero on any divergence)",
     )
     _add_telemetry_argument(serve)
     _add_check_argument(serve)

@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
 from repro.core.types import Assignment, DayOutcome
 from repro.engine.loop import BatchAssignedEvent, DayEndEvent, DayStartEvent, RunContext
 from repro.state.protocol import StateError, expect, versioned
+
+if TYPE_CHECKING:  # repro.serving imports the engine; typing only
+    from repro.serving import ServingReport
 
 
 @dataclass
@@ -43,6 +46,8 @@ class RunResult:
         outcomes: the raw day outcomes (kept only when requested).
         assignments: the per-pair assignment log (kept only when requested;
             the raw material for trace export and utility-model training).
+        serving: the :class:`~repro.serving.ServingReport` of a serving
+            run spec (``None`` for batch runs).
     """
 
     algorithm: str
@@ -58,6 +63,7 @@ class RunResult:
     num_assigned: int
     outcomes: list[DayOutcome] = field(default_factory=list)
     assignments: list[Assignment] = field(default_factory=list)
+    serving: ServingReport | None = None
 
 
 class RunHook:

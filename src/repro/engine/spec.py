@@ -6,7 +6,9 @@ algorithm and execute one run.  Because instances are fully determined by
 their configuration seeds (see ``docs/architecture.md``), a spec executed
 anywhere yields bit-identical results, which is what lets the
 :mod:`~repro.engine.executor` fan sweeps out over a process pool without
-shipping live platform objects around.
+shipping live platform objects around.  An optional serving recipe
+(:class:`~repro.serving.ServingSpec`) turns the same run into a serving
+run; nothing else about execution changes.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 from repro.core.config import BanditConfig, LACBConfig
 from repro.simulation.datasets import (
@@ -22,6 +25,9 @@ from repro.simulation.datasets import (
     generate_city,
     real_like_city,
 )
+
+if TYPE_CHECKING:  # repro.serving imports the engine; typing only
+    from repro.serving import ServingSpec
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,10 @@ class RunSpec:
             found under ``resume_from/<run_id>`` and continues from the
             following day; an empty or missing store silently starts from
             day 0, so ``--resume`` is safe on a first run.
+        serving: when set, the run is served as arrival events by the
+            :class:`~repro.serving.ServingEngine` this recipe builds, and
+            its report lands on ``RunResult.serving``; ``None`` (the
+            default) runs the batch day loop.
     """
 
     platform: PlatformSpec
@@ -151,20 +161,25 @@ class RunSpec:
     checkpoint_dir: str | None = None
     checkpoint_every: int = 1
     resume_from: str | None = None
+    serving: ServingSpec | None = None
 
     def run_id(self) -> str:
         """Stable per-spec identity naming this run's checkpoint store.
 
         Combines a readable matcher slug with a digest over everything that
         determines the trajectory (platform recipe, matcher recipe incl.
-        config overrides, and the sweep tag), so two specs share a store
-        directory iff they would produce bit-identical runs.
+        config overrides, the sweep tag and any serving recipe), so two
+        specs share a store directory iff they would produce bit-identical
+        runs.  Batch specs keep the identity they had before serving
+        recipes existed.
         """
         identity = (
             self.platform.cache_key(),
             tuple(repr(getattr(self.matcher, f.name)) for f in fields(self.matcher)),
             self.tag,
         )
+        if self.serving is not None:
+            identity += (repr(self.serving),)
         digest = hashlib.sha256(repr(identity).encode("utf-8")).hexdigest()[:10]
         slug = self.matcher.name.lower().replace(" ", "-").replace("/", "-")
         return f"{slug}-s{self.matcher.seed}-{digest}"
@@ -173,7 +188,7 @@ class RunSpec:
         """This spec's store directory under a checkpoint root."""
         return os.path.join(root, self.run_id())
 
-    def _restore_latest(self, platform, matcher, collector):
+    def _restore_latest(self, platform, matcher, components: dict):
         """Restore the newest checkpoint under ``resume_from``, if any.
 
         Returns:
@@ -191,7 +206,8 @@ class RunSpec:
         state = store.load(record)
         platform.restore(state["platform"])
         matcher.restore(state["matcher"])
-        collector.restore(state["hooks"]["collector"])
+        for name, component in components.items():
+            component.restore(state["hooks"][name])
         return record.day + 1, record
 
     def run(self, platform=None):
@@ -211,10 +227,17 @@ class RunSpec:
         collector = MetricsCollector(
             store_outcomes=self.store_outcomes, store_assignments=self.store_assignments
         )
+        # The durable hook state: a serving engine checkpoints its report
+        # so far, so a resumed serving run reports the whole horizon.
+        components: dict = {"collector": collector}
+        if self.serving is None:
+            engine = DayLoopEngine()
+        else:
+            engine = components["serving"] = self.serving.build(platform)
         start_day = 0
         parent = None
         if self.resume_from is not None:
-            start_day, parent = self._restore_latest(platform, matcher, collector)
+            start_day, parent = self._restore_latest(platform, matcher, components)
         hooks: tuple = (collector,)
         if self.checkpoint_dir is not None:
             from repro.state import CheckpointHook, CheckpointStore
@@ -225,10 +248,13 @@ class RunSpec:
                     store,
                     run_id=self.run_id(),
                     every=self.checkpoint_every,
-                    components={"collector": collector},
+                    components=components,
                     parent_run_id=None if parent is None else parent.run_id,
                     resumed_from_day=None if parent is None else parent.day,
                 ),
             )
-        DayLoopEngine().run(platform, matcher, hooks=hooks, start_day=start_day)
-        return collector.result
+        report = engine.run(platform, matcher, hooks=hooks, start_day=start_day)
+        result = collector.result
+        if self.serving is not None:
+            result.serving = report
+        return result

@@ -21,14 +21,18 @@ engine phase frame — visually "work done at that point of the day", with
 self time clamped at zero.
 
 Per-day attribution comes from :attr:`SpanRecord.day`, stamped by the day
-loop — so every table here is a pure function of the recorded spans:
-byte-identical spans give byte-identical profiles.
+loop, and per-algorithm attribution from the span's ``algorithm`` attr,
+stamped by the telemetry layer — so every table here is a pure function
+of the recorded spans: byte-identical spans give byte-identical profiles.
+CPU seconds are measured on the engine phases only; live spans record
+wall time and report CPU as unknown.
 
 Outputs:
 
 - :func:`phase_stats` — per-phase calls / wall / CPU (day-filterable);
-- :func:`day_rows` — per-day × per-phase attribution;
-- :func:`hotspots` — top-N phases by *self* wall time (tree-based);
+- :func:`day_rows` — per-algorithm × per-day × per-phase attribution;
+- :func:`hotspots` — per algorithm, top-N phases by *self* wall time
+  (tree-based);
 - :func:`collapsed_stacks` / :func:`write_collapsed` — the
   ``flamegraph.pl`` / speedscope collapsed-stack format, one
   ``root;child;leaf <microseconds>`` line per stack.
@@ -37,12 +41,14 @@ Outputs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby, islice
 from typing import Iterable, Sequence
 
 from repro.obs.tracing import SpanRecord
 
-#: Synthesized engine phases (the decision-time partition); these adopt
-#: unclaimed same-depth spans during tree reconstruction.
+#: Synthesized engine phases: their totals sum to
+#: ``RunResult.decision_time``, and they adopt unclaimed same-depth spans
+#: during tree reconstruction.
 ENGINE_PHASES = ("engine.begin_day", "engine.assign_batch", "engine.end_day")
 
 
@@ -135,23 +141,25 @@ def phase_stats(
 
 def day_rows(
     records: Iterable[SpanRecord], phases: Sequence[str] | None = None
-) -> list[tuple[int, str, int, float, float]]:
-    """Per-day × per-phase ``(day, name, calls, wall s, cpu s)`` rows.
+) -> list[tuple[str, int, str, int, float, float]]:
+    """Per-algorithm × per-day × per-phase ``(algorithm, day, name, calls,
+    wall s, cpu s)`` rows.
 
-    Days sort ascending (day ``-1`` — outside any day — last); phases
-    wall-descending within a day.  ``phases`` restricts to the named
-    phases (default: all).
+    Algorithms sort by name; days ascending within one (day ``-1`` —
+    outside any day — last); phases wall-descending within a day.
+    ``phases`` restricts to the named phases (default: all).
     """
     wanted = set(phases) if phases is not None else None
-    by_day: dict[int, list[SpanRecord]] = {}
+    groups: dict[tuple[str, int], list[SpanRecord]] = {}
     for record in records:
         if wanted is not None and record.name not in wanted:
             continue
-        by_day.setdefault(record.day, []).append(record)
-    rows: list[tuple[int, str, int, float, float]] = []
-    for day in sorted(by_day, key=lambda d: (d < 0, d)):
-        for name, calls, wall, cpu in phase_stats(by_day[day]):
-            rows.append((day, name, calls, wall, cpu))
+        key = (record.attrs.get("algorithm", ""), record.day)
+        groups.setdefault(key, []).append(record)
+    rows: list[tuple[str, int, str, int, float, float]] = []
+    for algorithm, day in sorted(groups, key=lambda key: (key[0], key[1] < 0, key[1])):
+        for name, calls, wall, cpu in phase_stats(groups[algorithm, day]):
+            rows.append((algorithm, day, name, calls, wall, cpu))
     return rows
 
 
@@ -160,17 +168,20 @@ def day_rows(
 # ----------------------------------------------------------------------
 def hotspots(
     records: Iterable[SpanRecord], top: int = 10
-) -> list[tuple[str, int, float, float, float]]:
-    """Top phases by self time: ``(name, calls, wall, self, cpu)``.
+) -> list[tuple[str, str, int, float, float, float]]:
+    """Top phases by self time, per algorithm:
+    ``(algorithm, name, calls, wall, self, cpu)``.
 
     Self time is wall time minus reconstructed children — the honest
     "where is time actually spent" number: a phase that merely wraps an
-    expensive callee ranks below the callee itself.
+    expensive callee ranks below the callee itself.  Algorithms sort by
+    name; ``top`` (0 = all) applies within each algorithm.
     """
-    stats: dict[str, list[float]] = {}
+    stats: dict[tuple[str, str], list[float]] = {}
     for node in _walk(build_forest(records)):
         record = node.record
-        entry = stats.setdefault(record.name, [0, 0.0, 0.0, 0.0, 0])
+        key = (record.attrs.get("algorithm", ""), record.name)
+        entry = stats.setdefault(key, [0, 0.0, 0.0, 0.0, 0])
         entry[0] += 1
         entry[1] += record.duration
         entry[2] += node.self_seconds
@@ -178,11 +189,15 @@ def hotspots(
             entry[3] += record.cpu
             entry[4] += 1
     rows = [
-        (name, int(calls), wall, self_s, cpu if measured else -1.0)
-        for name, (calls, wall, self_s, cpu, measured) in stats.items()
+        (algorithm, name, int(calls), wall, self_s, cpu if measured else -1.0)
+        for (algorithm, name), (calls, wall, self_s, cpu, measured) in stats.items()
     ]
-    rows.sort(key=lambda row: (-row[3], row[0]))
-    return rows[:top] if top else rows
+    rows.sort(key=lambda row: (row[0], -row[4], row[1]))
+    return [
+        row
+        for _, group in groupby(rows, key=lambda row: row[0])
+        for row in islice(group, top or None)
+    ]
 
 
 def collapsed_stacks(records: Iterable[SpanRecord]) -> dict[str, int]:

@@ -10,8 +10,9 @@
   bandit predict/update, value-function updates), each with call counts,
   totals, share of decision time and p50/p95/p99 latencies from the
   mergeable quantile sketches, and
-- profiler sections built from the span stream: top self-time hotspots
-  and wall/CPU attribution (see :mod:`repro.obs.profile`).
+- profiler sections built from the span stream, per algorithm: top
+  self-time hotspots and per-day engine-phase wall/CPU attribution (see
+  :mod:`repro.obs.profile`).
 
 Crashed runs still report: when ``metrics.json`` is missing (the process
 died before export), the loader falls back to the live stream segments
@@ -26,14 +27,13 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import groupby, islice
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import ENGINE_PHASES, day_rows, hotspots
 from repro.obs.quantiles import REPORT_QUANTILES
 from repro.obs.telemetry import MANIFEST_JSON, METRICS_JSON, SPANS_JSONL
 from repro.obs.tracing import SpanRecord
-
-#: The engine-measured phases whose totals sum to ``RunResult.decision_time``.
-ENGINE_PHASES = ("engine.begin_day", "engine.assign_batch", "engine.end_day")
 
 
 def _load_with_fallback(directory) -> tuple[dict | None, MetricsRegistry, str]:
@@ -163,32 +163,36 @@ def _format_cpu(cpu: float) -> str:
 
 
 def hotspot_rows(spans: list[SpanRecord], top: int = 10) -> list[tuple]:
-    """Self-time hotspot rows: (phase, calls, wall s, self s, cpu)."""
-    from repro.obs.profile import hotspots
-
+    """Self-time hotspot rows per algorithm: (algorithm, phase, calls,
+    wall s, self s, cpu)."""
     return [
-        (name, calls, wall, self_s, _format_cpu(cpu))
-        for name, calls, wall, self_s, cpu in hotspots(spans, top=top)
+        (algorithm or "-", name, calls, wall, self_s, _format_cpu(cpu))
+        for algorithm, name, calls, wall, self_s, cpu in hotspots(spans, top=top)
     ]
 
 
 def day_profile_rows(spans: list[SpanRecord], top_days: int = 10) -> list[tuple]:
-    """Per-day engine-phase attribution, worst ``top_days`` days by wall.
+    """Per-algorithm, per-day engine-phase attribution, each algorithm's
+    worst ``top_days`` days by wall.
 
-    Columns: (day, phase, calls, wall s, cpu).  Day ``-1`` (outside the
-    loop) is excluded — it holds run-end bookkeeping, not day work.
+    Columns: (algorithm, day, phase, calls, wall s, cpu).  Day ``-1``
+    (outside the loop) is excluded — it holds run-end bookkeeping, not
+    day work.
     """
-    from repro.obs.profile import day_rows
-
-    rows = [row for row in day_rows(spans, phases=ENGINE_PHASES) if row[0] >= 0]
-    day_wall: dict[int, float] = {}
-    for day, _name, _calls, wall, _cpu in rows:
-        day_wall[day] = day_wall.get(day, 0.0) + wall
-    worst = set(sorted(day_wall, key=lambda d: -day_wall[d])[:top_days])
+    rows = [row for row in day_rows(spans, phases=ENGINE_PHASES) if row[1] >= 0]
+    day_wall: dict[tuple[str, int], float] = {}
+    for algorithm, day, _name, _calls, wall, _cpu in rows:
+        day_wall[algorithm, day] = day_wall.get((algorithm, day), 0.0) + wall
+    ranked = sorted(day_wall, key=lambda key: (key[0], -day_wall[key]))
+    worst = {
+        key
+        for _, group in groupby(ranked, key=lambda key: key[0])
+        for key in islice(group, top_days)
+    }
     return [
-        (day, name, calls, wall, _format_cpu(cpu))
-        for day, name, calls, wall, cpu in rows
-        if day in worst
+        (algorithm or "-", day, name, calls, wall, _format_cpu(cpu))
+        for algorithm, day, name, calls, wall, cpu in rows
+        if (algorithm, day) in worst
     ]
 
 
@@ -416,7 +420,7 @@ def render_report(directory) -> str:
         lines.append("")
         lines.append(
             format_table(
-                ["phase", "calls", "wall s", "self s", "cpu s"],
+                ["algorithm", "phase", "calls", "wall s", "self s", "cpu s"],
                 hotspot_rows(spans),
                 title="Hotspots (by self time, span-tree reconstruction)",
             )
@@ -426,7 +430,7 @@ def render_report(directory) -> str:
             lines.append("")
             lines.append(
                 format_table(
-                    ["day", "phase", "calls", "wall s", "cpu s"],
+                    ["algorithm", "day", "phase", "calls", "wall s", "cpu s"],
                     day_table,
                     title="Per-day engine phases (worst 10 days by wall time)",
                 )

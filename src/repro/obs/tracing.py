@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from time import process_time
 from typing import Callable, Iterable, Mapping
 
 
@@ -46,8 +45,11 @@ class SpanRecord:
         day: the engine day the span executed under (``-1`` outside any
             day; stamped from :attr:`Tracer.day`, which the day loop
             maintains — the substrate of per-day profiling).
-        cpu: CPU seconds consumed inside the span (``process_time``
-            delta); ``-1.0`` when unmeasured (synthesized spans).
+        cpu: CPU seconds consumed inside the span; ``-1.0`` when
+            unmeasured.  Only the engine phases carry it (the engine times
+            matcher calls on both clocks); live spans measure wall time
+            alone, because a ``process_time`` call per span is what
+            telemetry would cost on hot paths.
         attrs: free-form string attributes (algorithm, day, ...).
     """
 
@@ -89,7 +91,7 @@ class SpanRecord:
 class _Span:
     """Context manager produced by :meth:`Tracer.span`."""
 
-    __slots__ = ("_tracer", "name", "attrs", "_start", "_cpu_start")
+    __slots__ = ("_tracer", "name", "attrs", "_start")
 
     def __init__(self, tracer: Tracer, name: str, attrs: dict[str, str]) -> None:
         self._tracer = tracer
@@ -99,18 +101,14 @@ class _Span:
     def __enter__(self) -> _Span:
         tracer = self._tracer
         tracer._depth += 1
-        self._cpu_start = process_time()
         self._start = tracer._clock()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         tracer = self._tracer
         end = tracer._clock()
-        cpu = process_time() - self._cpu_start
         tracer._depth -= 1
-        tracer._finish(
-            self.name, self._start, end - self._start, tracer._depth, self.attrs, cpu=cpu
-        )
+        tracer._finish(self.name, self._start, end - self._start, tracer._depth, self.attrs)
 
 
 class Tracer:

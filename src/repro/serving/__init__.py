@@ -14,12 +14,14 @@ Modules:
 - :mod:`repro.serving.microbatch` — the micro-batch policy and the
   load-leveling queue in front of the solver;
 - :mod:`repro.serving.engine` — the :class:`ServingEngine` (the day
-  loop with windows split into micro-batches) and its
-  :class:`ServingReport`.
+  loop with windows split into micro-batches), its
+  :class:`ServingReport`, and the :class:`ServingSpec` recipe that makes
+  serving a property of a :class:`~repro.engine.spec.RunSpec`.
 
 The degenerate policy (``MicroBatchPolicy.boundary(window_seconds)``)
-reproduces the batch day loop bit for bit; :mod:`repro.check.serving`
-proves it.
+reproduces the batch day loop bit for bit;
+``tests/serving/test_equivalence.py`` proves it on batch specs and their
+serving twins.
 """
 
 from repro.serving.arrivals import (
@@ -29,7 +31,7 @@ from repro.serving.arrivals import (
     ArrivalSchedule,
     derive_arrivals,
 )
-from repro.serving.engine import REPORT_QUANTILES, ServingEngine, ServingReport
+from repro.serving.engine import REPORT_QUANTILES, ServingEngine, ServingReport, ServingSpec
 from repro.serving.microbatch import (
     FLUSH_REASONS,
     LoadLevelingQueue,
@@ -49,5 +51,6 @@ __all__ = [
     "REPORT_QUANTILES",
     "ServingEngine",
     "ServingReport",
+    "ServingSpec",
     "derive_arrivals",
 ]

@@ -31,11 +31,15 @@ answer p50/p95/p99.  Micro-batch sizes and flush reasons ride along
 (``serving.microbatch_size``, ``serving.flushes``), and the
 ``serving.makespan`` / ``serving.throughput_rps`` gauges are set while the
 run's algorithm label is still active.
+
+A :class:`ServingSpec` is the same engine as plain data: set it as
+:attr:`~repro.engine.spec.RunSpec.serving` and the run goes through the
+executor like any batch run, with its report on ``RunResult.serving``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -43,8 +47,14 @@ import numpy as np
 from repro.engine.loop import DayLoopEngine, RunContext
 from repro.obs import telemetry as obs
 from repro.obs.quantiles import REPORT_QUANTILES
-from repro.serving.arrivals import ArrivalSchedule
+from repro.serving.arrivals import (
+    DEFAULT_BURST_AMPLITUDE,
+    DEFAULT_WINDOW_SECONDS,
+    ArrivalSchedule,
+    derive_arrivals,
+)
 from repro.serving.microbatch import FLUSH_REASONS, LoadLevelingQueue, MicroBatchPolicy
+from repro.state.protocol import expect, versioned
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.algorithms.base import Matcher
@@ -58,10 +68,11 @@ class ServingReport:
 
     The run's :class:`~repro.engine.hooks.RunResult` still comes from a
     :class:`~repro.engine.hooks.MetricsCollector` hook, exactly as in
-    batch mode; this report adds the serving-only quantities.
+    batch mode; this report adds the serving-only quantities (a serving
+    :class:`~repro.engine.spec.RunSpec` puts it on ``RunResult.serving``).
+    Plain data, so it crosses a process pool with the result.
 
     Attributes:
-        context: the run's context (as handed to every hook).
         profile / window_seconds / policy: the serving configuration.
         requests: total request events served.
         micro_batches: micro-batches flushed.
@@ -75,7 +86,6 @@ class ServingReport:
         makespan: virtual completion time of the last micro-batch.
     """
 
-    context: RunContext
     profile: str
     window_seconds: float
     policy: MicroBatchPolicy
@@ -126,6 +136,7 @@ class ServingEngine(DayLoopEngine):
 
     policy: MicroBatchPolicy
     schedule: ArrivalSchedule
+    _pending: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def run(
         self,
@@ -136,8 +147,10 @@ class ServingEngine(DayLoopEngine):
     ) -> ServingReport:
         """Serve the horizon from ``start_day``, notifying ``hooks`` throughout.
 
-        A resumed run (``start_day > 0``) reports only the days it served:
-        the queue starts empty, which no decision depends on.
+        The report covers the days this call served, preceded by the days
+        a :meth:`restore` reinstalled (how a resumed run reports its whole
+        horizon).  Without a restore, a resumed run reports only its own
+        days.
         """
         schedule = self.schedule
         if (
@@ -155,6 +168,9 @@ class ServingEngine(DayLoopEngine):
         self._sizes: list[int] = []
         self._services: list[float] = []
         self._reasons = dict.fromkeys(FLUSH_REASONS, 0)
+        if self._pending is not None:
+            self._apply_restore(self._pending)
+            self._pending = None
         super().run(platform, matcher, hooks, start_day)
         return self._report
 
@@ -191,9 +207,8 @@ class ServingEngine(DayLoopEngine):
         obs.add("serving.requests", micro.size)
 
     def _finish(self, context: RunContext) -> None:
-        waits = np.concatenate(self._waits) if self._waits else np.zeros(0)
+        waits = _concat(self._waits)
         self._report = report = ServingReport(
-            context=context,
             profile=self.schedule.profile,
             window_seconds=self.schedule.window_seconds,
             policy=self.policy,
@@ -201,9 +216,9 @@ class ServingEngine(DayLoopEngine):
             micro_batches=len(self._sizes),
             flush_reasons=self._reasons,
             queue_waits=waits,
-            latencies=np.concatenate(self._latencies) if self._latencies else np.zeros(0),
+            latencies=_concat(self._latencies),
             batch_sizes=np.asarray(self._sizes, dtype=int),
-            service_seconds=np.asarray(self._services),
+            service_seconds=np.asarray(self._services, dtype=float),
             makespan=self._queue.last_completion,
         )
         # Set before the run-end hooks: the telemetry hook still carries
@@ -211,5 +226,81 @@ class ServingEngine(DayLoopEngine):
         obs.set_gauge("serving.makespan", report.makespan)
         obs.set_gauge("serving.throughput_rps", report.throughput_rps)
 
+    # ------------------------------------------------------------------
+    # Durable state (repro.state contract)
+    # ------------------------------------------------------------------
+    def snapshot(self) -> dict:
+        """Deep snapshot of the report accumulated so far (queue included)."""
+        return versioned(
+            "serving.engine",
+            {
+                "queue_waits": _concat(self._waits),
+                "latencies": _concat(self._latencies),
+                "batch_sizes": np.asarray(self._sizes, dtype=int),
+                "service_seconds": np.asarray(self._services, dtype=float),
+                "flush_reasons": dict(self._reasons),
+                "last_completion": self._queue.last_completion,
+            },
+        )
 
-__all__ = ["REPORT_QUANTILES", "ServingEngine", "ServingReport"]
+    def restore(self, state) -> None:
+        """Stash the snapshot; :meth:`run` applies it after zeroing the report."""
+        self._pending = expect(state, "serving.engine")
+
+    def _apply_restore(self, payload: dict) -> None:
+        self._waits = [np.array(payload["queue_waits"], dtype=float)]
+        self._latencies = [np.array(payload["latencies"], dtype=float)]
+        self._sizes = [int(size) for size in payload["batch_sizes"]]
+        self._services = [float(seconds) for seconds in payload["service_seconds"]]
+        self._reasons.update(payload["flush_reasons"])
+        self._queue.last_completion = float(payload["last_completion"])
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+@dataclass(frozen=True)
+class ServingSpec:
+    """Recipe for a serving run as plain, picklable data.
+
+    Set as :attr:`~repro.engine.spec.RunSpec.serving` to serve that run's
+    windows as arrival events instead of whole batches.
+
+    Attributes:
+        window_seconds: virtual length of one platform window.
+        profile: intra-window arrival profile (``"uniform"`` / ``"bursty"``).
+        arrival_seed: seed of the intra-window arrival draw.
+        burst_amplitude: bursty-profile amplitude in ``[0, 2)``.
+        max_wait: micro-batch max wait in virtual seconds; ``None`` means
+            the window length, i.e. the paper's fixed windows.
+        max_size: close a micro-batch at this many requests (``None`` =
+            unbounded).
+    """
+
+    window_seconds: float = DEFAULT_WINDOW_SECONDS
+    profile: str = "uniform"
+    arrival_seed: int = 0
+    burst_amplitude: float = DEFAULT_BURST_AMPLITUDE
+    max_wait: float | None = None
+    max_size: int | None = None
+
+    @property
+    def policy(self) -> MicroBatchPolicy:
+        """The micro-batch closing policy this recipe describes."""
+        max_wait = self.window_seconds if self.max_wait is None else self.max_wait
+        return MicroBatchPolicy(max_wait=max_wait, max_size=self.max_size)
+
+    def build(self, platform: RealEstatePlatform) -> ServingEngine:
+        """The engine serving ``platform``'s request stream under this recipe."""
+        schedule = derive_arrivals(
+            platform.stream,
+            window_seconds=self.window_seconds,
+            profile=self.profile,
+            seed=self.arrival_seed,
+            burst_amplitude=self.burst_amplitude,
+        )
+        return ServingEngine(policy=self.policy, schedule=schedule)
+
+
+__all__ = ["REPORT_QUANTILES", "ServingEngine", "ServingReport", "ServingSpec"]

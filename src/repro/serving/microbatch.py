@@ -12,9 +12,9 @@ Two properties the rest of the serving stack leans on:
 
 - **Degeneracy**: ``max_wait >= window_seconds`` with unbounded size
   yields exactly one micro-batch per window, closed at the window
-  boundary — today's fixed windows, which is what the
-  :mod:`repro.check.serving` equivalence suite proves bit-identical to
-  the batch day loop.
+  boundary — today's fixed windows, which
+  ``tests/serving/test_equivalence.py`` proves bit-identical to the
+  batch day loop.
 - **Determinism**: splitting is a pure function of the arrival
   timestamps and the policy — service times never feed back into batch
   composition, so assignments stay machine-independent even though
@@ -133,20 +133,16 @@ class LoadLevelingQueue:
     """
 
     def __init__(self) -> None:
-        self._free_at = 0.0
-        #: Total service seconds pushed through the server.
-        self.busy_seconds = 0.0
-        #: Completion time of the last admitted batch.
+        #: Completion time of the last admitted batch (the server is free
+        #: from then on).
         self.last_completion = 0.0
 
     def admit(self, ready_time: float, service_seconds: float) -> tuple[float, float]:
         """Queue one closed batch; returns ``(service_start, completion)``."""
         if service_seconds < 0.0:
             raise ValueError(f"service_seconds must be >= 0, got {service_seconds}")
-        start = max(float(ready_time), self._free_at)
+        start = max(float(ready_time), self.last_completion)
         completion = start + float(service_seconds)
-        self._free_at = completion
-        self.busy_seconds += float(service_seconds)
         self.last_completion = completion
         return start, completion
 

@@ -1,5 +1,7 @@
 """Executor: ordering, worker counts, the platform cache, telemetry merge."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,29 @@ def test_warm_platform_cache_reuses_donated_platform(monkeypatch):
     other = RunSpec(platform=PlatformSpec.synthetic(OTHER), matcher=MatcherSpec("Top-1", seed=1))
     execute_spec(other)
     assert len(builds) == 1
+
+
+def test_serving_specs_are_bit_identical_across_jobs():
+    """A serving spec's report crosses the process pool with its result, and
+    every deterministic field and distribution equals the serial run's."""
+    from repro.check.resume import _compare_results
+    from repro.serving import ServingSpec
+
+    serving = ServingSpec(profile="bursty", max_wait=5.0, max_size=4)
+    specs = [
+        dataclasses.replace(spec, serving=serving, store_assignments=True)
+        for spec in _telemetry_grid()
+    ]
+    serial, parallel = Telemetry(), Telemetry()
+    one = run_many(specs, jobs=1, telemetry=serial)
+    two = run_many(specs, jobs=2, telemetry=parallel)
+    for a, b in zip(one, two):
+        assert a.serving.micro_batches > 0
+        assert _compare_results(a, b, a.algorithm) == []
+
+    def deterministic(telemetry):
+        # Latencies carry measured service seconds.
+        return [e for e in _comparable_metrics(telemetry) if e["name"] != "serving.latency"]
+
+    assert deterministic(serial) == deterministic(parallel)
+    assert "serving.queue_wait" in {entry["name"] for entry in deterministic(serial)}

@@ -1,9 +1,11 @@
 """Phase profiler: tree reconstruction, day attribution, stacks, hotspots."""
 
+import dataclasses
 import math
 
 from repro.engine import MatcherSpec, PlatformSpec, RunSpec, run_many
 from repro.obs.profile import (
+    ENGINE_PHASES,
     build_forest,
     collapsed_stacks,
     day_rows,
@@ -101,9 +103,9 @@ def test_day_rows_order_days_ascending_with_daylless_last():
         _span("engine.begin_day", 0.0, 0.1, day=0),
     ]
     rows = day_rows(records)
-    assert [row[0] for row in rows] == [0, 1, -1]
+    assert [row[1] for row in rows] == [0, 1, -1]
     only_engine = day_rows(records, phases=("engine.begin_day",))
-    assert all(row[1] == "engine.begin_day" for row in only_engine)
+    assert all(row[2] == "engine.begin_day" for row in only_engine)
     assert len(only_engine) == 2
 
 
@@ -112,10 +114,10 @@ def test_hotspots_rank_by_self_time():
     assert len(rows) == 2
     # vfga self (0.04-0.02 + 0.02-0.01) and matching self (0.02 + 0.01)
     # tie at 0.03 and beat both engine wrappers (0.01 + 0.01 self).
-    assert {rows[0][0], rows[1][0]} == {"vfga.assign_batch", "matching.solve"}
-    assert math.isclose(rows[0][3], 0.03)
-    assert math.isclose(rows[1][3], 0.03)
-    assert [row[3] for row in rows] == sorted((row[3] for row in rows), reverse=True)
+    assert {rows[0][1], rows[1][1]} == {"vfga.assign_batch", "matching.solve"}
+    assert math.isclose(rows[0][4], 0.03)
+    assert math.isclose(rows[1][4], 0.03)
+    assert [row[4] for row in rows] == sorted((row[4] for row in rows), reverse=True)
 
 
 def test_collapsed_stacks_paths_and_weights():
@@ -153,7 +155,7 @@ def test_real_run_profiles_cleanly():
     run_many([spec], jobs=1, telemetry=telemetry)
     records = telemetry.tracer.records
     rows = day_rows(records, phases=("engine.assign_batch",))
-    assert [row[0] for row in rows] == list(range(TINY.num_days))
+    assert [row[:2] for row in rows] == [("LACB-Opt", day) for day in range(TINY.num_days)]
     stacks = collapsed_stacks(records)
     assert any(stack.startswith("engine.assign_batch;") for stack in stacks)
     for stack in stacks:
@@ -161,3 +163,24 @@ def test_real_run_profiles_cleanly():
     # Matcher CPU was measured on the engine phases.
     by_name = {name: cpu for name, _, _, cpu in phase_stats(records)}
     assert by_name["engine.assign_batch"] >= 0.0
+
+
+def test_tables_are_keyed_by_algorithm():
+    """Two runs in one lane (a serial two-algorithm run) never merge."""
+
+    def run_of(algorithm):
+        return [dataclasses.replace(r, attrs={"algorithm": algorithm}) for r in _synthetic_day()]
+
+    records = run_of("LACB") + run_of("Top-3")
+    rows = hotspots(records, top=0)
+    calls = {(algorithm, name): count for algorithm, name, count, *_ in rows}
+    assert calls[("LACB", "engine.assign_batch")] == 2
+    assert calls[("Top-3", "engine.assign_batch")] == 2
+    # ``top`` applies within each algorithm.
+    assert [row[0] for row in hotspots(records, top=1)] == ["LACB", "Top-3"]
+    days = day_rows(records, phases=ENGINE_PHASES)
+    assert [(algorithm, day, name, count) for algorithm, day, name, count, *_ in days] == [
+        (algorithm, 0, name, count)
+        for algorithm in ("LACB", "Top-3")
+        for name, count in (("engine.assign_batch", 2), ("engine.end_day", 1))
+    ]

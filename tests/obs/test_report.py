@@ -5,7 +5,10 @@ import os
 import pytest
 
 from repro.obs.report import (
+    day_profile_rows,
     decision_time_by_algorithm,
+    hotspot_rows,
+    load_spans,
     load_telemetry_dir,
     phase_rows,
     render_report,
@@ -239,3 +242,39 @@ def test_report_of_a_legacy_telemetry_dir_is_unchanged():
     with open(os.path.join(data, "legacy_report.txt"), encoding="utf-8") as handle:
         expected = handle.read()
     assert render_report(os.path.join(data, "legacy_telemetry")) + "\n" == expected
+
+
+def test_profile_tables_are_per_algorithm(tmp_path):
+    """A two-algorithm serving run: hotspots and per-day phases keep the
+    runs apart instead of summing both into one row per phase."""
+    from repro.engine import MatcherSpec, PlatformSpec, RunSpec, run_many
+    from repro.serving import ServingSpec
+    from repro.simulation import SyntheticConfig
+
+    platform = PlatformSpec.synthetic(
+        SyntheticConfig(num_brokers=10, num_requests=80, num_days=2, seed=3)
+    )
+    telemetry = Telemetry()
+    run_many(
+        [
+            RunSpec(platform=platform, matcher=MatcherSpec(name, seed=1), serving=ServingSpec())
+            for name in ("LACB", "Top-3")
+        ],
+        telemetry=telemetry,
+    )
+    telemetry.export(tmp_path, manifest={"command": "serve", "wall_seconds": 1.0})
+    spans = load_spans(tmp_path)
+    batches = sum(span.name == "engine.assign_batch" for span in spans) // 2
+
+    hot = {(row[0], row[1]): row[2] for row in hotspot_rows(spans, top=0)}
+    assert hot[("LACB", "engine.assign_batch")] == batches
+    assert hot[("Top-3", "engine.assign_batch")] == batches
+    per_day = day_profile_rows(spans)
+    assert {row[0] for row in per_day} == {"LACB", "Top-3"}
+    for algorithm in ("LACB", "Top-3"):
+        assert sum(
+            row[3] for row in per_day if row[0] == algorithm and row[2] == "engine.assign_batch"
+        ) == batches
+    report = render_report(tmp_path)
+    hotspots = report[report.index("Hotspots") :]
+    assert hotspots.splitlines()[1].split()[:2] == ["algorithm", "phase"]

@@ -1,6 +1,7 @@
 """Tracer: nesting, synthesized spans, worker lanes, JSONL and Chrome export."""
 
 import json
+import time
 
 from repro.obs.tracing import SpanRecord, Tracer
 
@@ -144,3 +145,28 @@ def test_atomic_write_json_bytes_equal_streamed_dump(tmp_path):
         with open(streamed, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=indent, sort_keys=True)
         assert path.read_bytes() == streamed.read_bytes()
+
+
+def test_live_spans_measure_wall_time_only(monkeypatch):
+    """A per-span process_time() call was the whole telemetry overhead:
+    live spans must not make one, and report their CPU as unmeasured."""
+    import repro.obs.tracing as tracing
+
+    calls = []
+
+    def counting_process_time():
+        calls.append(1)
+        return 0.0
+
+    monkeypatch.setattr(time, "process_time", counting_process_time)
+    monkeypatch.setattr(tracing, "process_time", counting_process_time, raising=False)
+    clock = FakeClock()
+    tracer = Tracer(clock=clock)
+    with tracer.span("outer"):
+        with tracer.span("inner"):
+            clock.advance(0.5)
+    assert calls == []
+    assert [(r.name, r.duration, r.cpu) for r in tracer.records] == [
+        ("inner", 0.5, -1.0),
+        ("outer", 0.5, -1.0),
+    ]

@@ -81,7 +81,6 @@ def test_load_leveling_queue_backlogs_under_saturation():
     # A batch arriving after the backlog drains starts immediately.
     start, done = queue.admit(ready_time=50.0, service_seconds=1.0)
     assert (start, done) == (50.0, 51.0)
-    assert queue.busy_seconds == 21.0
     assert queue.last_completion == 51.0
     with pytest.raises(ValueError, match="service_seconds"):
         queue.admit(0.0, -1.0)

@@ -103,3 +103,23 @@ def test_resume_equivalence_reports_violation_when_state_is_corrupted(tmp_path):
         algorithm="Greedy", kill_day=0, num_days=3, directory=str(tmp_path)
     )
     assert any(v.invariant == "resume.checkpoint_missing" for v in violations)
+
+
+def test_run_id_separates_batch_and_serving_recipes(platform_spec):
+    from repro.serving import ServingSpec
+
+    batch = RunSpec(platform=platform_spec, matcher=MatcherSpec("LACB", seed=5))
+    twins = [
+        RunSpec(platform=platform_spec, matcher=MatcherSpec("LACB", seed=5), serving=serving)
+        for serving in (
+            ServingSpec(),
+            ServingSpec(profile="bursty"),
+            ServingSpec(max_wait=5.0),
+            ServingSpec(max_wait=5.0, max_size=8),
+        )
+    ]
+    ids = {spec.run_id() for spec in [batch, *twins]}
+    assert len(ids) == 5
+    # A batch spec keeps the identity it had before serving recipes
+    # existed, so stores written by earlier versions still resume.
+    assert batch.run_id() == "lacb-s5-ca9f2c69f9"

@@ -505,29 +505,3 @@ def test_city_knobs_reject_bad_values_as_usage_errors(command, flag, value, caps
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert f"argument {flag}:" in err
-
-
-def test_serve_equivalence_flag(capsys, monkeypatch):
-    from repro.check.runtime import Violation
-
-    monkeypatch.setattr(
-        "repro.check.serving.run_serving_suite", lambda **kwargs: (4, [])
-    )
-    main(["serve", "--equivalence"])
-    assert "OK: boundary-flush serving" in capsys.readouterr().out
-
-    monkeypatch.setattr(
-        "repro.check.serving.run_serving_suite",
-        lambda **kwargs: (1, [Violation("serving.result_diverges", "drift")]),
-    )
-    with pytest.raises(SystemExit) as excinfo:
-        main(["serve", "--equivalence"])
-    assert excinfo.value.code == 1
-    assert "serving.result_diverges" in capsys.readouterr().out
-
-
-def test_serve_equivalence_end_to_end(capsys):
-    main(["serve", "--equivalence", "--days", "2"])
-    out = capsys.readouterr().out
-    assert "case(s) checked" in out
-    assert "OK" in out
