@@ -96,7 +96,7 @@ def _time_stream(stream) -> tuple[float, list, float, list, dict]:
 
     def cold_pass():
         for weights in stream:
-            solve_assignment(weights, maximize=True, backend="repro")
+            solve_assignment(weights, maximize=True)
 
     cold_best, cold_times = _best_of(REPEATS, cold_pass)
     warm_best, warm_times = _best_of(REPEATS, warm_pass)
@@ -115,7 +115,7 @@ def test_incremental_matching(benchmark):
     solver = IncrementalKMSolver()
     for step, weights in enumerate(tail_stream):
         warm = solver.solve(weights)
-        cold = solve_assignment(weights, maximize=True, backend="repro")
+        cold = solve_assignment(weights, maximize=True)
         assert warm.pairs == cold.pairs, f"pair divergence at step {step}"
         assert warm.total_weight == cold.total_weight, f"total divergence at step {step}"
     assert solver.stats["warm"] > 0 and solver.stats["hit"] > 0

@@ -47,13 +47,11 @@ from repro.core import (
     select_candidate_brokers,
 )
 from repro.engine import (
-    AssignmentLogger,
     DayLoopEngine,
     DecisionTimer,
     MatcherSpec,
     MetricsCollector,
     PlatformSpec,
-    ProgressReporter,
     RunHook,
     RunSpec,
     run_many,
@@ -79,7 +77,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ALGORITHM_NAMES",
     "AssignmentConfig",
-    "AssignmentLogger",
     "BanditConfig",
     "BatchKMMatcher",
     "CapacityAwareValueFunction",
@@ -96,7 +93,6 @@ __all__ = [
     "NeuralUCBAssignment",
     "PersonalizedCapacityEstimator",
     "PlatformSpec",
-    "ProgressReporter",
     "REAL_CITY_SPECS",
     "RandomizedRecommender",
     "RealEstatePlatform",

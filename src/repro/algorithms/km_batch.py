@@ -17,21 +17,10 @@ from repro.matching import solve_assignment
 
 
 class BatchKMMatcher(Matcher):
-    """Capacity-oblivious per-batch optimal matching.
-
-    Args:
-        backend: matching backend (``"repro"`` or ``"scipy"``).
-        pad_square: solve on the square-padded |B| x |B| graph (the paper's
-            O(|B|^3) formulation); default uses the equivalent rectangular
-            solve.
-    """
+    """Capacity-oblivious per-batch optimal matching (rectangular KM)."""
 
     name = "KM"
     one_to_one = True
-
-    def __init__(self, backend: str = "repro", pad_square: bool = False) -> None:
-        self.backend = backend
-        self.pad_square = pad_square
 
     def begin_day(self, day: int, contexts: np.ndarray) -> None:
         """Batch KM is stateless across days."""
@@ -49,9 +38,7 @@ class BatchKMMatcher(Matcher):
         assignment = Assignment(day=day, batch=batch)
         if request_ids.size == 0:
             return assignment
-        match = solve_assignment(
-            utilities, maximize=True, backend=self.backend, pad_square=self.pad_square
-        )
+        match = solve_assignment(utilities, maximize=True)
         for row, col in match.pairs:
             assignment.pairs.append(
                 AssignedPair(int(request_ids[row]), int(col), float(utilities[row, col]))

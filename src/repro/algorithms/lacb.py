@@ -35,8 +35,8 @@ class LACBMatcher(Matcher):
         rng: randomness source.
         config: full LACB configuration; paper defaults when omitted.
             ``config.assignment.use_cbs = True`` yields LACB-Opt.
-        batches_per_day: fixed time windows per day (sharpens the value
-            function's time axis; inferred online when omitted).
+        batches_per_day: the platform's fixed time windows per day (the
+            value function's time axis).
     """
 
     one_to_one = True
@@ -47,7 +47,8 @@ class LACBMatcher(Matcher):
         num_brokers: int,
         rng: np.random.Generator,
         config: LACBConfig | None = None,
-        batches_per_day: int | None = None,
+        *,
+        batches_per_day: int,
     ) -> None:
         self.config = config or LACBConfig()
         self.name = "LACB-Opt" if self.config.assignment.use_cbs else "LACB"

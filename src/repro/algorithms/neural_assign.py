@@ -27,7 +27,7 @@ class NeuralUCBAssignment(Matcher):
         num_brokers: pool size.
         rng: randomness source.
         bandit_config: NeuralUCB settings (paper defaults when omitted).
-        backend: matching backend.
+        batches_per_day: the platform's fixed time windows per day.
     """
 
     name = "AN"
@@ -39,17 +39,15 @@ class NeuralUCBAssignment(Matcher):
         num_brokers: int,
         rng: np.random.Generator,
         bandit_config: BanditConfig | None = None,
-        backend: str = "repro",
-        batches_per_day: int | None = None,
+        *,
+        batches_per_day: int,
     ) -> None:
         self.bandit = NNUCBBandit(context_dim, bandit_config or BanditConfig(), rng)
         # AN assigns by plain KM under the capacity cap: no value function,
         # no CBS — that is exactly VFGA with both switches off.
         self.assigner = ValueFunctionGuidedAssigner(
             num_brokers,
-            AssignmentConfig(
-                use_value_function=False, use_cbs=False, matching_backend=backend
-            ),
+            AssignmentConfig(use_value_function=False, use_cbs=False),
             rng,
             batches_per_day=batches_per_day,
         )

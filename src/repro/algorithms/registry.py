@@ -12,7 +12,7 @@ from repro.algorithms.lacb import LACBMatcher
 from repro.algorithms.neural_assign import NeuralUCBAssignment
 from repro.algorithms.random_rec import RandomizedRecommender
 from repro.algorithms.topk import TopKRecommender
-from repro.core.config import AssignmentConfig, BanditConfig, LACBConfig
+from repro.core.config import AssignmentConfig, LACBConfig
 from repro.simulation.platform import RealEstatePlatform
 
 #: Names accepted by :func:`make_matcher`, in the paper's reporting order
@@ -42,9 +42,6 @@ def make_matcher(
     platform: RealEstatePlatform,
     seed: int = 0,
     empirical_capacity: float | None = None,
-    bandit_config: BanditConfig | None = None,
-    lacb_config: LACBConfig | None = None,
-    backend: str = "repro",
 ) -> Matcher:
     """Build a compared algorithm with paper-default settings.
 
@@ -54,10 +51,11 @@ def make_matcher(
             pool size and context dimension).
         seed: matcher-private randomness seed.
         empirical_capacity: CTop-K's city-level capacity (Table IV values
-            for the real-like cities; 40 by default).
-        bandit_config: override the AN / LACB bandit settings.
-        lacb_config: override the full LACB configuration.
-        backend: matching backend for the KM-based algorithms.
+            for the real-like cities; 28 by default).
+
+    Every algorithm runs on the platform's fixed time windows
+    (``platform.batches_per_day``).  Config ablations build the matcher
+    classes directly, e.g. ``LACBMatcher(..., config)``.
     """
     rng = np.random.default_rng(seed)
     capacity = (
@@ -72,7 +70,7 @@ def make_matcher(
     if name == "Greedy":
         return GreedyBatchMatcher()
     if name == "KM":
-        return BatchKMMatcher(backend=backend)
+        return BatchKMMatcher()
     if name == "CTop-1":
         return ConstrainedTopKRecommender(1, platform.num_brokers, capacity, rng)
     if name == "CTop-3":
@@ -82,23 +80,14 @@ def make_matcher(
             platform.context_dim,
             platform.num_brokers,
             rng,
-            bandit_config=bandit_config,
-            backend=backend,
             batches_per_day=platform.batches_per_day,
         )
     if name in ("LACB", "LACB-Opt"):
-        if lacb_config is None:
-            lacb_config = LACBConfig(
-                bandit=bandit_config or BanditConfig(),
-                assignment=AssignmentConfig(
-                    use_cbs=(name == "LACB-Opt"), matching_backend=backend
-                ),
-            )
         return LACBMatcher(
             platform.context_dim,
             platform.num_brokers,
             rng,
-            lacb_config,
+            LACBConfig(assignment=AssignmentConfig(use_cbs=(name == "LACB-Opt"))),
             batches_per_day=platform.batches_per_day,
         )
     raise KeyError(f"unknown algorithm {name!r}; choose from {ALGORITHM_NAMES}")

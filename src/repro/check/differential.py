@@ -9,11 +9,11 @@ test.
 
 The agreements checked:
 
-* ``repro`` vs ``scipy`` (vs ``auction`` / min-cost-flow where their
-  preconditions hold): equal optimal totals, structurally valid matchings.
-  Totals — not pair sets — are compared: optima are frequently non-unique
-  (ties), and the solvers legitimately differ on zero-weight pairs (the
-  auction backend drops them; the Hungarian backend reports them).
+* the KM solver vs the SciPy oracle (vs ``auction`` / min-cost-flow where
+  their preconditions hold): equal optimal totals, structurally valid
+  matchings.  Totals — not pair sets — are compared: optima are frequently
+  non-unique (ties), and the solvers legitimately differ on zero-weight
+  pairs (the auction oracle drops them; KM reports them).
 * ``pad_square=True`` vs the rectangular solve: Sec. VI-B's dummy-vertex
   squaring is a pure running-time experiment and must not change results.
 * CBS pruning vs the unpruned instance (Theorem 2): equal optimal totals.
@@ -21,7 +21,7 @@ The agreements checked:
   whole perturbation sequence: *bit-identical* pairs and totals at every
   step (not merely equal optima — the incremental path promises the exact
   reference result), with every step additionally cross-validated across
-  all four backends.
+  all four solvers.
 * ``candidate_broker_selection`` vs brute-force ``np.sort`` top-k.
 * the ``argpartition`` production kernel vs the quickselect oracle:
   exactly equal per-row ``Top_k`` sets and batch unions (see
@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.check.auction import auction_assignment
 from repro.check.flow import min_cost_flow_assignment
+from repro.check.invariants import oracle_assignment, oracle_optimum
 from repro.core.selection import (
     candidate_broker_selection,
     select_candidate_brokers,
@@ -79,19 +80,19 @@ def _scale(weights: np.ndarray) -> float:
 def assert_backends_agree(weights: np.ndarray) -> None:
     """All matching solvers agree on the optimal total weight.
 
-    The ``repro`` and ``scipy`` backends always run; the auction and
-    min-cost-flow oracles additionally run when the instance is
-    non-negative (their documented scope).  Every result is structurally
-    validated against the weight matrix.
+    KM (:func:`solve_assignment`) and the SciPy oracle always run; the
+    auction and min-cost-flow oracles additionally run when the instance
+    is non-negative (their documented scope).  Every result is
+    structurally validated against the weight matrix.
     """
     weights = np.asarray(weights, dtype=float)
     atol = EXACT_ATOL * max(1.0, _scale(weights))
 
-    reference = solve_assignment(weights, maximize=True, backend="scipy")
+    reference = oracle_assignment(weights)
     assert_valid_matching(reference, weights, atol=atol)
     totals = {"scipy": reference.total_weight}
 
-    repro = solve_assignment(weights, maximize=True, backend="repro")
+    repro = solve_assignment(weights, maximize=True)
     assert_valid_matching(repro, weights, atol=atol)
     totals["repro"] = repro.total_weight
 
@@ -106,11 +107,11 @@ def assert_backends_agree(weights: np.ndarray) -> None:
 
     reference_total = totals["scipy"]
     auction_atol = atol + AUCTION_RTOL * _scale(weights) * max(weights.shape[0], 1)
-    for backend, total in totals.items():
-        tolerance = auction_atol if backend == "auction" else atol
+    for solver, total in totals.items():
+        tolerance = auction_atol if solver == "auction" else atol
         if abs(total - reference_total) > tolerance:
             raise AssertionError(
-                f"backend {backend!r} total {total!r} != scipy total "
+                f"solver {solver!r} total {total!r} != scipy total "
                 f"{reference_total!r} on shape {weights.shape}:\n{weights!r}"
             )
 
@@ -134,7 +135,7 @@ def assert_incremental_matches_cold(sequence) -> None:
     for step, weights in enumerate(sequence):
         weights = np.asarray(weights, dtype=float)
         warm = solver.solve(weights, maximize=True)
-        cold = solve_assignment(weights, maximize=True, backend="repro")
+        cold = solve_assignment(weights, maximize=True)
         if warm.pairs != cold.pairs:
             raise AssertionError(
                 f"incremental solve diverged from cold solve at step {step} "
@@ -152,14 +153,12 @@ def assert_incremental_matches_cold(sequence) -> None:
         assert_backends_agree(weights)
 
 
-def assert_pad_square_agrees(weights: np.ndarray, backend: str = "repro") -> None:
+def assert_pad_square_agrees(weights: np.ndarray) -> None:
     """Sec. VI-B square padding returns the same total as the rectangular solve."""
     weights = np.asarray(weights, dtype=float)
     atol = EXACT_ATOL * max(1.0, _scale(weights))
-    rectangular = solve_assignment(weights, maximize=True, backend=backend)
-    squared = solve_assignment(
-        weights, maximize=True, backend=backend, pad_square=True
-    )
+    rectangular = solve_assignment(weights, maximize=True)
+    squared = solve_assignment(weights, maximize=True, pad_square=True)
     assert_valid_matching(squared, weights, atol=atol)
     if abs(rectangular.total_weight - squared.total_weight) > atol:
         raise AssertionError(
@@ -183,14 +182,14 @@ def assert_cbs_preserves(weights: np.ndarray, k: int | None = None, seed: int = 
         return
     k = weights.shape[0] if k is None else k
     columns = select_candidate_brokers(weights, k, np.random.default_rng(seed))
-    full = solve_assignment(weights, maximize=True, backend="scipy")
-    pruned = solve_assignment(weights[:, columns], maximize=True, backend="scipy")
+    full = oracle_optimum(weights)
+    pruned = oracle_optimum(weights[:, columns])
     atol = EXACT_ATOL * max(1.0, _scale(weights))
-    if pruned.total_weight < full.total_weight - atol:
+    if pruned < full - atol:
         raise AssertionError(
             f"CBS pruning lost weight on shape {weights.shape}: kept "
             f"{columns.size}/{weights.shape[1]} columns, optimum dropped "
-            f"{full.total_weight!r} -> {pruned.total_weight!r}\n{weights!r}"
+            f"{full!r} -> {pruned!r}\n{weights!r}"
         )
 
 

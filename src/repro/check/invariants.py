@@ -212,31 +212,38 @@ def check_day_accounting(
 # ----------------------------------------------------------------------
 # Solver-oracle spot checks (sampled — each runs a SciPy solve)
 # ----------------------------------------------------------------------
-def oracle_optimum(weights: np.ndarray) -> float:
-    """Optimal *partial*-matching total weight, via the SciPy oracle.
+def oracle_assignment(weights: np.ndarray) -> MatchResult:
+    """Optimal *partial* matching via SciPy — the independent KM oracle.
 
     Matches :func:`repro.matching.solve_assignment`'s maximization
     semantics: every row additionally gets a private zero-weight dummy
     partner, so a vertex may stay unmatched at zero gain instead of taking
     a negative edge.  (Simply dropping negative edges from a forced full
     matching would *not* be equivalent — the full optimum may route the
-    positive edges differently.)
+    positive edges differently.)  As there, a dummy is recognised by its
+    column block, not its weight: a genuine zero-weight edge the oracle
+    selects is a real pair.  The total is summed over the padded optimum,
+    which is :func:`oracle_optimum`.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    weights = np.asarray(weights, dtype=float)
+    n_rows, n_cols = weights.shape
+    if n_rows == 0 or n_cols == 0:
+        return MatchResult(pairs=[], total_weight=0.0)
+    padded = np.hstack([weights, np.zeros((n_rows, n_rows))])
+    rows, cols = linear_sum_assignment(padded, maximize=True)
+    pairs = sorted((int(r), int(c)) for r, c in zip(rows, cols) if c < n_cols)
+    return MatchResult(pairs=pairs, total_weight=float(padded[rows, cols].sum()))
+
+
+def oracle_optimum(weights: np.ndarray) -> float:
+    """Optimal partial-matching total weight: :func:`oracle_assignment`'s total.
 
     Public: the quality telemetry's online regret proxy
     (:mod:`repro.obs.quality`) reuses this as its unconstrained-KM oracle.
     """
-    from scipy.optimize import linear_sum_assignment
-
-    n_rows, n_cols = weights.shape
-    if n_rows == 0 or n_cols == 0:
-        return 0.0
-    padded = np.hstack([weights, np.zeros((n_rows, n_rows))])
-    rows, cols = linear_sum_assignment(padded, maximize=True)
-    return float(padded[rows, cols].sum())
-
-
-#: Backwards-compatible alias (pre-dates the public export).
-_oracle_optimum = oracle_optimum
+    return oracle_assignment(weights).total_weight
 
 
 def check_km_optimality(

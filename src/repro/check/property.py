@@ -24,7 +24,7 @@ import numpy as np
 Case = TypeVar("Case")
 
 #: Default number of random cases per property (the differential suites
-#: run at least this many instances per backend pair).
+#: run at least this many instances per solver pair).
 DEFAULT_NUM_CASES = 200
 
 #: Cap on shrink attempts, across all candidates tried.

@@ -52,6 +52,12 @@ SERVING_TIMING_FIELDS = ("latencies", "service_seconds", "makespan")
 #: and the neural-assignment matcher (deep bandit + optimizer state).
 SUITE_ALGORITHMS = ("LACB", "AN", "Top-3")
 
+#: Requests-to-brokers ratio of the scenario city.  At the default 0.015 a
+#: 12-broker, 90-request city has one request per window at most, so no
+#: case would ever solve a multi-row KM or see a within-window order; at
+#: 1.0 it has two windows a day of up to eight requests each.
+SUITE_IMBALANCE = 1.0
+
 
 def _build(platform_spec, algorithm: str, seed: int):
     """One fresh (platform, matcher, collector) triple for one segment."""
@@ -185,7 +191,8 @@ def check_resume_equivalence(
         algorithm: registry name of the matcher under test.
         kill_day: day whose boundary the interrupted segment dies at
             (its checkpoint is written first; must be < ``num_days``).
-        num_brokers / num_requests / num_days: simulated-city size.
+        num_brokers / num_requests / num_days: simulated-city size (at
+            :data:`SUITE_IMBALANCE`).
         seed / instance_seed: matcher and city seeds.
         directory: checkpoint store location; a throwaway temp directory
             (removed afterwards) when omitted.
@@ -210,6 +217,7 @@ def check_resume_equivalence(
             num_brokers=num_brokers,
             num_requests=num_requests,
             num_days=num_days,
+            imbalance=SUITE_IMBALANCE,
             seed=instance_seed,
         )
     )

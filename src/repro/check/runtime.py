@@ -6,11 +6,11 @@ attachment, the sampled solver-oracle checks inside
 :class:`~repro.core.vfga.ValueFunctionGuidedAssigner`) goes through
 :func:`current`, whose disabled fast path is a single global read.
 
-Activate with :func:`enable` / :func:`disable`, scoped with :func:`use`,
-per-assigner with ``AssignmentConfig(check=True)``, from the CLI with
-``--check``, or for a whole process tree with ``REPRO_CHECK=1`` in the
-environment (worker processes inherit the variable, so ``--jobs N`` runs
-are covered too).
+This switch is the one way to turn checks on: :func:`enable` /
+:func:`disable`, scoped with :func:`use`, from the CLI with ``--check``,
+or for a whole process tree with ``REPRO_CHECK=1`` in the environment
+(worker processes inherit the variable, so ``--jobs N`` runs are covered
+too).  No component carries a check switch of its own.
 
 A :class:`CheckState` carries the policy (``raise`` immediately or
 ``collect`` for reporting, plus the solver-oracle sampling rate) and the

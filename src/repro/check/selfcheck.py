@@ -9,7 +9,7 @@ Runs the whole correctness layer against a small simulated city:
    solver-oracle spot checks (KM optimality, CBS preservation) run at an
    aggressive sampling rate.
 2. **Property phase** — the differential suites of
-   :mod:`repro.check.differential` over randomized instances: backend
+   :mod:`repro.check.differential` over randomized instances: KM-vs-oracle
    agreement, square-padding agreement, CBS preservation, warm-started
    incremental KM vs cold solves over perturbation sequences, top-k
    selection vs brute force, batched MLP scoring, the day-batched

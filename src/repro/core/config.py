@@ -116,19 +116,9 @@ class AssignmentConfig:
             capacity-capped per-batch KM.
         use_cbs: enable Candidate Broker Selection (Alg. 3) — the LACB-Opt
             variant.
-        matching_backend: ``"repro"`` (from-scratch KM) or ``"scipy"``.
-            Every batch is one fresh solve over that batch's requests
-            (Alg. 2 line 7); no solver state carries across batches.
-        matching_pad_square: run KM on the full square |B| x |B| graph as
-            Sec. VI-B describes (the O(|B|^3) baseline behaviour); off by
-            default — the rectangular solver finds the identical matching
-            faster, and the square mode exists for the paper's running-time
-            comparisons.
-        check: enable this assigner's runtime solver checks (sampled KM
-            optimality vs the SciPy oracle, CBS preservation per Theorem 2)
-            even when process-wide checking (:mod:`repro.check.runtime`) is
-            off.  Violations raise :class:`repro.check.InvariantViolationError`.
-            Checks observe only — they never change assignment results.
+
+    Every batch is one fresh rectangular KM solve over that batch's
+    requests (Alg. 2 line 7); no solver state carries across batches.
     """
 
     learning_rate: float = 0.25
@@ -136,9 +126,6 @@ class AssignmentConfig:
     threshold: float = 0.8
     use_value_function: bool = True
     use_cbs: bool = False
-    matching_backend: str = "repro"
-    matching_pad_square: bool = False
-    check: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.learning_rate <= 1.0:

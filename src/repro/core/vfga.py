@@ -52,10 +52,10 @@ class ValueFunctionGuidedAssigner:
         config: assignment hyper-parameters (``beta``, ``gamma``, ``delta``,
             CBS and value-function switches).
         rng: randomness for CBS pivots.
+        batches_per_day: the platform's fixed time windows per day (at
+            least 1); batch ``i`` sits at ``i / batches_per_day`` on the
+            value function's time axis.
         max_capacity_state: largest residual capacity the value table tracks.
-        batches_per_day: fixed time windows per day, used to convert batch
-            indices into the value function's time axis; inferred from the
-            largest batch index seen when omitted.
     """
 
     def __init__(
@@ -63,9 +63,12 @@ class ValueFunctionGuidedAssigner:
         num_brokers: int,
         config: AssignmentConfig,
         rng: np.random.Generator,
+        *,
+        batches_per_day: int,
         max_capacity_state: int = 200,
-        batches_per_day: int | None = None,
     ) -> None:
+        if int(batches_per_day) < 1:
+            raise ValueError(f"batches_per_day must be >= 1, got {batches_per_day}")
         self.num_brokers = num_brokers
         self.config = config
         self.rng = rng
@@ -74,19 +77,11 @@ class ValueFunctionGuidedAssigner:
             learning_rate=config.learning_rate,
             discount=config.discount,
         )
-        self.batches_per_day = batches_per_day
-        self._max_batch_seen = 0
-        # Inferred time axis: while batches_per_day is unknown, the day's
-        # batch count is only established at end_day, where it is frozen
-        # once and the first day's buffered TD updates are replayed on the
-        # settled axis (see _time_fraction).
-        self._frozen_batches: int | None = None
-        self._pending_td: list[tuple[int, float, float]] = []
+        self.batches_per_day = int(batches_per_day)
         self.capacities = np.zeros(num_brokers)
         self.workloads = np.zeros(num_brokers, dtype=int)
         self._capacity_hits = np.zeros(num_brokers)
         self._days_seen = 0
-        self._check_state = check_runtime.CheckState() if config.check else None
 
     # ------------------------------------------------------------------
     # Day lifecycle
@@ -104,34 +99,16 @@ class ValueFunctionGuidedAssigner:
     def end_day(self) -> None:
         """Book capacity hits into ``f_b`` and settle the value function.
 
-        Three pieces of end-of-day bookkeeping:
+        Two pieces of end-of-day bookkeeping:
 
-        1. When ``batches_per_day`` is inferred, the first day settles the
-           time axis: the denominator is frozen at the day's observed batch
-           count and the day's buffered TD updates are replayed on it.
-           Updating eagerly with the still-growing count would put batch 0
-           at ``0/1``, batch 1 at ``1/2``, … — a drifting axis where every
-           in-day update bootstraps from the terminal fraction ``1.0``.
-        2. The capacity-hit frequency ``f_b`` gains today's observation.
-        3. *Terminal* TD updates: a broker's unused residual capacity
+        1. The capacity-hit frequency ``f_b`` gains today's observation.
+        2. *Terminal* TD updates: a broker's unused residual capacity
            expires worthless at day end.  Without this, the TD chain of
            Eq. 14 converges to ``V(cr) = u + gamma V(cr - 1)`` — as if
            reserved capacity always converts later — and the Eq. 15
            refinement then overcharges every edge by a full average
            utility, leaving top brokers systematically under-used.
         """
-        if self.batches_per_day is None and self._frozen_batches is None:
-            self._frozen_batches = max(self._max_batch_seen, 1)
-            if self.config.use_value_function:
-                for batch, residual, raw_utility in self._pending_td:
-                    self.value_function.td_update(
-                        self._time_fraction(batch),
-                        residual,
-                        raw_utility,
-                        self._time_fraction(batch + 1),
-                        residual - 1.0,
-                    )
-            self._pending_td.clear()
         self._capacity_hits += self.workloads >= np.maximum(self.capacities, 1.0)
         self._days_seen += 1
         if self.config.use_value_function:
@@ -189,7 +166,6 @@ class ValueFunctionGuidedAssigner:
                 f"({request_ids.size}, {self.num_brokers})"
             )
         assignment = Assignment(day=day, batch=batch)
-        self._max_batch_seen = max(self._max_batch_seen, batch + 1)
         if request_ids.size == 0:
             return assignment
         available = self.available_brokers()
@@ -227,18 +203,9 @@ class ValueFunctionGuidedAssigner:
         next_fraction = self._time_fraction(batch + 1)
         with obs.span("vfga.refine"):
             refined = self._refine(candidate_utilities, available, time_fraction)
-        match = solve_assignment(
-            refined,
-            maximize=True,
-            backend=self.config.matching_backend,
-            pad_square=self.config.matching_pad_square,
-        )
+        match = solve_assignment(refined, maximize=True)
         self._oracle_checks(day, batch, precbs_utilities, kept_columns, refined, match)
 
-        # While the time axis is still unsettled (first day with inferred
-        # batches_per_day), TD updates are buffered and replayed at end_day
-        # on the frozen denominator.
-        defer_td = self.batches_per_day is None and self._frozen_batches is None
         alt_orders = None
         if trail is not None and match.pairs:
             # One stable argsort for the whole batch's matched rows — the
@@ -269,12 +236,9 @@ class ValueFunctionGuidedAssigner:
                     )
                 self.workloads[broker] += 1
                 if self.config.use_value_function:
-                    if defer_td:
-                        self._pending_td.append((batch, residual, raw_utility))
-                    else:
-                        self.value_function.td_update(
-                            time_fraction, residual, raw_utility, next_fraction, residual - 1.0
-                        )
+                    self.value_function.td_update(
+                        time_fraction, residual, raw_utility, next_fraction, residual - 1.0
+                    )
                 assignment.pairs.append(
                     AssignedPair(int(request_ids[row]), broker, raw_utility)
                 )
@@ -321,17 +285,8 @@ class ValueFunctionGuidedAssigner:
     MIN_FREQUENCY_DAYS = 3
 
     def _time_fraction(self, batch: int) -> float:
-        """Position of a batch within the day on the value function's axis.
-
-        With an inferred batch count the denominator is frozen at the end
-        of the first day (see :meth:`end_day`); until then the live count
-        is only a provisional reading used by :meth:`_refine` (inactive
-        that early anyway) — TD updates never consume it.
-        """
-        denominator = (
-            self.batches_per_day or self._frozen_batches or max(self._max_batch_seen, 1)
-        )
-        return batch / denominator
+        """Position of a batch within the day on the value function's axis."""
+        return batch / self.batches_per_day
 
     def _oracle_checks(
         self,
@@ -344,12 +299,12 @@ class ValueFunctionGuidedAssigner:
     ) -> None:
         """Sampled solver-oracle spot checks (KM optimality, Theorem 2).
 
-        Pure observation: runs only while checks are enabled (process-wide
-        or via ``AssignmentConfig(check=True)``), samples deterministically
-        off a counter, and consumes no randomness — results are bit-for-bit
+        Pure observation: runs only while process-wide checks are enabled
+        (:mod:`repro.check.runtime`), samples deterministically off a
+        counter, and consumes no randomness — results are bit-for-bit
         identical with checks on or off.
         """
-        state = check_runtime.current() or self._check_state
+        state = check_runtime.current()
         if state is None or not state.sample_solver():
             return
         with obs.span("check.solver_oracle"):
@@ -369,25 +324,12 @@ class ValueFunctionGuidedAssigner:
     # Durable state (repro.state contract)
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Deep snapshot of all day-spanning assignment state.
-
-        ``_check_state`` is transient observation (sampled oracle checks)
-        and is deliberately excluded: runs are bit-identical with checks on
-        or off, so it carries no run state.
-        """
+        """Deep snapshot of all day-spanning assignment state."""
         return versioned(
             "core.vfga",
             {
                 "value_function": self.value_function.snapshot(),
                 "rng": rng_state(self.rng),
-                "max_batch_seen": int(self._max_batch_seen),
-                "frozen_batches": (
-                    None if self._frozen_batches is None else int(self._frozen_batches)
-                ),
-                "pending_td": [
-                    (int(batch), float(residual), float(raw))
-                    for batch, residual, raw in self._pending_td
-                ],
                 "capacities": self.capacities.copy(),
                 "workloads": self.workloads.copy(),
                 "capacity_hits": self._capacity_hits.copy(),
@@ -406,20 +348,16 @@ class ValueFunctionGuidedAssigner:
             )
         self.value_function.restore(payload["value_function"])
         set_rng_state(self.rng, payload["rng"])
-        self._max_batch_seen = int(payload["max_batch_seen"])
-        frozen = payload["frozen_batches"]
-        self._frozen_batches = None if frozen is None else int(frozen)
-        self._pending_td = [
-            (int(batch), float(residual), float(raw))
-            for batch, residual, raw in payload["pending_td"]
-        ]
         self.capacities = np.array(payload["capacities"], dtype=float)
         self.workloads = workloads.copy()
         self._capacity_hits = np.array(payload["capacity_hits"], dtype=float)
         self._days_seen = int(payload["days_seen"])
-        # Snapshots written while the warm-started KM option existed may
-        # carry an ``incremental_solver`` entry.  It only memoized solves
-        # that are bit-identical cold, so it is ignored.
+        # Older snapshots may carry entries of retired options, all ignored:
+        # ``incremental_solver`` (warm-started KM; it only memoized solves
+        # that are bit-identical cold) and the inferred time axis's
+        # ``max_batch_seen`` / ``frozen_batches`` / ``pending_td`` (every
+        # run built by RunSpec or make_matcher passed batches_per_day, so
+        # the count was never read and the other two hold None / []).
 
     def _refine(
         self, utilities: np.ndarray, broker_ids: np.ndarray, time_fraction: float

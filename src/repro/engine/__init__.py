@@ -7,8 +7,7 @@ Four layers, each usable on its own:
   lifecycle events (run/day/batch start and end) with engine-measured
   matcher seconds;
 - :mod:`~repro.engine.hooks` — the :class:`RunHook` observer protocol and
-  built-ins (:class:`MetricsCollector`, :class:`DecisionTimer`,
-  :class:`AssignmentLogger`, :class:`ProgressReporter`);
+  built-ins (:class:`MetricsCollector`, :class:`DecisionTimer`);
 - :mod:`~repro.engine.spec` — picklable :class:`PlatformSpec` /
   :class:`MatcherSpec` / :class:`RunSpec` dataclasses reconstructing
   environments and algorithms from plain data, seed-for-seed;
@@ -21,10 +20,8 @@ The classic entry points (``run_algorithm``, ``compare_algorithms``,
 
 from repro.engine.executor import execute_spec, run_many, warm_platform_cache
 from repro.engine.hooks import (
-    AssignmentLogger,
     DecisionTimer,
     MetricsCollector,
-    ProgressReporter,
     RunHook,
     RunResult,
 )
@@ -38,7 +35,6 @@ from repro.engine.loop import (
 from repro.engine.spec import MatcherSpec, PlatformSpec, RunSpec
 
 __all__ = [
-    "AssignmentLogger",
     "BatchAssignedEvent",
     "DayEndEvent",
     "DayLoopEngine",
@@ -47,7 +43,6 @@ __all__ = [
     "MatcherSpec",
     "MetricsCollector",
     "PlatformSpec",
-    "ProgressReporter",
     "RunContext",
     "RunHook",
     "RunResult",

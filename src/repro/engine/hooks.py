@@ -2,17 +2,16 @@
 
 A :class:`RunHook` receives the engine's lifecycle events.  The built-ins
 cover everything the old monolithic runner hard-coded — result
-accumulation (:class:`MetricsCollector`), decision-time accounting
-(:class:`DecisionTimer`), assignment logging (:class:`AssignmentLogger`)
-— plus a :class:`ProgressReporter` for long runs.  Custom hooks subclass
-:class:`RunHook` and override only the events they care about.
+accumulation (:class:`MetricsCollector`, which also keeps the assignment
+log and day outcomes on request) and decision-time accounting
+(:class:`DecisionTimer`).  Custom hooks subclass :class:`RunHook` and
+override only the events they care about.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, TextIO
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -293,88 +292,3 @@ class MetricsCollector(RunHook):
         payload = expect(state, "engine.metrics_collector")
         self.timer.restore(payload["timer"])
         self._pending_restore = payload
-
-
-class AssignmentLogger(RunHook):
-    """Streams every assignment (and optionally every outcome) into lists.
-
-    Unlike ``MetricsCollector(store_assignments=True)`` this keeps nothing
-    else, which makes it the light-weight choice for trace export and
-    utility-model training pipelines.
-    """
-
-    def __init__(self, store_outcomes: bool = False) -> None:
-        self.store_outcomes = store_outcomes
-        self.assignments: list[Assignment] = []
-        self.outcomes: list[DayOutcome] = []
-        self._pending_restore: dict | None = None
-
-    def on_run_start(self, context: RunContext) -> None:
-        self.assignments = []
-        self.outcomes = []
-        if self._pending_restore is not None:
-            payload = self._pending_restore
-            self._pending_restore = None
-            self.assignments = [Assignment.from_state(s) for s in payload["assignments"]]
-            self.outcomes = [DayOutcome.from_state(s) for s in payload["outcomes"]]
-
-    def on_batch_assigned(self, event: BatchAssignedEvent) -> None:
-        self.assignments.append(event.assignment)
-
-    def on_day_end(self, event: DayEndEvent) -> None:
-        if self.store_outcomes:
-            self.outcomes.append(event.outcome)
-
-    def snapshot(self) -> dict:
-        """Deep snapshot of the streamed logs."""
-        return versioned(
-            "engine.assignment_logger",
-            {
-                "assignments": [a.to_state() for a in self.assignments],
-                "outcomes": [outcome.to_state() for outcome in self.outcomes],
-            },
-        )
-
-    def restore(self, state) -> None:
-        """Stash the snapshot; applied inside the next ``on_run_start``."""
-        self._pending_restore = expect(state, "engine.assignment_logger")
-
-
-class ProgressReporter(RunHook):
-    """Prints one status line per ``every`` finished days.
-
-    Args:
-        every: report every N-th day (plus the final day).
-        stream: the text stream written to (defaults to stderr).
-    """
-
-    def __init__(self, every: int = 1, stream: TextIO | None = None) -> None:
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
-        self.every = every
-        self.stream = stream if stream is not None else sys.stderr
-        self._name = ""
-        self._num_days = 0
-        self._matcher_seconds = 0.0
-
-    def on_run_start(self, context: RunContext) -> None:
-        self._name = context.matcher.name
-        self._num_days = context.num_days
-        self._matcher_seconds = 0.0
-
-    def on_day_start(self, event: DayStartEvent) -> None:
-        self._matcher_seconds += event.matcher_seconds
-
-    def on_batch_assigned(self, event: BatchAssignedEvent) -> None:
-        self._matcher_seconds += event.matcher_seconds
-
-    def on_day_end(self, event: DayEndEvent) -> None:
-        self._matcher_seconds += event.matcher_seconds
-        day = event.day + 1
-        if day % self.every == 0 or day == self._num_days:
-            print(
-                f"[{self._name}] day {day}/{self._num_days} "
-                f"utility={event.outcome.total_realized_utility:.2f} "
-                f"matcher={self._matcher_seconds:.3f}s",
-                file=self.stream,
-            )

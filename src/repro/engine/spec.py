@@ -18,7 +18,6 @@ import os
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
-from repro.core.config import BanditConfig, LACBConfig
 from repro.simulation.datasets import (
     REAL_CITY_SPECS,
     SyntheticConfig,
@@ -100,17 +99,11 @@ class MatcherSpec:
         name: one of :data:`repro.algorithms.ALGORITHM_NAMES`.
         seed: matcher-private randomness seed.
         empirical_capacity: CTop-K's city-level capacity (Table IV values).
-        backend: matching backend for the KM-based algorithms.
-        bandit_config: override the AN / LACB bandit settings.
-        lacb_config: override the full LACB configuration.
     """
 
     name: str
     seed: int = 0
     empirical_capacity: float | None = None
-    backend: str = "repro"
-    bandit_config: BanditConfig | None = None
-    lacb_config: LACBConfig | None = None
 
     def build(self, platform):
         """Materialize the matcher against a concrete platform."""
@@ -121,9 +114,6 @@ class MatcherSpec:
             platform,
             seed=self.seed,
             empirical_capacity=self.empirical_capacity,
-            bandit_config=self.bandit_config,
-            lacb_config=self.lacb_config,
-            backend=self.backend,
         )
 
 
@@ -167,17 +157,16 @@ class RunSpec:
         """Stable per-spec identity naming this run's checkpoint store.
 
         Combines a readable matcher slug with a digest over everything that
-        determines the trajectory (platform recipe, matcher recipe incl.
-        config overrides, the sweep tag and any serving recipe), so two
-        specs share a store directory iff they would produce bit-identical
-        runs.  Batch specs keep the identity they had before serving
-        recipes existed.
+        determines the trajectory (platform recipe, matcher recipe, the
+        sweep tag and any serving recipe), so two specs share a store
+        directory iff they would produce bit-identical runs.  Batch specs
+        keep the identity they had before serving recipes existed.
         """
-        identity = (
-            self.platform.cache_key(),
-            tuple(repr(getattr(self.matcher, f.name)) for f in fields(self.matcher)),
-            self.tag,
-        )
+        matcher = tuple(repr(getattr(self.matcher, f.name)) for f in fields(self.matcher))
+        # Three retired slots (solver choice, two config overrides) digest as
+        # the constant reprs every spec held, so run ids stay byte-identical.
+        matcher += ("'repro'", "None", "None")
+        identity = (self.platform.cache_key(), matcher, self.tag)
         if self.serving is not None:
             identity += (repr(self.serving),)
         digest = hashlib.sha256(repr(identity).encode("utf-8")).hexdigest()[:10]

@@ -5,8 +5,8 @@ The paper's assignment phase (Alg. 2 line 7) runs the classical Kuhn-Munkres
 shrinks that graph before solving.  This package provides
 
 - :func:`~repro.matching.hungarian.solve_assignment` — an O(n^3)
-  shortest-augmenting-path Hungarian solver written from scratch, with an
-  optional SciPy backend for cross-validation and large instances,
+  shortest-augmenting-path Hungarian solver written from scratch, the one
+  production solve path,
 - :mod:`~repro.matching.bipartite` — dummy-vertex padding for unbalanced
   graphs and matrix construction helpers,
 - :mod:`~repro.matching.greedy` — the greedy matcher used as a sanity
@@ -16,9 +16,10 @@ shrinks that graph before solving.  This package provides
   the cold solver); no matcher uses it,
 - :mod:`~repro.matching.validation` — structural checks on matchings.
 
-The auction and min-cost-flow solvers that cross-check KM optimality are
-oracles in :mod:`repro.check` (:mod:`repro.check.auction`,
-:mod:`repro.check.flow`), not production backends.
+The SciPy, auction and min-cost-flow solvers that cross-check KM
+optimality are oracles in :mod:`repro.check`
+(:func:`repro.check.invariants.oracle_assignment`,
+:mod:`repro.check.auction`, :mod:`repro.check.flow`), never solve paths.
 """
 
 from repro.matching.bipartite import MatchResult, pad_to_square

@@ -28,7 +28,7 @@ def greedy_assignment(weights: np.ndarray, min_weight: float = 0.0) -> MatchResu
         A :class:`MatchResult`; total weight is at least half the optimum
         (the classic 1/2-approximation guarantee of greedy matching).
         Equal-weight edges are taken in ascending (row, col) order — the
-        same smallest-index tie convention the exact backends follow.
+        same smallest-index tie convention the exact solvers follow.
 
     Raises:
         ValueError: on a malformed matrix or a negative ``min_weight``.

@@ -8,9 +8,9 @@ the paper's setting, where a batch of tens of requests meets thousands of
 brokers and padding to a square ``|B| x |B|`` matrix would waste almost all
 of the cubic work.
 
-A SciPy backend (``scipy.optimize.linear_sum_assignment``) is available both
-as a cross-validation oracle in tests and as a faster engine for paper-scale
-instances; both backends return identical-value solutions.
+This is the only production solver.  SciPy's ``linear_sum_assignment``
+appears solely as an independent optimality oracle in :mod:`repro.check`
+(:func:`repro.check.invariants.oracle_assignment`).
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import numpy as np
 
 from repro.matching.bipartite import MatchResult
 from repro.obs import telemetry as obs
-
-_BACKENDS = ("repro", "scipy")
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
@@ -142,7 +140,6 @@ def _km_insert_row(
 def solve_assignment(
     weights: np.ndarray,
     maximize: bool = True,
-    backend: str = "repro",
     pad_square: bool = False,
 ) -> MatchResult:
     """Optimal assignment on a possibly rectangular weight matrix.
@@ -157,8 +154,6 @@ def solve_assignment(
         weights: ``(n_rows, n_cols)`` matrix of edge weights/utilities.
         maximize: maximize total weight (the paper's objective, Eq. 1)
             instead of minimizing cost.
-        backend: ``"repro"`` for the from-scratch Hungarian solver or
-            ``"scipy"`` for ``scipy.optimize.linear_sum_assignment``.
         pad_square: pad the instance to a full ``max(n, m) x max(n, m)``
             square before solving, exactly as Sec. VI-B describes ("adding
             |B| - |R| dummy vertices") — the O(|B|^3) behaviour whose cost
@@ -172,18 +167,14 @@ def solve_assignment(
         are omitted; a genuine zero-weight edge of the input matrix is a
         real pair and is reported when the solver selects it.
     """
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; choose from {_BACKENDS}")
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2:
         raise ValueError(f"expected a 2-D weight matrix, got shape {weights.shape}")
-    with obs.span("matching.solve", backend=backend):
-        return _solve_assignment(weights, maximize, backend, pad_square)
+    with obs.span("matching.solve"):
+        return _solve_assignment(weights, maximize, pad_square)
 
 
-def _solve_assignment(
-    weights: np.ndarray, maximize: bool, backend: str, pad_square: bool
-) -> MatchResult:
+def _solve_assignment(weights: np.ndarray, maximize: bool, pad_square: bool) -> MatchResult:
     """The actual solve behind :func:`solve_assignment` (validated inputs)."""
     n_rows, n_cols = weights.shape
     if n_rows == 0 or n_cols == 0:
@@ -210,14 +201,7 @@ def _solve_assignment(
     else:
         cost = working
 
-    if backend == "scipy":
-        from scipy.optimize import linear_sum_assignment
-
-        rows, cols = linear_sum_assignment(cost)
-        col_of_row = np.empty(wr, dtype=int)
-        col_of_row[rows] = cols
-    else:
-        col_of_row = hungarian(cost)
+    col_of_row = hungarian(cost)
 
     # Real columns occupy the block [0, wc) in both padded layouts; any
     # column >= wc is a dummy partner.  The block index — not the edge

@@ -79,11 +79,10 @@ STATE_KIND = "matching.incremental"
 class IncrementalKMSolver:
     """Warm-started KM over a stream of related maximization instances.
 
-    Drop-in for ``solve_assignment(weights, maximize=True,
-    backend="repro", pad_square=False)``: every :meth:`solve` returns the
-    bit-identical :class:`MatchResult` the reference cold solver would
-    produce, but consecutive calls reuse the recorded solve trajectory
-    wherever the weight matrix is unchanged.
+    Drop-in for ``solve_assignment(weights, maximize=True)``: every
+    :meth:`solve` returns the bit-identical :class:`MatchResult` the
+    reference cold solver would produce, but consecutive calls reuse the
+    recorded solve trajectory wherever the weight matrix is unchanged.
 
     The recorded per-row states cost ``O(n_rows * (n_rows + n_cols))``
     floats — for the paper's batch shapes (tens of requests, hundreds of

@@ -88,7 +88,6 @@ class TelemetryHook(RunHook):
         # Quality telemetry + drift alerting (see repro.obs.quality/alerts).
         self._quality = QualityMonitor(telemetry, context)
         self._alerts = AlertMonitor()
-        self._alerts_sent = 0
         # Decision provenance: a fresh collector per run, but one writer
         # per telemetry — sequential runs into one telemetry directory keep
         # appending to the same segment with increasing seq (a fresh writer
@@ -163,17 +162,14 @@ class TelemetryHook(RunHook):
         stream = telemetry.stream
         if stream is not None:
             self._last_progress = dict(self._progress(event, workloads), **quality)
-            # Alerts stream as deltas (like spans): only advance the sent
-            # cursor when a flush actually happened — skipped days re-offer
-            # their alerts at the next boundary.
-            pending = [a.to_dict() for a in self._alerts.alerts[self._alerts_sent :]]
-            if stream.maybe_flush(
+            # Alerts stream as deltas (like spans): each day's record
+            # carries the alerts that day raised.
+            stream.flush(
                 telemetry,
                 day=event.day,
                 progress=self._last_progress,
-                alerts=pending,
-            ):
-                self._alerts_sent = len(self._alerts.alerts)
+                alerts=[alert.to_dict() for alert in raised],
+            )
 
     def on_run_end(self, context: RunContext) -> None:
         telemetry = self.telemetry
@@ -184,9 +180,7 @@ class TelemetryHook(RunHook):
                 day=self._last_progress.get("day", -1),
                 progress=self._last_progress,
                 final=True,
-                alerts=[a.to_dict() for a in self._alerts.alerts[self._alerts_sent :]],
             )
-            self._alerts_sent = len(self._alerts.alerts)
         telemetry.audit_session = None
         telemetry.set_run_label(self._previous_label)
 

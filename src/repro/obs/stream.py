@@ -32,7 +32,6 @@ segment's run as complete.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -72,49 +71,20 @@ def segment_name(index: int, run_id: str, total: int | None = None) -> str:
 class TelemetryStreamWriter:
     """Appends stream records for one run to one segment file.
 
+    The telemetry hook flushes once per day boundary (days are the natural
+    progress unit) and once more, ``final``, at run end.
+
     Args:
         directory: the stream directory (created on first flush).
         segment: segment stem; the file is ``<segment>.jsonl``.
-        interval: minimum seconds between :meth:`maybe_flush` flushes.
-            The default ``0.0`` flushes at every day boundary — right for
-            simulated runs, where days complete in milliseconds yet are
-            the natural progress unit; long-running serving loops pass a
-            real period to bound I/O.
-        clock: monotonic time source (injectable for tests).
     """
 
-    def __init__(
-        self,
-        directory,
-        segment: str = "run",
-        interval: float = 0.0,
-        clock=time.monotonic,
-    ) -> None:
+    def __init__(self, directory, segment: str = "run") -> None:
         self.directory = os.fspath(directory)
         self.segment = segment
         self.path = os.path.join(self.directory, f"{segment}.jsonl")
-        self.interval = float(interval)
-        self._clock = clock
         self.seq = 0
         self._spans_sent = 0
-        self._last_flush: float | None = None
-
-    def maybe_flush(
-        self,
-        telemetry,
-        day: int = -1,
-        progress: Mapping | None = None,
-        alerts: Sequence[Mapping] | None = None,
-    ) -> bool:
-        """Flush if at least ``interval`` elapsed since the last flush.
-
-        Returns whether a record was written — callers carrying delta
-        payloads (alerts) must re-offer a skipped delta at the next flush.
-        """
-        if self._last_flush is not None and self._clock() - self._last_flush < self.interval:
-            return False
-        self.flush(telemetry, day=day, progress=progress, alerts=alerts)
-        return True
 
     def flush(
         self,
@@ -153,7 +123,6 @@ class TelemetryStreamWriter:
         append_jsonl(self.path, record)
         self._spans_sent = len(records)
         self.seq += 1
-        self._last_flush = self._clock()
 
 
 @dataclass

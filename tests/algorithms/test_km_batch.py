@@ -37,10 +37,12 @@ def test_no_memory_across_batches(rng):
 
 
 def test_pad_square_same_result(rng):
+    # The matcher's rectangular solve reaches the optimum of the paper's
+    # square-padded |B| x |B| formulation (Sec. VI-B).
     utilities = rng.uniform(0.05, 1.0, size=(3, 15))
     fast = BatchKMMatcher().assign_batch(0, 0, np.arange(3), utilities)
-    square = BatchKMMatcher(pad_square=True).assign_batch(0, 0, np.arange(3), utilities)
-    assert fast.predicted_utility == pytest.approx(square.predicted_utility)
+    square = solve_assignment(utilities, pad_square=True)
+    assert fast.predicted_utility == pytest.approx(square.total_weight)
 
 
 def test_empty_batch():

@@ -21,18 +21,18 @@ def _config(**assignment_overrides):
 
 
 def test_name_reflects_cbs(rng):
-    plain = LACBMatcher(4, 6, rng, _config(use_cbs=False))
-    opt = LACBMatcher(4, 6, np.random.default_rng(0), _config(use_cbs=True))
+    plain = LACBMatcher(4, 6, rng, _config(use_cbs=False), batches_per_day=3)
+    opt = LACBMatcher(4, 6, np.random.default_rng(0), _config(use_cbs=True), batches_per_day=3)
     assert plain.name == "LACB"
     assert opt.name == "LACB-Opt"
 
 
 def test_personalization_toggle(rng):
-    personalized = LACBMatcher(4, 6, rng, _config())
+    personalized = LACBMatcher(4, 6, rng, _config(), batches_per_day=3)
     assert isinstance(personalized.estimator, PersonalizedCapacityEstimator)
     config = _config()
     config.personalize = False
-    generic = LACBMatcher(4, 6, np.random.default_rng(0), config)
+    generic = LACBMatcher(4, 6, np.random.default_rng(0), config, batches_per_day=3)
     assert isinstance(generic.estimator, NNUCBBandit)
 
 

@@ -13,7 +13,9 @@ def _matcher(rng, num_brokers=6, context_dim=4):
         hidden_sizes=(8,),
         min_arm_pulls=1,
     )
-    return NeuralUCBAssignment(context_dim, num_brokers, rng, bandit_config=config)
+    return NeuralUCBAssignment(
+        context_dim, num_brokers, rng, bandit_config=config, batches_per_day=3
+    )
 
 
 def test_begin_day_installs_capacities(rng):

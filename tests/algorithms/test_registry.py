@@ -1,8 +1,11 @@
 """Algorithm registry: every name builds, configuration plumbs through."""
 
+import inspect
+
+import numpy as np
 import pytest
 
-from repro.algorithms import ALGORITHM_NAMES, make_matcher
+from repro.algorithms import ALGORITHM_NAMES, NeuralUCBAssignment, make_matcher
 from repro.algorithms.ctopk import ConstrainedTopKRecommender
 from repro.algorithms.lacb import LACBMatcher
 
@@ -35,3 +38,21 @@ def test_lacb_opt_enables_cbs(tiny_platform):
 def test_batches_per_day_plumbed(tiny_platform):
     matcher = make_matcher("LACB", tiny_platform)
     assert matcher.assigner.batches_per_day == tiny_platform.batches_per_day
+
+
+def test_make_matcher_takes_only_the_recipe():
+    # Config ablations build the matcher classes directly.
+    assert list(inspect.signature(make_matcher).parameters) == [
+        "name",
+        "platform",
+        "seed",
+        "empirical_capacity",
+    ]
+
+
+@pytest.mark.parametrize("cls", [LACBMatcher, NeuralUCBAssignment])
+def test_value_function_matchers_require_batches_per_day(cls):
+    with pytest.raises(TypeError):
+        cls(4, 6, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        cls(4, 6, np.random.default_rng(0), batches_per_day=0)

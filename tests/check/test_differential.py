@@ -1,6 +1,6 @@
 """Differential property suites: backends, padding, CBS, top-k selection.
 
-These are the acceptance-criteria suites: the ``repro`` backend is
+These are the acceptance-criteria suites: the KM solver is
 cross-validated against the SciPy oracle (and the auction / min-cost-flow
 oracles where applicable) on >= 200 randomized rectangular instances per run,
 including ties, exact zeros, negatives and degenerate 0-row/0-col shapes.
@@ -85,7 +85,7 @@ def test_backends_agree_with_negative_entries():
 
 
 def test_assert_backends_agree_catches_disagreement(monkeypatch):
-    # Sanity: the assertion actually fires when a backend is wrong.
+    # Sanity: the assertion actually fires when the KM solve is wrong.
     # (importlib, because the package re-exports a same-named function
     # that shadows the module on attribute access)
     import importlib
@@ -93,9 +93,9 @@ def test_assert_backends_agree_catches_disagreement(monkeypatch):
     hungarian = importlib.import_module("repro.matching.hungarian")
     real = hungarian._solve_assignment
 
-    def broken(weights, maximize, backend, pad_square):
-        result = real(weights, maximize, backend, pad_square)
-        if backend == "repro" and result.pairs:
+    def broken(weights, maximize, pad_square):
+        result = real(weights, maximize, pad_square)
+        if result.pairs:
             result.pairs.pop()
             result.total_weight -= 1.0
         return result

@@ -181,6 +181,34 @@ def test_empty_matching_on_empty_matrix_passes():
 
 
 # ----------------------------------------------------------------------
+# oracle_assignment (the SciPy oracle)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("shape", [(3, 7), (7, 3), (5, 5)])
+def test_oracle_assignment_matches_km_under_zero_dummy_convention(shape):
+    from repro.matching import assert_valid_matching, solve_assignment
+
+    weights = np.random.default_rng(2).uniform(-1.0, 1.0, size=shape)
+    oracle = invariants.oracle_assignment(weights)
+    assert isinstance(oracle, MatchResult)
+    assert_valid_matching(oracle, weights)
+    # Negative edges are never forced: an unmatched row gains zero.
+    assert all(weights[row, col] >= 0.0 for row, col in oracle.pairs)
+    assert oracle.total_weight == invariants.oracle_optimum(weights)
+    assert oracle.total_weight == pytest.approx(solve_assignment(weights).total_weight)
+
+
+def test_oracle_assignment_on_empty_matrix():
+    assert invariants.oracle_assignment(np.zeros((0, 4))) == MatchResult()
+
+
+def test_oracle_assignment_exported_lazily_from_repro_check():
+    import repro.check
+
+    assert repro.check.oracle_assignment is invariants.oracle_assignment
+    assert not hasattr(invariants, "_oracle_optimum")
+
+
+# ----------------------------------------------------------------------
 # check_cbs_preservation
 # ----------------------------------------------------------------------
 def test_cbs_preserving_columns_pass():

@@ -104,60 +104,26 @@ def test_refinement_waits_for_frequency_history(rng):
     np.testing.assert_array_equal(refined, utilities)  # too few days seen
 
 
-def test_time_fraction_inference(rng):
-    assigner = ValueFunctionGuidedAssigner(
-        3, AssignmentConfig(), rng, batches_per_day=None
-    )
-    assigner.begin_day(np.full(3, 5.0))
-    assigner.assign_batch(0, 0, np.array([0]), rng.uniform(0.1, 1, (1, 3)))
-    assigner.assign_batch(0, 7, np.array([1]), rng.uniform(0.1, 1, (1, 3)))
-    assert assigner._time_fraction(4) == pytest.approx(0.5)
+def test_time_fraction_is_batch_over_batches_per_day(rng):
+    assigner = _assigner(num_brokers=3, rng=rng)
+    assert assigner._time_fraction(0) == 0.0
+    assert assigner._time_fraction(2) == 0.5
+    assert assigner._time_fraction(4) == 1.0
 
 
-def test_inferred_time_axis_frozen_after_first_day(rng):
-    """Regression: with batches_per_day inferred, day 1 used a drifting
-    denominator (batch 0 -> 0/1, batch 1 -> 1/2, ...), so every early TD
-    update bootstrapped from the terminal fraction 1.0.  The denominator is
-    now frozen at the end of the first day and day-1 updates are replayed
-    on the settled axis — day 1 and day 2 must use identical time axes."""
-    assigner = ValueFunctionGuidedAssigner(
-        3, AssignmentConfig(), np.random.default_rng(0), batches_per_day=None
-    )
-    fractions_by_day = {0: [], 1: []}
-    current_day = [0]
-    original = assigner.value_function.td_update
-
-    def recording(time_fraction, residual, utility, next_fraction, next_residual):
-        fractions_by_day[current_day[0]].append((time_fraction, next_fraction))
-        return original(time_fraction, residual, utility, next_fraction, next_residual)
-
-    assigner.value_function.td_update = recording
-    for day in range(2):
-        current_day[0] = day
-        assigner.begin_day(np.full(3, 8.0))
-        for batch in range(4):
-            assigner.assign_batch(
-                day, batch, np.array([0, 1]), rng.uniform(0.1, 1.0, size=(2, 3))
-            )
-        assigner.end_day()
-    assert assigner._frozen_batches == 4
-    # Same number of pairs per day, and the same time axis on both days.
-    assert sorted(set(fractions_by_day[0])) == sorted(set(fractions_by_day[1]))
-    # The drifting axis would have produced next_fraction == 1.0 everywhere
-    # on day 0; the frozen axis keeps intermediate fractions.
-    assert any(next_f < 1.0 for _, next_f in fractions_by_day[0])
+@pytest.mark.parametrize("batches_per_day", [None, 0])
+def test_batches_per_day_is_required(batches_per_day):
+    with pytest.raises((TypeError, ValueError)):
+        ValueFunctionGuidedAssigner(
+            3, AssignmentConfig(), np.random.default_rng(0), batches_per_day=batches_per_day
+        )
+    with pytest.raises(TypeError):
+        ValueFunctionGuidedAssigner(3, AssignmentConfig(), np.random.default_rng(0))
 
 
-def test_day_one_td_updates_deferred_to_end_day(rng):
-    assigner = ValueFunctionGuidedAssigner(
-        2, AssignmentConfig(), np.random.default_rng(0), batches_per_day=None
-    )
-    assigner.begin_day(np.full(2, 5.0))
-    before = assigner.value_function.num_updates
-    assigner.assign_batch(0, 0, np.array([0]), rng.uniform(0.1, 1.0, size=(1, 2)))
-    assert assigner.value_function.num_updates == before  # buffered, not applied
-    assigner.end_day()
-    assert assigner.value_function.num_updates > before  # replayed at day end
+def test_retired_time_axis_state_not_snapshotted(rng):
+    snapshot = _assigner(rng=rng).snapshot()["payload"]
+    assert not {"max_batch_seen", "frozen_batches", "pending_td"} & set(snapshot)
 
 
 def test_explicit_batches_per_day_updates_immediately(rng):

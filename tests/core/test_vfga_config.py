@@ -1,4 +1,6 @@
-"""Assignment-module configuration plumbing (backends, padding, CBS)."""
+"""Assignment-module configuration plumbing (fields, CBS)."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,37 +19,34 @@ def _assign_once(config, rng, num_brokers=20, batch=4):
 
 @pytest.mark.parametrize("backend", ["repro", "scipy"])
 def test_backends_produce_equal_value(backend):
+    # KM is the only solve path; its assignment must reach the optimum that
+    # both the solver itself and the independent SciPy oracle report.
+    from repro.check.invariants import oracle_assignment
+    from repro.matching import solve_assignment
+
+    reference = {"repro": solve_assignment, "scipy": oracle_assignment}[backend]
     rng = np.random.default_rng(4)
     utilities = rng.uniform(0.05, 1.0, size=(4, 20))
-    results = {}
-    for name in ("repro", backend):
-        assigner = ValueFunctionGuidedAssigner(
-            20,
-            AssignmentConfig(use_value_function=False, matching_backend=name),
-            np.random.default_rng(1),
-            batches_per_day=3,
-        )
-        assigner.begin_day(np.full(20, 10.0))
-        results[name] = assigner.assign_batch(0, 0, np.arange(4), utilities)
-    assert results[backend].predicted_utility == pytest.approx(
-        results["repro"].predicted_utility
+    assigner = ValueFunctionGuidedAssigner(
+        20,
+        AssignmentConfig(use_value_function=False),
+        np.random.default_rng(1),
+        batches_per_day=3,
     )
+    assigner.begin_day(np.full(20, 10.0))
+    assignment = assigner.assign_batch(0, 0, np.arange(4), utilities)
+    assert assignment.predicted_utility == pytest.approx(reference(utilities).total_weight)
 
 
-def test_pad_square_config_equivalent():
-    rng = np.random.default_rng(4)
-    utilities = rng.uniform(0.05, 1.0, size=(3, 15))
-    values = {}
-    for pad in (False, True):
-        assigner = ValueFunctionGuidedAssigner(
-            15,
-            AssignmentConfig(use_value_function=False, matching_pad_square=pad),
-            np.random.default_rng(1),
-            batches_per_day=3,
-        )
-        assigner.begin_day(np.full(15, 10.0))
-        values[pad] = assigner.assign_batch(0, 0, np.arange(3), utilities).predicted_utility
-    assert values[True] == pytest.approx(values[False])
+def test_config_fields_are_the_paper_hyperparameters():
+    # beta, gamma, delta and the two ablation switches; no solver options.
+    assert [f.name for f in dataclasses.fields(AssignmentConfig)] == [
+        "learning_rate",
+        "discount",
+        "threshold",
+        "use_value_function",
+        "use_cbs",
+    ]
 
 
 def test_cbs_reduces_candidate_pool(rng):

@@ -1,19 +1,12 @@
-"""Built-in hooks: timing seam, metrics, assignment logging, progress lines."""
+"""Built-in hooks: timing seam and metrics collection."""
 
-import io
 import time
 
 import numpy as np
 import pytest
 
 from repro.algorithms import make_matcher
-from repro.engine import (
-    AssignmentLogger,
-    DayLoopEngine,
-    DecisionTimer,
-    MetricsCollector,
-    ProgressReporter,
-)
+from repro.engine import DayLoopEngine, DecisionTimer, MetricsCollector
 from repro.simulation import SyntheticConfig, generate_city
 
 
@@ -80,84 +73,11 @@ def test_metrics_collector_is_reusable_across_runs():
     assert collector.result.total_realized_utility == first
 
 
-def test_assignment_logger_streams_all_batches():
+def test_metrics_collector_stores_assignments_and_outcomes():
     platform = _tiny_platform()
-    logger = AssignmentLogger(store_outcomes=True)
-    collector = MetricsCollector(store_assignments=True)
-    DayLoopEngine().run(
-        platform, make_matcher("Top-3", platform, seed=1), hooks=[logger, collector]
-    )
-    assert logger.assignments == collector.result.assignments
-    assert len(logger.outcomes) == platform.num_days
-    assert sum(len(assignment) for assignment in logger.assignments) == (
-        collector.result.num_assigned
-    )
-
-
-def test_progress_reporter_lines():
-    platform = _tiny_platform()
-    stream = io.StringIO()
-    DayLoopEngine().run(
-        platform,
-        make_matcher("Top-1", platform, seed=1),
-        hooks=[ProgressReporter(every=1, stream=stream)],
-    )
-    lines = stream.getvalue().strip().splitlines()
-    assert len(lines) == platform.num_days
-    assert lines[0].startswith("[Top-1] day 1/2 ")
-    assert "utility=" in lines[-1] and "matcher=" in lines[-1]
-
-
-def test_progress_reporter_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        ProgressReporter(every=0)
-
-
-def test_progress_reporter_exact_line_format():
-    """One deterministic-format line per day: [name] day D/N utility= matcher=."""
-    platform = _tiny_platform()
-    stream = io.StringIO()
-    DayLoopEngine().run(
-        platform,
-        make_matcher("Top-3", platform, seed=1),
-        hooks=[ProgressReporter(every=1, stream=stream)],
-    )
-    import re
-
-    pattern = re.compile(
-        r"^\[Top-3\] day (\d+)/2 utility=\d+\.\d{2} matcher=\d+\.\d{3}s$"
-    )
-    lines = stream.getvalue().splitlines()
-    assert len(lines) == 2
-    for expected_day, line in enumerate(lines, start=1):
-        match = pattern.match(line)
-        assert match, f"malformed progress line: {line!r}"
-        assert int(match.group(1)) == expected_day
-
-
-def test_progress_reporter_every_skips_but_always_reports_final_day():
-    platform = generate_city(
-        SyntheticConfig(num_brokers=20, num_requests=150, num_days=5, imbalance=0.1, seed=11)
-    )
-    stream = io.StringIO()
-    DayLoopEngine().run(
-        platform,
-        make_matcher("Top-1", platform, seed=1),
-        hooks=[ProgressReporter(every=2, stream=stream)],
-    )
-    lines = stream.getvalue().splitlines()
-    # Days 2 and 4 hit the interval; day 5 is the forced final report.
-    assert [line.split()[2] for line in lines] == ["2/5", "4/5", "5/5"]
-
-
-def test_progress_reporter_matcher_seconds_accumulate_within_run():
-    platform = _tiny_platform()
-    stream = io.StringIO()
-    reporter = ProgressReporter(every=1, stream=stream)
-    DayLoopEngine().run(platform, make_matcher("Top-1", platform, seed=1), hooks=[reporter])
-    seconds = [
-        float(line.rsplit("matcher=", 1)[1].rstrip("s"))
-        for line in stream.getvalue().splitlines()
-    ]
-    # The reported matcher time is cumulative, so it never decreases.
-    assert seconds == sorted(seconds)
+    collector = MetricsCollector(store_assignments=True, store_outcomes=True)
+    DayLoopEngine().run(platform, make_matcher("Top-3", platform, seed=1), hooks=[collector])
+    result = collector.result
+    assert len(result.outcomes) == platform.num_days
+    assert len(result.assignments) == platform.num_days * platform.batches_per_day
+    assert sum(len(assignment) for assignment in result.assignments) == result.num_assigned

@@ -23,7 +23,7 @@ def test_platform_spec_validation():
 def test_run_spec_round_trips_through_pickle():
     spec = RunSpec(
         platform=PlatformSpec.synthetic(TINY),
-        matcher=MatcherSpec("LACB-Opt", seed=3, backend="scipy"),
+        matcher=MatcherSpec("LACB-Opt", seed=3, empirical_capacity=12.0),
         store_assignments=True,
         tag="num_brokers=20",
     )
@@ -32,6 +32,16 @@ def test_run_spec_round_trips_through_pickle():
     assert clone.platform.config.num_brokers == 20
     assert clone.matcher.name == "LACB-Opt"
     assert clone.tag == "num_brokers=20"
+
+
+def test_matcher_spec_fields_are_the_recipe():
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(MatcherSpec)] == [
+        "name",
+        "seed",
+        "empirical_capacity",
+    ]
 
 
 def test_synthetic_build_is_deterministic():

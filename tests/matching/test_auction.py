@@ -57,5 +57,6 @@ def test_matches_hungarian_property(n_rows, n_cols, seed):
 
 
 def test_not_a_production_backend(rng):
-    with pytest.raises(ValueError, match="unknown backend"):
+    # The auction solver is an oracle only; solve_assignment has no way to pick it.
+    with pytest.raises(TypeError):
         solve_assignment(rng.uniform(size=(3, 3)), backend="auction")

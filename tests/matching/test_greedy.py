@@ -45,7 +45,7 @@ def test_ties_resolve_to_smallest_row_col():
 def test_tie_order_matches_exact_backends_on_uniform_matrix():
     weights = np.full((3, 5), 0.3)
     greedy = greedy_assignment(weights)
-    exact = solve_assignment(weights, backend="repro")
+    exact = solve_assignment(weights)
     assert greedy.pairs == exact.pairs
 
 

@@ -1,5 +1,7 @@
 """Hungarian solver: optimality vs independent oracles, padding modes."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,17 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from repro.check.flow import min_cost_flow_assignment
+from repro.check.invariants import oracle_assignment
 from repro.matching import (
     assert_valid_matching,
     greedy_assignment,
     hungarian,
     solve_assignment,
 )
+
+#: The production KM solve and the SciPy oracle, which follows the same
+#: zero-dummy convention.
+SOLVERS = {"repro": solve_assignment, "scipy": oracle_assignment}
 
 
 def test_square_minimization_matches_scipy(rng):
@@ -76,17 +83,23 @@ def test_minimize_rectangular_rejected(rng):
 
 
 def test_unknown_backend(rng):
-    with pytest.raises(ValueError):
-        solve_assignment(rng.uniform(size=(2, 2)), backend="torch")
+    # KM is the only solve path: there is no solver-selection argument.
+    assert list(inspect.signature(solve_assignment).parameters) == [
+        "weights",
+        "maximize",
+        "pad_square",
+    ]
+    with pytest.raises(TypeError):
+        solve_assignment(rng.uniform(size=(2, 2)), backend="scipy")
 
 
-@pytest.mark.parametrize("backend", ["repro", "scipy"])
+@pytest.mark.parametrize("backend", sorted(SOLVERS))
 def test_backends_agree(rng, backend):
     for _ in range(15):
         r, c = int(rng.integers(1, 12)), int(rng.integers(1, 12))
-        weights = rng.uniform(0, 1, size=(r, c))
-        reference = solve_assignment(weights, backend="scipy")
-        result = solve_assignment(weights, backend=backend)
+        weights = rng.uniform(-0.5, 1, size=(r, c))
+        reference = oracle_assignment(weights)
+        result = SOLVERS[backend](weights)
         assert result.total_weight == pytest.approx(reference.total_weight)
         assert_valid_matching(result, weights)
 
@@ -116,7 +129,7 @@ def test_optimality_against_min_cost_flow(n_rows, n_cols, seed):
 # ----------------------------------------------------------------------
 # Regression: zero-weight matched pairs must not be dropped
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["repro", "scipy"])
+@pytest.mark.parametrize("backend", sorted(SOLVERS))
 def test_zero_weight_pair_is_reported(backend):
     """A genuine zero-utility edge the solver selects is a real match.
 
@@ -124,16 +137,16 @@ def test_zero_weight_pair_is_reported(backend):
     silently unmatched requests whose best broker had exactly zero utility.
     Dummy columns are now recognised by column index, not by weight.
     """
-    result = solve_assignment(np.array([[0.0]]), backend=backend)
+    result = SOLVERS[backend](np.array([[0.0]]))
     assert result.pairs == [(0, 0)]
     assert result.total_weight == 0.0
 
 
-@pytest.mark.parametrize("backend", ["repro", "scipy"])
+@pytest.mark.parametrize("backend", sorted(SOLVERS))
 def test_zero_weight_pair_survives_alongside_negative_column(backend):
     # The optimum matches row 0 to the zero column (0.0 > -2.0); that pair
     # must be reported even though its weight equals the dummy padding value.
-    result = solve_assignment(np.array([[0.0, -2.0]]), backend=backend)
+    result = SOLVERS[backend](np.array([[0.0, -2.0]]))
     assert result.pairs == [(0, 0)]
     assert result.total_weight == 0.0
 

@@ -9,7 +9,7 @@ from repro.state.protocol import StateError
 
 
 def cold(weights):
-    return solve_assignment(weights, maximize=True, backend="repro")
+    return solve_assignment(weights, maximize=True)
 
 
 def assert_bit_identical(warm, weights):

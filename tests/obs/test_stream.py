@@ -241,20 +241,20 @@ def test_watch_renders_partial_and_complete_states(tmp_path):
     assert "run complete" in text
 
 
-def test_interval_throttles_day_flushes(tmp_path):
-    clock_value = [0.0]
-    writer = TelemetryStreamWriter(
-        tmp_path, segment="run", interval=10.0, clock=lambda: clock_value[0]
-    )
+def test_hook_flushes_every_day_boundary_and_run_end(tmp_path):
     telemetry = Telemetry()
-    assert writer.maybe_flush(telemetry, day=0)  # first flush always lands
-    clock_value[0] = 5.0
-    assert not writer.maybe_flush(telemetry, day=1)  # inside the interval
-    clock_value[0] = 15.0
-    assert writer.maybe_flush(telemetry, day=2)
-    segment = read_segment(tmp_path / "run.jsonl")
-    assert segment.flushes == 2
-    assert segment.day == 2
+    telemetry.stream = TelemetryStreamWriter(stream_dir_for(tmp_path), segment="main")
+    platform = generate_city(TINY)
+    with use_telemetry(telemetry):
+        DayLoopEngine().run(platform, MatcherSpec("Top-3", seed=1).build(platform))
+    records = [
+        json.loads(line)
+        for line in (tmp_path / "stream" / "main.jsonl").read_text().splitlines()
+    ]
+    assert [(r["day"], r["final"]) for r in records] == [
+        *((day, False) for day in range(TINY.num_days)),
+        (TINY.num_days - 1, True),
+    ]
 
 
 def test_fresh_writer_replaces_stale_segment(tmp_path):

@@ -86,7 +86,7 @@ def test_chrome_trace_schema_is_perfetto_loadable(tmp_path):
     """The exported trace must be a valid Chrome trace_event JSON object."""
     clock = FakeClock()
     tracer = Tracer(clock=clock)
-    with tracer.span("matching.solve", backend="repro"):
+    with tracer.span("matching.solve", algorithm="KM"):
         clock.advance(0.001)
     tracer.record_span("engine.begin_day", 0.5)
 
@@ -109,7 +109,7 @@ def test_chrome_trace_schema_is_perfetto_loadable(tmp_path):
     solve = next(e for e in trace["traceEvents"] if e["name"] == "matching.solve")
     assert solve["cat"] == "matching"
     assert solve["dur"] == 1000.0  # 1 ms in microseconds
-    assert solve["args"] == {"backend": "repro"}
+    assert solve["args"] == {"algorithm": "KM"}
 
 
 def test_chrome_trace_export_bytes_equal_json_dumps(tmp_path):
@@ -120,7 +120,7 @@ def test_chrome_trace_export_bytes_equal_json_dumps(tmp_path):
     for day in range(3):
         with tracer.span("engine.day", day=str(day), note='quote " and \\ slash'):
             clock.advance(0.25)
-            with tracer.span("matching.solve", backend="repro"):
+            with tracer.span("matching.solve", algorithm="KM"):
                 clock.advance(1e-7)
     tracer.record_span("engine.begin_day", 0.5, cpu=0.125)
 

@@ -1,11 +1,18 @@
-"""Checkpoints from the retired warm-start KM / utility-cache options resume.
+"""Checkpoints from retired matcher options resume bit-identically.
 
-Before those options were removed, an LACB-family matcher run with them on
-wrote two extra entries into its snapshot: the assigner's
-``incremental_solver`` trajectory and the matcher's prediction-cache
-rows.  Neither carried run state (both only memoized results that are
-bit-identical when recomputed), so restoring such a checkpoint must ignore
-them and continue exactly as a straight run does.
+Before those options were removed, an LACB-family matcher wrote extra
+entries into its snapshot:
+
+- with warm-start KM / the utility cache on: the assigner's
+  ``incremental_solver`` trajectory and the matcher's prediction-cache
+  rows, which only memoized results that are bit-identical when
+  recomputed;
+- always: the inferred time axis's ``max_batch_seen``, ``frozen_batches``
+  and ``pending_td``, which every registry-built run left unused
+  (``batches_per_day`` was passed, so the latter two hold ``None`` / ``[]``).
+
+Restoring such a checkpoint must ignore them and continue exactly as a
+straight run does.
 """
 
 import numpy as np
@@ -63,15 +70,21 @@ def test_legacy_snapshot_resumes_bit_identically(tmp_path, algorithm):
     rng = np.random.default_rng(5)
     matcher_payload = state["matcher"]["payload"]
     matcher_payload["utility_cache"] = _legacy_cache_snapshot(rng, config.num_brokers)
-    matcher_payload["assigner"]["payload"]["incremental_solver"] = _legacy_solver_snapshot(
-        rng, config.num_brokers
-    )
+    assigner_payload = matcher_payload["assigner"]["payload"]
+    assigner_payload["incremental_solver"] = _legacy_solver_snapshot(rng, config.num_brokers)
+    # The retired inferred-time-axis entries, as earlier versions wrote them.
+    assigner_payload["max_batch_seen"] = config.batches_per_day
+    assigner_payload["frozen_batches"] = None
+    assigner_payload["pending_td"] = []
     legacy_root = str(tmp_path / "legacy")
     legacy = CheckpointStore(spec.run_directory(legacy_root))
     legacy.save(state, KILL_DAY, spec.run_id())
     # The resumed run restores exactly this checkpoint (not a fresh start).
     assert legacy.latest(run_id=spec.run_id()).day == KILL_DAY
-    assert "incremental_solver" in legacy.load()["matcher"]["payload"]["assigner"]["payload"]
+    legacy_assigner = legacy.load()["matcher"]["payload"]["assigner"]["payload"]
+    assert {"incremental_solver", "max_batch_seen", "frozen_batches", "pending_td"} <= set(
+        legacy_assigner
+    )
 
     resumed = execute_spec(RunSpec(platform=platform, matcher=matcher, resume_from=legacy_root))
     assert resumed.total_realized_utility == straight.total_realized_utility

@@ -14,7 +14,7 @@ import pickle
 import pytest
 
 from repro.algorithms import ALGORITHM_NAMES, make_matcher
-from repro.engine.hooks import AssignmentLogger, DecisionTimer, MetricsCollector
+from repro.engine.hooks import DecisionTimer, MetricsCollector
 from repro.engine.loop import DayLoopEngine
 from repro.engine.spec import MatcherSpec, PlatformSpec, RunSpec
 from repro.simulation import SyntheticConfig, generate_city
@@ -53,7 +53,6 @@ def test_hooks_pickle_with_state(config):
     matcher = make_matcher("Greedy", platform, seed=5)
     hooks = (
         MetricsCollector(store_outcomes=True, store_assignments=True),
-        AssignmentLogger(),
         DecisionTimer(),
     )
     DayLoopEngine().run(platform, matcher, hooks=hooks)

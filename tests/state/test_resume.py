@@ -123,3 +123,33 @@ def test_run_id_separates_batch_and_serving_recipes(platform_spec):
     # A batch spec keeps the identity it had before serving recipes
     # existed, so stores written by earlier versions still resume.
     assert batch.run_id() == "lacb-s5-ca9f2c69f9"
+
+
+def test_run_id_unchanged_by_retired_matcher_spec_slots(platform_spec):
+    # Pinned from the MatcherSpec that still carried backend / bandit_config
+    # / lacb_config: stores written then must keep resolving to the same id.
+    spec = RunSpec(
+        platform=platform_spec, matcher=MatcherSpec("CTop-3", seed=5, empirical_capacity=12.0)
+    )
+    assert spec.run_id() == "ctop-3-s5-8a4e2d2162"
+
+
+def test_resume_suite_city_has_multi_request_windows(monkeypatch):
+    """The suite must exercise multi-row KM solves and within-window order;
+    a city with at most one request per window cannot see either fault."""
+    from repro.check import resume
+
+    platforms = []
+    build = resume._build
+
+    def recording_build(platform_spec, algorithm, seed):
+        built = build(platform_spec, algorithm, seed)
+        platforms.append(built[0])
+        return built
+
+    monkeypatch.setattr(resume, "_build", recording_build)
+    cases, violations = run_resume_suite(num_cases=1, algorithms=("Top-3",))
+    assert (cases, violations) == (1, [])
+    assert platforms
+    for platform in platforms:
+        assert np.diff(platform.stream.offsets).max() >= 2
