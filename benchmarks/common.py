@@ -13,6 +13,8 @@ checks and prints; absolute numbers differ from the paper's testbed.
 
 from __future__ import annotations
 
+import json
+import os
 from functools import lru_cache
 
 from repro.experiments import CityEvaluation, evaluate_city
@@ -52,3 +54,23 @@ MOTIVATION_CONFIG = SyntheticConfig(
 def city_runs(city: str) -> CityEvaluation:
     """One full Fig. 9-11 evaluation per city, cached across benches."""
     return evaluate_city(city, scale=CITY_SCALE, seed=7, algorithms=CITY_ALGORITHMS)
+
+
+#: CI smoke mode (tiny instances, relaxed gates), shared by every
+#: benchmark that has one.
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
+
+
+def write_artifact(path, payload: dict) -> None:
+    """Write a ``BENCH_*.json`` artifact — or, in smoke mode, print it.
+
+    The committed artifacts hold full-size figures that ``repro-lacb
+    baseline --check`` compares against; a smoke run's tiny-instance
+    numbers must never replace them, so smoke payloads go to stdout only.
+    """
+    text = json.dumps(payload, indent=2)
+    if SMOKE:
+        print(text)
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)

@@ -16,22 +16,22 @@ the hook wraps each save in a ``state.checkpoint`` span, so the payload
 records exactly how much of the wall clock the durable writes consumed.
 """
 
-import json
 import os
 import shutil
 import statistics
 import tempfile
 import time
 
+from benchmarks.common import SMOKE, write_artifact
 from repro.engine import MatcherSpec, PlatformSpec, RunSpec
 from repro.engine.executor import execute_spec, execute_spec_observed
 from repro.obs import telemetry as obs
+from repro.obs.stream import read_stream
 from repro.simulation import SyntheticConfig
 
-#: CI smoke mode: tiny instance, budget relaxed to "not pathologically
-#: slower" — per-day compute shrinks with the instance but the per-write
-#: fsync floor does not, so the 5% bound is only meaningful at scale.
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
+# CI smoke mode: tiny instance, budget relaxed to "not pathologically
+# slower" — per-day compute shrinks with the instance but the per-write
+# fsync floor does not, so the 5% bound is only meaningful at scale.
 
 REPEATS = 3 if SMOKE else 5
 OVERHEAD_BUDGET = 2.0 if SMOKE else 1.05
@@ -85,13 +85,12 @@ def test_checkpoint_overhead(benchmark):
 
         # One observed pass: repro.obs spans time each durable write from
         # the inside, giving the absolute cost alongside the ratio.
-        _observed, payload = execute_spec_observed(
-            _spec(os.path.join(root, "observed"))
-        )
+        stream_dir = os.path.join(root, "stream")
+        execute_spec_observed(_spec(os.path.join(root, "observed")), stream_dir)
         write_seconds = [
-            span["duration"]
-            for span in payload["spans"]
-            if span["name"] == "state.checkpoint"
+            span.duration
+            for span in read_stream(stream_dir).spans()
+            if span.name == "state.checkpoint"
         ]
         checkpoint_writes = len(write_seconds)
 
@@ -138,8 +137,7 @@ def test_checkpoint_overhead(benchmark):
         "checkpoint_write_seconds": write_seconds,
         "checkpoint_write_total": sum(write_seconds),
     }
-    with open(RESULT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2)
+    write_artifact(RESULT_PATH, result)
 
     print()
     print(f"whole run, checkpoints off: {off_best:.3f}s (best of {REPEATS})")

@@ -8,8 +8,8 @@ standing perf budget on top of the telemetry one: **audit on must stay
 within 5% of audit off** (both with telemetry and live streaming enabled,
 the configuration ``--telemetry DIR --audit`` actually ships), and the
 records themselves must stay compact — a bounded number of bytes per
-audited decision, so a season-scale run's audit directory stays readable
-and shippable.
+audited decision, so a season-scale run's stream stays readable and
+shippable.
 
 Methodology follows ``benchmarks/test_obs_overhead.py``: the two modes
 are interleaved so drift hits both equally, the budget is enforced on the
@@ -24,16 +24,17 @@ import os
 import statistics
 import tempfile
 
+from benchmarks.common import SMOKE, write_artifact
 from repro.engine import MatcherSpec, PlatformSpec, RunSpec
 from repro.engine.executor import execute_spec_observed
 from repro.obs import telemetry as obs
 from repro.obs.audit import AuditConfig, read_audit
+from repro.obs.stream import stream_dir_for
 from repro.simulation import SyntheticConfig
 
-#: CI smoke mode: tiny instance, budget relaxed to "not pathologically
-#: slower" — on a tiny city the fixed per-batch bookkeeping dwarfs the
-#: KM work that dominates (and amortizes it) at real scale.
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
+# CI smoke mode: tiny instance, budget relaxed to "not pathologically
+# slower" — on a tiny city the fixed per-batch bookkeeping dwarfs the
+# KM work that dominates (and amortizes it) at real scale.
 
 #: Near the CLI's default city scale, audited at the default ``--audit``
 #: sampling (every batch): the worst case the flag actually ships.
@@ -66,21 +67,17 @@ def test_decision_audit_overhead(benchmark):
     off_times, on_times = [], []
     audit_bytes = audit_decisions = audit_days = 0
     with tempfile.TemporaryDirectory(prefix="repro-audit-bench-") as workdir:
-        stream_dir = os.path.join(workdir, "stream")
-        audit_dir = os.path.join(workdir, "audit")
+        stream_dir = stream_dir_for(workdir)
         # Interleave the modes so drift (thermal, cache) hits both equally.
         for repeat in range(REPEATS):
-            off, _payload = execute_spec_observed(
-                _spec(), stream_dir=stream_dir, segment=f"{repeat:04d}-off"
-            )
+            off = execute_spec_observed(_spec(), stream_dir, segment=f"{repeat:04d}-off")
             off_runs.append(off)
             off_times.append(off.decision_time)
 
-            on, _payload = execute_spec_observed(
+            on = execute_spec_observed(
                 _spec(),
-                stream_dir=stream_dir,
+                stream_dir,
                 segment=f"{repeat:04d}-on",
-                audit_dir=audit_dir,
                 audit=AuditConfig(sample_every=SAMPLE_EVERY),
             )
             on_runs.append(on)
@@ -90,24 +87,18 @@ def test_decision_audit_overhead(benchmark):
         # configuration, the quantity whose regression this bench catches.
         benchmark.pedantic(
             lambda: execute_spec_observed(
-                _spec(),
-                stream_dir=stream_dir,
-                audit_dir=audit_dir,
-                audit=AuditConfig(sample_every=SAMPLE_EVERY),
+                _spec(), stream_dir, audit=AuditConfig(sample_every=SAMPLE_EVERY)
             ),
             rounds=1,
             iterations=1,
         )
 
-        view = read_audit(audit_dir)
-        for segment in view.segments:
-            audit_bytes += os.path.getsize(segment.path)
-            audit_days += len(segment.records)
-            audit_decisions += sum(
-                len(batch["decisions"])
-                for record in segment.records
-                for batch in record["batches"]
-            )
+        # Audit records ride in the stream records: their size is the size
+        # of the JSON the stream line carries for them.
+        for record in read_audit(workdir).records:
+            audit_bytes += len(json.dumps(record, sort_keys=True))
+            audit_days += 1
+            audit_decisions += sum(len(batch["decisions"]) for batch in record["batches"])
 
     # Provenance capture must never change results.
     for off, on in zip(off_runs, on_runs):
@@ -143,8 +134,7 @@ def test_decision_audit_overhead(benchmark):
         "bytes_per_decision": bytes_per_decision,
         "bytes_per_decision_budget": BYTES_PER_DECISION_BUDGET,
     }
-    with open(RESULT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
+    write_artifact(RESULT_PATH, payload)
 
     print()
     print(f"decision time, audit off: {off_median:.3f}s (median of {REPEATS})")

@@ -32,13 +32,13 @@ Run modes::
 """
 
 import copy
-import json
 import os
 import time
 from contextlib import contextmanager
 
 import numpy as np
 
+from benchmarks.common import SMOKE, write_artifact
 from repro.bandits import PersonalizedCapacityEstimator
 from repro.bandits.neural_ucb import NNUCBBandit
 from repro.check.differential import install_reference_kernels, quickselect_union
@@ -49,8 +49,7 @@ from repro.engine.executor import execute_spec
 from repro.matching import solve_assignment
 from repro.simulation import SyntheticConfig
 
-#: CI smoke mode: small instances, floors relaxed to "fast is not slower".
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
+# CI smoke mode: small instances, floors relaxed to "fast is not slower".
 
 REPEATS = 3 if SMOKE else 5
 #: NeuralUCB scoring calls per timed pass (one per broker context).
@@ -301,8 +300,7 @@ def test_hotpath_speedups(benchmark, monkeypatch):
             "total_realized_utility": fast_run.total_realized_utility,
         },
     }
-    with open(RESULT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
+    write_artifact(RESULT_PATH, payload)
 
     print()
     print(

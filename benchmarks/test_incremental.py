@@ -20,16 +20,15 @@ Run modes::
     REPRO_BENCH_SMOKE=1 PYTHONPATH=src python -m pytest benchmarks/test_incremental.py --benchmark-only
 """
 
-import json
 import os
 import time
 
 import numpy as np
 
+from benchmarks.common import SMOKE, write_artifact
 from repro.matching import IncrementalKMSolver, solve_assignment
 
-#: CI smoke mode: small instances, floors relaxed to "fast is not slower".
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
+# CI smoke mode: small instances, floors relaxed to "fast is not slower".
 
 REPEATS = 3 if SMOKE else 5
 #: Batch instance shape: |R| requests x |B| candidate brokers.
@@ -171,8 +170,7 @@ def test_incremental_matching(benchmark):
             "solver_stats": interior_stats,
         },
     }
-    with open(RESULT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
+    write_artifact(RESULT_PATH, payload)
 
     print()
     print(

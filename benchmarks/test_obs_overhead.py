@@ -24,20 +24,20 @@ pair) precisely so this bound holds; a regression here usually means an
 instrumentation point slid into a per-pair loop.
 """
 
-import json
 import os
 import statistics
 import tempfile
 
+from benchmarks.common import SMOKE, write_artifact
 from repro.engine import MatcherSpec, PlatformSpec, RunSpec
 from repro.engine.executor import execute_spec, execute_spec_observed
 from repro.obs import telemetry as obs
+from repro.obs.stream import read_segment
 from repro.simulation import SyntheticConfig
 
-#: CI smoke mode: tiny instance, budget relaxed to "not pathologically
-#: slower" — the full-size budget only means something when per-batch KM
-#: work dominates, as it does in real runs.
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
+# CI smoke mode: tiny instance, budget relaxed to "not pathologically
+# slower" — the full-size budget only means something when per-batch KM
+# work dominates, as it does in real runs.
 
 #: Near the CLI's default city scale (|B|=200): per-batch KM work must
 #: dominate — tiny instances overstate the relative cost of the fixed
@@ -73,18 +73,18 @@ def test_obs_overhead(benchmark):
             off_runs.append(off)
             off_times.append(off.decision_time)
 
-            on, payload = execute_spec_observed(
-                _spec(), stream_dir=stream_dir, segment=f"{repeat:04d}-bench"
-            )
+            segment = f"{repeat:04d}-bench"
+            on = execute_spec_observed(_spec(), stream_dir, segment=segment)
             on_runs.append(on)
             on_times.append(on.decision_time)
-            span_count = len(payload["spans"])
-            metric_count = len(payload["registry"]["metrics"])
+            streamed = read_segment(os.path.join(stream_dir, f"{segment}.jsonl"))
+            span_count = len(streamed.spans)
+            metric_count = len(streamed.registry_state["metrics"])
 
         # One recorded pass for the pytest-benchmark tables: telemetry on
         # with streaming, the quantity whose regression this bench catches.
         benchmark.pedantic(
-            lambda: execute_spec_observed(_spec(), stream_dir=stream_dir),
+            lambda: execute_spec_observed(_spec(), stream_dir),
             rounds=1,
             iterations=1,
         )
@@ -124,8 +124,7 @@ def test_obs_overhead(benchmark):
         "spans_recorded": span_count,
         "metrics_recorded": metric_count,
     }
-    with open(RESULT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
+    write_artifact(RESULT_PATH, payload)
 
     print()
     print(f"decision time, telemetry off: {off_median:.3f}s (median of {REPEATS})")

@@ -36,19 +36,18 @@ Run modes::
 """
 
 import dataclasses
-import json
 import os
 
 import numpy as np
 
+from benchmarks.common import SMOKE, write_artifact
 from repro.check.resume import _compare_results, _compare_states
 from repro.engine import MatcherSpec, PlatformSpec, RunSpec
 from repro.serving import ServingSpec
 from repro.simulation import SyntheticConfig
 from repro.state import CheckpointStore
 
-#: CI smoke mode: small instances, floors relaxed.
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
+# CI smoke mode: small instances, floors relaxed.
 
 #: Algorithms proven equivalent before any timing happens.
 EQUIVALENCE_ALGORITHMS = ("AN",) if SMOKE else ("AN", "LACB", "LACB-Opt")
@@ -207,8 +206,7 @@ def test_serving_saturation(benchmark, tmp_path):
         },
         "saturation": curve,
     }
-    with open(RESULT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
+    write_artifact(RESULT_PATH, payload)
 
     print()
     print(

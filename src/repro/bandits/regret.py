@@ -62,7 +62,3 @@ class RegretTracker:
     def cumulative_regret(self) -> float:
         """Total regret over all recorded trials (Eq. 7)."""
         return float(np.sum(self._instantaneous))
-
-    def cumulative_curve(self) -> np.ndarray:
-        """Running cumulative regret after each trial."""
-        return np.cumsum(self._instantaneous) if self._instantaneous else np.empty(0)

@@ -45,10 +45,6 @@ class NeuralThompsonBandit(NNUCBBandit):
         noise = self._rng.normal(0.0, 1.0, size=self.capacities.size)
         return means + self.config.alpha * bonuses * noise
 
-    def posterior_mean_scores(self, context: np.ndarray) -> np.ndarray:
-        """The noise-free posterior means (for analysis and tests)."""
-        return self.predicted_rewards(context)
-
     #: Same payload as the base class, but a distinct kind: a Thompson
     #: checkpoint must not silently restore into a UCB bandit (or back).
     STATE_KIND = "bandits.thompson"

@@ -52,11 +52,6 @@ class GradientBoostedTrees:
         self._trees: list[RegressionTree] = []
         self.train_losses: list[float] = []
 
-    @property
-    def num_trees(self) -> int:
-        """Number of fitted boosting rounds."""
-        return len(self._trees)
-
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "GradientBoostedTrees":
         """Fit the ensemble; records the per-round training MSE."""
         features = np.asarray(features, dtype=float)

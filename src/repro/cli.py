@@ -10,8 +10,8 @@ Subcommands:
   deterministic arrival process, with queue-wait/latency quantiles (one
   serving :class:`~repro.engine.spec.RunSpec` per algorithm);
 - ``timing``   — the per-batch matching-cost profile (the CBS speedup);
-- ``report``   — render the telemetry a ``--telemetry DIR`` run exported
-  (falls back to streamed partials when the run crashed before export);
+- ``report``   — render the telemetry a ``--telemetry DIR`` run streamed
+  (a crashed or still-running run renders from its last flushed records);
 - ``watch``    — live view of an in-flight ``--telemetry`` run from its
   streamed segments;
 - ``baseline`` — benchmark trajectory tracking: append ``BENCH_*.json``
@@ -132,14 +132,14 @@ def _add_telemetry_argument(parser: argparse.ArgumentParser) -> None:
         "--telemetry",
         metavar="DIR",
         default=None,
-        help="collect metrics/spans during the run and export them to DIR "
-        "(view with `repro report DIR`)",
+        help="stream metrics/spans of the run to DIR/stream/ and render "
+        "DIR/metrics.prom and DIR/trace.json at exit (view with `repro report DIR`)",
     )
     parser.add_argument(
         "--audit",
         action="store_true",
-        help="record per-assignment decision provenance under DIR/audit/ "
-        "(requires --telemetry; inspect with `repro-lacb explain DIR`)",
+        help="record per-assignment decision provenance in the DIR/stream/ "
+        "records (requires --telemetry; inspect with `repro-lacb explain DIR`)",
     )
     parser.add_argument(
         "--audit-sample",
@@ -424,10 +424,10 @@ def _cmd_report(args: argparse.Namespace) -> None:
 
 
 def _cmd_explain(args: argparse.Namespace) -> None:
-    from repro.obs.audit import audit_dir_for, read_audit
+    from repro.obs.audit import read_audit
     from repro.obs.report import render_explain
 
-    view = read_audit(audit_dir_for(args.dir))
+    view = read_audit(args.dir)
     print(
         render_explain(
             view,
@@ -700,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     timing.set_defaults(func=_cmd_timing)
 
     report = sub.add_parser(
-        "report", help="render the telemetry exported by a --telemetry run"
+        "report", help="render the telemetry a --telemetry run streamed"
     )
     report.add_argument("dir", help="telemetry directory written by --telemetry")
     report.add_argument(
@@ -812,7 +812,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="checkpoint/resume equivalence cases with random kill days "
-        "(0 disables the resume phase)",
+        "(0 disables the resume phase); the phase always builds its own "
+        "12-broker, 90-request, 5-day city at imbalance 1.0 — --brokers/"
+        "--requests/--days do not size it",
     )
     check.add_argument(
         "--resume-dir",
@@ -828,38 +830,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_with_telemetry(args: argparse.Namespace, directory: str) -> None:
-    """Run one command under live telemetry and export the artifacts.
+    """Run one command under streaming telemetry, then export the artifacts.
 
-    The export happens in ``finally``: a failing command (e.g. ``check``
-    exiting non-zero on violations) must still ship its telemetry — that
-    run's trace is exactly the one worth inspecting — and the failure
-    (exit code included) must still propagate.
-
-    Streaming is on throughout: every run writes live segments under
-    ``DIR/stream/`` (watch with ``repro-lacb watch DIR``), so even a
-    hard kill leaves a partial view that ``report`` can render.
+    Every run streams to ``DIR/stream/`` as it goes (watch with
+    ``repro-lacb watch DIR``): spec fan-outs (``run_many``) write one
+    segment per spec, runs executed directly under this telemetry write
+    ``main``.  The export happens in ``finally``: a failing command (e.g.
+    ``check`` exiting non-zero on violations) must still ship its
+    telemetry — that run's trace is exactly the one worth inspecting —
+    and the failure (exit code included) must still propagate.  It first
+    flushes what this process recorded since its last flush (work done
+    outside any run) to ``main``, final unless the command raised, then
+    writes the manifest and renders ``metrics.prom`` and ``trace.json``
+    from the stream.
     """
-    import os
-
     from repro.obs.manifest import describe_telemetry
-    from repro.obs.stream import TelemetryStreamWriter, stream_dir_for
+    from repro.obs.stream import TelemetryStreamWriter, export_artifacts, stream_dir_for
 
     telemetry = obs.enable()
-    # Spec fan-outs (run_many) derive per-spec segments from stream_dir;
-    # runs executed directly under this telemetry flush to "main".
     telemetry.stream_dir = stream_dir_for(directory)
     telemetry.stream = TelemetryStreamWriter(telemetry.stream_dir, segment="main")
     if getattr(args, "audit", False):
-        from repro.obs.audit import AuditConfig, audit_dir_for
+        from repro.obs.audit import AuditConfig
 
         telemetry.audit = AuditConfig(sample_every=args.audit_sample)
-        telemetry.audit_dir = audit_dir_for(directory)
     start = time.perf_counter()
+    finished = False
     try:
         args.func(args)
+        finished = True
+    except SystemExit:
+        finished = True  # a command's own exit code: it ran to the end
+        raise
     finally:
         wall = time.perf_counter() - start
         obs.disable()
+        if telemetry.stream.pending(telemetry):
+            telemetry.stream.flush(telemetry, final=finished)
         manifest = build_manifest(
             command=args.command,
             args={
@@ -870,7 +877,7 @@ def _run_with_telemetry(args: argparse.Namespace, directory: str) -> None:
             wall_seconds=wall,
             extra={"telemetry": describe_telemetry(telemetry)},
         )
-        paths = telemetry.export(directory, manifest=manifest)
+        paths = export_artifacts(directory, manifest)
         log.info("telemetry exported to %s (%d files)", directory, len(paths))
         log.info("render it with: repro-lacb report %s", directory)
 

@@ -29,11 +29,6 @@ class Broker:
     workload: int = 0
     signup_rate: float = 0.0
 
-    def reset_day(self, features: np.ndarray) -> None:
-        """Start a new day with a fresh working-status context."""
-        self.features = features
-        self.workload = 0
-
 
 @dataclass(frozen=True)
 class Request:

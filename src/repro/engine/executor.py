@@ -6,14 +6,15 @@ either serially (``jobs=1``) or on a ``concurrent.futures`` process pool
 spec reconstructs its instance from seeds — a parallel run is bit-identical
 to the serial one, so ``jobs`` is purely a wall-clock knob.
 
-Telemetry crosses the process boundary the same way: when the parent has
+Telemetry never crosses the process boundary: when the parent has
 :mod:`repro.obs` telemetry active (or passes one explicitly), every spec —
 serial or pooled — runs against its *own* fresh
-:class:`~repro.obs.telemetry.Telemetry`, and the serialized payloads
-(registry dump + span records) are merged into the parent's telemetry in
-spec order.  Counter and distribution merges are exact, so the merged metrics
-of a ``jobs=2`` run equal the ``jobs=1`` run bit-for-bit; worker spans land
-in their own Chrome-trace lane.
+:class:`~repro.obs.telemetry.Telemetry` that streams metrics, spans,
+alerts and decision audit records to a per-spec segment under the
+parent's ``stream_dir`` (:mod:`repro.obs.stream`).  Segment names sort in
+spec order and counter and distribution merges are exact, so the
+stream-merged metrics of a ``jobs=2`` run equal the ``jobs=1`` run
+bit-for-bit, and each segment gets its own Chrome-trace lane.
 
 Each process keeps a one-slot platform cache keyed by the platform spec:
 sweep grids group many matchers onto the same instance, and rebuilding a
@@ -62,53 +63,33 @@ def execute_spec(spec: RunSpec) -> RunResult:
 
 
 def execute_spec_observed(
-    spec: RunSpec,
-    stream_dir: str | None = None,
-    segment: str | None = None,
-    audit_dir: str | None = None,
-    audit=None,
-) -> tuple[RunResult, dict]:
-    """Execute one spec under a fresh telemetry; return (result, payload).
+    spec: RunSpec, stream_dir: str, segment: str | None = None, audit=None
+) -> RunResult:
+    """Execute one spec under a fresh telemetry that streams to its own segment.
 
-    The payload (:meth:`~repro.obs.telemetry.Telemetry.payload`) is plain
-    data, safe to ship from a pool worker back to the parent for merging.
-    Running each spec against its own registry — even serially — is what
-    makes the parent's merge order identical under any ``jobs`` value.
+    The run's metrics, spans, alerts and (with ``audit``) decision audit
+    records land only in ``<stream_dir>/<segment>.jsonl`` (see
+    :mod:`repro.obs.stream`), so progress is observable — and recoverable —
+    even if this worker dies mid-run, and nothing but the result crosses
+    the process boundary.
 
     Args:
-        stream_dir: when set, the run streams live telemetry into its own
-            segment file under this directory (see :mod:`repro.obs.stream`),
-            so progress is observable — and recoverable — even if this
-            worker dies mid-run.
+        stream_dir: the stream directory the segment is written under.
         segment: segment stem; defaults to the spec's run id.
-        audit_dir: when set (with ``audit``), the run writes decision
-            provenance into its own segment of this directory
-            (:mod:`repro.obs.audit`) — same naming as stream segments, so
-            segment order is spec order under any ``jobs`` value.
         audit: the :class:`~repro.obs.audit.AuditConfig`, or ``None`` (off).
     """
+    from repro.obs.stream import TelemetryStreamWriter
+
     telemetry = Telemetry()
-    if stream_dir is not None:
-        from repro.obs.stream import TelemetryStreamWriter
-
-        telemetry.stream = TelemetryStreamWriter(
-            stream_dir, segment=segment or spec.run_id()
-        )
-    if audit is not None and audit_dir is not None:
-        telemetry.audit = audit
-        telemetry.audit_dir = audit_dir
-        telemetry.audit_segment = segment or spec.run_id()
+    telemetry.stream = TelemetryStreamWriter(stream_dir, segment=segment or spec.run_id())
+    telemetry.audit = audit
     with use_telemetry(telemetry):
-        result = spec.run(platform=_cached_platform(spec))
-    return result, telemetry.payload()
+        return spec.run(platform=_cached_platform(spec))
 
 
-def _execute_observed_task(task: tuple) -> tuple[RunResult, dict]:
+def _execute_observed_task(task: tuple) -> RunResult:
     """Pool-picklable wrapper: one (spec, …) task → observed run."""
-    spec, stream_dir, segment, audit_dir, audit = task
-    return execute_spec_observed(
-        spec, stream_dir=stream_dir, segment=segment, audit_dir=audit_dir, audit=audit
-    )
+    return execute_spec_observed(*task)
 
 
 def run_many(
@@ -122,46 +103,44 @@ def run_many(
         specs: the runs to execute.
         jobs: worker processes; ``1`` (the default) runs serially in this
             process, ``0`` or negative means one worker per CPU.
-        telemetry: merge every run's metrics and spans into this telemetry
-            object.  Defaults to the process's active telemetry (so a CLI
+        telemetry: stream every run into a segment under this telemetry's
+            ``stream_dir`` (auditing too when its ``audit`` is set).
+            Defaults to the process's active telemetry (so a CLI
             ``--telemetry`` run observes sweeps with no extra plumbing);
             pass nothing and keep telemetry disabled to skip collection.
 
     Returns:
         One :class:`~repro.engine.hooks.RunResult` per spec, in spec order
         regardless of which worker finished first.
+
+    Raises:
+        ValueError: when telemetry is on but has no ``stream_dir`` — the
+            stream is the only place a run's telemetry is kept.
     """
     specs = list(specs)
     if telemetry is None:
         telemetry = current_telemetry()
+    if telemetry is not None and telemetry.stream_dir is None:
+        raise ValueError(
+            "run_many under telemetry needs telemetry.stream_dir: every run "
+            "streams its metrics, spans and audit to its own segment there"
+        )
     if jobs <= 0:
         jobs = os.cpu_count() or 1
 
-    # Per-spec stream/audit segments: the zero-padded index prefix makes
-    # segment name order equal spec order, which is the merge order readers
-    # use.
-    stream_dir = telemetry.stream_dir if telemetry is not None else None
-    audit_dir = telemetry.audit_dir if telemetry is not None else None
-    audit = telemetry.audit if telemetry is not None else None
-    tasks = [
-        (spec, stream_dir, segment_name(index, spec.run_id(), total=len(specs)), audit_dir, audit)
-        for index, spec in enumerate(specs)
-    ]
-
-    if jobs == 1 or len(specs) <= 1:
-        if telemetry is None:
-            return [execute_spec(spec) for spec in specs]
-        observed = [_execute_observed_task(task) for task in tasks]
+    if telemetry is None:
+        run, tasks = execute_spec, specs
     else:
-        workers = min(jobs, len(specs))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            # Executor.map preserves input order, giving deterministic results.
-            if telemetry is None:
-                return list(pool.map(execute_spec, specs))
-            observed = list(pool.map(_execute_observed_task, tasks))
-
-    # Merge in spec order: counter/distribution folds are exact, so the merged
-    # registry is bit-identical for any jobs value.
-    for _result, payload in observed:
-        telemetry.merge_payload(payload)
-    return [result for result, _payload in observed]
+        # Per-spec segments: the zero-padded index prefix makes segment
+        # name order equal spec order, which is the merge order readers use.
+        run = _execute_observed_task
+        tasks = [
+            (spec, telemetry.stream_dir,
+             segment_name(index, spec.run_id(), total=len(specs)), telemetry.audit)
+            for index, spec in enumerate(specs)
+        ]
+    if jobs == 1 or len(specs) <= 1:
+        return [run(task) for task in tasks]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
+        # Executor.map preserves input order, giving deterministic results.
+        return list(pool.map(run, tasks))

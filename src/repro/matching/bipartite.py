@@ -23,14 +23,6 @@ class MatchResult:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def row_to_col(self) -> dict[int, int]:
-        """Mapping from matched row index to its column."""
-        return dict(self.pairs)
-
-    def col_to_row(self) -> dict[int, int]:
-        """Mapping from matched column index to its row."""
-        return {col: row for row, col in self.pairs}
-
 
 def pad_to_square(weights: np.ndarray, fill: float = 0.0) -> np.ndarray:
     """Pad a rectangular weight matrix to a square one with dummy vertices.
@@ -56,17 +48,3 @@ def pad_to_square(weights: np.ndarray, fill: float = 0.0) -> np.ndarray:
     padded = np.full((size, size), fill, dtype=float)
     padded[:n_rows, :n_cols] = weights
     return padded
-
-
-def utility_submatrix(
-    utilities: np.ndarray,
-    row_ids: np.ndarray,
-    col_ids: np.ndarray,
-) -> np.ndarray:
-    """Extract the ``(row_ids x col_ids)`` block of a utility matrix.
-
-    Used when assignment runs on a pruned broker set (Alg. 3): the matcher
-    works in local indices and callers translate back via the id arrays.
-    """
-    utilities = np.asarray(utilities, dtype=float)
-    return utilities[np.ix_(np.asarray(row_ids, int), np.asarray(col_ids, int))]

@@ -1,5 +1,11 @@
 """Observability subsystem: metrics, quantiles, spans, streams, baselines.
 
+A ``--telemetry DIR`` run keeps one durable record: per-run stream
+segments under ``DIR/stream/`` carrying metrics, spans, drift alerts and
+decision audit records, day by day.  ``report``, ``watch``, ``explain``
+and the ``metrics.prom`` / ``trace.json`` artifacts are all rendered from
+it.
+
 Layers, each usable on its own:
 
 - :mod:`~repro.obs.metrics` — zero-dependency counters / gauges /
@@ -10,14 +16,15 @@ Layers, each usable on its own:
   source of every p50/p95/p99 (bounded relative error, bit-identical under
   any merge order the repo uses);
 - :mod:`~repro.obs.tracing` — :class:`Tracer` span records (wall + CPU,
-  day-stamped) with JSONL and Chrome ``trace_event`` (Perfetto-loadable)
-  export;
+  day-stamped) and their Chrome ``trace_event`` (Perfetto-loadable)
+  rendering;
 - :mod:`~repro.obs.telemetry` — the process-wide switchboard (off by
   default): :func:`enable` / :func:`disable` / :func:`use`, plus the no-op
   fast-path helpers (:func:`span`, :func:`add`, ...) the hot paths call;
-- :mod:`~repro.obs.stream` — live streaming telemetry: crash-safe JSONL
-  segments flushed at day boundaries, readable mid-run (``watch``) and
-  after a crash (``report`` fallback);
+- :mod:`~repro.obs.stream` — the run record: crash-safe JSONL segments
+  flushed at day boundaries, readable mid-run (``watch``), after the run
+  or after a crash (``report``, ``explain``), and rendered to
+  ``metrics.prom`` / ``trace.json`` at CLI exit;
 - :mod:`~repro.obs.profile` — the phase profiler: deterministic per-day ×
   per-phase wall/CPU attribution, self-time hotspots and collapsed-stack
   flamegraph export over the span stream;
@@ -29,14 +36,15 @@ Layers, each usable on its own:
   structured :class:`Alert` records into the stream;
 - :mod:`~repro.obs.audit` — decision provenance: per-assignment records
   (bandit arm + rule, CBS candidate set, Eq. 15 refinement, residual
-  quota, runners-up) reconstructable with ``repro-lacb explain``;
+  quota, runners-up), one per day inside the stream record and
+  reconstructable with ``repro-lacb explain``;
 - :mod:`~repro.obs.hook` — :class:`TelemetryHook`, bridging
   :mod:`repro.engine` lifecycle events into metrics, spans, quality
   gauges, alerts, audit records and stream flushes (attached
   automatically by the engine while telemetry is active);
 - :mod:`~repro.obs.manifest` — run manifests (spec, seeds, git SHA,
   platform, versions, wall-clock, telemetry lineage) written next to
-  exported results;
+  the stream;
 - :mod:`~repro.obs.baseline` — benchmark trajectory tracking with
   noise-banded regression checks (``repro-lacb baseline``);
 - :mod:`~repro.obs.logging` — stderr diagnostics via stdlib ``logging``.

@@ -14,12 +14,12 @@ an audit session is active, the instrumentation points capture, per day:
   is the refinement term), the broker's residual quota at match time, and
   the top runner-up candidates by refined score.
 
-One compact JSONL record per day is appended through the same crash-safe
-discipline as :mod:`repro.obs.stream` (fsync'd appends, torn-tail-tolerant
-reads, fresh writers replacing stale same-name segments).  ``run_many``
-workers write per-spec segments named like stream segments, so segment
-name order is spec order and a ``jobs=N`` run leaves byte-identical audit
-files to the serial one.
+One compact record per day rides in that day's stream record
+(:mod:`repro.obs.stream`) as its ``audit`` field, so it shares the
+stream's crash safety (fsync'd appends, torn-tail-tolerant reads) and its
+segment order: ``run_many`` runs write per-spec segments, segment name
+order is spec order, and a ``jobs=N`` run records the same audit as the
+serial one.
 
 Sampling is **index-based** — a batch is audited iff its global batch
 index ``day * batches_per_day + batch`` is a multiple of ``sample_every``
@@ -37,23 +37,11 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.state.io import append_jsonl, read_jsonl
-
-#: Subdirectory of a telemetry dir holding audit segments.
-AUDIT_DIRNAME = "audit"
-
-#: Schema tag stamped on every audit record.
-AUDIT_SCHEMA = "repro.obs.audit/v1"
 
 #: Decimal digits kept on every recorded float: audit records are written
 #: once per day but hold per-assignment detail, so compactness matters
 #: more than the 5th decimal of a utility.
 ROUND_DIGITS = 4
-
-
-def audit_dir_for(directory) -> str:
-    """The conventional audit subdirectory of a telemetry directory."""
-    return os.path.join(os.fspath(directory), AUDIT_DIRNAME)
 
 
 def _round(value) -> float | None:
@@ -150,9 +138,9 @@ class DecisionAudit:
 
     Instrumentation points (bandits, VFGA) write into the active session
     via :func:`current`; :class:`~repro.obs.hook.TelemetryHook` packages
-    the buffered day into one JSONL record at each day boundary and clears
-    the buffer.  The collector itself never does I/O and consumes no
-    randomness.
+    the buffered day into one record at each day boundary, hands it to
+    the day's stream flush and clears the buffer.  The collector itself
+    never does I/O and consumes no randomness.
     """
 
     def __init__(self, config: AuditConfig, batches_per_day: int, algorithm: str) -> None:
@@ -226,57 +214,17 @@ def current() -> DecisionAudit | None:
     return telemetry.audit_session if telemetry is not None else None
 
 
-class AuditWriter:
-    """Appends day records for one run to one audit segment file.
-
-    Mirrors :class:`~repro.obs.stream.TelemetryStreamWriter`'s durability
-    discipline: fsync'd JSONL appends, strictly increasing ``seq``, and a
-    fresh writer (seq 0) replaces a stale same-name segment so re-running
-    into the same telemetry directory never corrupts the feed.
-    """
-
-    def __init__(self, directory, segment: str = "run") -> None:
-        self.directory = os.fspath(directory)
-        self.segment = segment
-        self.path = os.path.join(self.directory, f"{segment}.jsonl")
-        self.seq = 0
-
-    def append(self, record: dict) -> None:
-        """Stamp schema/seq/segment onto one day record and append it."""
-        if self.seq == 0 and os.path.exists(self.path):
-            os.remove(self.path)
-        record = {
-            "schema": AUDIT_SCHEMA,
-            "seq": self.seq,
-            "segment": self.segment,
-            **record,
-        }
-        append_jsonl(self.path, record)
-        self.seq += 1
-
-
-@dataclass
-class AuditSegment:
-    """Everything recoverable from one audit segment file."""
-
-    segment: str
-    path: str
-    records: list[dict] = field(default_factory=list)
-
-
 @dataclass
 class AuditView:
-    """The merged view over every segment of an audit directory."""
+    """Every audited day record of a telemetry directory.
+
+    Attributes:
+        directory: the telemetry directory the records were read from.
+        records: day records in segment-name (= spec) order, then day order.
+    """
 
     directory: str
-    segments: list[AuditSegment] = field(default_factory=list)
-
-    def records(self) -> list[dict]:
-        """All day records, in segment-name (= spec) order."""
-        merged: list[dict] = []
-        for segment in self.segments:
-            merged.extend(segment.records)
-        return merged
+    records: list[dict] = field(default_factory=list)
 
     def decisions(
         self,
@@ -285,7 +233,7 @@ class AuditView:
         broker: int | None = None,
     ) -> Iterator[tuple[dict, dict, dict]]:
         """Iterate ``(day record, batch entry, decision)`` matching filters."""
-        for record in self.records():
+        for record in self.records:
             if day is not None and record.get("day") != day:
                 continue
             for batch in record.get("batches", ()):
@@ -297,44 +245,17 @@ class AuditView:
                     yield record, batch, decision
 
 
-def read_audit_segment(path) -> AuditSegment | None:
-    """Read one segment file; ``None`` if it holds no complete record yet.
-
-    Raises:
-        ValueError: on a non-increasing ``seq`` — impossible under the
-            single-writer append discipline, so it indicates damage.
-    """
-    path = os.fspath(path)
-    records = [r for r in read_jsonl(path) if r.get("schema") == AUDIT_SCHEMA]
-    if not records:
-        return None
-    last_seq = -1
-    for record in records:
-        seq = int(record.get("seq", -1))
-        if seq <= last_seq:
-            raise ValueError(f"audit segment {path}: non-increasing seq {seq}")
-        last_seq = seq
-    return AuditSegment(
-        segment=os.path.splitext(os.path.basename(path))[0],
-        path=path,
-        records=records,
-    )
-
-
 def read_audit(directory) -> AuditView:
-    """Read every segment of an audit directory, in segment-name order.
+    """The audit day records a telemetry directory's stream carries.
 
-    A missing directory yields an empty view — "nothing audited" is a
-    state the explain command renders, not an error.
+    A directory with nothing streamed (or nothing audited) yields an empty
+    view — "nothing audited" is a state the explain command renders, not
+    an error.
     """
-    directory = os.fspath(directory)
-    view = AuditView(directory=directory)
-    if not os.path.isdir(directory):
-        return view
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(".jsonl"):
-            continue
-        segment = read_audit_segment(os.path.join(directory, name))
-        if segment is not None:
-            view.segments.append(segment)
-    return view
+    from repro.obs.stream import read_stream, stream_dir_for
+
+    view = read_stream(stream_dir_for(directory))
+    return AuditView(
+        directory=os.fspath(directory),
+        records=[record for segment in view.segments for record in segment.audit],
+    )

@@ -12,9 +12,10 @@ distributions the paper's figures are built from.
 When the owning :class:`~repro.obs.telemetry.Telemetry` carries a
 :class:`~repro.obs.stream.TelemetryStreamWriter`, the hook additionally
 flushes the registry and new spans to the stream at every day boundary,
-together with a progress record (day, batches, req/s, decision-time
-percentiles, per-day quality) — the live feed ``repro-lacb watch``
-renders and ``report`` falls back to for crashed runs.
+together with the day's drift alerts, its decision audit record (when
+auditing is on) and a progress record (day, batches, req/s,
+decision-time percentiles, per-day quality) — the record ``watch``,
+``report`` and ``explain`` render.
 
 :class:`~repro.engine.loop.DayLoopEngine` attaches this hook automatically
 whenever :func:`repro.obs.telemetry.current` is active, so telemetry rides
@@ -31,7 +32,7 @@ import numpy as np
 from repro.engine.hooks import RunHook
 from repro.engine.loop import BatchAssignedEvent, DayEndEvent, DayStartEvent, RunContext
 from repro.obs.alerts import AlertMonitor
-from repro.obs.audit import AuditWriter, DecisionAudit
+from repro.obs.audit import DecisionAudit
 from repro.obs.quality import QualityMonitor
 from repro.obs.telemetry import Telemetry
 
@@ -88,15 +89,9 @@ class TelemetryHook(RunHook):
         # Quality telemetry + drift alerting (see repro.obs.quality/alerts).
         self._quality = QualityMonitor(telemetry, context)
         self._alerts = AlertMonitor()
-        # Decision provenance: a fresh collector per run, but one writer
-        # per telemetry — sequential runs into one telemetry directory keep
-        # appending to the same segment with increasing seq (a fresh writer
-        # would delete the previous run's records at its first append).
-        if telemetry.audit is not None and telemetry.audit_dir is not None:
-            if telemetry.audit_writer is None:
-                telemetry.audit_writer = AuditWriter(
-                    telemetry.audit_dir, segment=telemetry.audit_segment
-                )
+        # Decision provenance: a fresh collector per run; its day records
+        # ride in the stream, so a run that does not stream audits nothing.
+        if telemetry.audit is not None and telemetry.stream is not None:
             telemetry.audit_session = DecisionAudit(
                 telemetry.audit, context.batches_per_day, context.matcher.name
             )
@@ -150,25 +145,23 @@ class TelemetryHook(RunHook):
         if raised:
             telemetry.add("alerts.raised", len(raised))
         session = telemetry.audit_session
-        if session is not None and telemetry.audit_writer is not None:
-            record = session.day_record(event.day)
-            if record is not None:
-                telemetry.audit_writer.append(record)
-                telemetry.add("audit.days")
-                telemetry.add(
-                    "audit.decisions",
-                    sum(len(b["decisions"]) for b in record["batches"]),
-                )
+        audit = session.day_record(event.day) if session is not None else None
+        if audit is not None:
+            telemetry.add("audit.days")
+            telemetry.add(
+                "audit.decisions", sum(len(b["decisions"]) for b in audit["batches"])
+            )
         stream = telemetry.stream
         if stream is not None:
             self._last_progress = dict(self._progress(event, workloads), **quality)
             # Alerts stream as deltas (like spans): each day's record
-            # carries the alerts that day raised.
+            # carries the alerts that day raised, and its audit record.
             stream.flush(
                 telemetry,
                 day=event.day,
                 progress=self._last_progress,
                 alerts=[alert.to_dict() for alert in raised],
+                audit=audit,
             )
 
     def on_run_end(self, context: RunContext) -> None:

@@ -91,10 +91,10 @@ def describe_telemetry(telemetry) -> dict | None:
     """Telemetry lineage of a run: its live stream directory and segments.
 
     Returns ``None`` when the telemetry never streamed (nothing to link).
-    Each segment entry records its name, last flushed day, flush count and
-    whether its run completed — the counterpart of the
-    ``telemetry_segment`` field on checkpoint index lines, so manifests
-    and checkpoints cross-reference the same lineage.
+    Each segment entry records its name, last flushed day, flush count,
+    whether its run completed and how many audited days it carries — the
+    counterpart of the ``telemetry_segment`` field on checkpoint index
+    lines, so manifests and checkpoints cross-reference the same lineage.
     """
     stream_dir = getattr(telemetry, "stream_dir", None)
     if not stream_dir:
@@ -111,23 +111,13 @@ def describe_telemetry(telemetry) -> dict | None:
                 "day": segment.day,
                 "flushes": segment.flushes,
                 "final": segment.final,
+                "audit_days": len(segment.audit),
             }
             for segment in view.segments
         ],
     }
-    audit_dir = getattr(telemetry, "audit_dir", None)
-    if audit_dir and getattr(telemetry, "audit", None) is not None:
-        from repro.obs.audit import read_audit
-
-        audit_view = read_audit(audit_dir)
-        described["audit"] = {
-            "audit_dir": audit_dir,
-            "sample_every": telemetry.audit.sample_every,
-            "segments": [
-                {"segment": segment.segment, "days": len(segment.records)}
-                for segment in audit_view.segments
-            ],
-        }
+    if getattr(telemetry, "audit", None) is not None:
+        described["audit_sample_every"] = telemetry.audit.sample_every
     return described
 
 

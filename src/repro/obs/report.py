@@ -1,7 +1,7 @@
 """Render a telemetry directory as a human-readable run report.
 
-``repro report DIR`` loads the artifacts written by
-:meth:`repro.obs.telemetry.Telemetry.export` and prints
+``repro report DIR`` reads the run's stream segments under ``DIR/stream/``
+(see :mod:`repro.obs.stream`) plus ``DIR/manifest.json`` and prints
 
 - the manifest header (version, git SHA, platform, wall-clock),
 - a per-phase time breakdown: for every algorithm, the engine-measured
@@ -10,17 +10,14 @@
   bandit predict/update, value-function updates), each with call counts,
   totals, share of decision time and p50/p95/p99 latencies from the
   mergeable quantile sketches, and
-- profiler sections built from the span stream, per algorithm: top
-  self-time hotspots and per-day engine-phase wall/CPU attribution (see
-  :mod:`repro.obs.profile`).
+- profiler sections built from the streamed spans in append order, per
+  algorithm: top self-time hotspots and per-day engine-phase wall/CPU
+  attribution (see :mod:`repro.obs.profile`).
 
-Crashed runs still report: when ``metrics.json`` is missing (the process
-died before export), the loader falls back to the live stream segments
-under ``DIR/stream/`` (see :mod:`repro.obs.stream`) and reconstructs the
-registry from the last flushed snapshots — clearly marked as partial.
-A directory with neither artifacts, stream, nor manifest raises
-``FileNotFoundError``; anything that was ever a telemetry directory
-renders without raising.
+A run that is still going, or crashed, renders from its last flushed
+records, with a warning and the per-segment progress.  A directory with
+neither a stream nor a manifest raises ``FileNotFoundError``; anything
+that was ever a telemetry directory renders without raising.
 """
 
 from __future__ import annotations
@@ -32,15 +29,20 @@ from itertools import groupby, islice
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import ENGINE_PHASES, day_rows, hotspots
 from repro.obs.quantiles import REPORT_QUANTILES
-from repro.obs.telemetry import MANIFEST_JSON, METRICS_JSON, SPANS_JSONL
+from repro.obs.stream import MANIFEST_JSON, StreamView, read_stream, stream_dir_for
 from repro.obs.tracing import SpanRecord
 
 
-def _load_with_fallback(directory) -> tuple[dict | None, MetricsRegistry, str]:
-    """Load (manifest, registry, source note); stream fallback when partial.
+def load_run(directory) -> tuple[dict | None, StreamView, str]:
+    """Load (manifest, stream view, warning) of a telemetry directory.
 
-    Source notes: ``""`` for a clean export; otherwise a human-readable
-    explanation of what was reconstructed (rendered as a report warning).
+    The stream is the run's only telemetry record.  The warning is ``""``
+    when every streamed segment finished; otherwise it explains what the
+    report is built from (rendered as a report warning).
+
+    Raises:
+        FileNotFoundError: when the directory holds neither a stream nor a
+            manifest, i.e. was never a telemetry directory.
     """
     manifest = None
     manifest_path = os.path.join(directory, MANIFEST_JSON)
@@ -48,52 +50,27 @@ def _load_with_fallback(directory) -> tuple[dict | None, MetricsRegistry, str]:
         with open(manifest_path, encoding="utf-8") as handle:
             manifest = json.load(handle)
 
-    metrics_path = os.path.join(directory, METRICS_JSON)
-    if os.path.exists(metrics_path):
-        with open(metrics_path, encoding="utf-8") as handle:
-            registry = MetricsRegistry.from_dict(json.load(handle))
-        return manifest, registry, ""
-
-    from repro.obs.stream import read_stream, stream_dir_for
-
     view = read_stream(stream_dir_for(directory))
+    if view.complete:
+        return manifest, view, ""
     if view.segments:
         done = sum(1 for segment in view.segments if segment.final)
-        status = "complete" if view.complete else "run did not finish"
-        return manifest, view.merged_registry(), (
-            f"metrics.json missing — reconstructed from {len(view.segments)} "
-            f"streamed segment(s), {done} final ({status})"
+        return manifest, view, (
+            f"run did not finish — reconstructed from {len(view.segments)} "
+            f"streamed segment(s), {done} final"
         )
     if manifest is not None:
-        return manifest, MetricsRegistry(), (
-            "metrics.json missing and nothing streamed — the run died before "
-            "its first day boundary"
+        return manifest, view, (
+            "nothing streamed — the run died before its first day boundary"
         )
     raise FileNotFoundError(
-        f"{metrics_path} not found — is {directory!r} a telemetry directory "
-        f"(produced by --telemetry)?"
+        f"no stream under {stream_dir_for(directory)} — is {directory!r} a "
+        f"telemetry directory (produced by --telemetry)?"
     )
 
 
-def load_telemetry_dir(directory) -> tuple[dict | None, MetricsRegistry]:
-    """Load ``manifest.json`` (if present) and the metrics of a dir.
-
-    Prefers the exported ``metrics.json``; falls back to reconstructing
-    from streamed segments when the run crashed before export.
-    """
-    manifest, registry, _source = _load_with_fallback(directory)
-    return manifest, registry
-
-
 def load_spans(directory) -> list[SpanRecord]:
-    """Load span records: exported ``spans.jsonl``, else streamed deltas."""
-    spans_path = os.path.join(directory, SPANS_JSONL)
-    if os.path.exists(spans_path):
-        from repro.state.io import read_jsonl
-
-        return [SpanRecord.from_dict(entry) for entry in read_jsonl(spans_path)]
-    from repro.obs.stream import read_stream, stream_dir_for
-
+    """Every streamed span of a telemetry directory, one lane per segment."""
     return read_stream(stream_dir_for(directory)).spans()
 
 
@@ -196,12 +173,10 @@ def day_profile_rows(spans: list[SpanRecord], top_days: int = 10) -> list[tuple]
     ]
 
 
-def progress_rows(directory) -> list[tuple]:
+def progress_rows(view: StreamView) -> list[tuple]:
     """Last streamed progress per segment (for partial-run reports)."""
-    from repro.obs.stream import read_stream, stream_dir_for
-
     rows = []
-    for segment in read_stream(stream_dir_for(directory)).segments:
+    for segment in view.segments:
         progress = segment.progress
         rows.append(
             (
@@ -299,7 +274,6 @@ def render_watch(directory) -> tuple[str, bool]:
     run, so "no data yet" is a normal frame, not an error).
     """
     from repro.experiments.reporting import format_table
-    from repro.obs.stream import read_stream, stream_dir_for
 
     view = read_stream(stream_dir_for(directory))
     if not view.segments:
@@ -307,7 +281,7 @@ def render_watch(directory) -> tuple[str, bool]:
     lines = [
         format_table(
             ["segment", "algorithm", "day", "state", "assignments", "req/s", "utility"],
-            progress_rows(directory),
+            progress_rows(view),
             title=f"Live telemetry ({directory})",
         )
     ]
@@ -358,7 +332,8 @@ def render_report(directory) -> str:
     """The full plain-text report for one telemetry directory."""
     from repro.experiments.reporting import format_table
 
-    manifest, registry, source = _load_with_fallback(directory)
+    manifest, view, source = load_run(directory)
+    registry = view.merged_registry()
     lines: list[str] = []
     if manifest:
         lines.append(f"manifest: {manifest.get('command', 'run')} "
@@ -372,7 +347,7 @@ def render_report(directory) -> str:
         lines.append("")
     if source:
         lines.append(f"WARNING: {source}")
-        rows = progress_rows(directory)
+        rows = progress_rows(view)
         if rows:
             lines.append("")
             lines.append(
@@ -415,7 +390,7 @@ def render_report(directory) -> str:
     else:
         lines.append("no phase timers recorded (was the run executed with telemetry on?)")
 
-    spans = load_spans(directory)
+    spans = view.spans()
     if spans:
         lines.append("")
         lines.append(
@@ -449,9 +424,7 @@ def render_report(directory) -> str:
             )
         )
 
-    from repro.obs.stream import read_stream, stream_dir_for
-
-    streamed_alerts = read_stream(stream_dir_for(directory)).alerts()
+    streamed_alerts = view.alerts()
     if streamed_alerts:
         lines.append("")
         lines.append(
@@ -495,7 +468,7 @@ def render_explain(
     value-refined utility of the realized KM edge, the broker's residual
     quota at match time, and the runner-up candidates by refined score.
     """
-    records = view.records()
+    records = view.records
     if not records:
         return (
             f"no audit records under {view.directory} — was the run executed "

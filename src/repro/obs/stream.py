@@ -1,32 +1,33 @@
-"""Live streaming telemetry: crash-safe JSONL feeds of an in-flight run.
+"""The telemetry stream: the one durable record of a ``--telemetry`` run.
 
-The exporter in :mod:`repro.obs.telemetry` writes artifacts once, at the
-end of a run — useless for watching a multi-hour city-scale sweep, and
-lost entirely if the process dies.  This module adds the durable live
-path: a :class:`TelemetryStreamWriter` appends sequence-numbered *stream
-records* — a cumulative registry snapshot, the span delta since the last
-flush, and a small progress summary — to a per-run segment file under
-``<telemetry dir>/stream/``.  Appends go through
-:func:`repro.state.io.append_jsonl` (fsync'd), and readers go through
-:func:`repro.state.io.read_jsonl` (torn-tail tolerant), so a kill at any
-instant loses at most the record being written.
+A :class:`TelemetryStreamWriter` appends sequence-numbered *stream
+records* to a per-run segment file under ``<telemetry dir>/stream/``.
+Each record carries a cumulative registry snapshot, the span delta since
+the last flush, the drift alerts raised since then, the day's decision
+audit record (:mod:`repro.obs.audit`, when auditing is on) and a small
+progress summary.  Appends go through :func:`repro.state.io.append_jsonl`
+(fsync'd), and readers go through :func:`repro.state.io.read_jsonl`
+(torn-tail tolerant), so a kill at any instant loses at most the record
+being written.
 
-Segments, not one file: ``run_many`` workers each write their own segment
+Segments, not one file: ``run_many`` runs each write their own segment
 (``<spec index>-<run id>.jsonl``), named so that lexicographic order *is*
-spec order.  :func:`read_stream` merges segment registries in that order —
-the same order the parent folds worker payloads — so quantile sketches and
-every other metric in a stream-reconstructed registry are bit-identical to
-the registry a surviving run would have exported.
+spec order, and runs executed directly under the CLI's telemetry write
+``main``.  :func:`read_stream` merges segment registries in that order, so
+the reconstructed registry — quantile sketches included — is the same
+under any ``jobs`` value.
 
-Consumers:
+Everything else is rendered from the stream:
 
 - ``repro-lacb watch DIR`` renders the latest progress per segment live;
-- ``repro-lacb report DIR`` falls back to the stream when a crashed run
-  left no (or partial) ``metrics.json``.
+- ``repro-lacb report DIR`` and ``explain DIR`` read it after (or during)
+  the run;
+- :func:`export_artifacts` writes ``manifest.json`` and renders
+  ``metrics.prom`` and ``trace.json`` from it when a CLI command exits.
 
-Registry snapshots are cumulative (last one wins); span lists are deltas
-(concatenated across records).  A record with ``final: true`` marks its
-segment's run as complete.
+Registry snapshots are cumulative (last one wins); span, alert and audit
+lists are deltas (concatenated across records).  A record with
+``final: true`` marks its segment's run as complete.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ STREAM_DIRNAME = "stream"
 
 #: Schema tag stamped on every stream record.
 STREAM_SCHEMA = "repro.obs.stream/v1"
+
+#: Files :func:`export_artifacts` writes next to the stream directory.
+MANIFEST_JSON = "manifest.json"
+METRICS_PROM = "metrics.prom"
+TRACE_JSON = "trace.json"
 
 
 def stream_dir_for(directory) -> str:
@@ -85,6 +91,14 @@ class TelemetryStreamWriter:
         self.path = os.path.join(self.directory, f"{segment}.jsonl")
         self.seq = 0
         self._spans_sent = 0
+        self._registry_sent = MetricsRegistry().to_dict()
+
+    def pending(self, telemetry) -> bool:
+        """Whether ``telemetry`` holds spans or metrics no flush carried yet."""
+        return (
+            len(telemetry.tracer.records) > self._spans_sent
+            or telemetry.registry.to_dict() != self._registry_sent
+        )
 
     def flush(
         self,
@@ -93,6 +107,7 @@ class TelemetryStreamWriter:
         progress: Mapping | None = None,
         final: bool = False,
         alerts: Sequence[Mapping] | None = None,
+        audit: Mapping | None = None,
     ) -> None:
         """Append one stream record: full registry, span delta, progress.
 
@@ -100,7 +115,8 @@ class TelemetryStreamWriter:
         complete record to reconstruct metrics — a torn tail costs one
         day of lag, never the whole segment.  ``alerts`` are a delta like
         spans: each record carries only the alerts raised since the last
-        flush, and readers concatenate across records.
+        flush, and readers concatenate across records.  ``audit`` is the
+        day's decision audit record, stored only when there is one.
         """
         if self.seq == 0 and os.path.exists(self.path):
             # A fresh writer owns its segment: re-running into the same
@@ -120,8 +136,11 @@ class TelemetryStreamWriter:
             "spans": [span.to_dict() for span in records[self._spans_sent :]],
             "alerts": [dict(alert) for alert in alerts] if alerts else [],
         }
+        if audit is not None:
+            record["audit"] = audit
         append_jsonl(self.path, record)
         self._spans_sent = len(records)
+        self._registry_sent = record["registry"]
         self.seq += 1
 
 
@@ -140,6 +159,7 @@ class SegmentView:
         registry_state: the last cumulative registry snapshot.
         spans: all span deltas, concatenated in flush order.
         alerts: all alert deltas (plain dicts), concatenated in flush order.
+        audit: the decision audit day records, in flush order.
     """
 
     segment: str
@@ -152,6 +172,7 @@ class SegmentView:
     registry_state: dict = field(default_factory=dict)
     spans: list[SpanRecord] = field(default_factory=list)
     alerts: list[dict] = field(default_factory=list)
+    audit: list[dict] = field(default_factory=list)
 
 
 @dataclass
@@ -169,9 +190,9 @@ class StreamView:
     def merged_registry(self) -> MetricsRegistry:
         """Fold segment registries in segment-name (= spec) order.
 
-        This is the same fold order the parent process uses when merging
-        worker payloads, so the result — including quantile sketches — is
-        bit-identical to a surviving run's exported registry.
+        The fold order does not depend on which process ran which spec,
+        so the result — including quantile sketches — is bit-identical
+        under any ``jobs`` value.
         """
         registry = MetricsRegistry()
         for segment in self.segments:
@@ -219,9 +240,12 @@ def read_segment(path) -> SegmentView | None:
         last_seq = seq
     spans: list[SpanRecord] = []
     alerts: list[dict] = []
+    audit: list[dict] = []
     for record in records:
         spans.extend(SpanRecord.from_dict(entry) for entry in record.get("spans", ()))
         alerts.extend(dict(entry) for entry in record.get("alerts", ()))
+        if "audit" in record:
+            audit.append(record["audit"])
     last = records[-1]
     return SegmentView(
         segment=os.path.splitext(os.path.basename(path))[0],
@@ -237,6 +261,7 @@ def read_segment(path) -> SegmentView | None:
         registry_state=dict(last.get("registry", {})),
         spans=spans,
         alerts=alerts,
+        audit=audit,
     )
 
 
@@ -244,7 +269,7 @@ def read_stream(directory) -> StreamView:
     """Read every segment of a stream directory, in segment-name order.
 
     Missing directory or empty segments yield an empty view — callers
-    (watch, report fallback) treat "nothing streamed yet" as a state to
+    (watch, report, explain) treat "nothing streamed yet" as a state to
     render, not an error.
     """
     directory = os.fspath(directory)
@@ -258,3 +283,30 @@ def read_stream(directory) -> StreamView:
         if segment is not None:
             view.segments.append(segment)
     return view
+
+
+def export_artifacts(directory, manifest: Mapping) -> dict[str, str]:
+    """Write ``manifest.json``; render ``metrics.prom`` and ``trace.json``
+    from the directory's stream.
+
+    Atomic writes throughout: the CLI exports in a ``finally`` after a
+    failing run, exactly when a second crash mid-write must not shred the
+    artifacts a post-mortem depends on.
+
+    Returns:
+        Mapping of artifact file name to written path.
+    """
+    from repro.obs.tracing import write_chrome_trace
+    from repro.state.io import atomic_write_json, atomic_write_text
+
+    directory = os.fspath(directory)
+    view = read_stream(stream_dir_for(directory))
+    paths = {
+        name: os.path.join(directory, name)
+        for name in (MANIFEST_JSON, METRICS_PROM, TRACE_JSON)
+    }
+    os.makedirs(directory, exist_ok=True)
+    atomic_write_json(paths[MANIFEST_JSON], dict(manifest), default=str)
+    atomic_write_text(paths[METRICS_PROM], view.merged_registry().prometheus_text())
+    write_chrome_trace(paths[TRACE_JSON], view.spans())
+    return paths

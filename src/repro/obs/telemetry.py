@@ -13,33 +13,28 @@ matcher's display name, maintained by
 :class:`~repro.obs.hook.TelemetryHook`) that is stamped onto every span
 and metric as an ``algorithm`` label.  Spans double-book: each finished
 span also feeds a ``span.<name>`` distribution in the registry, so
-per-phase time totals survive the cross-process registry merge even
+per-phase time totals survive the cross-segment registry merge even
 though raw span timestamps do not align across processes.
 
 Activate with :func:`enable` / :func:`disable`, or scoped with::
 
     with repro.obs.telemetry.use(Telemetry()) as tel:
         run_algorithm(platform, matcher)
-    tel.export("out/")
+
+A telemetry object only holds state in memory.  The durable record is
+the stream segment its :attr:`Telemetry.stream` writer appends to
+(:mod:`repro.obs.stream`), which is also what every artifact and report
+of a telemetry directory is rendered from.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
-import os
 import time
 from typing import Callable, Mapping
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import SpanRecord, Tracer, _Span
-
-#: Exported file names inside a telemetry directory.
-METRICS_JSON = "metrics.json"
-METRICS_PROM = "metrics.prom"
-SPANS_JSONL = "spans.jsonl"
-TRACE_JSON = "trace.json"
-MANIFEST_JSON = "manifest.json"
 
 
 class _NullSpan:
@@ -67,20 +62,16 @@ class Telemetry:
         self.run_label: str | None = None
         #: Live streaming: a :class:`~repro.obs.stream.TelemetryStreamWriter`
         #: the TelemetryHook flushes to at day boundaries (None = off), and
-        #: the directory ``run_many`` derives per-spec worker segments from.
+        #: the directory ``run_many`` derives per-spec segments from.
         self.stream = None
         self.stream_dir: str | None = None
         #: Decision provenance (:mod:`repro.obs.audit`): ``audit`` holds the
         #: :class:`~repro.obs.audit.AuditConfig` when auditing is requested
-        #: (None = off), ``audit_dir`` the segment directory, and
-        #: ``audit_segment`` this telemetry's segment stem.  The hook
-        #: installs ``audit_session`` (the live per-run collector) and
-        #: ``audit_writer`` lazily at run start.
+        #: (None = off); the hook installs ``audit_session`` (the live
+        #: per-run collector) at run start when the run streams, and each
+        #: day's record rides in that day's stream record.
         self.audit = None
-        self.audit_dir: str | None = None
-        self.audit_segment: str = "main"
         self.audit_session = None
-        self.audit_writer = None
         # Hot-path caches, invalidated on every run-label change: resolved
         # metric instances keyed by (kind, name), span series under
         # ("span", span name), skipping per-call label canonicalization;
@@ -155,48 +146,6 @@ class Telemetry:
     def observe_many(self, name: str, values, **labels) -> None:
         """Observe a batch of values into a labeled distribution, in order."""
         self._metric("distribution", name, labels).observe_many(values)
-
-    # ------------------------------------------------------------------
-    # Cross-process payloads
-    # ------------------------------------------------------------------
-    def payload(self) -> dict:
-        """Plain-data snapshot a worker ships back to the parent."""
-        return {"registry": self.registry.to_dict(), "spans": self.tracer.to_payload()}
-
-    def merge_payload(self, payload: Mapping) -> None:
-        """Fold a worker's payload in: exact registry merge + a new span lane."""
-        self.registry.merge(payload["registry"])
-        self.tracer.extend(payload["spans"], pid=self.tracer.next_pid)
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-    def export(self, directory, manifest: Mapping | None = None) -> dict[str, str]:
-        """Write metrics, spans, trace (and optionally a manifest) to a dir.
-
-        Returns:
-            Mapping of artifact kind to written path.
-        """
-        os.makedirs(directory, exist_ok=True)
-        paths = {
-            "metrics_json": os.path.join(directory, METRICS_JSON),
-            "metrics_prom": os.path.join(directory, METRICS_PROM),
-            "spans_jsonl": os.path.join(directory, SPANS_JSONL),
-            "trace_json": os.path.join(directory, TRACE_JSON),
-        }
-        # Atomic writes throughout: exports often happen in a `finally`
-        # after a failing run, exactly when a second crash mid-write must
-        # not shred the artifacts a post-mortem depends on.
-        from repro.state.io import atomic_write_json, atomic_write_text
-
-        atomic_write_json(paths["metrics_json"], self.registry.to_dict())
-        atomic_write_text(paths["metrics_prom"], self.registry.prometheus_text())
-        self.tracer.export_jsonl(paths["spans_jsonl"])
-        self.tracer.export_chrome_trace(paths["trace_json"])
-        if manifest is not None:
-            paths["manifest_json"] = os.path.join(directory, MANIFEST_JSON)
-            atomic_write_json(paths["manifest_json"], dict(manifest), default=str)
-        return paths
 
 
 #: The active telemetry of this process (None = disabled, the default).

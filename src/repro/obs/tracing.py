@@ -1,4 +1,4 @@
-"""Span tracing: nested begin/end records with JSONL and Chrome-trace export.
+"""Span tracing: nested begin/end records and Chrome-trace rendering.
 
 A :class:`Tracer` collects :class:`SpanRecord` entries — one per completed
 span, with start offset, duration and nesting depth — from the
@@ -8,19 +8,17 @@ context-manager :meth:`Tracer.span` API::
         with tracer.span("matching.solve"):
             ...
 
-Records export two ways:
-
-- :meth:`Tracer.export_jsonl` — one JSON object per line, greppable and
-  streaming-friendly;
-- :meth:`Tracer.chrome_trace` — the Chrome ``trace_event`` format
-  (``"X"`` complete events with microsecond ``ts``/``dur``), which loads
-  directly in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
-  Spans merged from worker processes keep their own ``pid`` lane.
+Records leave the process in append order through the run's stream
+segment (:mod:`repro.obs.stream`); :func:`chrome_trace` renders any list
+of them in the Chrome ``trace_event`` format (``"X"`` complete events with
+microsecond ``ts``/``dur``), which loads directly in Perfetto
+(https://ui.perfetto.dev) or ``chrome://tracing``.  Each stream segment
+gets its own ``pid`` lane.
 
 Timestamps are seconds since the tracer's epoch (its construction time),
-measured on a monotonic clock; cross-process records are therefore only
-comparable within one ``pid`` lane, which is exactly how the Chrome trace
-renders them.
+measured on a monotonic clock; records of different segments are
+therefore only comparable within one ``pid`` lane, which is exactly how
+the Chrome trace renders them.
 """
 
 from __future__ import annotations
@@ -40,8 +38,8 @@ class SpanRecord:
         start: seconds since the tracer epoch at span begin.
         duration: span length in seconds.
         depth: nesting depth at begin (0 = top level).
-        pid: process lane (0 = the tracer's own process; worker payloads
-            merged by :meth:`Tracer.extend` get their own lane).
+        pid: process lane (0 as recorded; a merged stream view gives
+            each segment its own lane).
         day: the engine day the span executed under (``-1`` outside any
             day; stamped from :attr:`Tracer.day`, which the day loop
             maintains — the substrate of per-day profiling).
@@ -118,15 +116,13 @@ class Tracer:
         clock: monotonic time source (injectable for deterministic tests).
 
     The tracer is single-threaded by design — the day loop and every
-    matcher run on one thread per process, and worker processes each own a
-    fresh tracer whose records are shipped back and merged.
+    matcher run on one thread per process, and each run owns a fresh
+    tracer whose records stream to that run's segment.
     """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self._clock = clock
         self.epoch = clock()
-        #: Wall-clock time at epoch, letting exports anchor to real time.
-        self.epoch_walltime = time.time()
         self.records: list[SpanRecord] = []
         self._depth = 0
         #: The engine day currently executing (``-1`` outside any day).
@@ -180,72 +176,35 @@ class Tracer:
         """Current nesting depth (0 outside any span)."""
         return self._depth
 
-    # ------------------------------------------------------------------
-    # Cross-process merge
-    # ------------------------------------------------------------------
-    def to_payload(self) -> list[dict]:
-        """Plain-data dump of all records (for worker → parent shipping)."""
-        return [record.to_dict() for record in self.records]
 
-    def extend(self, payload: Iterable[Mapping], pid: int) -> None:
-        """Adopt records shipped from another process under lane ``pid``."""
-        for entry in payload:
-            record = SpanRecord.from_dict(entry)
-            record.pid = pid
-            self.records.append(record)
+def chrome_trace(records: Iterable[SpanRecord]) -> dict:
+    """The Chrome ``trace_event`` JSON object (Perfetto-loadable).
 
-    @property
-    def next_pid(self) -> int:
-        """The next unused process lane (0 is this process)."""
-        return max((record.pid for record in self.records), default=0) + 1
+    Every span becomes one complete (``"ph": "X"``) event with microsecond
+    ``ts``/``dur``; nesting is reconstructed by the viewer from temporal
+    containment on each ``(pid, tid)`` track.
+    """
+    events = []
+    for record in sorted(records, key=lambda r: (r.pid, r.start)):
+        events.append(
+            {
+                "name": record.name,
+                "cat": record.name.split(".", 1)[0],
+                "ph": "X",
+                "ts": round(record.start * 1e6, 3),
+                "dur": round(record.duration * 1e6, 3),
+                "pid": record.pid,
+                "tid": 0,
+                "args": dict(record.attrs),
+            }
+        )
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-    def export_jsonl(self, path) -> None:
-        """Write one JSON object per record (sorted by lane, then start).
 
-        Written atomically: readers either see the previous export or the
-        complete new one, never a torn span stream.
-        """
-        from repro.state.io import atomic_open
+def write_chrome_trace(path, records: Iterable[SpanRecord]) -> None:
+    """Write :func:`chrome_trace` as JSON (atomically)."""
+    from repro.state.io import atomic_open
 
-        with atomic_open(path, "w") as handle:
-            for record in sorted(self.records, key=lambda r: (r.pid, r.start)):
-                handle.write(json.dumps(record.to_dict(), sort_keys=True))
-                handle.write("\n")
-
-    def chrome_trace(self) -> dict:
-        """The Chrome ``trace_event`` JSON object (Perfetto-loadable).
-
-        Every span becomes one complete (``"ph": "X"``) event with
-        microsecond ``ts``/``dur``; nesting is reconstructed by the viewer
-        from temporal containment on each ``(pid, tid)`` track.
-        """
-        events = []
-        for record in sorted(self.records, key=lambda r: (r.pid, r.start)):
-            events.append(
-                {
-                    "name": record.name,
-                    "cat": record.name.split(".", 1)[0],
-                    "ph": "X",
-                    "ts": round(record.start * 1e6, 3),
-                    "dur": round(record.duration * 1e6, 3),
-                    "pid": record.pid,
-                    "tid": 0,
-                    "args": dict(record.attrs),
-                }
-            )
-        return {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {"epoch_walltime": self.epoch_walltime},
-        }
-
-    def export_chrome_trace(self, path) -> None:
-        """Write :meth:`chrome_trace` as JSON (atomically)."""
-        from repro.state.io import atomic_open
-
-        with atomic_open(path, "w") as handle:
-            # One dumps + write: json.dump streams thousands of tiny chunks.
-            handle.write(json.dumps(self.chrome_trace()))
+    with atomic_open(path, "w") as handle:
+        # One dumps + write: json.dump streams thousands of tiny chunks.
+        handle.write(json.dumps(chrome_trace(records)))

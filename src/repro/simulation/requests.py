@@ -72,26 +72,6 @@ class RequestStream:
         flat = day * self.batches_per_day + batch
         return np.arange(self.offsets[flat], self.offsets[flat + 1])
 
-    def day_indices(self, day: int) -> np.ndarray:
-        """Indices of all requests arriving on ``day``."""
-        if not 0 <= day < self.num_days:
-            raise IndexError(f"no day {day} in this stream")
-        start = self.offsets[day * self.batches_per_day]
-        stop = self.offsets[(day + 1) * self.batches_per_day]
-        return np.arange(start, stop)
-
-    def feature_matrix(self, indices: np.ndarray) -> np.ndarray:
-        """Dense feature rows for the given request indices."""
-        indices = np.asarray(indices, dtype=int)
-        district_onehot = np.zeros((indices.size, self.num_districts))
-        district_onehot[np.arange(indices.size), self.district[indices]] = 1.0
-        type_onehot = np.zeros((indices.size, len(HOUSE_TYPES)))
-        type_onehot[np.arange(indices.size), self.house_type[indices]] = 1.0
-        scalars = np.column_stack(
-            [self.price[indices], self.area[indices], self.urgency[indices]]
-        )
-        return np.hstack([district_onehot, type_onehot, scalars])
-
 
 def generate_stream(
     num_requests: int,

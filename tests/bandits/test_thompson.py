@@ -27,10 +27,11 @@ def test_scores_are_stochastic(rng):
 
 
 def test_posterior_mean_deterministic(rng):
+    """The posterior means (the noise-free part of the Thompson score)."""
     bandit = _bandit(rng)
     context = rng.normal(size=3)
     np.testing.assert_array_equal(
-        bandit.posterior_mean_scores(context), bandit.posterior_mean_scores(context)
+        bandit.predicted_rewards(context), bandit.predicted_rewards(context)
     )
 
 

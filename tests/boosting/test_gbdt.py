@@ -66,4 +66,4 @@ def test_num_trees(rng):
     x = rng.uniform(size=(50, 2))
     y = rng.normal(size=50)
     model = GradientBoostedTrees(num_rounds=7).fit(x, y)
-    assert model.num_trees == 7
+    assert len(model.train_losses) == 7  # one fitted tree per boosting round

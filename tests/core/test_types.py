@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import AssignedPair, Assignment, Broker, DayOutcome
-
-
-def test_broker_reset_day(rng):
-    broker = Broker(broker_id=1, features=rng.normal(size=4), workload=7, signup_rate=0.2)
-    fresh = rng.normal(size=4)
-    broker.reset_day(fresh)
-    assert broker.workload == 0
-    np.testing.assert_array_equal(broker.features, fresh)
+from repro.core import AssignedPair, Assignment, DayOutcome
 
 
 def test_assignment_predicted_utility_and_load():

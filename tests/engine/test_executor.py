@@ -1,4 +1,4 @@
-"""Executor: ordering, worker counts, the platform cache, telemetry merge."""
+"""Executor: ordering, worker counts, the platform cache, streamed telemetry."""
 
 import dataclasses
 
@@ -8,6 +8,7 @@ import pytest
 from repro.engine import MatcherSpec, PlatformSpec, RunSpec, run_many
 from repro.engine.executor import execute_spec, warm_platform_cache
 from repro.obs import telemetry as obs
+from repro.obs.stream import read_stream
 from repro.obs.telemetry import Telemetry
 from repro.simulation import SyntheticConfig
 
@@ -67,28 +68,34 @@ def _telemetry_grid():
 TIMING_SERIES = ("span.", "engine.begin_day", "engine.assign_batch", "engine.end_day")
 
 
-def _comparable_metrics(telemetry):
+def _streamed(directory, specs, jobs):
+    """Run ``specs`` streaming under ``directory``; the stream-merged registry."""
+    telemetry = Telemetry()
+    telemetry.stream_dir = str(directory)
+    results = run_many(specs, jobs=jobs, telemetry=telemetry)
+    return results, read_stream(directory).merged_registry()
+
+
+def _comparable_metrics(registry):
     """Counters and seeded distributions (exactly mergeable) as plain data."""
     return [
         entry
-        for entry in telemetry.registry.to_dict()["metrics"]
+        for entry in registry.to_dict()["metrics"]
         if entry["kind"] == "counter"
         or (entry["kind"] == "distribution" and not entry["name"].startswith(TIMING_SERIES))
     ]
 
 
-def test_parallel_telemetry_merge_is_bit_identical_to_serial():
+def test_parallel_telemetry_merge_is_bit_identical_to_serial(tmp_path):
     """jobs must be a pure wall-clock knob for hook-observed state too.
 
-    Regression test: with jobs>1 the runs execute in worker processes, so
-    any telemetry accumulated there is lost unless ``execute_spec`` ships
-    it back and the parent merges it.  Counters and distributions merge
-    exactly, so the jobs=2 registry must equal the jobs=1 registry
-    bit-for-bit.
+    With jobs>1 the runs execute in worker processes, and each writes only
+    its own stream segment.  Counters and distributions merge exactly in
+    segment (= spec) order, so the stream-merged registry of a jobs=2 run
+    must equal the jobs=1 one bit-for-bit.
     """
-    serial, parallel = Telemetry(), Telemetry()
-    run_many(_telemetry_grid(), jobs=1, telemetry=serial)
-    run_many(_telemetry_grid(), jobs=2, telemetry=parallel)
+    _, serial = _streamed(tmp_path / "serial", _telemetry_grid(), jobs=1)
+    _, parallel = _streamed(tmp_path / "parallel", _telemetry_grid(), jobs=2)
 
     serial_metrics = _comparable_metrics(serial)
     assert serial_metrics, "the serial run must have observed something"
@@ -99,7 +106,7 @@ def test_parallel_telemetry_merge_is_bit_identical_to_serial():
     assert "vfga.td_updates" in names
 
 
-def test_parallel_percentiles_bit_identical_to_serial():
+def test_parallel_percentiles_bit_identical_to_serial(tmp_path):
     """p50/p95/p99 must not depend on the jobs knob, bit for bit.
 
     Distribution sketches merge as integer bucket counts in spec order, so
@@ -107,12 +114,11 @@ def test_parallel_percentiles_bit_identical_to_serial():
     not approximately.  ``engine.batch_requests`` is deterministic (batch
     sizes are seeded), making the comparison meaningful.
     """
-    serial, parallel = Telemetry(), Telemetry()
-    run_many(_telemetry_grid(), jobs=1, telemetry=serial)
-    run_many(_telemetry_grid(), jobs=2, telemetry=parallel)
+    _, serial = _streamed(tmp_path / "serial", _telemetry_grid(), jobs=1)
+    _, parallel = _streamed(tmp_path / "parallel", _telemetry_grid(), jobs=2)
     for algorithm in ("LACB-Opt", "Top-3"):
-        a = serial.registry.distribution("engine.batch_requests", algorithm=algorithm)
-        b = parallel.registry.distribution("engine.batch_requests", algorithm=algorithm)
+        a = serial.distribution("engine.batch_requests", algorithm=algorithm)
+        b = parallel.distribution("engine.batch_requests", algorithm=algorithm)
         assert a.count > 0
         assert a.state() == b.state()
         assert a.quantiles() == b.quantiles()
@@ -120,13 +126,24 @@ def test_parallel_percentiles_bit_identical_to_serial():
             assert a.quantile(q) == b.quantile(q)  # exact equality, no approx
 
 
-def test_run_many_uses_active_telemetry_by_default():
+def test_run_many_uses_active_telemetry_by_default(tmp_path):
     telemetry = Telemetry()
+    telemetry.stream_dir = str(tmp_path)
     with obs.use(telemetry):
         run_many(_telemetry_grid()[:1], jobs=1)
-    assert telemetry.registry.counter("engine.runs", algorithm="LACB-Opt").value == 1
-    # Worker spans were merged into the parent tracer.
-    assert len(telemetry.tracer.records) > 0
+    view = read_stream(tmp_path)
+    assert view.merged_registry().counter("engine.runs", algorithm="LACB-Opt").value == 1
+    assert len(view.spans()) > 0
+    # The run kept its telemetry in its segment, not in the parent.
+    assert len(telemetry.registry) == 0
+    assert telemetry.tracer.records == []
+
+
+def test_run_many_under_telemetry_without_stream_dir_is_rejected():
+    with pytest.raises(ValueError, match="stream_dir"):
+        run_many(_telemetry_grid()[:1], telemetry=Telemetry())
+    with obs.use(Telemetry()), pytest.raises(ValueError, match="stream_dir"):
+        run_many(_telemetry_grid()[:1], jobs=2)
 
 
 def test_run_many_without_telemetry_collects_nothing():
@@ -136,9 +153,9 @@ def test_run_many_without_telemetry_collects_nothing():
     assert obs.current() is None
 
 
-def test_parallel_results_unchanged_by_telemetry_collection():
+def test_parallel_results_unchanged_by_telemetry_collection(tmp_path):
     plain = run_many(_telemetry_grid(), jobs=1)
-    observed = run_many(_telemetry_grid(), jobs=2, telemetry=Telemetry())
+    observed, _ = _streamed(tmp_path, _telemetry_grid(), jobs=2)
     for a, b in zip(plain, observed):
         assert a.total_realized_utility == pytest.approx(b.total_realized_utility)
         np.testing.assert_array_equal(a.broker_workload, b.broker_workload)
@@ -166,7 +183,7 @@ def test_warm_platform_cache_reuses_donated_platform(monkeypatch):
     assert len(builds) == 1
 
 
-def test_serving_specs_are_bit_identical_across_jobs():
+def test_serving_specs_are_bit_identical_across_jobs(tmp_path):
     """A serving spec's report crosses the process pool with its result, and
     every deterministic field and distribution equals the serial run's."""
     from repro.check.resume import _compare_results
@@ -177,16 +194,15 @@ def test_serving_specs_are_bit_identical_across_jobs():
         dataclasses.replace(spec, serving=serving, store_assignments=True)
         for spec in _telemetry_grid()
     ]
-    serial, parallel = Telemetry(), Telemetry()
-    one = run_many(specs, jobs=1, telemetry=serial)
-    two = run_many(specs, jobs=2, telemetry=parallel)
+    one, serial = _streamed(tmp_path / "serial", specs, jobs=1)
+    two, parallel = _streamed(tmp_path / "parallel", specs, jobs=2)
     for a, b in zip(one, two):
         assert a.serving.micro_batches > 0
         assert _compare_results(a, b, a.algorithm) == []
 
-    def deterministic(telemetry):
+    def deterministic(registry):
         # Latencies carry measured service seconds.
-        return [e for e in _comparable_metrics(telemetry) if e["name"] != "serving.latency"]
+        return [e for e in _comparable_metrics(registry) if e["name"] != "serving.latency"]
 
     assert deterministic(serial) == deterministic(parallel)
     assert "serving.queue_wait" in {entry["name"] for entry in deterministic(serial)}

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.matching import MatchResult, pad_to_square
-from repro.matching.bipartite import utility_submatrix
 
 
 def test_pad_wider(rng):
@@ -49,12 +48,4 @@ def test_pad_shape_property(rows, cols):
 def test_match_result_accessors():
     result = MatchResult(pairs=[(0, 3), (2, 1)], total_weight=1.5)
     assert len(result) == 2
-    assert result.row_to_col() == {0: 3, 2: 1}
-    assert result.col_to_row() == {3: 0, 1: 2}
-
-
-def test_utility_submatrix(rng):
-    utilities = rng.uniform(size=(5, 7))
-    sub = utility_submatrix(utilities, [1, 3], [0, 2, 6])
-    assert sub.shape == (2, 3)
-    assert sub[1, 2] == utilities[3, 6]
+    assert len(MatchResult()) == 0

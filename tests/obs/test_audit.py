@@ -1,21 +1,19 @@
 """Decision provenance: record capture, crash-safety, merge determinism."""
 
-import os
+import json
 
 import pytest
 
 from repro.engine import MatcherSpec, PlatformSpec, RunSpec, run_many
 from repro.engine.loop import DayLoopEngine
-from repro.obs.audit import (
-    AUDIT_SCHEMA,
-    AuditConfig,
-    AuditWriter,
-    DecisionAudit,
-    audit_dir_for,
-    read_audit,
-    read_audit_segment,
-)
+from repro.obs.audit import AuditConfig, DecisionAudit, read_audit
 from repro.obs.report import render_explain
+from repro.obs.stream import (
+    STREAM_SCHEMA,
+    TelemetryStreamWriter,
+    read_stream,
+    stream_dir_for,
+)
 from repro.obs.telemetry import Telemetry, use as use_telemetry
 from repro.simulation import SyntheticConfig, generate_city
 from repro.state.hook import RunInterrupted, StopAfterDay
@@ -33,9 +31,17 @@ def _specs(names=("LACB-Opt",)):
 def _audited_run(directory, jobs=1, names=("LACB-Opt",), sample_every=1):
     telemetry = Telemetry()
     telemetry.audit = AuditConfig(sample_every=sample_every)
-    telemetry.audit_dir = str(directory)
+    telemetry.stream_dir = stream_dir_for(directory)
     results = run_many(_specs(names), jobs=jobs, telemetry=telemetry)
     return results, read_audit(directory)
+
+
+def _write_audit_days(directory, days, segment="run"):
+    """Stream one record per day, each carrying an audit record."""
+    writer = TelemetryStreamWriter(stream_dir_for(directory), segment=segment)
+    for day in days:
+        writer.flush(Telemetry(), day=day, audit={"day": day, "batches": []})
+    return writer.path
 
 
 def test_config_validation():
@@ -78,48 +84,41 @@ def test_day_record_packages_and_clears():
 
 
 def test_writer_reader_roundtrip_and_torn_tail(tmp_path):
-    writer = AuditWriter(tmp_path, segment="run")
-    writer.append({"day": 0, "batches": []})
-    writer.append({"day": 1, "batches": []})
-    path = tmp_path / "run.jsonl"
-    segment = read_audit_segment(path)
-    assert [r["day"] for r in segment.records] == [0, 1]
-    assert all(r["schema"] == AUDIT_SCHEMA for r in segment.records)
+    path = _write_audit_days(tmp_path, (0, 1))
+    assert [r["day"] for r in read_audit(tmp_path).records] == [0, 1]
 
     # A torn final line (killed mid-append) is silently dropped.
     with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"schema": "' + AUDIT_SCHEMA + '", "seq": 2, "day":')
-    segment = read_audit_segment(path)
-    assert [r["day"] for r in segment.records] == [0, 1]
+        handle.write('{"schema": "' + STREAM_SCHEMA + '", "seq": 2, "audit": {"day":')
+    assert [r["day"] for r in read_audit(tmp_path).records] == [0, 1]
 
 
 def test_reader_rejects_non_increasing_seq(tmp_path):
-    path = tmp_path / "bad.jsonl"
+    path = tmp_path / "stream" / "bad.jsonl"
+    path.parent.mkdir()
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f'{{"schema": "{AUDIT_SCHEMA}", "seq": 1, "day": 0}}\n')
-        handle.write(f'{{"schema": "{AUDIT_SCHEMA}", "seq": 1, "day": 1}}\n')
+        for day in (0, 1):
+            handle.write(json.dumps({"schema": STREAM_SCHEMA, "seq": 1, "audit": {"day": day}}))
+            handle.write("\n")
     with pytest.raises(ValueError, match="non-increasing"):
-        read_audit_segment(path)
+        read_audit(tmp_path)
 
 
 def test_fresh_writer_replaces_stale_segment(tmp_path):
-    stale = AuditWriter(tmp_path, segment="run")
-    stale.append({"day": 9, "batches": []})
-    fresh = AuditWriter(tmp_path, segment="run")
-    fresh.append({"day": 0, "batches": []})
-    segment = read_audit_segment(tmp_path / "run.jsonl")
-    assert [r["day"] for r in segment.records] == [0]
+    _write_audit_days(tmp_path, (9,))
+    _write_audit_days(tmp_path, (0,))
+    assert [r["day"] for r in read_audit(tmp_path).records] == [0]
 
 
 def test_missing_audit_dir_yields_empty_view(tmp_path):
     view = read_audit(tmp_path / "nope")
-    assert view.records() == []
+    assert view.records == []
     assert "no audit records" in render_explain(view)
 
 
 def test_audited_run_records_full_decision_paths(tmp_path):
     _results, view = _audited_run(tmp_path / "audit")
-    records = view.records()
+    records = view.records
     assert [r["day"] for r in records] == list(range(TINY.num_days))
     # Every day: capacity notes for the bandit side, with known rules.
     for record in records:
@@ -140,21 +139,25 @@ def test_audited_run_records_full_decision_paths(tmp_path):
 def test_sampling_bounds_record_volume(tmp_path):
     _results, dense = _audited_run(tmp_path / "dense", sample_every=1)
     _results, sparse = _audited_run(tmp_path / "sparse", sample_every=4)
-    dense_batches = sum(len(r["batches"]) for r in dense.records())
-    sparse_batches = sum(len(r["batches"]) for r in sparse.records())
+    dense_batches = sum(len(r["batches"]) for r in dense.records)
+    sparse_batches = sum(len(r["batches"]) for r in sparse.records)
     assert 0 < sparse_batches < dense_batches
     # Capacity notes are day-level — sampling only thins the batch trails.
-    assert all("capacity" in r for r in sparse.records())
+    assert all("capacity" in r for r in sparse.records)
 
 
 def test_jobs_parallel_audit_files_bit_identical(tmp_path):
+    """Every segment's audit records serialize to the same bytes under
+    jobs=1 and jobs=2 (the rest of a stream record carries timings)."""
     names = ("LACB-Opt", "AN")
-    _results, serial = _audited_run(tmp_path / "serial", jobs=1, names=names)
-    _results, pooled = _audited_run(tmp_path / "pooled", jobs=2, names=names)
-    assert [s.segment for s in serial.segments] == [s.segment for s in pooled.segments]
-    for left, right in zip(serial.segments, pooled.segments):
-        with open(left.path, "rb") as a, open(right.path, "rb") as b:
-            assert a.read() == b.read()
+    _audited_run(tmp_path / "serial", jobs=1, names=names)
+    _audited_run(tmp_path / "pooled", jobs=2, names=names)
+    serial = read_stream(stream_dir_for(tmp_path / "serial")).segments
+    pooled = read_stream(stream_dir_for(tmp_path / "pooled")).segments
+    assert [s.segment for s in serial] == [s.segment for s in pooled]
+    assert all(segment.audit for segment in serial)
+    for left, right in zip(serial, pooled):
+        assert json.dumps(left.audit, sort_keys=True) == json.dumps(right.audit, sort_keys=True)
 
 
 def test_audited_results_equal_unaudited(tmp_path):
@@ -165,19 +168,18 @@ def test_audited_results_equal_unaudited(tmp_path):
 
 
 def test_kill_mid_run_keeps_completed_days(tmp_path):
-    """StopAfterDay raises before the hook flushes the kill day: the audit
-    file durably holds every day strictly before it."""
+    """StopAfterDay raises before the hook flushes the kill day: the stream
+    durably holds the audit of every day strictly before it."""
     telemetry = Telemetry()
     telemetry.audit = AuditConfig()
-    telemetry.audit_dir = str(tmp_path / "audit")
-    telemetry.audit_segment = "main"
+    telemetry.stream = TelemetryStreamWriter(stream_dir_for(tmp_path), segment="main")
     platform = generate_city(TINY)
     matcher = MatcherSpec("LACB-Opt", seed=1).build(platform)
     with use_telemetry(telemetry):
         with pytest.raises(RunInterrupted):
             DayLoopEngine().run(platform, matcher, hooks=(StopAfterDay(1),))
-    view = read_audit(tmp_path / "audit")
-    assert [r["day"] for r in view.records()] == [0]
+    view = read_audit(tmp_path)
+    assert [r["day"] for r in view.records] == [0]
     # The interrupted session does not leak into later runs.
     assert telemetry.audit_session is not None  # still parked on telemetry…
     fresh = Telemetry()
@@ -210,7 +212,8 @@ def test_cli_explain_smoke(tmp_path, capsys):
         ]
     )
     capsys.readouterr()
-    assert os.path.isdir(audit_dir_for(directory))
+    assert not (directory / "audit").exists()  # the audit rides in the stream
+    assert read_audit(directory).records
     main(["explain", str(directory), "--limit", "3"])
     out = capsys.readouterr().out
     assert "decision audit:" in out
@@ -247,7 +250,7 @@ def test_audit_provenance_identical_under_reference_kernels(tmp_path, capsys, mo
                 ]
             )
         capsys.readouterr()
-        notes = [record["capacity"] for record in read_audit(audit_dir_for(directory)).records()]
+        notes = [record["capacity"] for record in read_audit(directory).records]
         main(["explain", str(directory), "--limit", "0"])
         bandit_lines = re.findall(
             r"bandit: capacity arm (\S+) via (\S+)", capsys.readouterr().out

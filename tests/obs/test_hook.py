@@ -101,11 +101,12 @@ def test_run_label_restored_after_run():
 
 
 def test_full_run_chrome_trace_is_valid(tmp_path):
+    from repro.obs.tracing import write_chrome_trace
+
     telemetry, _result = _run_with_telemetry(name="Top-3", days=2, requests=80)
-    paths = telemetry.export(tmp_path)
+    write_chrome_trace(tmp_path / "trace.json", telemetry.tracer.records)
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert trace["traceEvents"], "a run must produce spans"
     assert {event["ph"] for event in trace["traceEvents"]} == {"X"}
     names = {event["name"] for event in trace["traceEvents"]}
     assert set(ENGINE_PHASES) <= names
-    assert paths["trace_json"] == str(tmp_path / "trace.json")

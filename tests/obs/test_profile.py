@@ -13,6 +13,7 @@ from repro.obs.profile import (
     phase_stats,
     write_collapsed,
 )
+from repro.obs.stream import read_stream
 from repro.obs.telemetry import Telemetry
 from repro.obs.tracing import SpanRecord
 from repro.simulation import SyntheticConfig
@@ -146,14 +147,15 @@ def test_write_collapsed_is_deterministic(tmp_path):
     assert all(line.rsplit(" ", 1)[1].isdigit() for line in lines)
 
 
-def test_real_run_profiles_cleanly():
+def test_real_run_profiles_cleanly(tmp_path):
     """End to end: a real engine run yields sane trees and stacks."""
     telemetry = Telemetry()
+    telemetry.stream_dir = str(tmp_path)
     # LACB-Opt opens interior spans (vfga.assign_batch, matching.solve),
     # so the reconstructed stacks actually nest.
     spec = RunSpec(platform=PlatformSpec.synthetic(TINY), matcher=MatcherSpec("LACB-Opt", seed=1))
     run_many([spec], jobs=1, telemetry=telemetry)
-    records = telemetry.tracer.records
+    records = read_stream(tmp_path).spans()
     rows = day_rows(records, phases=("engine.assign_batch",))
     assert [row[:2] for row in rows] == [("LACB-Opt", day) for day in range(TINY.num_days)]
     stacks = collapsed_stacks(records)

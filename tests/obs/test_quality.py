@@ -97,10 +97,18 @@ def test_estimated_capacities_duck_typing():
 # ----------------------------------------------------------------------
 # End-to-end gauges
 # ----------------------------------------------------------------------
-def test_run_books_quality_gauges_per_algorithm():
+def _streamed_registry(directory, names, jobs=1):
+    """Run ``names`` streaming under ``directory``; the stream-merged registry."""
+    from repro.obs.stream import read_stream
+
     telemetry = Telemetry()
-    run_many(_specs(("LACB-Opt", "Top-3")), telemetry=telemetry)
-    registry = telemetry.registry
+    telemetry.stream_dir = str(directory)
+    run_many(_specs(names), jobs=jobs, telemetry=telemetry)
+    return read_stream(directory).merged_registry()
+
+
+def test_run_books_quality_gauges_per_algorithm(tmp_path):
+    registry = _streamed_registry(tmp_path, ("LACB-Opt", "Top-3"))
 
     for name in QUALITY_GAUGE_NAMES:
         value = _gauge(registry, name, "LACB-Opt")
@@ -123,25 +131,22 @@ def test_run_books_quality_gauges_per_algorithm():
     assert gini_hist.count == TINY.num_days
 
 
-def test_regret_counters_merge_bit_identical_across_jobs():
-    serial, pooled = Telemetry(), Telemetry()
-    run_many(_specs(("LACB-Opt", "AN")), jobs=1, telemetry=serial)
-    run_many(_specs(("LACB-Opt", "AN")), jobs=2, telemetry=pooled)
+def test_regret_counters_merge_bit_identical_across_jobs(tmp_path):
+    serial = _streamed_registry(tmp_path / "serial", ("LACB-Opt", "AN"), jobs=1)
+    pooled = _streamed_registry(tmp_path / "pooled", ("LACB-Opt", "AN"), jobs=2)
     for name in (
         "quality.regret_matched_utility",
         "quality.regret_oracle_utility",
         "quality.regret_batches",
     ):
-        left = {tuple(sorted(labels.items())): m.value for labels, m in serial.registry.find(name)}
-        right = {tuple(sorted(labels.items())): m.value for labels, m in pooled.registry.find(name)}
+        left = {tuple(sorted(labels.items())): m.value for labels, m in serial.find(name)}
+        right = {tuple(sorted(labels.items())): m.value for labels, m in pooled.find(name)}
         assert left == right, name
         assert left, name  # the counters exist and carry data
 
 
-def test_quality_metrics_reach_prometheus_export():
-    telemetry = Telemetry()
-    run_many(_specs(("LACB-Opt",)), telemetry=telemetry)
-    text = telemetry.registry.prometheus_text()
+def test_quality_metrics_reach_prometheus_export(tmp_path):
+    text = _streamed_registry(tmp_path, ("LACB-Opt",)).prometheus_text()
     assert "quality_workload_gini" in text
     assert "quality_overload_rate" in text
     assert "quality_capacity_mae" in text

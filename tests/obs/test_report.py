@@ -1,5 +1,6 @@
-"""Report rendering: per-phase breakdown from an exported telemetry dir."""
+"""Report rendering: per-phase breakdown from a telemetry dir's stream."""
 
+import json
 import os
 
 import pytest
@@ -8,12 +9,26 @@ from repro.obs.report import (
     day_profile_rows,
     decision_time_by_algorithm,
     hotspot_rows,
+    load_run,
     load_spans,
-    load_telemetry_dir,
     phase_rows,
     render_report,
 )
+from repro.obs.stream import (
+    STREAM_SCHEMA,
+    TelemetryStreamWriter,
+    export_artifacts,
+    stream_dir_for,
+)
 from repro.obs.telemetry import Telemetry
+
+
+def _export(telemetry: Telemetry, directory, manifest: dict) -> None:
+    """Stream ``telemetry`` as one finished segment, then export the dir."""
+    TelemetryStreamWriter(stream_dir_for(directory), segment="main").flush(
+        telemetry, final=True
+    )
+    export_artifacts(directory, manifest)
 
 
 def _fake_run_telemetry() -> Telemetry:
@@ -51,12 +66,15 @@ def test_phase_rows_engine_first_and_no_synthesized_duplicates():
 
 def test_render_report_roundtrip_from_export(tmp_path):
     telemetry = _fake_run_telemetry()
-    telemetry.export(tmp_path, manifest={"command": "compare", "wall_seconds": 2.0})
-    manifest, registry = load_telemetry_dir(tmp_path)
+    _export(telemetry, tmp_path, {"command": "compare", "wall_seconds": 2.0})
+    manifest, view, warning = load_run(tmp_path)
     assert manifest["command"] == "compare"
+    assert warning == ""  # every segment finished
+    registry = view.merged_registry()
     assert decision_time_by_algorithm(registry)["LACB-Opt"] == pytest.approx(1.0)
 
     report = render_report(tmp_path)
+    assert "WARNING" not in report
     assert "compare" in report
     assert "engine.assign_batch" in report
     assert "matching.solve" in report
@@ -93,19 +111,17 @@ def test_phase_rows_zero_count_timer_reports_zero_percentiles():
 
 def test_render_report_surfaces_percentile_columns(tmp_path):
     telemetry = _fake_run_telemetry()
-    telemetry.export(tmp_path, manifest={"command": "compare"})
+    _export(telemetry, tmp_path, {"command": "compare"})
     report = render_report(tmp_path)
     for header in ("p50 ms", "p95 ms", "p99 ms"):
         assert header in report
 
 
 def test_report_without_spans_still_renders_phase_tables(tmp_path):
-    """Graceful degradation: metrics without spans.jsonl (partial export)."""
-    import os
-
+    """Graceful degradation: a stream that carries metrics but no spans."""
     telemetry = _fake_run_telemetry()
-    telemetry.export(tmp_path, manifest={"command": "compare"})
-    os.remove(tmp_path / "spans.jsonl")
+    _export(telemetry, tmp_path, {"command": "compare"})
+    assert load_spans(tmp_path) == []
     report = render_report(tmp_path)
     assert "engine.assign_batch" in report
     assert "Hotspots" not in report  # section dropped, not crashed
@@ -128,8 +144,6 @@ def test_watch_renders_dash_for_progress_predating_quality_fields(tmp_path):
     """Regression: progress records from before the dispersion/quality fields
     existed must render "-" in watch, not a fake 0.00."""
     from repro.obs.report import render_watch
-    from repro.obs.stream import TelemetryStreamWriter, stream_dir_for
-    from repro.obs.telemetry import Telemetry
 
     writer = TelemetryStreamWriter(stream_dir_for(tmp_path), segment="old")
     writer.flush(
@@ -152,8 +166,6 @@ def test_watch_renders_dash_for_progress_predating_quality_fields(tmp_path):
 
 def test_watch_renders_measured_zero_dispersion_as_number(tmp_path):
     from repro.obs.report import render_watch
-    from repro.obs.stream import TelemetryStreamWriter, stream_dir_for
-    from repro.obs.telemetry import Telemetry
 
     writer = TelemetryStreamWriter(stream_dir_for(tmp_path), segment="new")
     writer.flush(
@@ -226,7 +238,7 @@ def test_render_report_includes_quality_table_when_gauged(tmp_path):
     label = telemetry.labels()
     telemetry.registry.gauge("quality.workload_gini", **label).set(0.42)
     telemetry.registry.gauge("quality.overload_rate", **label).set(0.05)
-    telemetry.export(tmp_path, manifest={"command": "compare"})
+    _export(telemetry, tmp_path, {"command": "compare"})
     report = render_report(tmp_path)
     assert "Assignment quality" in report
     assert "0.420" in report
@@ -235,13 +247,21 @@ def test_render_report_includes_quality_table_when_gauged(tmp_path):
     assert " - " in quality_line
 
 
-def test_report_of_a_legacy_telemetry_dir_is_unchanged():
-    """A metrics.json written when phases were Timers and sizes Histograms
-    renders exactly the text the report printed then (captured with it)."""
+def test_report_of_a_legacy_telemetry_dir_is_unchanged(tmp_path):
+    """A registry written when phases were Timers and sizes Histograms
+    renders exactly the text the report printed then (captured with it).
+    The stream is the report's only source, so the legacy registry is fed
+    through it: old segments hold the same registry dump."""
     data = os.path.join(os.path.dirname(__file__), "data")
     with open(os.path.join(data, "legacy_report.txt"), encoding="utf-8") as handle:
         expected = handle.read()
-    assert render_report(os.path.join(data, "legacy_telemetry")) + "\n" == expected
+    with open(os.path.join(data, "legacy_telemetry", "metrics.json"), encoding="utf-8") as handle:
+        legacy = json.load(handle)
+    record = {"schema": STREAM_SCHEMA, "seq": 0, "final": True, "registry": legacy}
+    segment = tmp_path / "stream" / "main.jsonl"
+    segment.parent.mkdir()
+    segment.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert render_report(tmp_path) + "\n" == expected
 
 
 def test_profile_tables_are_per_algorithm(tmp_path):
@@ -255,6 +275,7 @@ def test_profile_tables_are_per_algorithm(tmp_path):
         SyntheticConfig(num_brokers=10, num_requests=80, num_days=2, seed=3)
     )
     telemetry = Telemetry()
+    telemetry.stream_dir = stream_dir_for(tmp_path)
     run_many(
         [
             RunSpec(platform=platform, matcher=MatcherSpec(name, seed=1), serving=ServingSpec())
@@ -262,7 +283,7 @@ def test_profile_tables_are_per_algorithm(tmp_path):
         ],
         telemetry=telemetry,
     )
-    telemetry.export(tmp_path, manifest={"command": "serve", "wall_seconds": 1.0})
+    export_artifacts(tmp_path, {"command": "serve", "wall_seconds": 1.0})
     spans = load_spans(tmp_path)
     batches = sum(span.name == "engine.assign_batch" for span in spans) // 2
 
@@ -278,3 +299,40 @@ def test_profile_tables_are_per_algorithm(tmp_path):
     report = render_report(tmp_path)
     hotspots = report[report.index("Hotspots") :]
     assert hotspots.splitlines()[1].split()[:2] == ["algorithm", "phase"]
+
+
+def test_report_span_trees_nest_engine_phases_over_live_spans(tmp_path, capsys):
+    """Regression: report used to rebuild span trees from a (pid, start)
+    sorted span export, but trees come from append order, so synthesized
+    engine phases adopted the wrong live spans and others stayed roots.
+    The loader and --flamegraph must see each batch's own VFGA span."""
+    from repro.cli import main
+    from repro.obs.profile import ENGINE_PHASES, build_forest
+
+    directory = tmp_path / "tel"
+    main(
+        [
+            "compare", "--brokers", "20", "--requests", "200", "--days", "2",
+            "--algorithms", "Top-3", "AN", "LACB-Opt", "--telemetry", str(directory),
+        ]
+    )
+    forest = build_forest(load_spans(directory))
+    assert {node.record.name for node in forest} <= set(ENGINE_PHASES)
+    batches = [node for node in forest if node.record.name == "engine.assign_batch"]
+    assert batches
+    for node in batches:
+        children = [child.record.name for child in node.children]
+        if node.record.attrs["algorithm"] == "Top-3":
+            assert children == []
+        else:
+            assert children == ["vfga.assign_batch"]
+
+    folded = tmp_path / "flame.folded"
+    main(["report", str(directory), "--flamegraph", str(folded)])
+    capsys.readouterr()
+    stacks = [line.rsplit(" ", 1)[0].split(";") for line in folded.read_text().splitlines()]
+    assert stacks
+    for stack in stacks:
+        assert stack[0] in ENGINE_PHASES, stack
+        if stack[0] == "engine.assign_batch" and len(stack) > 1:
+            assert stack[1] == "vfga.assign_batch", stack

@@ -1,12 +1,12 @@
 """Live streaming telemetry: crash-safety, reader merge, partial views."""
 
 import json
-import os
 
 import pytest
 
 from repro.engine import MatcherSpec, PlatformSpec, RunSpec, run_many
 from repro.engine.loop import DayLoopEngine
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.stream import (
     STREAM_SCHEMA,
     TelemetryStreamWriter,
@@ -87,7 +87,7 @@ def test_empty_or_missing_stream_dir_yields_empty_view(tmp_path):
     assert not view.complete
 
 
-def test_run_many_segments_merge_bit_identical_to_parent(tmp_path):
+def test_run_many_segments_merge_in_spec_order(tmp_path):
     telemetry = Telemetry()
     telemetry.stream_dir = str(tmp_path)
     run_many(_specs(), jobs=2, telemetry=telemetry)
@@ -96,13 +96,19 @@ def test_run_many_segments_merge_bit_identical_to_parent(tmp_path):
     assert len(view.segments) == 2
     assert view.complete
     # Segment names are index-prefixed, so reader order is spec order and
-    # the reconstructed registry equals the parent's merge bit for bit —
-    # quantile sketches included (they ride in histogram state).
+    # the reconstructed registry is the spec-order fold of the segments'
+    # final snapshots, bit for bit — quantile sketches included.
     assert [s.segment for s in view.segments] == [
         segment_name(i, spec.run_id()) for i, spec in enumerate(_specs())
     ]
-    assert _comparable(view.merged_registry()) == _comparable(telemetry.registry)
+    folded = MetricsRegistry()
+    for segment in view.segments:
+        folded.merge(segment.registry_state)
+    assert _comparable(view.merged_registry()) == _comparable(folded)
+    assert view.merged_registry().counter("engine.runs", algorithm="Top-3").value == 1
     assert view.spans(), "span deltas must ride along"
+    # Nothing is merged back into the caller's telemetry.
+    assert len(telemetry.registry) == 0
 
 
 def test_spans_merge_returns_copies_not_aliases(tmp_path):
@@ -200,19 +206,26 @@ def test_kill_mid_run_leaves_recoverable_partial_stream(tmp_path):
 
 
 def test_report_falls_back_to_stream_for_crashed_run(tmp_path):
-    from repro.obs.report import load_telemetry_dir, render_report
+    """A run killed mid-way (no final record, no manifest) still reports
+    from its last flush, marked as unfinished."""
+    from repro.obs.report import load_run, render_report
 
     telemetry = Telemetry()
-    telemetry.stream_dir = stream_dir_for(tmp_path)
-    run_many(_specs(("Top-3",)), jobs=1, telemetry=telemetry)
-    # Simulate a crash before export: no metrics.json was ever written.
-    assert not os.path.exists(tmp_path / "metrics.json")
+    telemetry.stream = TelemetryStreamWriter(stream_dir_for(tmp_path), segment="main")
+    platform = generate_city(TINY)
+    with use_telemetry(telemetry):
+        with pytest.raises(RunInterrupted):
+            DayLoopEngine().run(
+                platform, MatcherSpec("Top-3", seed=1).build(platform), hooks=(StopAfterDay(1),)
+            )
 
-    manifest, registry = load_telemetry_dir(tmp_path)
+    manifest, view, warning = load_run(tmp_path)
     assert manifest is None
-    assert registry.counter("engine.runs", algorithm="Top-3").value == 1
+    assert "run did not finish" in warning
+    assert view.merged_registry().counter("engine.runs", algorithm="Top-3").value == 1
     text = render_report(tmp_path)
-    assert "metrics.json missing" in text
+    assert "run did not finish" in text
+    assert "Streamed progress" in text
     assert "engine.assign_batch" in text
 
 

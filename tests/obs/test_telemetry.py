@@ -1,16 +1,19 @@
-"""The telemetry switchboard: enable/disable, no-op fast path, payload merge."""
+"""The telemetry switchboard: enable/disable, no-op fast path, artifact export."""
+
+import json
 
 import pytest
 
 from repro.obs import telemetry as obs
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import (
-    METRICS_JSON,
+from repro.obs.stream import (
+    MANIFEST_JSON,
     METRICS_PROM,
-    SPANS_JSONL,
     TRACE_JSON,
-    Telemetry,
+    TelemetryStreamWriter,
+    export_artifacts,
+    stream_dir_for,
 )
+from repro.obs.telemetry import Telemetry
 
 
 @pytest.fixture(autouse=True)
@@ -80,34 +83,28 @@ def test_span_timer_cache_respects_label_changes():
     assert telemetry.registry.distribution("span.phase", algorithm="B").count == 1
 
 
-def test_payload_merge_is_exact():
-    worker = Telemetry()
-    worker.set_run_label("AN")
-    worker.add("engine.runs")
-    with worker.span("phase"):
-        pass
-
-    parent = Telemetry()
-    parent.merge_payload(worker.payload())
-    assert parent.registry.counter("engine.runs", algorithm="AN").value == 1.0
-    # Worker spans land in their own Chrome-trace lane.
-    assert all(record.pid == 1 for record in parent.tracer.records)
-    assert len(parent.tracer.records) == 1
-
-
 def test_export_writes_all_artifacts(tmp_path):
-    telemetry = Telemetry()
-    telemetry.add("n")
-    with telemetry.span("phase"):
-        pass
-    paths = telemetry.export(tmp_path, manifest={"schema": "x"})
-    for name in (METRICS_JSON, METRICS_PROM, SPANS_JSONL, TRACE_JSON, "manifest.json"):
-        assert (tmp_path / name).exists(), name
-    assert set(paths) == {
-        "metrics_json", "metrics_prom", "spans_jsonl", "trace_json", "manifest_json"
-    }
-    # The metrics dump reloads into an equivalent registry.
-    import json
+    """The exit-time export writes the manifest and renders metrics.prom and
+    trace.json from the stream, one lane per segment."""
+    for segment in ("0000-a", "0001-b"):
+        telemetry = Telemetry()
+        telemetry.set_run_label(segment)
+        telemetry.add("n")
+        with telemetry.span("phase"):
+            pass
+        TelemetryStreamWriter(stream_dir_for(tmp_path), segment).flush(telemetry, final=True)
 
-    reloaded = MetricsRegistry.from_dict(json.loads((tmp_path / METRICS_JSON).read_text()))
-    assert reloaded.to_dict() == telemetry.registry.to_dict()
+    paths = export_artifacts(tmp_path, {"schema": "x"})
+    assert set(paths) == {MANIFEST_JSON, METRICS_PROM, TRACE_JSON}
+    for name in (MANIFEST_JSON, METRICS_PROM, TRACE_JSON):
+        assert (tmp_path / name).exists(), name
+    assert json.loads((tmp_path / MANIFEST_JSON).read_text()) == {"schema": "x"}
+    prom = (tmp_path / METRICS_PROM).read_text()
+    assert 'repro_n{algorithm="0000-a"} 1' in prom
+    assert 'repro_n{algorithm="0001-b"} 1' in prom
+    trace = json.loads((tmp_path / TRACE_JSON).read_text())
+    assert [(e["name"], e["pid"]) for e in trace["traceEvents"]] == [("phase", 0), ("phase", 1)]
+    # Nothing else: the stream is the only place metrics and spans are kept.
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["stream", MANIFEST_JSON, METRICS_PROM, TRACE_JSON]
+    )

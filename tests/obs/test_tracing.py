@@ -1,9 +1,9 @@
-"""Tracer: nesting, synthesized spans, worker lanes, JSONL and Chrome export."""
+"""Tracer: nesting, synthesized spans, and Chrome-trace rendering."""
 
 import json
 import time
 
-from repro.obs.tracing import SpanRecord, Tracer
+from repro.obs.tracing import Tracer, chrome_trace, write_chrome_trace
 
 
 class FakeClock:
@@ -59,29 +59,6 @@ def test_on_finish_callback_sees_every_record():
     assert [record.name for record in seen] == ["a", "b"]
 
 
-def test_extend_assigns_worker_lane_pids():
-    parent, worker = Tracer(clock=FakeClock()), Tracer(clock=FakeClock())
-    with worker.span("w"):
-        pass
-    parent.record_span("p", 0.1)
-    assert parent.next_pid == 1
-    parent.extend(worker.to_payload(), pid=parent.next_pid)
-    assert {record.pid for record in parent.records} == {0, 1}
-    assert parent.next_pid == 2
-
-
-def test_export_jsonl_roundtrip(tmp_path):
-    clock = FakeClock()
-    tracer = Tracer(clock=clock)
-    with tracer.span("outer"):
-        clock.advance(0.5)
-    path = tmp_path / "spans.jsonl"
-    tracer.export_jsonl(path)
-    lines = path.read_text().strip().splitlines()
-    records = [SpanRecord.from_dict(json.loads(line)) for line in lines]
-    assert records == tracer.records
-
-
 def test_chrome_trace_schema_is_perfetto_loadable(tmp_path):
     """The exported trace must be a valid Chrome trace_event JSON object."""
     clock = FakeClock()
@@ -91,7 +68,7 @@ def test_chrome_trace_schema_is_perfetto_loadable(tmp_path):
     tracer.record_span("engine.begin_day", 0.5)
 
     path = tmp_path / "trace.json"
-    tracer.export_chrome_trace(path)
+    write_chrome_trace(path, tracer.records)
     trace = json.loads(path.read_text())
 
     assert isinstance(trace["traceEvents"], list)
@@ -113,8 +90,8 @@ def test_chrome_trace_schema_is_perfetto_loadable(tmp_path):
 
 
 def test_chrome_trace_export_bytes_equal_json_dumps(tmp_path):
-    """The exported file is exactly ``json.dumps(chrome_trace())``, which is
-    also byte-for-byte what ``json.dump`` streamed into the file."""
+    """The written file is exactly ``json.dumps(chrome_trace(records))``,
+    which is also byte-for-byte what ``json.dump`` streamed into the file."""
     clock = FakeClock()
     tracer = Tracer(clock=clock)
     for day in range(3):
@@ -125,12 +102,12 @@ def test_chrome_trace_export_bytes_equal_json_dumps(tmp_path):
     tracer.record_span("engine.begin_day", 0.5, cpu=0.125)
 
     path = tmp_path / "trace.json"
-    tracer.export_chrome_trace(path)
-    expected = json.dumps(tracer.chrome_trace())
+    write_chrome_trace(path, tracer.records)
+    expected = json.dumps(chrome_trace(tracer.records))
     assert path.read_bytes() == expected.encode("utf-8")
     streamed = tmp_path / "streamed.json"
     with open(streamed, "w", encoding="utf-8") as handle:
-        json.dump(tracer.chrome_trace(), handle)
+        json.dump(chrome_trace(tracer.records), handle)
     assert path.read_bytes() == streamed.read_bytes()
 
 

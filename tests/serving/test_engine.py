@@ -99,7 +99,7 @@ def test_serving_metrics_land_in_telemetry_sketches():
     telemetry = obs.Telemetry()
     with obs.use(telemetry):
         _, report = _serve("Top-1", MicroBatchPolicy(max_wait=5.0, max_size=8))
-    metrics = telemetry.payload()["registry"]["metrics"]
+    metrics = telemetry.registry.to_dict()["metrics"]
     names = {entry["name"] for entry in metrics}
     assert {"serving.queue_wait", "serving.latency", "serving.microbatch_size"} <= names
     wait = next(e for e in metrics if e["name"] == "serving.queue_wait")
@@ -130,7 +130,7 @@ def test_serving_gauges_are_labeled_per_algorithm_and_streamed(tmp_path):
     gauge_names = ("serving.makespan", "serving.throughput_rps")
     gauges = [
         entry
-        for entry in telemetry.payload()["registry"]["metrics"]
+        for entry in telemetry.registry.to_dict()["metrics"]
         if entry["name"] in gauge_names
     ]
     # One gauge per (name, algorithm), each written exactly once.

@@ -45,28 +45,12 @@ def test_batch_sizes_near_even():
     assert sum(sizes) == 503
 
 
-def test_day_indices_concatenate_batches():
-    stream = _stream()
-    day1 = stream.day_indices(1)
-    manual = np.concatenate([stream.batch_indices(1, b) for b in range(stream.batches_per_day)])
-    np.testing.assert_array_equal(day1, manual)
-
-
 def test_out_of_range_lookup():
     stream = _stream()
     with pytest.raises(IndexError):
         stream.batch_indices(99, 0)
     with pytest.raises(IndexError):
-        stream.day_indices(-1)
-
-
-def test_feature_matrix_shape_and_onehots():
-    stream = _stream()
-    indices = np.arange(10)
-    features = stream.feature_matrix(indices)
-    assert features.shape == (10, stream.num_districts + 3 + 3)
-    district_block = features[:, : stream.num_districts]
-    np.testing.assert_allclose(district_block.sum(axis=1), 1.0)
+        stream.batch_indices(-1, 0)
 
 
 def test_district_popularity_skewed():

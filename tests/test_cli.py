@@ -130,9 +130,10 @@ def test_compare_telemetry_then_report_roundtrip(capsys, tmp_path):
     )
     out = capsys.readouterr().out
     assert "LACB-Opt" in out  # the result table still prints
-    for artifact in ("metrics.json", "metrics.prom", "spans.jsonl",
-                     "trace.json", "manifest.json"):
-        assert (telemetry_dir / artifact).exists(), artifact
+    # The stream is the one record; the other files are rendered from it.
+    assert sorted(path.name for path in telemetry_dir.iterdir()) == [
+        "manifest.json", "metrics.prom", "stream", "trace.json"
+    ]
     manifest = json.loads((telemetry_dir / "manifest.json").read_text())
     assert manifest["command"] == "compare"
     assert manifest["args"]["brokers"] == 30
@@ -334,6 +335,41 @@ def test_check_telemetry_exported_even_on_failure(monkeypatch, tmp_path, capsys)
         main(["check", "--telemetry", str(telemetry_dir), "--resume-cases", "0"])
     assert excinfo.value.code == 1
     assert telemetry_dir.is_dir() and any(telemetry_dir.iterdir())
+
+
+def test_check_telemetry_streams_work_recorded_after_the_last_run(tmp_path, capsys):
+    """The resume phase counts its cases after its last run's final flush;
+    the exit flush of the ``main`` segment must still carry them."""
+    from repro.obs.stream import read_stream, stream_dir_for
+
+    telemetry_dir = tmp_path / "telemetry"
+    main(
+        [
+            "check", "--brokers", "10", "--requests", "80", "--days", "1",
+            "--cases", "2", "--algorithms", "KM", "--resume-cases", "1",
+            "--telemetry", str(telemetry_dir),
+        ]
+    )
+    capsys.readouterr()
+    view = read_stream(stream_dir_for(telemetry_dir))
+    assert view.complete
+    registry = view.merged_registry()
+    assert sum(metric.value for _labels, metric in registry.find("check.resume_cases")) == 1
+    assert sum(metric.count for _labels, metric in registry.find("span.check.resume_case")) == 1
+
+
+def test_pure_fan_out_commands_leave_no_main_segment(tmp_path, capsys):
+    telemetry_dir = tmp_path / "telemetry"
+    main(
+        [
+            "compare", "--brokers", "12", "--requests", "60", "--days", "1",
+            "--algorithms", "Top-1", "Top-3", "--telemetry", str(telemetry_dir),
+        ]
+    )
+    capsys.readouterr()
+    segments = sorted(path.name for path in (telemetry_dir / "stream").iterdir())
+    assert len(segments) == 2
+    assert "main.jsonl" not in segments
 
 
 def test_check_end_to_end_small_instance(capsys):
