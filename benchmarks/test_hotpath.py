@@ -13,6 +13,11 @@ kernel and a scalar reference kernel, kept as an oracle in
 * **CBS pruning** (Alg. 3) — one ``np.partition`` boundary pass over the
   whole utility matrix vs. the per-row quickselect union
   (``quickselect_union``), which Theorem 2 keeps as the correctness oracle.
+* **Small KM solves** — the list-based row insertion that ``hungarian``
+  runs up to ``SMALL_KM_COLS`` columns vs. the NumPy array path, on the
+  micro-batch shapes LACB-Opt serving solves (1x1, 2x4 and 3x9 utility
+  matrices after CBS, plus one private zero column per row).  Recorded,
+  not gated; the two paths must return the same matching.
 
 This bench times the kernels on |B| >= 2000 (scoring, CBS) and 500-broker
 (day estimate) instances, enforces the speedup floors (scoring >= 3x,
@@ -47,6 +52,7 @@ from repro.core.selection import select_candidate_brokers
 from repro.engine import MatcherSpec, PlatformSpec, RunSpec
 from repro.engine.executor import execute_spec
 from repro.matching import solve_assignment
+from repro.matching.hungarian import _hungarian_arrays, _hungarian_lists
 from repro.simulation import SyntheticConfig
 
 # CI smoke mode: small instances, floors relaxed to "fast is not slower".
@@ -60,6 +66,10 @@ CBS_SHAPE = (16, 250) if SMOKE else (64, 2000)
 CBS_TOP_K = 3
 #: KM solve timed for context only (the work CBS pruning exists to shrink).
 KM_SHAPE = (16, 250) if SMOKE else (64, 2000)
+#: Micro-batch utility shapes (requests x CBS candidates) of serving solves.
+KM_SMALL_SHAPES = ((1, 1), (2, 4), (3, 9))
+#: Solves per timed pass of one small shape (they take microseconds each).
+KM_SMALL_SOLVES = 200 if SMOKE else 2000
 
 #: Day-estimate instance: brokers per day, and the trained-up days before
 #: the timed one (enough for every broker to finish structured personal
@@ -223,6 +233,32 @@ def test_hotpath_speedups(benchmark, monkeypatch):
     )
 
     # ------------------------------------------------------------------
+    # Small KM solves: list path vs array path (recorded, not gated).
+    # ------------------------------------------------------------------
+    km_small = []
+    for n_rows, n_cols in KM_SMALL_SHAPES:
+        # The maximizing solve's cost: negated utilities, one zero column per row.
+        cost = -np.hstack([rng.uniform(0.0, 1.0, size=(n_rows, n_cols)),
+                           np.zeros((n_rows, n_rows))])
+
+        def solves(path, cost=cost):
+            for _ in range(KM_SMALL_SOLVES):
+                path(cost)
+
+        lists_best, _ = _best_of(REPEATS, lambda: solves(_hungarian_lists))
+        arrays_best, _ = _best_of(REPEATS, lambda: solves(_hungarian_arrays))
+        km_small.append({
+            "shape": [n_rows, n_cols],
+            "cost_shape": list(cost.shape),
+            "lists_us": lists_best / KM_SMALL_SOLVES * 1e6,
+            "arrays_us": arrays_best / KM_SMALL_SOLVES * 1e6,
+            "speedup": arrays_best / lists_best,
+            "bit_identical": bool(
+                np.array_equal(_hungarian_lists(cost), _hungarian_arrays(cost))
+            ),
+        })
+
+    # ------------------------------------------------------------------
     # Seeded compare run: bit-identical with the oracles installed.
     # ------------------------------------------------------------------
     def compare_run():
@@ -291,6 +327,11 @@ def test_hotpath_speedups(benchmark, monkeypatch):
             "seconds": km_times,
             "best": km_best,
         },
+        "km_small": {
+            "solves_per_pass": KM_SMALL_SOLVES,
+            "shapes": km_small,
+            "bit_identical": all(entry["bit_identical"] for entry in km_small),
+        },
         "compare_run": {
             "num_brokers": COMPARE_CONFIG.num_brokers,
             "num_requests": COMPARE_CONFIG.num_requests,
@@ -319,6 +360,12 @@ def test_hotpath_speedups(benchmark, monkeypatch):
         f"({cbs_speedup:.1f}x, floor {CBS_FLOOR:.0f}x, shape {CBS_SHAPE})"
     )
     print(f"KM solve:          {km_best:.3f}s (shape {KM_SHAPE}, context only)")
+    for entry in km_small:
+        print(
+            f"KM small {entry['shape'][0]}x{entry['shape'][1]}:     "
+            f"{entry['arrays_us']:.1f}us arrays -> {entry['lists_us']:.1f}us lists "
+            f"({entry['speedup']:.1f}x, identical={entry['bit_identical']})"
+        )
     print("compare run:       bit-identical fast vs reference (LACB-Opt, seeded)")
 
     assert scoring_speedup >= SCORING_FLOOR, (
@@ -333,3 +380,4 @@ def test_hotpath_speedups(benchmark, monkeypatch):
         f"argpartition CBS pruning is only {cbs_speedup:.2f}x quickselect "
         f"(floor {CBS_FLOOR:.1f}x)"
     )
+    assert all(entry["bit_identical"] for entry in km_small), km_small

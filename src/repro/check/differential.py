@@ -14,6 +14,8 @@ The agreements checked:
   matchings.  Totals — not pair sets — are compared: optima are frequently
   non-unique (ties), and the solvers legitimately differ on zero-weight
   pairs (the auction oracle drops them; KM reports them).
+* KM's list path for small instances vs its array path: identical
+  ``col_of_row``, ties included.
 * ``pad_square=True`` vs the rectangular solve: Sec. VI-B's dummy-vertex
   squaring is a pure running-time experiment and must not change results.
 * CBS pruning vs the unpruned instance (Theorem 2): equal optimal totals.
@@ -47,6 +49,8 @@ is how the run-level tests prove the shipped kernels bit-identical.
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 
 from repro.check.auction import auction_assignment
@@ -57,7 +61,7 @@ from repro.core.selection import (
     select_candidate_brokers,
     topk_selection_mask,
 )
-from repro.matching.hungarian import solve_assignment
+from repro.matching.hungarian import _hungarian_arrays, _hungarian_lists, solve_assignment
 from repro.matching.validation import assert_valid_matching
 
 #: Base absolute tolerance when comparing exact solvers.
@@ -151,6 +155,35 @@ def assert_incremental_matches_cold(sequence) -> None:
         atol = EXACT_ATOL * max(1.0, _scale(weights))
         assert_valid_matching(warm, weights, atol=atol)
         assert_backends_agree(weights)
+
+
+def assert_small_km_matches(weights: np.ndarray) -> None:
+    """KM's list path returns the array path's matching, exactly.
+
+    Runs both row-insertion implementations behind
+    :func:`~repro.matching.hungarian.hungarian` directly, whichever side
+    of :data:`~repro.matching.hungarian.SMALL_KM_COLS` the instance falls
+    on: on the cost :func:`solve_assignment` builds when maximizing
+    (negated utilities plus a private zero column per row) and on the raw
+    matrix as a minimization.  ``col_of_row`` must be identical — same
+    optimum *and* same tie resolution, since run-level bit-identity rests
+    on the two paths picking the same pairs.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape[0] > weights.shape[1]:
+        weights = weights.T
+    n_rows = weights.shape[0]
+    if n_rows == 0:
+        return
+    padded = -np.hstack([weights, np.zeros((n_rows, n_rows))])
+    for name, cost in (("padded", padded), ("raw", weights)):
+        lists = _hungarian_lists(cost)
+        arrays = _hungarian_arrays(cost)
+        if not np.array_equal(lists, arrays):
+            raise AssertionError(
+                f"list KM {lists!r} != array KM {arrays!r} on the {name} "
+                f"cost of shape {cost.shape}:\n{weights!r}"
+            )
 
 
 def assert_pad_square_agrees(weights: np.ndarray) -> None:
@@ -420,23 +453,29 @@ def reference_predicted_utility(population, stream, request_indices) -> np.ndarr
 
 
 def install_reference_kernels(patch) -> None:
-    """Route NN-UCB scoring, the day estimate, CBS and the platform's
-    utilities through the oracles.
+    """Route NN-UCB scoring, the day estimate, CBS, every KM solve and the
+    platform's utilities through the oracles.
 
     ``patch`` is a :class:`pytest.MonkeyPatch` (or anything with its
     ``setattr(target, name, value)``); it scopes and undoes the change.
     CBS is replaced where :mod:`repro.core.vfga` looks it up, the utility
-    functions where :mod:`repro.simulation.platform` does.  A seeded run
-    must be bit-identical with or without the oracles installed.
+    functions where :mod:`repro.simulation.platform` does; KM's list-path
+    column limit drops to zero, so every solve takes the array path.
+    A seeded run must be bit-identical with or without the oracles
+    installed.
     """
     from repro.bandits import NNUCBBandit, PersonalizedCapacityEstimator
     from repro.core import vfga
     from repro.simulation import platform
 
+    # The module, not the same-named function re-exported by repro.matching.
+    km = importlib.import_module("repro.matching.hungarian")
+
     patch.setattr(NNUCBBandit, "arm_bonuses", reference_arm_bonuses)
     patch.setattr(NNUCBBandit, "_estimate_rows", per_context_estimates)
     patch.setattr(PersonalizedCapacityEstimator, "_estimate_rows", per_context_estimates)
     patch.setattr(vfga, "select_candidate_brokers", quickselect_union)
+    patch.setattr(km, "SMALL_KM_COLS", 0)
     patch.setattr(platform, "ground_truth_affinity", reference_ground_truth_affinity)
     patch.setattr(platform, "predicted_utility", reference_predicted_utility)
 

@@ -21,6 +21,8 @@ from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
+from repro.matching.hungarian import SMALL_KM_COLS
+
 Case = TypeVar("Case")
 
 #: Default number of random cases per property (the differential suites
@@ -201,6 +203,21 @@ def random_utilities(
     else:  # negative
         values = rng.uniform(-5.0, 10.0, size=shape)
     return values
+
+
+def random_km_case(rng: np.random.Generator, max_rows: int = 12) -> np.ndarray:
+    """A utility matrix whose KM solve lands on either side of
+    :data:`~repro.matching.hungarian.SMALL_KM_COLS`.
+
+    A maximizing solve adds a private zero column per row, so its cost has
+    ``n_cols + n_rows`` columns (rows and columns swap first when rows are
+    the larger side); real columns are drawn up to twice the limit, so
+    roughly half the cases take each path.  Values come from every
+    :func:`random_utilities` regime.
+    """
+    n_rows = int(rng.integers(1, max_rows + 1))
+    n_cols = int(rng.integers(1, 2 * SMALL_KM_COLS + 1))
+    return random_utilities(rng, shape=(n_rows, n_cols))
 
 
 def random_utility_row(

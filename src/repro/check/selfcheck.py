@@ -137,6 +137,12 @@ def _run_property_phase(
             prop.shrink_matrix,
         ),
         (
+            "property.km_small_path_matches",
+            differential.assert_small_km_matches,
+            prop.random_km_case,
+            prop.shrink_matrix,
+        ),
+        (
             "property.pad_square_agrees",
             differential.assert_pad_square_agrees,
             lambda rng: prop.random_utilities(rng, allow_negative=False),

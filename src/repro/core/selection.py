@@ -75,6 +75,10 @@ def topk_selection_mask(utilities: np.ndarray, k: int) -> np.ndarray:
     ``np.partition`` pass finds every row's boundary (the ``k``-th largest
     value), membership is then "strictly above the boundary, plus the
     lowest-indexed ties at the boundary until ``k`` entries are reached".
+    When no row has more than ``k`` entries at or above its boundary — the
+    common case on continuous utilities — that set is simply ``u >=
+    boundary`` and the tie-capping pass is skipped; the result is the same
+    either way.
 
     That tie rule makes the mask *exactly* the set quickselect returns:
     :func:`candidate_broker_selection` filters an index-sorted candidate
@@ -102,11 +106,22 @@ def topk_selection_mask(utilities: np.ndarray, k: int) -> np.ndarray:
     if k >= n_cols:
         return np.ones((n_rows, n_cols), dtype=bool)
     boundary = np.partition(utilities, n_cols - k, axis=1)[:, n_cols - k]
+    atleast = utilities >= boundary[:, None]
+    # Every row holds at least k entries >= its boundary.  When each holds
+    # exactly k, every boundary tie fits under the cap, so the tie-capping
+    # pass below would keep them all: ``atleast`` already is the mask.
+    if np.count_nonzero(atleast) == n_rows * k:
+        return atleast
     greater = utilities > boundary[:, None]
-    need = k - greater.sum(axis=1)
-    ties = utilities == boundary[:, None]
-    ties &= np.cumsum(ties, axis=1) <= need[:, None]
-    return greater | ties
+    need = k - np.count_nonzero(greater, axis=1)
+    # Row-major order lists each row's boundary ties by ascending column,
+    # and a tie's rank is its offset from its row's first tie: keep the
+    # first ``need`` of each row.
+    rows, cols = np.divmod(np.flatnonzero(utilities == boundary[:, None]), n_cols)
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    keep = rank < need[rows]
+    greater[rows[keep], cols[keep]] = True
+    return greater
 
 
 def select_candidate_brokers(

@@ -70,14 +70,18 @@ class CapacityAwareValueFunction:
     # ------------------------------------------------------------------
     # State indexing
     # ------------------------------------------------------------------
+    # Scalar ``min``/``max`` rather than ``np.clip``: these run once per TD
+    # update, where ``np.clip``'s array dispatch costs ~10x the arithmetic.
+    # The indices are identical, and NaN/inf raise the same exceptions
+    # (``round`` raises before the clamp; ``int(nan)`` after it).
     def _capacity_state(self, residual_capacity: float) -> int:
-        clipped = np.clip(round(residual_capacity), 0, self.max_state)
-        return int(clipped) // self.bucket_size
+        clamped = min(max(round(residual_capacity), 0), self.max_state)
+        return int(clamped) // self.bucket_size
 
     def _time_state(self, time_fraction: float) -> int:
         if time_fraction >= 1.0:
             return self.time_buckets  # terminal (zero) row
-        return int(np.clip(time_fraction, 0.0, 1.0) * self.time_buckets)
+        return int(max(time_fraction, 0.0) * self.time_buckets)
 
     def value(self, time_fraction: float, residual_capacity: float) -> float:
         """``V(i, cr)`` with clamping to the representable state grid."""

@@ -180,7 +180,7 @@ class ValueFunctionGuidedAssigner:
             trail.requests = int(request_ids.size)
             trail.available = int(available.size)
 
-        candidate_utilities = utilities[:, available]
+        candidate_utilities = utilities.take(available, axis=1)
         precbs_utilities = candidate_utilities
         kept_columns: np.ndarray | None = None
         if self.config.use_cbs and available.size > request_ids.size:
@@ -191,7 +191,7 @@ class ValueFunctionGuidedAssigner:
                 )
             kept_columns = local
             available = available[local]
-            candidate_utilities = candidate_utilities[:, local]
+            candidate_utilities = candidate_utilities.take(local, axis=1)
             pruned_ratio = 1.0 - available.size / before
             obs.set_gauge("cbs.pruned_broker_ratio", pruned_ratio)
             obs.observe("cbs.pruned_broker_ratio_hist", pruned_ratio)

@@ -89,6 +89,13 @@ class RunHook:
     def on_run_end(self, context: RunContext) -> None:
         """The whole horizon finished."""
 
+    def on_run_abort(self, context: RunContext) -> None:
+        """The run raised after ``on_run_start``; the error propagates next.
+
+        Fires instead of :meth:`on_run_end`, so a hook can undo what it
+        scoped to the run (process-wide labels, sessions) on every exit.
+        """
+
 
 class DecisionTimer(RunHook):
     """Accumulates the engine-measured matcher seconds, per day and total.

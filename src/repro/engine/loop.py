@@ -202,38 +202,46 @@ class DayLoopEngine:
             hook.on_run_start(context)
 
         timed = self._timed
-        for day in range(start_day, context.num_days):
-            _set_observed_day(day)
-            contexts = platform.start_day(day)
-            _, seconds, cpu = timed(matcher.begin_day, day, contexts)
-            day_event = DayStartEvent(day, contexts, seconds, cpu)
-            for hook in hooks:
-                hook.on_day_start(day_event)
+        try:
+            for day in range(start_day, context.num_days):
+                _set_observed_day(day)
+                contexts = platform.start_day(day)
+                _, seconds, cpu = timed(matcher.begin_day, day, contexts)
+                day_event = DayStartEvent(day, contexts, seconds, cpu)
+                for hook in hooks:
+                    hook.on_day_start(day_event)
 
-            for batch in range(context.batches_per_day):
-                window_ids = platform.batch_requests(day, batch)
-                if window_ids.size == 0:
-                    continue
-                for request_ids in self._split(day, batch, window_ids):
-                    # Environment work: the deployed model's predictions are
-                    # computed outside the matcher clock by construction.
-                    utilities = platform.predicted_utilities(request_ids)
-                    assignment, seconds, cpu = timed(
-                        matcher.assign_batch, day, batch, request_ids, utilities
-                    )
-                    platform.submit_assignment(assignment)
-                    self._served(seconds)
-                    batch_event = BatchAssignedEvent(
-                        day, batch, request_ids, utilities, assignment, seconds, cpu
-                    )
-                    for hook in hooks:
-                        hook.on_batch_assigned(batch_event)
+                for batch in range(context.batches_per_day):
+                    window_ids = platform.batch_requests(day, batch)
+                    if window_ids.size == 0:
+                        continue
+                    for request_ids in self._split(day, batch, window_ids):
+                        # Environment work: the deployed model's predictions are
+                        # computed outside the matcher clock by construction.
+                        utilities = platform.predicted_utilities(request_ids)
+                        assignment, seconds, cpu = timed(
+                            matcher.assign_batch, day, batch, request_ids, utilities
+                        )
+                        platform.submit_assignment(assignment)
+                        self._served(seconds)
+                        batch_event = BatchAssignedEvent(
+                            day, batch, request_ids, utilities, assignment, seconds, cpu
+                        )
+                        for hook in hooks:
+                            hook.on_batch_assigned(batch_event)
 
-            outcome = platform.finish_day()
-            _, seconds, cpu = timed(matcher.end_day, day, outcome, contexts)
-            end_event = DayEndEvent(day, outcome, contexts, seconds, cpu)
+                outcome = platform.finish_day()
+                _, seconds, cpu = timed(matcher.end_day, day, outcome, contexts)
+                end_event = DayEndEvent(day, outcome, contexts, seconds, cpu)
+                for hook in hooks:
+                    hook.on_day_end(end_event)
+        except BaseException:
+            # An interrupt (StopAfterDay) or a fault: no run-end event, but
+            # hooks still release what they scoped to this run.
+            _set_observed_day(-1)
             for hook in hooks:
-                hook.on_day_end(end_event)
+                hook.on_run_abort(context)
+            raise
 
         _set_observed_day(-1)
         self._finish(context)

@@ -15,10 +15,25 @@ appears solely as an independent optimality oracle in :mod:`repro.check`
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.matching.bipartite import MatchResult
 from repro.obs import telemetry as obs
+
+#: Cost matrices with at most this many columns are solved on Python lists
+#: (:func:`_hungarian_lists`), wider ones on NumPy arrays.  Each step of a
+#: row insertion scans every column: on lists that costs per column, on
+#: arrays it is a fixed per-call overhead plus a cheap per-column part, so
+#: the crossover is a column count, whatever the row count.  Lists took
+#: 0.47x the array time at 48 columns, 0.85x at 96, 1.0-1.1x at 112-128
+#: and 1.3x at 160, alike for 1 to 30 rows (best of 5, one shared 2-vCPU
+#: guest); a cell-count rule would put 1x999 on lists at 6x the array
+#: time.  Every LACB-Opt serving micro-batch (at most 8 requests, 64 CBS
+#: candidates and 8 dummy columns) takes the list path; paper-scale
+#: 30-request batches (~180 columns) and uncut 500-broker solves do not.
+SMALL_KM_COLS = 96
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
@@ -37,6 +52,13 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     tree of tight edges until a free column is reached, while dual
     potentials ``u`` (rows) and ``v`` (columns) keep reduced costs
     non-negative (the classical shortest-augmenting-path scheme).
+
+    Two implementations run that same arithmetic: instances with at most
+    :data:`SMALL_KM_COLS` columns on Python lists (:func:`_hungarian_lists`),
+    where NumPy's per-call overhead would dominate a micro-batch solve,
+    and wider ones on arrays (:func:`_hungarian_arrays`).  Both return
+    the identical ``col_of_row``, ties included;
+    :func:`repro.check.differential.assert_small_km_matches` pins that.
 
     Note on warm starts: reusing column potentials across consecutive
     batches (the incremental-matching idea of Abeywickrama et al., cited
@@ -61,7 +83,14 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
         raise ValueError("cost matrix must be finite")
     if n_rows == 0:
         return np.empty(0, dtype=int)
+    if n_cols <= SMALL_KM_COLS:
+        return _hungarian_lists(cost)
+    return _hungarian_arrays(cost)
 
+
+def _hungarian_arrays(cost: np.ndarray) -> np.ndarray:
+    """Row insertion on NumPy arrays (validated, non-empty ``cost``)."""
+    n_rows, n_cols = cost.shape
     # Column 0 is a sentinel holding the row currently being inserted;
     # real columns are 1-based.  row_of_col[j] == 0 means column j is free.
     u = np.zeros(n_rows + 1)
@@ -135,6 +164,70 @@ def _km_insert_row(
         j1 = way[j0]
         row_of_col[j0] = row_of_col[j1]
         j0 = j1
+
+
+def _hungarian_lists(cost: np.ndarray) -> np.ndarray:
+    """:func:`_hungarian_arrays` on Python lists, for small instances.
+
+    The same row insertions as :func:`_km_insert_row`, operation for
+    operation: reduced costs as ``(c - u) - v``, ``min_reduced`` lowered
+    on strict ``<``, the first minimum over unused columns in index order
+    (``np.argmin``'s tie-break), and the same potential updates.  IEEE
+    double arithmetic on Python floats rounds exactly like NumPy's
+    element-wise float64, so ``col_of_row`` is identical; what changes is
+    that no per-iteration array is allocated.
+    """
+    n_rows, n_cols = cost.shape
+    rows = cost.tolist()
+    inf = math.inf
+    u = [0.0] * (n_rows + 1)
+    v = [0.0] * (n_cols + 1)
+    row_of_col = [0] * (n_cols + 1)
+    way = [0] * (n_cols + 1)
+    for row in range(1, n_rows + 1):
+        row_of_col[0] = row
+        j0 = 0
+        min_reduced = [inf] * (n_cols + 1)  # index 0 (the sentinel) unused
+        unused = list(range(1, n_cols + 1))  # ascending: argmin's tie-break
+        used_cols = [0]
+        used_rows: list[int] = []
+        while True:
+            i0 = row_of_col[j0]
+            used_rows.append(i0)
+            costs = rows[i0 - 1]
+            potential = u[i0]
+            delta = inf
+            j1 = 0
+            for j in unused:
+                reduced = costs[j - 1] - potential - v[j]
+                best = min_reduced[j]
+                if reduced < best:
+                    min_reduced[j] = best = reduced
+                    way[j] = j0
+                if best < delta:
+                    delta = best
+                    j1 = j
+            for i in used_rows:
+                u[i] += delta
+            for j in used_cols:
+                v[j] -= delta
+            for j in unused:
+                min_reduced[j] -= delta
+            j0 = j1
+            if row_of_col[j0] == 0:
+                break
+            unused.remove(j1)
+            used_cols.append(j1)
+        while j0 != 0:
+            j1 = way[j0]
+            row_of_col[j0] = row_of_col[j1]
+            j0 = j1
+
+    col_of_row = [0] * n_rows
+    for col in range(1, n_cols + 1):
+        if row_of_col[col]:
+            col_of_row[row_of_col[col] - 1] = col - 1
+    return np.array(col_of_row, dtype=int)
 
 
 def solve_assignment(

@@ -174,8 +174,17 @@ class TelemetryHook(RunHook):
                 progress=self._last_progress,
                 final=True,
             )
-        telemetry.audit_session = None
-        telemetry.set_run_label(self._previous_label)
+        self._release()
+
+    def on_run_abort(self, context: RunContext) -> None:
+        # A killed run's stream stays unfinished (no final record), but the
+        # process-wide label must not outlive it: later parent metrics would
+        # be booked under the killed matcher's name.
+        self._release()
+
+    def _release(self) -> None:
+        self.telemetry.audit_session = None
+        self.telemetry.set_run_label(self._previous_label)
 
     # ------------------------------------------------------------------
     # Streaming progress

@@ -6,6 +6,8 @@ oracles where applicable) on >= 200 randomized rectangular instances per run,
 including ties, exact zeros, negatives and degenerate 0-row/0-col shapes.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -88,8 +90,6 @@ def test_assert_backends_agree_catches_disagreement(monkeypatch):
     # Sanity: the assertion actually fires when the KM solve is wrong.
     # (importlib, because the package re-exports a same-named function
     # that shadows the module on attribute access)
-    import importlib
-
     hungarian = importlib.import_module("repro.matching.hungarian")
     real = hungarian._solve_assignment
 
@@ -121,6 +121,41 @@ def test_topk_detects_wrong_selection(monkeypatch):
     )
     with pytest.raises(AssertionError):
         differential.assert_topk_matches_bruteforce(np.array([0.0, 5.0, 1.0]), 1)
+
+
+def test_small_km_matches_on_randomized_instances():
+    count = run_property(
+        differential.assert_small_km_matches,
+        prop.random_km_case,
+        num_cases=NUM_CASES,
+        seed=106,
+        shrink=prop.shrink_matrix,
+        name="km_small_path_matches",
+    )
+    assert count == NUM_CASES
+
+
+def test_random_km_case_straddles_the_list_limit():
+    from repro.matching.hungarian import SMALL_KM_COLS
+
+    columns = []
+    for index in range(NUM_CASES):
+        weights = prop.random_km_case(prop.case_rng(106, index))
+        rows, cols = sorted(weights.shape)
+        columns.append(cols + rows)  # the padded maximization cost
+    on_lists = np.mean(np.array(columns) <= SMALL_KM_COLS)
+    assert 0.25 < on_lists < 0.75
+
+
+def test_assert_small_km_matches_catches_divergence(monkeypatch):
+    real = differential._hungarian_lists
+    # A list path that breaks ties toward the last column instead of the
+    # first: still optimal, but not the array path's matching.
+    monkeypatch.setattr(
+        differential, "_hungarian_lists", lambda cost: cost.shape[1] - 1 - real(cost[:, ::-1])
+    )
+    with pytest.raises(AssertionError, match="list KM"):
+        differential.assert_small_km_matches(np.ones((2, 3)))
 
 
 def test_fast_topk_matches_quickselect_on_randomized_instances():

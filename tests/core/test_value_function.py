@@ -90,3 +90,60 @@ def test_table_is_copy():
     table = vf.table()
     table += 1.0
     assert vf.value(0.0, 0) == 0.0
+
+
+# ----------------------------------------------------------------------
+# State indexing: scalar min/max equals the np.clip formulation
+# ----------------------------------------------------------------------
+def _clip_capacity_state(vf, residual):
+    """The original ``np.clip`` capacity index, kept as the reference."""
+    return int(np.clip(round(residual), 0, vf.max_state)) // vf.bucket_size
+
+
+def _clip_time_state(vf, fraction):
+    """The original ``np.clip`` time index, kept as the reference."""
+    if fraction >= 1.0:
+        return vf.time_buckets
+    return int(np.clip(fraction, 0.0, 1.0) * vf.time_buckets)
+
+
+def _outcome(index, *args):
+    try:
+        value = index(*args)
+    except Exception as error:  # the exception type is part of the contract
+        return type(error)
+    assert type(value) is int
+    return value
+
+
+# Halves probe round()'s banker's rounding (0.5 -> 0, 1.5 -> 2, 2.5 -> 2).
+@pytest.mark.parametrize(
+    "residual",
+    [-3, -3.0, 0, 0.0, 0.5, 1.5, 2.5, 4.5, 199.6, 200, 200.4, 201, 350.0, 10**6,
+     np.float64(2.5), float("nan"), float("inf"), float("-inf")],
+)
+def test_capacity_state_matches_clip_formula(residual):
+    vf = CapacityAwareValueFunction()
+    assert _outcome(vf._capacity_state, residual) == _outcome(
+        _clip_capacity_state, vf, residual
+    )
+
+
+@pytest.mark.parametrize(
+    "fraction",
+    [-0.1, -0.0, 0.0, 0.124, 0.125, 0.5, 0.999, 0.9999999999999999, 1.0, 1.5,
+     np.float64(0.6), float("nan"), float("inf"), float("-inf")],
+)
+def test_time_state_matches_clip_formula(fraction):
+    vf = CapacityAwareValueFunction()
+    assert _outcome(vf._time_state, fraction) == _outcome(_clip_time_state, vf, fraction)
+
+
+def test_non_finite_states_raise():
+    vf = CapacityAwareValueFunction()
+    with pytest.raises(ValueError):
+        vf.td_update(float("nan"), 3.0, 1.0, 0.2, 2.0)
+    with pytest.raises(ValueError):
+        vf.td_update(0.1, float("nan"), 1.0, 0.2, 2.0)
+    with pytest.raises(OverflowError):
+        vf.expire_day_end(float("inf"))

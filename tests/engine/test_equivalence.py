@@ -208,6 +208,47 @@ def test_fast_and_reference_kernels_bit_identical(algorithm, monkeypatch):
     )
 
 
+def test_serving_micro_batches_bit_identical_with_reference_kernels(monkeypatch):
+    """Bursty micro-batches of at most 8 requests: the regime where every
+    KM solve is small enough for the list path.  With the oracles
+    installed every solve runs on arrays instead; the decisions, the
+    realized utilities and the micro-batching must not move."""
+    import importlib
+
+    from repro.check.differential import install_reference_kernels
+    from repro.engine.executor import execute_spec
+    from repro.serving import ServingSpec
+
+    km = importlib.import_module("repro.matching.hungarian")
+    list_solves = []
+    solve_on_lists = km._hungarian_lists
+
+    def counting(cost):
+        list_solves.append(cost.shape)
+        return solve_on_lists(cost)
+
+    monkeypatch.setattr(km, "_hungarian_lists", counting)
+    spec = RunSpec(
+        platform=PlatformSpec.synthetic(GOLDEN_CONFIG),
+        matcher=MatcherSpec("LACB-Opt", seed=7),
+        serving=ServingSpec(profile="bursty", arrival_seed=3, max_wait=5.0, max_size=8),
+        store_assignments=True,
+    )
+    fast = execute_spec(spec)
+    fast_list_solves = len(list_solves)
+    with monkeypatch.context() as patch:
+        install_reference_kernels(patch)
+        reference = execute_spec(spec)
+    assert fast_list_solves > 0
+    assert len(list_solves) == fast_list_solves  # the oracles ran no list solve
+    assert fast.assignments == reference.assignments
+    assert fast.total_realized_utility == reference.total_realized_utility
+    np.testing.assert_array_equal(fast.broker_utility, reference.broker_utility)
+    np.testing.assert_array_equal(fast.broker_workload, reference.broker_workload)
+    np.testing.assert_array_equal(fast.serving.batch_sizes, reference.serving.batch_sizes)
+    assert fast.serving.batch_sizes.max() <= 8
+
+
 @pytest.mark.parametrize("algorithm", ["LACB", "LACB-Opt"])
 def test_fast_and_reference_kernels_leave_identical_bandit_state(algorithm, monkeypatch):
     """Past structured exploration (seven days, so personalized UCB scoring

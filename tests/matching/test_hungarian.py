@@ -1,5 +1,12 @@
-"""Hungarian solver: optimality vs independent oracles, padding modes."""
+"""Hungarian solver: optimality vs independent oracles, padding modes.
 
+Small instances solve on Python lists, larger ones on NumPy arrays
+(``SMALL_KM_COLS``).  The shapes here mostly fall below that limit,
+so the default solve runs the list path and ``repro-arrays`` forces the
+array path on the same instances.
+"""
+
+import importlib
 import inspect
 
 import numpy as np
@@ -16,10 +23,29 @@ from repro.matching import (
     hungarian,
     solve_assignment,
 )
+from repro.matching.hungarian import _hungarian_arrays, _hungarian_lists
 
-#: The production KM solve and the SciPy oracle, which follows the same
-#: zero-dummy convention.
-SOLVERS = {"repro": solve_assignment, "scipy": oracle_assignment}
+#: The module, not the same-named function re-exported by repro.matching.
+KM = importlib.import_module("repro.matching.hungarian")
+
+
+def _array_path_solve(weights, maximize=True, pad_square=False):
+    """``solve_assignment`` with every KM solve on the NumPy array path."""
+    limit = KM.SMALL_KM_COLS
+    KM.SMALL_KM_COLS = 0
+    try:
+        return solve_assignment(weights, maximize, pad_square)
+    finally:
+        KM.SMALL_KM_COLS = limit
+
+
+#: The production KM solve (default dispatch, and forced onto the array
+#: path) and the SciPy oracle, which follows the same zero-dummy convention.
+SOLVERS = {
+    "repro": solve_assignment,
+    "repro-arrays": _array_path_solve,
+    "scipy": oracle_assignment,
+}
 
 
 def test_square_minimization_matches_scipy(rng):
@@ -30,6 +56,7 @@ def test_square_minimization_matches_scipy(rng):
         ours = cost[np.arange(n), col_of_row].sum()
         rows, cols = linear_sum_assignment(cost)
         assert ours == pytest.approx(cost[rows, cols].sum())
+        np.testing.assert_array_equal(_hungarian_lists(cost), _hungarian_arrays(cost))
 
 
 def test_rectangular_requires_rows_leq_cols(rng):
@@ -122,6 +149,7 @@ def test_optimality_against_min_cost_flow(n_rows, n_cols, seed):
     flow = min_cost_flow_assignment(weights)
     assert ours.total_weight == pytest.approx(flow.total_weight)
     assert_valid_matching(ours, weights)
+    assert _array_path_solve(weights) == ours
     greedy = greedy_assignment(weights)
     assert greedy.total_weight <= ours.total_weight + 1e-9
 

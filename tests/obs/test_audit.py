@@ -180,11 +180,12 @@ def test_kill_mid_run_keeps_completed_days(tmp_path):
             DayLoopEngine().run(platform, matcher, hooks=(StopAfterDay(1),))
     view = read_audit(tmp_path)
     assert [r["day"] for r in view.records] == [0]
-    # The interrupted session does not leak into later runs.
-    assert telemetry.audit_session is not None  # still parked on telemetry…
+    # The interrupted session does not leak into later runs: the hook
+    # releases it on abort, as it does at run end.
+    assert telemetry.audit_session is None
     fresh = Telemetry()
     with use_telemetry(fresh):
-        assert fresh.audit_session is None  # …but invisible to a new run
+        assert fresh.audit_session is None
 
 
 def test_explain_renders_filtered_decision_path(tmp_path):

@@ -110,3 +110,23 @@ def test_full_run_chrome_trace_is_valid(tmp_path):
     assert {event["ph"] for event in trace["traceEvents"]} == {"X"}
     names = {event["name"] for event in trace["traceEvents"]}
     assert set(ENGINE_PHASES) <= names
+
+
+def test_interrupted_run_releases_its_label_and_day():
+    """A run killed mid-horizon fires no run-end event; the hook must still
+    hand back the caller's run label, and the tracer its day stamp."""
+    from repro.state import RunInterrupted, StopAfterDay
+
+    platform = generate_city(
+        SyntheticConfig(num_brokers=12, num_requests=120, num_days=3, imbalance=0.05, seed=3)
+    )
+    telemetry = Telemetry()
+    telemetry.set_run_label("parent")
+    with obs.use(telemetry):
+        with pytest.raises(RunInterrupted):
+            DayLoopEngine().run(
+                platform, make_matcher("KM", platform, seed=1), hooks=[StopAfterDay(0)]
+            )
+    assert telemetry.run_label == "parent"
+    assert telemetry.tracer.day == -1
+    assert telemetry.audit_session is None

@@ -246,7 +246,7 @@ def test_check_command_writes_report(capsys, tmp_path):
     payload = json.loads((report_dir / "check_report.json").read_text())
     assert payload["ok"] is True
     assert payload["violations"] == []
-    assert payload["property_cases"] == 45  # 9 suites x 5 cases
+    assert payload["property_cases"] == 50  # 10 suites x 5 cases
 
 
 def test_compare_with_check_flag(capsys):
@@ -356,6 +356,29 @@ def test_check_telemetry_streams_work_recorded_after_the_last_run(tmp_path, caps
     registry = view.merged_registry()
     assert sum(metric.value for _labels, metric in registry.find("check.resume_cases")) == 1
     assert sum(metric.count for _labels, metric in registry.find("span.check.resume_case")) == 1
+
+
+def test_interrupted_run_does_not_leak_its_run_label(tmp_path, capsys):
+    """Each resume case kills a run mid-horizon (``StopAfterDay``).  The
+    telemetry's run label used to be restored only at run end, so the
+    parent's case counter was booked under the last killed matcher's name,
+    one series per algorithm, instead of as one unlabelled counter."""
+    from repro.obs.stream import read_stream, stream_dir_for
+
+    telemetry_dir = tmp_path / "telemetry"
+    main(
+        [
+            "check", "--brokers", "10", "--requests", "80", "--days", "1",
+            "--cases", "1", "--algorithms", "KM", "--resume-cases", "2",
+            "--telemetry", str(telemetry_dir),
+        ]
+    )
+    capsys.readouterr()
+    registry = read_stream(stream_dir_for(telemetry_dir)).merged_registry()
+    counters = [
+        (labels, metric.value) for labels, metric in registry.find("check.resume_cases")
+    ]
+    assert counters == [({}, 2.0)]
 
 
 def test_pure_fan_out_commands_leave_no_main_segment(tmp_path, capsys):
