@@ -26,7 +26,7 @@ def _retention(k, rng):
         utilities = rng.uniform(0.0, 1.0, size=(BATCH_SIZE, NUM_BROKERS))
         full = solve_assignment(utilities).total_weight
         tick = time.perf_counter()
-        chosen = select_candidate_brokers(utilities, k, rng)
+        chosen = select_candidate_brokers(utilities, k)
         pruned = solve_assignment(utilities[:, chosen]).total_weight
         durations.append(time.perf_counter() - tick)
         kept.append(pruned / full)

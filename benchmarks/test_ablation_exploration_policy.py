@@ -10,7 +10,7 @@ assignment.
 
 import numpy as np
 
-from repro.algorithms.neural_assign import NeuralUCBAssignment
+from repro.algorithms import make_matcher
 from repro.bandits import NeuralThompsonBandit, NNUCBBandit, RegretTracker
 from repro.core.config import BanditConfig
 from repro.experiments import format_table, run_algorithm
@@ -49,15 +49,10 @@ def _bandit_regret(cls, rng):
 
 
 def _end_to_end(cls, platform, seed):
-    matcher = NeuralUCBAssignment(
-        platform.context_dim,
-        platform.num_brokers,
-        np.random.default_rng(seed),
-        batches_per_day=platform.batches_per_day,
-    )
+    matcher = make_matcher("AN", platform, seed=seed)
     if cls is NeuralThompsonBandit:
-        matcher.bandit = NeuralThompsonBandit(
-            platform.context_dim, matcher.bandit.config, np.random.default_rng(seed)
+        matcher.estimator = NeuralThompsonBandit(
+            platform.context_dim, matcher.estimator.config, np.random.default_rng(seed)
         )
         matcher.name = "AN-TS"
     return run_algorithm(platform, matcher).total_realized_utility

@@ -9,12 +9,9 @@ reward structure is context-dependent, and compares total utility.
 
 import numpy as np
 
-from repro.algorithms.base import Matcher
-from repro.algorithms.neural_assign import NeuralUCBAssignment
+from repro.algorithms import make_matcher
 from repro.bandits import LinUCBBandit
-from repro.core.config import AssignmentConfig, BanditConfig
-from repro.core.types import DayOutcome
-from repro.core.vfga import ValueFunctionGuidedAssigner
+from repro.core.config import BanditConfig
 from repro.experiments import format_table, run_algorithm
 from repro.simulation import SyntheticConfig, generate_city
 
@@ -24,39 +21,14 @@ CONFIG = SyntheticConfig(
 SEEDS = (7, 17)
 
 
-class _LinUCBAssignment(Matcher):
+def _linucb_assignment(platform, seed):
     """AN with the neural reward model swapped for LinUCB."""
-
-    name = "LinUCB+KM"
-
-    def __init__(self, platform, seed):
-        rng = np.random.default_rng(seed)
-        self.bandit = LinUCBBandit(
-            platform.context_dim, BanditConfig().candidate_capacities, alpha=0.1
-        )
-        self.assigner = ValueFunctionGuidedAssigner(
-            platform.num_brokers,
-            AssignmentConfig(use_value_function=False),
-            rng,
-            batches_per_day=platform.batches_per_day,
-        )
-
-    def begin_day(self, day, contexts):
-        capacities = np.array([self.bandit.estimate(c) for c in contexts])
-        self.assigner.begin_day(capacities)
-
-    def assign_batch(self, day, batch, request_ids, utilities):
-        return self.assigner.assign_batch(day, batch, request_ids, utilities)
-
-    def end_day(self, day, outcome: DayOutcome, contexts):
-        self.assigner.end_day()
-        for broker_id in np.nonzero(outcome.workloads > 0)[0]:
-            self.bandit.update(
-                contexts[broker_id],
-                float(outcome.workloads[broker_id]),
-                float(outcome.signup_rates[broker_id]),
-                capacity=float(self.assigner.capacities[broker_id]),
-            )
+    matcher = make_matcher("AN", platform, seed=seed)
+    matcher.estimator = LinUCBBandit(
+        platform.context_dim, BanditConfig().candidate_capacities, alpha=0.1
+    )
+    matcher.name = "LinUCB+KM"
+    return matcher
 
 
 def test_ablation_linear_vs_neural_reward_model(benchmark):
@@ -64,19 +36,11 @@ def test_ablation_linear_vs_neural_reward_model(benchmark):
 
     def run():
         linear = [
-            run_algorithm(platform, _LinUCBAssignment(platform, seed)).total_realized_utility
+            run_algorithm(platform, _linucb_assignment(platform, seed)).total_realized_utility
             for seed in SEEDS
         ]
         neural = [
-            run_algorithm(
-                platform,
-                NeuralUCBAssignment(
-                    platform.context_dim,
-                    platform.num_brokers,
-                    np.random.default_rng(seed),
-                    batches_per_day=platform.batches_per_day,
-                ),
-            ).total_realized_utility
+            run_algorithm(platform, make_matcher("AN", platform, seed=seed)).total_realized_utility
             for seed in SEEDS
         ]
         return np.mean(linear), np.mean(neural)

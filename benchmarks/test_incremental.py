@@ -26,7 +26,8 @@ import time
 import numpy as np
 
 from benchmarks.common import SMOKE, write_artifact
-from repro.matching import IncrementalKMSolver, solve_assignment
+from repro.matching import solve_assignment
+from repro.matching.incremental import IncrementalKMSolver
 
 # CI smoke mode: small instances, floors relaxed to "fast is not slower".
 
@@ -95,7 +96,7 @@ def _time_stream(stream) -> tuple[float, list, float, list, dict]:
 
     def cold_pass():
         for weights in stream:
-            solve_assignment(weights, maximize=True)
+            solve_assignment(weights)
 
     cold_best, cold_times = _best_of(REPEATS, cold_pass)
     warm_best, warm_times = _best_of(REPEATS, warm_pass)
@@ -114,7 +115,7 @@ def test_incremental_matching(benchmark):
     solver = IncrementalKMSolver()
     for step, weights in enumerate(tail_stream):
         warm = solver.solve(weights)
-        cold = solve_assignment(weights, maximize=True)
+        cold = solve_assignment(weights)
         assert warm.pairs == cold.pairs, f"pair divergence at step {step}"
         assert warm.total_weight == cold.total_weight, f"total divergence at step {step}"
     assert solver.stats["warm"] > 0 and solver.stats["hit"] > 0

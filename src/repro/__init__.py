@@ -25,7 +25,6 @@ from repro.algorithms import (
     ConstrainedTopKRecommender,
     LACBMatcher,
     Matcher,
-    NeuralUCBAssignment,
     RandomizedRecommender,
     TopKRecommender,
     make_matcher,
@@ -43,7 +42,6 @@ from repro.core import (
     CapacityAwareValueFunction,
     LACBConfig,
     ValueFunctionGuidedAssigner,
-    candidate_broker_selection,
     select_candidate_brokers,
 )
 from repro.engine import (
@@ -90,7 +88,6 @@ __all__ = [
     "MatcherSpec",
     "MetricsCollector",
     "NNUCBBandit",
-    "NeuralUCBAssignment",
     "PersonalizedCapacityEstimator",
     "PlatformSpec",
     "REAL_CITY_SPECS",
@@ -103,7 +100,6 @@ __all__ = [
     "SyntheticConfig",
     "TopKRecommender",
     "ValueFunctionGuidedAssigner",
-    "candidate_broker_selection",
     "compare_algorithms",
     "evaluate_city",
     "generate_city",

@@ -13,10 +13,10 @@ Category 2 — capacity first, then assignment:
 
 - :class:`~repro.algorithms.ctopk.ConstrainedTopKRecommender` — CTop-K with
   a single empirically chosen city-level capacity;
-- :class:`~repro.algorithms.neural_assign.NeuralUCBAssignment` — AN:
-  capacities from a (non-personalized) NeuralUCB bandit + per-batch KM;
 - :class:`~repro.algorithms.lacb.LACBMatcher` — the paper's LACB (and
-  LACB-Opt via CBS).
+  LACB-Opt via CBS), and AN: the same matcher with personalization and
+  the value function off, i.e. capacities from one shared NeuralUCB
+  bandit + per-batch KM.
 
 Use :func:`~repro.algorithms.registry.make_matcher` to build any of them by
 name with paper-default settings.
@@ -27,7 +27,6 @@ from repro.algorithms.ctopk import ConstrainedTopKRecommender
 from repro.algorithms.greedy_batch import GreedyBatchMatcher
 from repro.algorithms.km_batch import BatchKMMatcher
 from repro.algorithms.lacb import LACBMatcher
-from repro.algorithms.neural_assign import NeuralUCBAssignment
 from repro.algorithms.random_rec import RandomizedRecommender
 from repro.algorithms.registry import ALGORITHM_NAMES, make_matcher
 from repro.algorithms.topk import TopKRecommender
@@ -39,7 +38,6 @@ __all__ = [
     "GreedyBatchMatcher",
     "LACBMatcher",
     "Matcher",
-    "NeuralUCBAssignment",
     "RandomizedRecommender",
     "TopKRecommender",
     "make_matcher",

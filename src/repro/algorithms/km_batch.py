@@ -38,7 +38,7 @@ class BatchKMMatcher(Matcher):
         assignment = Assignment(day=day, batch=batch)
         if request_ids.size == 0:
             return assignment
-        match = solve_assignment(utilities, maximize=True)
+        match = solve_assignment(utilities)
         for row, col in match.pairs:
             assignment.pairs.append(
                 AssignedPair(int(request_ids[row]), int(col), float(utilities[row, col]))

@@ -11,9 +11,18 @@ LACB couples
 LACB-Opt is the same matcher with Candidate Broker Selection (Alg. 3)
 switched on, shrinking each batch's bipartite graph from ``|B|`` to at most
 ``|R| ** 2`` candidate edges before KM runs.
+
+The AN baseline (Sec. VII-A) is the same matcher with both of LACB's
+additions switched off: ``LACBConfig(personalize=False)`` leaves one shared
+NeuralUCB bandit, and ``AssignmentConfig(use_value_function=False)`` reduces
+Alg. 2 to capacity-capped per-batch KM
+(:func:`~repro.algorithms.registry.make_matcher` builds it under the name
+``"AN"``).
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -23,7 +32,11 @@ from repro.core.config import LACBConfig
 from repro.core.types import Assignment, DayOutcome
 from repro.core.vfga import ValueFunctionGuidedAssigner
 from repro.obs import telemetry as obs
-from repro.state.protocol import expect, versioned
+from repro.state.protocol import StateError, expect, versioned
+
+#: Snapshot kind AN checkpoints carried while AN was a separate matcher
+#: class: ``{"bandit", "assigner"}``, restored as an ``"AN"`` LACB matcher.
+LEGACY_AN_KIND = "algorithms.neural_assign"
 
 
 class LACBMatcher(Matcher):
@@ -32,9 +45,10 @@ class LACBMatcher(Matcher):
     Args:
         context_dim: working-status context dimension.
         num_brokers: pool size.
-        rng: randomness source.
+        rng: randomness source of the bandit (the assigner draws none).
         config: full LACB configuration; paper defaults when omitted.
-            ``config.assignment.use_cbs = True`` yields LACB-Opt.
+            ``config.assignment.use_cbs = True`` yields LACB-Opt;
+            ``personalize=False`` with ``use_value_function=False`` is AN.
         batches_per_day: the platform's fixed time windows per day (the
             value function's time axis).
     """
@@ -60,16 +74,14 @@ class LACBMatcher(Matcher):
         else:
             self.estimator = base
         self.assigner = ValueFunctionGuidedAssigner(
-            num_brokers, self.config.assignment, rng, batches_per_day=batches_per_day
+            num_brokers, self.config.assignment, batches_per_day=batches_per_day
         )
-        self._day = 0
 
     # ------------------------------------------------------------------
     # Matcher protocol
     # ------------------------------------------------------------------
     def begin_day(self, day: int, contexts: np.ndarray) -> None:
         """Alg. 2 lines 1-2: estimate every broker's capacity for the day."""
-        self._day = day
         with obs.span("bandit.predict"):
             capacities = self.estimator.estimate_batch(contexts)
         self.assigner.begin_day(capacities)
@@ -122,12 +134,11 @@ class LACBMatcher(Matcher):
     # Durable state (repro.state contract)
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Deep snapshot: estimator + assigner (their shared RNG included).
+        """Deep snapshot: estimator + assigner.
 
-        The estimator and the assigner share one generator (handed out by
-        the algorithm registry); both sub-snapshots carry the same captured
-        stream state, and both restores reinstall it into the same live
-        object, so the sharing survives the round trip.
+        The bandit's generator is the matcher's only randomness (the
+        assigner draws none); its sub-snapshot captures the stream state
+        and restores it in place into the same live object.
         """
         return versioned(
             "algorithms.lacb",
@@ -135,23 +146,28 @@ class LACBMatcher(Matcher):
                 "name": self.name,
                 "estimator": self.estimator.snapshot(),
                 "assigner": self.assigner.snapshot(),
-                "day": int(self._day),
             },
         )
 
     def restore(self, state) -> None:
-        payload = expect(state, "algorithms.lacb")
+        if isinstance(state, Mapping) and state.get("kind") == LEGACY_AN_KIND:
+            legacy = expect(state, LEGACY_AN_KIND)
+            payload = {
+                "name": "AN",
+                "estimator": legacy["bandit"],
+                "assigner": legacy["assigner"],
+            }
+        else:
+            payload = expect(state, "algorithms.lacb")
         if payload["name"] != self.name:
-            from repro.state.protocol import StateError
-
             raise StateError(
                 f"snapshot is for {payload['name']!r}, this matcher is {self.name!r}"
             )
         self.estimator.restore(payload["estimator"])
         self.assigner.restore(payload["assigner"])
-        self._day = int(payload["day"])
-        # Snapshots from before the prediction-cache option was removed
-        # may carry its memoized rows under an extra key; they are ignored.
+        # Older snapshots may carry a ``day`` entry (the last day begun,
+        # never read) and the retired prediction cache's memoized rows;
+        # both are ignored.
 
     # ------------------------------------------------------------------
     # Introspection

@@ -25,7 +25,6 @@ class OracleCapacityMatcher(Matcher):
     Args:
         platform: the environment whose latent capacities are read — the
             matcher must run against this same platform.
-        rng: randomness for CBS pivots (when enabled).
         assignment_config: assignment-module settings; defaults to plain
             capacity-capped KM (no value function) so the skyline isolates
             capacity knowledge.
@@ -37,14 +36,12 @@ class OracleCapacityMatcher(Matcher):
     def __init__(
         self,
         platform: RealEstatePlatform,
-        rng: np.random.Generator,
         assignment_config: AssignmentConfig | None = None,
     ) -> None:
         self._platform = platform
         self.assigner = ValueFunctionGuidedAssigner(
             platform.num_brokers,
             assignment_config or AssignmentConfig(use_value_function=False),
-            rng,
             batches_per_day=platform.batches_per_day,
         )
 

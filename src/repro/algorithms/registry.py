@@ -9,7 +9,6 @@ from repro.algorithms.ctopk import ConstrainedTopKRecommender
 from repro.algorithms.greedy_batch import GreedyBatchMatcher
 from repro.algorithms.km_batch import BatchKMMatcher
 from repro.algorithms.lacb import LACBMatcher
-from repro.algorithms.neural_assign import NeuralUCBAssignment
 from repro.algorithms.random_rec import RandomizedRecommender
 from repro.algorithms.topk import TopKRecommender
 from repro.core.config import AssignmentConfig, LACBConfig
@@ -75,19 +74,22 @@ def make_matcher(
         return ConstrainedTopKRecommender(1, platform.num_brokers, capacity, rng)
     if name == "CTop-3":
         return ConstrainedTopKRecommender(3, platform.num_brokers, capacity, rng)
-    if name == "AN":
-        return NeuralUCBAssignment(
+    if name in ("AN", "LACB", "LACB-Opt"):
+        if name == "AN":
+            # AN: one shared NeuralUCB bandit + capacity-capped per-batch KM.
+            config = LACBConfig(
+                personalize=False,
+                assignment=AssignmentConfig(use_value_function=False),
+            )
+        else:
+            config = LACBConfig(assignment=AssignmentConfig(use_cbs=(name == "LACB-Opt")))
+        matcher = LACBMatcher(
             platform.context_dim,
             platform.num_brokers,
             rng,
+            config,
             batches_per_day=platform.batches_per_day,
         )
-    if name in ("LACB", "LACB-Opt"):
-        return LACBMatcher(
-            platform.context_dim,
-            platform.num_brokers,
-            rng,
-            LACBConfig(assignment=AssignmentConfig(use_cbs=(name == "LACB-Opt"))),
-            batches_per_day=platform.batches_per_day,
-        )
+        matcher.name = name
+        return matcher
     raise KeyError(f"unknown algorithm {name!r}; choose from {ALGORITHM_NAMES}")

@@ -177,18 +177,6 @@ class NNUCBBandit(CapacityEstimator):
             axis=1,
         )
 
-    def predicted_rewards(self, context: np.ndarray) -> np.ndarray:
-        """``S_theta(x, c)`` for every candidate capacity, in one batch."""
-        return self.network.predict(self.arm_feature_rows(context))
-
-    def exploration_bonus(self, gradient: np.ndarray) -> float:
-        """``sqrt(g^T D^{-1} g)`` under the configured covariance regime."""
-        if self._d_inv is not None:
-            value = float(gradient @ self._d_inv @ gradient)
-        else:
-            value = float(np.sum(gradient**2 / self._d_diag))
-        return float(np.sqrt(max(value, 0.0)))
-
     def arm_parts(
         self, context: np.ndarray
     ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
@@ -207,8 +195,7 @@ class NNUCBBandit(CapacityEstimator):
         one small GEMM per layer against the current ``D``
         (:func:`repro.nn.mlp.weighted_gradient_norms`).  The ``"full"``
         regime builds the rows from the same parts and reduces them with
-        ``D^-1``.  The per-arm :meth:`repro.nn.MLP.param_gradient` loop this
-        replaces is the oracle
+        ``D^-1``.  The per-arm gradient loop this replaces is the oracle
         :func:`repro.check.differential.reference_arm_bonuses`.
         """
         if self._d_inv is not None:
@@ -355,7 +342,8 @@ class NNUCBBandit(CapacityEstimator):
         """Count the pull and update ``D`` with the chosen arm's gradient.
 
         The gradient is a one-row pass (:meth:`repro.nn.MLP.sample_gradient`,
-        bitwise :meth:`~repro.nn.MLP.param_gradient`): batched GEMM rows
+        bitwise the oracle :func:`repro.check.differential.param_gradient`):
+        batched GEMM rows
         differ from it by round-off, and ``D`` accumulates every update, so
         only the one-row gradient keeps the covariance state bit-identical
         to the reference oracles and across batch sizes.

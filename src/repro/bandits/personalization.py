@@ -100,10 +100,6 @@ class PersonalizedCapacityEstimator(CapacityEstimator):
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def personalized_scores(self, context: np.ndarray, broker_id: int) -> np.ndarray:
-        """UCB scores with the broker's output correction applied."""
-        return self._personal_scores(broker_id, self.base.arm_parts(context))
-
     def _personal_scores(self, broker_id: int, parts) -> np.ndarray:
         """Personalized scores from the base bandit's :class:`ArmBlocks` parts.
 

@@ -78,8 +78,7 @@ def _rectangular(
     from repro.core.selection import select_candidate_brokers
 
     n_rows = weights.shape[0]
-    rng = np.random.default_rng(weights.shape[1])  # pivot seed; any works
-    columns = select_candidate_brokers(weights, n_rows, rng)
+    columns = select_candidate_brokers(weights, n_rows)
     reduced = weights[:, columns]
     side = reduced.shape[1]
     square = np.zeros((side, side))

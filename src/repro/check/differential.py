@@ -24,7 +24,8 @@ The agreements checked:
   step (not merely equal optima — the incremental path promises the exact
   reference result), with every step additionally cross-validated across
   all four solvers.
-* ``candidate_broker_selection`` vs brute-force ``np.sort`` top-k.
+* ``candidate_broker_selection`` (the literal Alg. 3 quickselect) vs
+  brute-force ``np.sort`` top-k.
 * the ``argpartition`` production kernel vs the quickselect oracle:
   exactly equal per-row ``Top_k`` sets and batch unions (see
   :func:`repro.core.selection.topk_selection_mask`).
@@ -38,8 +39,10 @@ The agreements checked:
   skill-growing, snapshot-restored city.
 
 It also holds the scalar reference kernels the production hot paths
-replaced, as oracles: :func:`quickselect_union` (CBS),
-:func:`reference_arm_bonuses` (NN-UCB scoring),
+replaced, as oracles: :func:`candidate_broker_selection` and
+:func:`quickselect_union` (CBS), :func:`param_gradient`,
+:func:`exploration_bonus` and :func:`reference_arm_bonuses` (NN-UCB
+scoring),
 :func:`per_context_estimates` (the day estimate), and
 :func:`reference_ground_truth_affinity` / :func:`reference_predicted_utility`
 (the platform's utilities).
@@ -56,12 +59,13 @@ import numpy as np
 from repro.check.auction import auction_assignment
 from repro.check.flow import min_cost_flow_assignment
 from repro.check.invariants import oracle_assignment, oracle_optimum
-from repro.core.selection import (
-    candidate_broker_selection,
-    select_candidate_brokers,
-    topk_selection_mask,
+from repro.core.selection import select_candidate_brokers, topk_selection_mask
+from repro.matching.hungarian import (
+    _hungarian_arrays,
+    _hungarian_lists,
+    _padded_cost,
+    solve_assignment,
 )
-from repro.matching.hungarian import _hungarian_arrays, _hungarian_lists, solve_assignment
 from repro.matching.validation import assert_valid_matching
 
 #: Base absolute tolerance when comparing exact solvers.
@@ -96,7 +100,7 @@ def assert_backends_agree(weights: np.ndarray) -> None:
     assert_valid_matching(reference, weights, atol=atol)
     totals = {"scipy": reference.total_weight}
 
-    repro = solve_assignment(weights, maximize=True)
+    repro = solve_assignment(weights)
     assert_valid_matching(repro, weights, atol=atol)
     totals["repro"] = repro.total_weight
 
@@ -139,7 +143,7 @@ def assert_incremental_matches_cold(sequence) -> None:
     for step, weights in enumerate(sequence):
         weights = np.asarray(weights, dtype=float)
         warm = solver.solve(weights, maximize=True)
-        cold = solve_assignment(weights, maximize=True)
+        cold = solve_assignment(weights)
         if warm.pairs != cold.pairs:
             raise AssertionError(
                 f"incremental solve diverged from cold solve at step {step} "
@@ -163,9 +167,9 @@ def assert_small_km_matches(weights: np.ndarray) -> None:
     Runs both row-insertion implementations behind
     :func:`~repro.matching.hungarian.hungarian` directly, whichever side
     of :data:`~repro.matching.hungarian.SMALL_KM_COLS` the instance falls
-    on: on the cost :func:`solve_assignment` builds when maximizing
-    (negated utilities plus a private zero column per row) and on the raw
-    matrix as a minimization.  ``col_of_row`` must be identical — same
+    on: on the cost :func:`solve_assignment` builds (negated utilities plus
+    a private zero column per row) and on the raw matrix as a
+    minimization.  ``col_of_row`` must be identical — same
     optimum *and* same tie resolution, since run-level bit-identity rests
     on the two paths picking the same pairs.
     """
@@ -175,7 +179,7 @@ def assert_small_km_matches(weights: np.ndarray) -> None:
     n_rows = weights.shape[0]
     if n_rows == 0:
         return
-    padded = -np.hstack([weights, np.zeros((n_rows, n_rows))])
+    padded = _padded_cost(weights, pad_square=False)
     for name, cost in (("padded", padded), ("raw", weights)):
         lists = _hungarian_lists(cost)
         arrays = _hungarian_arrays(cost)
@@ -190,8 +194,8 @@ def assert_pad_square_agrees(weights: np.ndarray) -> None:
     """Sec. VI-B square padding returns the same total as the rectangular solve."""
     weights = np.asarray(weights, dtype=float)
     atol = EXACT_ATOL * max(1.0, _scale(weights))
-    rectangular = solve_assignment(weights, maximize=True)
-    squared = solve_assignment(weights, maximize=True, pad_square=True)
+    rectangular = solve_assignment(weights)
+    squared = solve_assignment(weights, pad_square=True)
     assert_valid_matching(squared, weights, atol=atol)
     if abs(rectangular.total_weight - squared.total_weight) > atol:
         raise AssertionError(
@@ -201,20 +205,18 @@ def assert_pad_square_agrees(weights: np.ndarray) -> None:
         )
 
 
-def assert_cbs_preserves(weights: np.ndarray, k: int | None = None, seed: int = 0) -> None:
+def assert_cbs_preserves(weights: np.ndarray, k: int | None = None) -> None:
     """Theorem 2: pruning columns to the CBS candidate union keeps the optimum.
 
     Args:
         weights: ``(n_rows, n_cols)`` utility matrix.
         k: per-row candidate size (defaults to ``n_rows``, Corollary 1).
-        seed: CBS pivot randomness (pruning is randomized; the theorem must
-            hold for every pivot sequence).
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape[0] == 0 or weights.shape[1] == 0:
         return
     k = weights.shape[0] if k is None else k
-    columns = select_candidate_brokers(weights, k, np.random.default_rng(seed))
+    columns = select_candidate_brokers(weights, k)
     full = oracle_optimum(weights)
     pruned = oracle_optimum(weights[:, columns])
     atol = EXACT_ATOL * max(1.0, _scale(weights))
@@ -224,6 +226,61 @@ def assert_cbs_preserves(weights: np.ndarray, k: int | None = None, seed: int = 
             f"{columns.size}/{weights.shape[1]} columns, optimum dropped "
             f"{full!r} -> {pruned!r}\n{weights!r}"
         )
+
+
+def candidate_broker_selection(
+    utilities: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Oracle: indices of the ``k`` largest entries (Alg. 3, ``Top_k^r``).
+
+    The literal Alg. 3: iterative quickselect with random pivots, three-way
+    partitioned so duplicate utilities cannot cause quadratic blow-up.  The
+    returned index set is unordered (any ``Top_k`` set works for Theorem 2).
+
+    Args:
+        utilities: ``(|B|,)`` utility row of one request.
+        k: candidate set size; when ``k >= |B|`` all brokers are returned
+            (Alg. 3 lines 1-3).
+        rng: pivot randomness.
+    """
+    utilities = np.asarray(utilities, dtype=float)
+    if utilities.ndim != 1:
+        raise ValueError(f"expected a 1-D utility row, got shape {utilities.shape}")
+    if not np.all(np.isfinite(utilities)):
+        # A NaN pivot makes all three partitions empty (every comparison is
+        # False), so the selection loop would never shrink its candidate
+        # set; infinities break the top-k ordering contract the same way.
+        raise ValueError("utilities must be finite (got NaN or infinity)")
+    if k <= 0:
+        return np.empty(0, dtype=int)
+    candidates = np.arange(utilities.size)
+    if k >= utilities.size:
+        return candidates
+
+    chosen: list[np.ndarray] = []
+    needed = k
+    while needed > 0:
+        if candidates.size <= needed:
+            chosen.append(candidates)
+            break
+        pivot = utilities[candidates[rng.integers(candidates.size)]]
+        values = utilities[candidates]
+        greater = candidates[values > pivot]   # LC without ties
+        equal = candidates[values == pivot]
+        if greater.size >= needed:
+            candidates = greater               # recurse into LC (line 8)
+            continue
+        chosen.append(greater)                 # take LC, fill from the rest (line 11)
+        needed -= greater.size
+        if equal.size >= needed:
+            chosen.append(equal[:needed])
+            break
+        chosen.append(equal)
+        needed -= equal.size
+        candidates = candidates[values < pivot]
+    return np.concatenate(chosen) if chosen else np.empty(0, dtype=int)
 
 
 def assert_topk_matches_bruteforce(row: np.ndarray, k: int, seed: int = 0) -> None:
@@ -246,16 +303,12 @@ def assert_topk_matches_bruteforce(row: np.ndarray, k: int, seed: int = 0) -> No
         )
 
 
-def quickselect_union(
-    utilities: np.ndarray, k: int, rng: np.random.Generator | None = None
-) -> np.ndarray:
+def quickselect_union(utilities: np.ndarray, k: int) -> np.ndarray:
     """Oracle: the per-row quickselect union of Alg. 3 (Theorem-2 reference).
 
-    Each row runs :func:`~repro.core.selection.candidate_broker_selection`
-    with pivots from a private fixed-seed stream, and the union is sorted.
-    ``rng`` is accepted so the oracle drops in for
-    :func:`~repro.core.selection.select_candidate_brokers`; it is never
-    consumed.
+    Each row runs :func:`candidate_broker_selection` with pivots from a
+    private fixed-seed stream, and the union is sorted.  Drops in for
+    :func:`~repro.core.selection.select_candidate_brokers`.
     """
     utilities = np.asarray(utilities, dtype=float)
     if utilities.ndim != 2:
@@ -291,7 +344,7 @@ def assert_fast_topk_matches_quickselect(
                 f"fast top-{k} set {fast!r} != quickselect set {reference!r} "
                 f"on row {index} of shape {weights.shape}:\n{row!r}"
             )
-    fast_union = select_candidate_brokers(weights, k, rng)
+    fast_union = select_candidate_brokers(weights, k)
     reference_union = quickselect_union(weights, k)
     if not np.array_equal(fast_union, reference_union):
         raise AssertionError(
@@ -307,11 +360,45 @@ BATCHED_MLP_RTOL = 1e-9
 BATCHED_MLP_ATOL = 1e-12
 
 
+def grad_vector(network) -> np.ndarray:
+    """The network's accumulated training gradients as one flat vector.
+
+    Laid out in :meth:`~repro.nn.MLP.param_vector` order.
+    """
+    chunks = []
+    for layer in network.layers:
+        chunks.append(layer.grad_weight.ravel())
+        chunks.append(layer.grad_bias.ravel())
+    return np.concatenate(chunks)
+
+
+def param_gradient(network, x: np.ndarray) -> np.ndarray:
+    """Oracle: per-sample gradient ``g_theta(x)`` by the training backprop.
+
+    Zeroes the layers' gradient buffers, runs
+    :meth:`~repro.nn.MLP.forward` / :meth:`~repro.nn.MLP.backward` on the
+    one row and reads :func:`grad_vector`, then puts the saved training
+    gradients back.  :meth:`~repro.nn.MLP.sample_gradient` must be bitwise
+    equal to it.
+    """
+    if network.output_dim != 1:
+        raise ValueError("param_gradient requires a scalar-output network")
+    saved = [(layer.grad_weight.copy(), layer.grad_bias.copy()) for layer in network.layers]
+    network.zero_grad()
+    network.forward(np.atleast_2d(x))
+    network.backward(np.ones((1, 1)))
+    gradient = grad_vector(network)
+    for layer, (grad_w, grad_b) in zip(network.layers, saved):
+        layer.grad_weight[:] = grad_w
+        layer.grad_bias[:] = grad_b
+    return gradient
+
+
 def param_gradients(network, x: np.ndarray) -> np.ndarray:
     """Oracle: ``(batch, num_params)`` per-sample gradients by einsum.
 
-    Row ``i`` is ``network.param_gradient(x[i])`` in
-    :meth:`~repro.nn.MLP.grad_vector` order, computed by an independent
+    Row ``i`` is ``param_gradient(network, x[i])`` in
+    :meth:`~repro.nn.MLP.param_vector` order, computed by an independent
     batched backward pass (local caches, outer products batched with
     einsum).  Agrees with the per-sample path to round-off.
     """
@@ -347,12 +434,21 @@ def param_gradients(network, x: np.ndarray) -> np.ndarray:
     return np.concatenate(chunks, axis=1)
 
 
+def exploration_bonus(bandit, gradient: np.ndarray) -> float:
+    """Oracle: ``sqrt(g^T D^-1 g)`` of one gradient under the bandit's ``D``."""
+    if bandit._d_inv is not None:
+        value = float(gradient @ bandit._d_inv @ gradient)
+    else:
+        value = float(np.sum(gradient**2 / bandit._d_diag))
+    return float(np.sqrt(max(value, 0.0)))
+
+
 def exploration_bonuses(bandit, gradients: np.ndarray) -> np.ndarray:
     """Oracle: ``sqrt(g^T D^-1 g)`` of an NN-UCB bandit over gradient rows.
 
     The diagonal regime reduces each row with the same pairwise summation
-    as :meth:`~repro.bandits.NNUCBBandit.exploration_bonus`, so it is
-    bit-identical to that per-row path; the ``"full"`` regime loops it.
+    as :func:`exploration_bonus`, so it is bit-identical to that per-row
+    path; the ``"full"`` regime loops it.
     """
     gradients = np.atleast_2d(np.asarray(gradients, dtype=float))
     if bandit._d_inv is not None:
@@ -365,13 +461,12 @@ def exploration_bonuses(bandit, gradients: np.ndarray) -> np.ndarray:
 def reference_arm_bonuses(bandit, inputs: list, signals: list) -> np.ndarray:
     """Oracle for :meth:`~repro.bandits.NNUCBBandit.arm_bonuses`: per-arm loop.
 
-    Every arm row ``inputs[0][i]`` gets its own
-    :meth:`~repro.nn.MLP.param_gradient` pass, reduced by
-    :meth:`~repro.bandits.NNUCBBandit.exploration_bonus`.  ``signals`` is
-    unused: the oracle recomputes each gradient from its row.
+    Every arm row ``inputs[0][i]`` gets its own :func:`param_gradient`
+    pass, reduced by :func:`exploration_bonus`.  ``signals`` is unused:
+    the oracle recomputes each gradient from its row.
     """
     return np.array(
-        [bandit.exploration_bonus(bandit.network.param_gradient(row)) for row in inputs[0]]
+        [exploration_bonus(bandit, param_gradient(bandit.network, row)) for row in inputs[0]]
     )
 
 
@@ -577,7 +672,7 @@ def assert_batched_scoring_matches(case: tuple) -> None:
     :meth:`~repro.nn.MLP.predict`), the gradient rows built from its
     ``(delta, a)`` parts, and the gradient-free diagonal reduction
     :func:`repro.nn.mlp.weighted_gradient_norms` against one
-    :meth:`~repro.nn.MLP.param_gradient` pass per row.
+    :func:`param_gradient` pass per row.
 
     Args:
         case: ``(layer_sizes, inputs, net_seed)`` — an MLP architecture
@@ -596,7 +691,7 @@ def assert_batched_scoring_matches(case: tuple) -> None:
             f"forward_backward outputs differ from predict on layers {layer_sizes}"
         )
     batched = gradient_rows(activations, signals)
-    reference = np.stack([network.param_gradient(row) for row in inputs])
+    reference = np.stack([param_gradient(network, row) for row in inputs])
     if batched.shape != reference.shape:
         raise AssertionError(
             f"batched gradient shape {batched.shape} != per-sample shape "

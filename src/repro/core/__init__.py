@@ -7,8 +7,9 @@
   ``V(cr)`` with TD updates (Eq. 14) and utility refinement (Eq. 15);
 - :mod:`~repro.core.selection` — Candidate Broker Selection (Alg. 3);
 - :mod:`~repro.core.vfga` — Value Function Guided Assignment (Alg. 2);
-- :mod:`~repro.core.lacb` — the LACB orchestrator combining personalized
-  capacity estimation with capacity-based assignment (Fig. 5).
+- :class:`~repro.core.config.LACBConfig` — read by the LACB orchestrator
+  (:mod:`repro.algorithms.lacb`) combining personalized capacity
+  estimation with capacity-based assignment (Fig. 5).
 """
 
 from repro.core.config import (
@@ -16,7 +17,7 @@ from repro.core.config import (
     BanditConfig,
     LACBConfig,
 )
-from repro.core.selection import candidate_broker_selection, select_candidate_brokers
+from repro.core.selection import select_candidate_brokers
 from repro.core.types import (
     Assignment,
     AssignedPair,
@@ -40,6 +41,5 @@ __all__ = [
     "Request",
     "TrialTriple",
     "ValueFunctionGuidedAssigner",
-    "candidate_broker_selection",
     "select_candidate_brokers",
 ]

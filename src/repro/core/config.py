@@ -142,7 +142,8 @@ class LACBConfig:
         bandit: capacity-estimation settings (Alg. 1).
         assignment: capacity-based assignment settings (Alg. 2/3).
         personalize: fine-tune a per-broker reward head by layer transfer
-            (Sec. V-D); disabling it degrades LACB towards the AN baseline.
+            (Sec. V-D).  Off, together with
+            ``assignment.use_value_function``, LACB is the AN baseline.
         warmup_days: days served before per-broker fine-tuning begins
             (personalization needs some broker-specific triples first).
     """

@@ -13,8 +13,10 @@ Per batch, VFGA:
 5. books workloads and TD-updates the value function (lines 8-10).
 
 The class is deliberately estimator-agnostic: any capacity vector can be
-fed to :meth:`begin_day`, which is how the LACB / AN / CTop-K variants
-share this machinery.
+fed to :meth:`begin_day`, which is how LACB, LACB-Opt, AN (all
+:class:`~repro.algorithms.lacb.LACBMatcher` configurations) and the
+oracle-capacity skyline share this machinery.  CTop-K does not use it: it
+recommends under one fixed city-level capacity.  VFGA draws no randomness.
 """
 
 from __future__ import annotations
@@ -30,13 +32,7 @@ from repro.core.value_function import CapacityAwareValueFunction
 from repro.matching import solve_assignment
 from repro.obs import audit as obs_audit
 from repro.obs import telemetry as obs
-from repro.state.protocol import (
-    StateError,
-    expect,
-    rng_state,
-    set_rng_state,
-    versioned,
-)
+from repro.state.protocol import StateError, expect, versioned
 
 #: Tiny positive utility keeping refined edges matchable: Eq. 15 may push a
 #: low-utility edge negative, but an available broker is still preferable to
@@ -51,7 +47,6 @@ class ValueFunctionGuidedAssigner:
         num_brokers: pool size ``|B|``.
         config: assignment hyper-parameters (``beta``, ``gamma``, ``delta``,
             CBS and value-function switches).
-        rng: randomness for CBS pivots.
         batches_per_day: the platform's fixed time windows per day (at
             least 1); batch ``i`` sits at ``i / batches_per_day`` on the
             value function's time axis.
@@ -62,7 +57,6 @@ class ValueFunctionGuidedAssigner:
         self,
         num_brokers: int,
         config: AssignmentConfig,
-        rng: np.random.Generator,
         *,
         batches_per_day: int,
         max_capacity_state: int = 200,
@@ -71,7 +65,6 @@ class ValueFunctionGuidedAssigner:
             raise ValueError(f"batches_per_day must be >= 1, got {batches_per_day}")
         self.num_brokers = num_brokers
         self.config = config
-        self.rng = rng
         self.value_function = CapacityAwareValueFunction(
             max_state=max_capacity_state,
             learning_rate=config.learning_rate,
@@ -186,9 +179,7 @@ class ValueFunctionGuidedAssigner:
         if self.config.use_cbs and available.size > request_ids.size:
             before = available.size
             with obs.span("matching.cbs_prune"):
-                local = select_candidate_brokers(
-                    candidate_utilities, int(request_ids.size), self.rng
-                )
+                local = select_candidate_brokers(candidate_utilities, int(request_ids.size))
             kept_columns = local
             available = available[local]
             candidate_utilities = candidate_utilities.take(local, axis=1)
@@ -203,7 +194,7 @@ class ValueFunctionGuidedAssigner:
         next_fraction = self._time_fraction(batch + 1)
         with obs.span("vfga.refine"):
             refined = self._refine(candidate_utilities, available, time_fraction)
-        match = solve_assignment(refined, maximize=True)
+        match = solve_assignment(refined)
         self._oracle_checks(day, batch, precbs_utilities, kept_columns, refined, match)
 
         alt_orders = None
@@ -329,7 +320,6 @@ class ValueFunctionGuidedAssigner:
             "core.vfga",
             {
                 "value_function": self.value_function.snapshot(),
-                "rng": rng_state(self.rng),
                 "capacities": self.capacities.copy(),
                 "workloads": self.workloads.copy(),
                 "capacity_hits": self._capacity_hits.copy(),
@@ -338,7 +328,7 @@ class ValueFunctionGuidedAssigner:
         )
 
     def restore(self, state) -> None:
-        """Reinstall a :meth:`snapshot`; the RNG is restored in place."""
+        """Reinstall a :meth:`snapshot` into this assigner."""
         payload = expect(state, "core.vfga")
         workloads = np.asarray(payload["workloads"], dtype=int)
         if workloads.shape != (self.num_brokers,):
@@ -347,17 +337,18 @@ class ValueFunctionGuidedAssigner:
                 f"this assigner has {self.num_brokers}"
             )
         self.value_function.restore(payload["value_function"])
-        set_rng_state(self.rng, payload["rng"])
         self.capacities = np.array(payload["capacities"], dtype=float)
         self.workloads = workloads.copy()
         self._capacity_hits = np.array(payload["capacity_hits"], dtype=float)
         self._days_seen = int(payload["days_seen"])
         # Older snapshots may carry entries of retired options, all ignored:
-        # ``incremental_solver`` (warm-started KM; it only memoized solves
-        # that are bit-identical cold) and the inferred time axis's
-        # ``max_batch_seen`` / ``frozen_batches`` / ``pending_td`` (every
-        # run built by RunSpec or make_matcher passed batches_per_day, so
-        # the count was never read and the other two hold None / []).
+        # ``rng`` (CBS never drew from it; a matcher's generator is restored
+        # by its bandit), ``incremental_solver`` (warm-started KM; it only
+        # memoized solves that are bit-identical cold) and the inferred time
+        # axis's ``max_batch_seen`` / ``frozen_batches`` / ``pending_td``
+        # (every run built by RunSpec or make_matcher passed
+        # batches_per_day, so the count was never read and the other two
+        # hold None / []).
 
     def _refine(
         self, utilities: np.ndarray, broker_ids: np.ndarray, time_fraction: float

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.algorithms import make_matcher
 from repro.experiments.runner import run_algorithm
@@ -92,6 +91,8 @@ def signup_vs_workload(
     below = signups_arr[workloads_arr < overload_threshold]
     above = signups_arr[workloads_arr >= overload_threshold]
     if below.size > 1 and above.size > 1:
+        from scipy import stats  # imported here so ``import repro`` stays SciPy-free
+
         welch = float(stats.ttest_ind(below, above, equal_var=False).pvalue)
     else:
         welch = float("nan")

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.algorithms import make_matcher
 from repro.experiments.runner import run_algorithm
@@ -80,6 +79,8 @@ def seeded_utilities(
 def compare(first: SeededUtilities, second: SeededUtilities) -> Comparison:
     """Welch's t-test between two seeded samples."""
     if len(first.utilities) >= 2 and len(second.utilities) >= 2:
+        from scipy import stats  # imported here so ``import repro`` stays SciPy-free
+
         p_value = float(
             stats.ttest_ind(first.utilities, second.utilities, equal_var=False).pvalue
         )

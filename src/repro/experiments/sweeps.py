@@ -185,7 +185,7 @@ def matching_time_profile(
     cbs_times = []
     for _ in range(repeats):
         tick = time.perf_counter()
-        chosen = select_candidate_brokers(utilities, batch_size, rng)
+        chosen = select_candidate_brokers(utilities, batch_size)
         solve_assignment(utilities[:, chosen])
         cbs_times.append(time.perf_counter() - tick)
 

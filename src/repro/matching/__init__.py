@@ -13,7 +13,8 @@ shrinks that graph before solving.  This package provides
   baseline,
 - :mod:`~repro.matching.incremental` — a warm-started KM solver for
   streams of related instances (trajectory resumption; bit-identical to
-  the cold solver); no matcher uses it,
+  the cold solver); no matcher uses it, so it is not re-exported here and
+  ``import repro`` does not load it,
 - :mod:`~repro.matching.validation` — structural checks on matchings.
 
 The SciPy, auction and min-cost-flow solvers that cross-check KM
@@ -25,7 +26,6 @@ optimality are oracles in :mod:`repro.check`
 from repro.matching.bipartite import MatchResult, pad_to_square
 from repro.matching.greedy import greedy_assignment
 from repro.matching.hungarian import hungarian, solve_assignment
-from repro.matching.incremental import IncrementalKMSolver
 from repro.matching.validation import assert_valid_matching, is_valid_matching
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "pad_to_square",
     "hungarian",
     "solve_assignment",
-    "IncrementalKMSolver",
     "greedy_assignment",
     "is_valid_matching",
     "assert_valid_matching",

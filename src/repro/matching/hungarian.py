@@ -230,23 +230,18 @@ def _hungarian_lists(cost: np.ndarray) -> np.ndarray:
     return np.array(col_of_row, dtype=int)
 
 
-def solve_assignment(
-    weights: np.ndarray,
-    maximize: bool = True,
-    pad_square: bool = False,
-) -> MatchResult:
-    """Optimal assignment on a possibly rectangular weight matrix.
+def solve_assignment(weights: np.ndarray, pad_square: bool = False) -> MatchResult:
+    """Maximum-weight assignment on a possibly rectangular weight matrix.
 
-    When maximizing, every vertex of the smaller side is additionally given
-    a private zero-weight dummy partner (the convention of Sec. VI-B: "a
-    common practice is to add some dummy vertices to the smaller part"), so
-    a vertex may stay unmatched at zero gain instead of being forced onto a
-    negative-value edge.
+    Every vertex of the smaller side is additionally given a private
+    zero-weight dummy partner (the convention of Sec. VI-B: "a common
+    practice is to add some dummy vertices to the smaller part"), so a
+    vertex may stay unmatched at zero gain instead of being forced onto a
+    negative-value edge.  The paper's objective (Eq. 1) maximizes; the
+    min-cost entry point is :func:`hungarian`.
 
     Args:
         weights: ``(n_rows, n_cols)`` matrix of edge weights/utilities.
-        maximize: maximize total weight (the paper's objective, Eq. 1)
-            instead of minimizing cost.
         pad_square: pad the instance to a full ``max(n, m) x max(n, m)``
             square before solving, exactly as Sec. VI-B describes ("adding
             |B| - |R| dummy vertices") — the O(|B|^3) behaviour whose cost
@@ -264,37 +259,36 @@ def solve_assignment(
     if weights.ndim != 2:
         raise ValueError(f"expected a 2-D weight matrix, got shape {weights.shape}")
     with obs.span("matching.solve"):
-        return _solve_assignment(weights, maximize, pad_square)
+        return _solve_assignment(weights, pad_square)
 
 
-def _solve_assignment(weights: np.ndarray, maximize: bool, pad_square: bool) -> MatchResult:
+def _padded_cost(working: np.ndarray, pad_square: bool) -> np.ndarray:
+    """KM cost of a maximization with ``n_rows <= n_cols``, in one allocation.
+
+    The negated weights fill the block ``[:n_rows, :n_cols]``; one private
+    zero-cost dummy column per row follows, and ``pad_square`` adds zero
+    dummy rows up to ``n_cols``.  Dummies hold ``+0.0`` where negating a
+    zero block would give ``-0.0``; the two compare equal, so every solve
+    step and the returned matching are the same.
+    """
+    wr, wc = working.shape
+    cost = np.zeros((wc if pad_square else wr, wc + wr))
+    np.negative(working, out=cost[:wr, :wc])
+    return cost
+
+
+def _solve_assignment(weights: np.ndarray, pad_square: bool) -> MatchResult:
     """The actual solve behind :func:`solve_assignment` (validated inputs)."""
     n_rows, n_cols = weights.shape
     if n_rows == 0 or n_cols == 0:
         return MatchResult(pairs=[], total_weight=0.0)
-    if not maximize and n_rows != n_cols:
-        raise ValueError(
-            "zero-weight dummy padding is only meaningful when maximizing; "
-            "pass a square matrix for minimization"
-        )
 
-    # Orient so rows are the smaller side, then add one private dummy
-    # column per row (weight 0) so staying unmatched is always feasible.
+    # Orient so rows are the smaller side; the cost gives every row a
+    # private dummy column so staying unmatched is always feasible.
     transposed = n_rows > n_cols
     working = weights.T if transposed else weights
     wr, wc = working.shape
-    if pad_square and maximize:
-        side = max(wr, wc)
-        padded = np.zeros((side, side + wr))
-        padded[:wr, :wc] = working
-        cost = -padded
-    elif maximize:
-        padded = np.hstack([working, np.zeros((wr, wr))])
-        cost = -padded
-    else:
-        cost = working
-
-    col_of_row = hungarian(cost)
+    col_of_row = hungarian(_padded_cost(working, pad_square))
 
     # Real columns occupy the block [0, wc) in both padded layouts; any
     # column >= wc is a dummy partner.  The block index — not the edge

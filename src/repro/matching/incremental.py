@@ -68,7 +68,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.matching.bipartite import MatchResult
-from repro.matching.hungarian import _km_insert_row
+from repro.matching.hungarian import _km_insert_row, _padded_cost
 from repro.obs import telemetry as obs
 from repro.state.protocol import StateError, expect, versioned
 
@@ -79,7 +79,7 @@ STATE_KIND = "matching.incremental"
 class IncrementalKMSolver:
     """Warm-started KM over a stream of related maximization instances.
 
-    Drop-in for ``solve_assignment(weights, maximize=True)``: every
+    Drop-in for ``solve_assignment(weights)``: every
     :meth:`solve` returns the bit-identical :class:`MatchResult` the
     reference cold solver would produce, but consecutive calls reuse the
     recorded solve trajectory wherever the weight matrix is unchanged.
@@ -206,10 +206,9 @@ class IncrementalKMSolver:
     ) -> MatchResult:
         """Replay row insertions from ``prefix``, recording the trajectory."""
         wr, wc = working.shape
-        # Identical construction to _solve_assignment so the cost entries
-        # (dummy block included) are bit-for-bit the reference solver's.
-        padded = np.hstack([working, np.zeros((wr, wr))])
-        cost = -padded
+        # The cost _solve_assignment builds, so the entries (dummy block
+        # included) are bit-for-bit the reference solver's.
+        cost = _padded_cost(working, pad_square=False)
 
         old_states = self._states
         old_working = self._working

@@ -7,13 +7,15 @@ MLP ``S_theta(x, c)`` and needs the *per-sample parameter gradient*
 machinery; this package implements a small fully-connected network with
 manual backprop that exposes
 
-- batched forward / backward passes for supervised training (Eq. 6),
-- the flattened parameter vector and the exact per-sample gradient,
+- batched forward / backward passes for supervised training (Eq. 6) with
+  the :class:`~repro.nn.optimizers.Adam` update,
+- the exact one-row gradient :meth:`~repro.nn.MLP.sample_gradient` behind
+  the covariance update,
 - cache-free batched forward/backward parts (per-layer activations and
   back-propagated signals) from which per-sample gradients can be reduced
   without materializing them,
-- per-layer freezing, used by the personalization step (Sec. V-D) that
-  fine-tunes only the last layer on broker-specific data.
+- the shared representation :meth:`~repro.nn.MLP.hidden_features` on which
+  the personalization step (Sec. V-D) fits broker-specific heads.
 
 Everything is plain NumPy; all randomness flows through an explicitly
 passed :class:`numpy.random.Generator`.
@@ -23,13 +25,11 @@ from repro.nn.init import gaussian_init
 from repro.nn.layers import Dense
 from repro.nn.losses import l2_penalty, mse_loss
 from repro.nn.mlp import MLP
-from repro.nn.optimizers import SGD, Adam, Optimizer
+from repro.nn.optimizers import Adam
 
 __all__ = [
     "Dense",
     "MLP",
-    "Optimizer",
-    "SGD",
     "Adam",
     "mse_loss",
     "l2_penalty",

@@ -11,11 +11,7 @@ class Dense:
     """A fully connected layer ``y = x @ W.T + b``.
 
     The layer caches its last input so that :meth:`backward` can compute
-    parameter gradients without the caller re-supplying activations.  A
-    layer may be *frozen* (``trainable = False``), in which case optimizers
-    skip its parameters — this implements the layer-transfer personalization
-    of Sec. V-D, where the first ``L - 1`` layers of the base reward model
-    are copied and only the last layer is fine-tuned per broker.
+    parameter gradients without the caller re-supplying activations.
     """
 
     def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator) -> None:
@@ -23,7 +19,6 @@ class Dense:
         self.bias = np.zeros(fan_out)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
-        self.trainable = True
         self._last_input: np.ndarray | None = None
 
     @property
@@ -66,12 +61,3 @@ class Dense:
         """Reset accumulated parameter gradients to zero."""
         self.grad_weight[:] = 0.0
         self.grad_bias[:] = 0.0
-
-    def copy_from(self, other: "Dense") -> None:
-        """Copy parameters from another layer of identical shape."""
-        if other.weight.shape != self.weight.shape:
-            raise ValueError(
-                f"shape mismatch: {other.weight.shape} vs {self.weight.shape}"
-            )
-        self.weight[:] = other.weight
-        self.bias[:] = other.bias

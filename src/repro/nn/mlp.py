@@ -6,8 +6,9 @@ Implements the reward mapping function of Eq. 4,
 
 with manual backpropagation.  Beyond ordinary supervised training, the
 NN-enhanced UCB policy (Eq. 5) needs the flattened per-sample gradient
-``g_theta(x, c)`` of the scalar output with respect to every parameter;
-:meth:`MLP.param_gradient` provides it exactly.
+``g_theta(x, c)`` of the scalar output with respect to every parameter:
+:meth:`MLP.sample_gradient` computes it for one row and
+:meth:`MLP.forward_backward` provides the parts to reduce it for a batch.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from repro.nn.layers import Dense
 from repro.nn.losses import l2_penalty, mse_loss
+from repro.nn.optimizers import Adam
 from repro.state.protocol import StateError, expect, versioned
 
 
@@ -86,9 +88,9 @@ class MLP:
     def hidden_features(self, x: np.ndarray) -> np.ndarray:
         """Activations entering the last layer (the shared representation).
 
-        The personalization scheme of Sec. V-D freezes the first ``L - 1``
-        layers; these activations are exactly the features on which each
-        broker's private head is fine-tuned.
+        The personalization scheme of Sec. V-D keeps the first ``L - 1``
+        layers shared; these activations are exactly the features on which
+        each broker's private head is fit.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = x
@@ -125,55 +127,17 @@ class MLP:
             chunks.append(layer.bias.ravel())
         return np.concatenate(chunks)
 
-    def set_param_vector(self, theta: np.ndarray) -> None:
-        """Load parameters from a flat vector produced by :meth:`param_vector`."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.num_params,):
-            raise ValueError(f"expected {self.num_params} parameters, got {theta.shape}")
-        offset = 0
-        for layer in self.layers:
-            w_size = layer.weight.size
-            layer.weight[:] = theta[offset : offset + w_size].reshape(layer.weight.shape)
-            offset += w_size
-            b_size = layer.bias.size
-            layer.bias[:] = theta[offset : offset + b_size]
-            offset += b_size
-
-    def grad_vector(self) -> np.ndarray:
-        """Concatenate accumulated gradients into a flat vector."""
-        chunks = []
-        for layer in self.layers:
-            chunks.append(layer.grad_weight.ravel())
-            chunks.append(layer.grad_bias.ravel())
-        return np.concatenate(chunks)
-
-    def param_gradient(self, x: np.ndarray) -> np.ndarray:
+    def sample_gradient(self, x: np.ndarray) -> np.ndarray:
         """Exact per-sample gradient ``g_theta(x) = grad_theta S_theta(x)``.
 
-        Used for the exploration bonus of Eq. 5.  The network must have a
-        scalar output.  Accumulated training gradients are preserved.
-        """
-        if self.output_dim != 1:
-            raise ValueError("param_gradient requires a scalar-output network")
-        saved = [(layer.grad_weight.copy(), layer.grad_bias.copy()) for layer in self.layers]
-        self.zero_grad()
-        self.forward(np.atleast_2d(x))
-        self.backward(np.ones((1, 1)))
-        gradient = self.grad_vector()
-        for layer, (grad_w, grad_b) in zip(self.layers, saved):
-            layer.grad_weight[:] = grad_w
-            layer.grad_bias[:] = grad_b
-        return gradient
-
-    def sample_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Side-effect-free :meth:`param_gradient` of one input row.
-
-        Runs the same one-row operations in the same shapes as the
-        forward/backward pair behind :meth:`param_gradient` — including
-        accumulating into a zeroed buffer — so the result is bitwise
-        identical, but the layers' training-gradient buffers, input caches
-        and relu masks are never touched (nothing to save or restore).
-        This is the gradient the NN-UCB covariance update consumes.
+        Laid out in :meth:`param_vector` order.  Runs the same one-row
+        operations in the same shapes as the :meth:`forward` /
+        :meth:`backward` pair — including accumulating into a zeroed
+        buffer — so the result is bitwise the oracle
+        :func:`repro.check.differential.param_gradient`, but the layers'
+        training-gradient buffers, input caches and relu masks are never
+        touched (nothing to save or restore).  This is the gradient the
+        NN-UCB covariance update consumes.
         """
         if self.output_dim != 1:
             raise ValueError("sample_gradient requires a scalar-output network")
@@ -247,7 +211,7 @@ class MLP:
         self,
         inputs: np.ndarray,
         targets: np.ndarray,
-        optimizer: "Optimizer",
+        optimizer: Adam,
         lam: float = 0.0,
     ) -> float:
         """One gradient step on the regularized loss of Eq. 6.
@@ -285,32 +249,10 @@ class MLP:
             offset += b_size
 
     # ------------------------------------------------------------------
-    # Personalization support (Sec. V-D)
-    # ------------------------------------------------------------------
-    def clone(self) -> "MLP":
-        """Deep-copy the network (parameters and freeze flags)."""
-        twin = MLP(self.layer_sizes, np.random.default_rng(0))
-        for src, dst in zip(self.layers, twin.layers):
-            dst.copy_from(src)
-            dst.trainable = src.trainable
-        return twin
-
-    def freeze_all_but_last(self) -> None:
-        """Freeze the first ``L - 1`` layers, leaving the head fine-tunable.
-
-        This is the layer-transfer step of Sec. V-D: the shared base reward
-        model provides the representation, and only the last fully connected
-        layer adapts to broker-specific observations.
-        """
-        for layer in self.layers[:-1]:
-            layer.trainable = False
-        self.layers[-1].trainable = True
-
-    # ------------------------------------------------------------------
     # Durable state (repro.state contract)
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Deep snapshot of parameters and per-layer freeze flags.
+        """Deep snapshot of the parameters.
 
         Gradient buffers and relu masks are transient training caches and
         are deliberately excluded: every consumer zeroes gradients before
@@ -321,11 +263,7 @@ class MLP:
             {
                 "layer_sizes": list(self.layer_sizes),
                 "layers": [
-                    {
-                        "weight": layer.weight.copy(),
-                        "bias": layer.bias.copy(),
-                        "trainable": bool(layer.trainable),
-                    }
+                    {"weight": layer.weight.copy(), "bias": layer.bias.copy()}
                     for layer in self.layers
                 ],
             },
@@ -349,8 +287,9 @@ class MLP:
                 )
             layer.weight[:] = weight
             layer.bias[:] = bias
-            layer.trainable = bool(entry["trainable"])
         self._relu_masks = []
+        # Older snapshots carry a per-layer ``trainable`` flag, always
+        # True (no run froze a layer); it is ignored.
 
     def max_singular_value(self) -> float:
         """Largest singular value ``xi`` over all weight matrices.
@@ -363,9 +302,9 @@ class MLP:
 def gradient_rows(inputs: list[np.ndarray], signals: list[np.ndarray]) -> np.ndarray:
     """``(batch, num_params)`` per-sample gradients from :meth:`MLP.forward_backward`.
 
-    Row ``n`` is laid out in :meth:`MLP.grad_vector` order: per layer the
+    Row ``n`` is laid out in :meth:`MLP.param_vector` order: per layer the
     outer product ``delta_l[n] (x) a_l[n]`` (raveled ``W_l``), then
-    ``delta_l[n]`` (``b_l``).  Agrees with :meth:`MLP.param_gradient` to
+    ``delta_l[n]`` (``b_l``).  Agrees with :meth:`MLP.sample_gradient` to
     round-off (batched GEMMs may associate reductions differently).
     """
     batch = inputs[0].shape[0]
@@ -381,7 +320,7 @@ def weighted_gradient_norms(
 ) -> np.ndarray:
     """``sum_j weights[j] * g_n[j]**2`` per row, without building ``g_n``.
 
-    ``weights`` is a flat vector in :meth:`MLP.grad_vector` order.  With
+    ``weights`` is a flat vector in :meth:`MLP.param_vector` order.  With
     ``g_W = delta (x) a`` per layer the sum factorizes into one small GEMM
     per layer,
 

@@ -1,15 +1,15 @@
-"""Parameter-update rules for the reward-model MLP.
+"""The parameter-update rule of the reward-model MLP.
 
-Alg. 1 line 17 performs plain gradient descent ``theta <- theta - grad L``;
-:class:`SGD` reproduces that (with a configurable learning rate), and
-:class:`Adam` is provided as the practical default for faster convergence
-of the bandit's reward model.  Both honour per-layer ``trainable`` flags so
-the personalization step (Sec. V-D) can fine-tune only the last layer.
+Alg. 1 line 17 writes the update as plain gradient descent
+``theta <- theta - grad L``; every bandit here trains its reward model with
+:class:`Adam` instead, the practical default for faster convergence.  It
+updates every layer: the Sec. V-D layer transfer never freezes the shared
+network, it fits per-broker heads on
+:meth:`~repro.nn.MLP.hidden_features` (:mod:`repro.bandits.personalization`).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -20,67 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.nn.mlp import MLP
 
 
-class Optimizer(ABC):
-    """Base class: applies accumulated layer gradients to parameters."""
-
-    @abstractmethod
-    def step(self, model: "MLP") -> None:
-        """Update ``model`` in place from its accumulated gradients."""
-
-
-class SGD(Optimizer):
-    """Vanilla gradient descent, optionally with momentum."""
-
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.0) -> None:
-        if learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {learning_rate}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self._velocity: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def step(self, model: "MLP") -> None:
-        """Apply one (momentum-)SGD update to every trainable layer."""
-        for index, layer in enumerate(model.layers):
-            if not layer.trainable:
-                continue
-            if self.momentum > 0.0:
-                vel_w, vel_b = self._velocity.setdefault(
-                    index, (np.zeros_like(layer.weight), np.zeros_like(layer.bias))
-                )
-                vel_w *= self.momentum
-                vel_w += layer.grad_weight
-                vel_b *= self.momentum
-                vel_b += layer.grad_bias
-                layer.weight -= self.learning_rate * vel_w
-                layer.bias -= self.learning_rate * vel_b
-            else:
-                layer.weight -= self.learning_rate * layer.grad_weight
-                layer.bias -= self.learning_rate * layer.grad_bias
-
-    def snapshot(self) -> dict:
-        """Deep snapshot of the per-layer momentum buffers."""
-        return versioned(
-            "nn.sgd",
-            {
-                "velocity": {
-                    index: (vel_w.copy(), vel_b.copy())
-                    for index, (vel_w, vel_b) in self._velocity.items()
-                }
-            },
-        )
-
-    def restore(self, state) -> None:
-        """Reinstall momentum buffers from a :meth:`snapshot`."""
-        payload = expect(state, "nn.sgd")
-        self._velocity = {
-            int(index): (np.array(vel_w, dtype=float), np.array(vel_b, dtype=float))
-            for index, (vel_w, vel_b) in payload["velocity"].items()
-        }
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam optimizer (Kingma & Ba) over the per-layer gradient buffers."""
 
     def __init__(
@@ -100,13 +40,11 @@ class Adam(Optimizer):
         self._moments: dict[int, list[np.ndarray]] = {}
 
     def step(self, model: "MLP") -> None:
-        """Apply one bias-corrected Adam update to every trainable layer."""
+        """Apply one bias-corrected Adam update to every layer."""
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
         for index, layer in enumerate(model.layers):
-            if not layer.trainable:
-                continue
             state = self._moments.setdefault(
                 index,
                 [

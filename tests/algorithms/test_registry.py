@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.algorithms import ALGORITHM_NAMES, NeuralUCBAssignment, make_matcher
+from repro.algorithms import ALGORITHM_NAMES, make_matcher
 from repro.algorithms.ctopk import ConstrainedTopKRecommender
 from repro.algorithms.lacb import LACBMatcher
 
@@ -50,7 +50,7 @@ def test_make_matcher_takes_only_the_recipe():
     ]
 
 
-@pytest.mark.parametrize("cls", [LACBMatcher, NeuralUCBAssignment])
+@pytest.mark.parametrize("cls", [LACBMatcher])
 def test_value_function_matchers_require_batches_per_day(cls):
     with pytest.raises(TypeError):
         cls(4, 6, np.random.default_rng(0))

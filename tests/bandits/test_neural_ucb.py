@@ -75,12 +75,12 @@ def test_train_on_capacity_stores_arm(rng):
 def test_exploration_bonus_shrinks_with_data(rng):
     bandit = _bandit(rng)
     context = rng.normal(size=3)
-    gradient = bandit.network.param_gradient(bandit._features(context, 10.0))
-    before = bandit.exploration_bonus(gradient)
+    _means, inputs, signals = bandit.arm_parts(context)
+    before = bandit.arm_bonuses(inputs, signals)
     for _ in range(30):
         bandit.estimate(context)
-    after = bandit.exploration_bonus(gradient)
-    assert after < before
+    after = bandit.arm_bonuses(inputs, signals)
+    assert np.all(after < before)
 
 
 def test_full_covariance_mode(rng):
@@ -88,8 +88,7 @@ def test_full_covariance_mode(rng):
     context = rng.normal(size=3)
     capacity = bandit.estimate(context)
     assert capacity in bandit.capacities
-    gradient = bandit.network.param_gradient(bandit._features(context, capacity))
-    assert bandit.exploration_bonus(gradient) >= 0.0
+    assert np.all(bandit.arm_bonuses(*bandit.arm_parts(context)[1:]) >= 0.0)
 
 
 def test_full_covariance_matches_sherman_morrison(rng):
@@ -233,7 +232,7 @@ def test_exploration_bonuses_matches_scalar_loop_diagonal(rng):
     bandit = _bandit(rng)
     gradients = rng.normal(size=(6, bandit.network.num_params))
     batched = differential.exploration_bonuses(bandit, gradients)
-    scalar = np.array([bandit.exploration_bonus(g) for g in gradients])
+    scalar = np.array([differential.exploration_bonus(bandit, g) for g in gradients])
     np.testing.assert_array_equal(batched, scalar)
 
 
@@ -241,7 +240,7 @@ def test_exploration_bonuses_matches_scalar_loop_full(rng):
     bandit = _bandit(rng, covariance="full", hidden_sizes=(6,))
     gradients = rng.normal(size=(4, bandit.network.num_params))
     batched = differential.exploration_bonuses(bandit, gradients)
-    scalar = np.array([bandit.exploration_bonus(g) for g in gradients])
+    scalar = np.array([differential.exploration_bonus(bandit, g) for g in gradients])
     np.testing.assert_array_equal(batched, scalar)
 
 

@@ -100,5 +100,5 @@ def test_linear_mode_fits_heads(rng):
     for _ in range(4):
         estimator.update(context, 10, 0.3, broker_id=4, capacity=10.0)
     assert 4 in estimator._linear_heads
-    scores = estimator.personalized_scores(context, 4)
+    scores = estimator._personal_scores(4, estimator.base.arm_parts(context))
     assert scores.shape == estimator.capacities.shape

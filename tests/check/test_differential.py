@@ -93,8 +93,8 @@ def test_assert_backends_agree_catches_disagreement(monkeypatch):
     hungarian = importlib.import_module("repro.matching.hungarian")
     real = hungarian._solve_assignment
 
-    def broken(weights, maximize, pad_square):
-        result = real(weights, maximize, pad_square)
+    def broken(weights, pad_square):
+        result = real(weights, pad_square)
         if result.pairs:
             result.pairs.pop()
             result.total_weight -= 1.0
@@ -106,14 +106,6 @@ def test_assert_backends_agree_catches_disagreement(monkeypatch):
 
 
 def test_topk_detects_wrong_selection(monkeypatch):
-    from repro.core import selection
-
-    monkeypatch.setattr(
-        selection,
-        "candidate_broker_selection",
-        lambda utilities, k, rng: np.arange(min(k, utilities.size)),
-    )
-    # differential imported the symbol directly; patch it there too.
     monkeypatch.setattr(
         differential,
         "candidate_broker_selection",

@@ -9,9 +9,7 @@ from repro.core import AssignmentConfig, ValueFunctionGuidedAssigner
 
 
 def _assign_once(config, rng, num_brokers=20, batch=4):
-    assigner = ValueFunctionGuidedAssigner(
-        num_brokers, config, rng, batches_per_day=3
-    )
+    assigner = ValueFunctionGuidedAssigner(num_brokers, config, batches_per_day=3)
     assigner.begin_day(np.full(num_brokers, 10.0))
     utilities = rng.uniform(0.05, 1.0, size=(batch, num_brokers))
     return assigner.assign_batch(0, 0, np.arange(batch), utilities), utilities
@@ -30,7 +28,6 @@ def test_backends_produce_equal_value(backend):
     assigner = ValueFunctionGuidedAssigner(
         20,
         AssignmentConfig(use_value_function=False),
-        np.random.default_rng(1),
         batches_per_day=3,
     )
     assigner.begin_day(np.full(20, 10.0))

@@ -57,7 +57,7 @@ def test_vfga_never_exceeds_capacity(seed):
     rng = np.random.default_rng(seed)
     num_brokers = 12
     assigner = ValueFunctionGuidedAssigner(
-        num_brokers, AssignmentConfig(), np.random.default_rng(seed), batches_per_day=6
+        num_brokers, AssignmentConfig(), batches_per_day=6
     )
     capacities = rng.integers(1, 5, size=num_brokers).astype(float)
     assigner.begin_day(capacities)

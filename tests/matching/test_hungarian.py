@@ -29,12 +29,12 @@ from repro.matching.hungarian import _hungarian_arrays, _hungarian_lists
 KM = importlib.import_module("repro.matching.hungarian")
 
 
-def _array_path_solve(weights, maximize=True, pad_square=False):
+def _array_path_solve(weights, pad_square=False):
     """``solve_assignment`` with every KM solve on the NumPy array path."""
     limit = KM.SMALL_KM_COLS
     KM.SMALL_KM_COLS = 0
     try:
-        return solve_assignment(weights, maximize, pad_square)
+        return solve_assignment(weights, pad_square)
     finally:
         KM.SMALL_KM_COLS = limit
 
@@ -105,17 +105,17 @@ def test_transposed_orientation(rng):
 
 
 def test_minimize_rectangular_rejected(rng):
+    # Minimization goes through hungarian(), which needs rows <= columns;
+    # solve_assignment only maximizes.
     with pytest.raises(ValueError):
+        hungarian(rng.uniform(size=(5, 2)))
+    with pytest.raises(TypeError):
         solve_assignment(rng.uniform(size=(2, 5)), maximize=False)
 
 
 def test_unknown_backend(rng):
     # KM is the only solve path: there is no solver-selection argument.
-    assert list(inspect.signature(solve_assignment).parameters) == [
-        "weights",
-        "maximize",
-        "pad_square",
-    ]
+    assert list(inspect.signature(solve_assignment).parameters) == ["weights", "pad_square"]
     with pytest.raises(TypeError):
         solve_assignment(rng.uniform(size=(2, 2)), backend="scipy")
 

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.matching import IncrementalKMSolver, solve_assignment
+from repro.matching import solve_assignment
+from repro.matching.incremental import IncrementalKMSolver
 from repro.matching.validation import assert_valid_matching
 from repro.state.protocol import StateError
 
 
 def cold(weights):
-    return solve_assignment(weights, maximize=True)
+    return solve_assignment(weights)
 
 
 def assert_bit_identical(warm, weights):

@@ -1,4 +1,4 @@
-"""Dense layer: shapes, gradient accumulation, freezing."""
+"""Dense layer: shapes and gradient accumulation."""
 
 import numpy as np
 import pytest
@@ -51,22 +51,6 @@ def test_backward_accumulates(rng):
     layer.zero_grad()
     assert np.all(layer.grad_weight == 0)
     assert np.all(layer.grad_bias == 0)
-
-
-def test_copy_from_transfers_parameters(rng):
-    src = Dense(3, 2, rng)
-    dst = Dense(3, 2, rng)
-    dst.copy_from(src)
-    np.testing.assert_array_equal(dst.weight, src.weight)
-    np.testing.assert_array_equal(dst.bias, src.bias)
-    # copies, not views
-    src.weight[0, 0] += 1.0
-    assert dst.weight[0, 0] != src.weight[0, 0]
-
-
-def test_copy_from_shape_mismatch(rng):
-    with pytest.raises(ValueError):
-        Dense(3, 2, rng).copy_from(Dense(2, 3, rng))
 
 
 def test_num_params(rng):

@@ -33,9 +33,9 @@ def test_platform_rng_resumes_uninterrupted_sequence():
 
 
 def test_matcher_shared_rng_resumes_in_place():
-    """make_matcher builds ONE generator shared by the bandit and the
-    assigner; restore must preserve that sharing, so interleaved draws
-    after restore match the uninterrupted interleaving."""
+    """make_matcher builds ONE generator per matcher, held by the bandit
+    (the assigner draws none); restore must reinstall it in place, so the
+    draws after restore match the uninterrupted sequence."""
     def bandit_of(matcher):
         # With personalization on the NNUCB bandit sits behind .base.
         return getattr(matcher.estimator, "base", matcher.estimator)
@@ -43,23 +43,18 @@ def test_matcher_shared_rng_resumes_in_place():
     _config, platform = _city()
     matcher = make_matcher("LACB", platform, seed=5)
     bandit_rng = bandit_of(matcher)._rng
-    assigner_rng = matcher.assigner.rng
-    assert bandit_rng is assigner_rng  # the precondition this test guards
+    assert not hasattr(matcher.assigner, "rng")  # the bandit's is the only stream
 
-    bandit_rng.standard_normal(7)  # advance the shared stream
+    bandit_rng.standard_normal(7)  # advance the stream
     snapshot = matcher.snapshot()
-    expected = np.concatenate(
-        [bandit_rng.standard_normal(3), assigner_rng.standard_normal(3)]
-    )
+    expected = bandit_rng.standard_normal(6)
 
     _config2, platform2 = _city()
     twin = make_matcher("LACB", platform2, seed=99)
+    twin_rng = bandit_of(twin)._rng
     twin.restore(snapshot)
-    assert bandit_of(twin)._rng is twin.assigner.rng  # sharing survives restore
-    actual = np.concatenate(
-        [bandit_of(twin)._rng.standard_normal(3), twin.assigner.rng.standard_normal(3)]
-    )
-    assert np.array_equal(actual, expected)
+    assert bandit_of(twin)._rng is twin_rng  # restored in place, not rebound
+    assert np.array_equal(twin_rng.standard_normal(6), expected)
 
 
 def test_set_rng_state_does_not_rebind():
@@ -72,21 +67,18 @@ def test_set_rng_state_does_not_rebind():
 
 
 def test_quickselect_pivot_stream_is_call_private():
-    """CBS quickselect must not consume the caller's generator, and its
-    private pivot stream is rebuilt per call — so checkpoints need not
-    (and do not) carry any quickselect state."""
+    """CBS takes no generator at all, and the quickselect oracle rebuilds
+    its private pivot stream per call — so checkpoints need not (and do
+    not) carry any CBS or quickselect state."""
+    from repro.check.differential import quickselect_union
     from repro.core.selection import select_candidate_brokers
 
-    rng = np.random.default_rng(42)
-    before = rng_state(rng)
     utilities = np.random.default_rng(7).uniform(size=(6, 40))
-    first = select_candidate_brokers(utilities, 6, rng)
-    assert rng_state(rng) == before  # caller stream untouched
-    # Pivot-independent output: a second call with a differently-advanced
-    # caller rng returns the identical candidate set.
-    rng.standard_normal(100)
-    second = select_candidate_brokers(utilities, 6, rng)
-    assert np.array_equal(np.sort(first), np.sort(second))
+    first = select_candidate_brokers(utilities, 6)
+    # Pivot-independent output: the oracle's union is the identical set,
+    # call after call.
+    np.testing.assert_array_equal(first, quickselect_union(utilities, 6))
+    np.testing.assert_array_equal(first, quickselect_union(utilities, 6))
 
 
 def test_gbdt_subsample_rng_round_trips():

@@ -56,3 +56,24 @@ def test_readme_quickstart_runs():
     lacb = run_algorithm(platform, make_matcher("LACB-Opt", platform, seed=7))
     assert top3.total_realized_utility > 0
     assert lacb.total_realized_utility > 0
+
+
+def test_import_repro_loads_no_scipy_or_test_only_modules():
+    """``import repro`` stays light: SciPy is an oracle / statistics-only
+    dependency, and the differential oracles and the unused incremental
+    solver are imported only by their callers."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    probe = (
+        "import sys, repro; "
+        "print('\\n'.join(m for m in sys.modules if m == 'scipy' or m.startswith("
+        "('scipy.', 'repro.check.differential', 'repro.matching.incremental'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    ).stdout.split()
+    assert loaded == []
