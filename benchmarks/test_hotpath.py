@@ -13,6 +13,12 @@ kernel and a scalar reference kernel, kept as an oracle in
 * **CBS pruning** (Alg. 3) — one ``np.partition`` boundary pass over the
   whole utility matrix vs. the per-row quickselect union
   (``quickselect_union``), which Theorem 2 keeps as the correctness oracle.
+* **Covariance commit** (Alg. 1 line 12) — ``D <- D + g*g`` for a day's
+  chosen arms on the long-horizon-width net (70 context features, the
+  default 11-arm grid and (64, 16) hidden layers): queued and applied per
+  ``COMMIT_BLOCK`` rows vs one row at a time on the same kernel vs the
+  per-row ``param_gradient`` oracle.  Recorded, not gated; all three must
+  leave a bitwise-equal ``D``.
 * **Small KM solves** — the list-based row insertion that ``hungarian``
   runs up to ``SMALL_KM_COLS`` columns vs. the NumPy array path, on the
   micro-batch shapes LACB-Opt serving solves (1x1, 2x4 and 3x9 utility
@@ -45,8 +51,12 @@ import numpy as np
 
 from benchmarks.common import SMOKE, write_artifact
 from repro.bandits import PersonalizedCapacityEstimator
-from repro.bandits.neural_ucb import NNUCBBandit
-from repro.check.differential import install_reference_kernels, quickselect_union
+from repro.bandits.neural_ucb import COMMIT_BLOCK, NNUCBBandit
+from repro.check.differential import (
+    install_reference_kernels,
+    quickselect_union,
+    reference_commit,
+)
 from repro.core.config import BanditConfig
 from repro.core.selection import select_candidate_brokers
 from repro.engine import MatcherSpec, PlatformSpec, RunSpec
@@ -76,6 +86,11 @@ KM_SMALL_SOLVES = 200 if SMOKE else 2000
 #: exploration and reach personalized UCB scoring).
 ESTIMATE_BROKERS = 50 if SMOKE else 500
 ESTIMATE_WARM_DAYS = 6
+
+#: Covariance-commit instance: chosen-arm rows per timed pass, on the
+#: context width of the e2ebench long-horizon city.
+COMMIT_ROWS = 256 if SMOKE else 4096
+COMMIT_CONTEXT_DIM = 70
 
 SCORING_FLOOR = 1.0 if SMOKE else 3.0
 ESTIMATE_FLOOR = 1.0 if SMOKE else 2.0
@@ -232,6 +247,46 @@ def test_hotpath_speedups(benchmark, monkeypatch):
     )
 
     # ------------------------------------------------------------------
+    # Covariance commit: queued blocks vs one row at a time (recorded).
+    # ------------------------------------------------------------------
+    commit_bandit = NNUCBBandit(COMMIT_CONTEXT_DIM, BanditConfig(), np.random.default_rng(5))
+    commit_contexts = rng.normal(0.0, 1.0, size=(COMMIT_ROWS, COMMIT_CONTEXT_DIM))
+    commit_arms = rng.integers(0, commit_bandit.capacities.size, size=COMMIT_ROWS)
+
+    def commit_blocked(twin):
+        for arm, context in zip(commit_arms, commit_contexts):
+            twin._commit(int(arm), context)
+        twin._flush_commits()
+
+    def commit_per_row(twin):
+        for arm, context in zip(commit_arms, commit_contexts):
+            twin._commit(int(arm), context)
+            twin._flush_commits()
+
+    def commit_reference(twin):
+        for arm, context in zip(commit_arms, commit_contexts):
+            reference_commit(twin, int(arm), context)
+
+    commit_d = {}
+    for label, commit in (
+        ("blocked", commit_blocked),
+        ("per_row", commit_per_row),
+        ("reference", commit_reference),
+    ):
+        twin = copy.deepcopy(commit_bandit)
+        commit(twin)
+        commit_d[label] = twin._d_diag.tobytes()
+    commit_identical = commit_d["blocked"] == commit_d["per_row"] == commit_d["reference"]
+    assert commit_identical, "blocked covariance commits left a different D"
+    commit_blocked_best, commit_blocked_times = _timed_estimates(
+        REPEATS, commit_bandit, commit_blocked
+    )
+    commit_row_best, commit_row_times = _timed_estimates(REPEATS, commit_bandit, commit_per_row)
+    commit_ref_best, _ = _timed_estimates(
+        max(1, REPEATS - 2), commit_bandit, commit_reference
+    )
+
+    # ------------------------------------------------------------------
     # Small KM solves: list path vs array path (recorded, not gated).
     # ------------------------------------------------------------------
     km_small = []
@@ -321,6 +376,19 @@ def test_hotpath_speedups(benchmark, monkeypatch):
             "union_size": int(fast_union.size),
             "union_identical": True,
         },
+        "commit": {
+            "rows": COMMIT_ROWS,
+            "context_dim": COMMIT_CONTEXT_DIM,
+            "num_params": int(commit_bandit.network.num_params),
+            "block_rows": COMMIT_BLOCK,
+            "blocked_seconds": commit_blocked_times,
+            "per_row_seconds": commit_row_times,
+            "blocked_us_per_row": commit_blocked_best / COMMIT_ROWS * 1e6,
+            "per_row_us_per_row": commit_row_best / COMMIT_ROWS * 1e6,
+            "reference_us_per_row": commit_ref_best / COMMIT_ROWS * 1e6,
+            "speedup": commit_row_best / commit_blocked_best,
+            "d_bit_identical": commit_identical,
+        },
         "km_solve": {
             "shape": list(KM_SHAPE),
             "seconds": km_times,
@@ -357,6 +425,12 @@ def test_hotpath_speedups(benchmark, monkeypatch):
     print(
         f"CBS pruning:       {cbs_ref_best * 1e3:.2f}ms -> {cbs_fast_best * 1e3:.2f}ms "
         f"({cbs_speedup:.1f}x, floor {CBS_FLOOR:.0f}x, shape {CBS_SHAPE})"
+    )
+    print(
+        f"Covariance commit: {commit_row_best / COMMIT_ROWS * 1e6:.1f}us/row one row at a "
+        f"time -> {commit_blocked_best / COMMIT_ROWS * 1e6:.1f}us/row in "
+        f"{COMMIT_BLOCK}-row blocks (oracle {commit_ref_best / COMMIT_ROWS * 1e6:.1f}us/row, "
+        f"D identical={commit_identical}, recorded only)"
     )
     print(f"KM solve:          {km_best:.3f}s (shape {KM_SHAPE}, context only)")
     for entry in km_small:

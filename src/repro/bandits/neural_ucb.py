@@ -48,6 +48,12 @@ from repro.state.protocol import (
 #: block.
 SCORING_BLOCK = 64
 
+#: Covariance commits queued per :meth:`NNUCBBandit._flush_commits`.  The
+#: flush's gradient block is ``COMMIT_BLOCK * d`` floats (0.8 MB for the
+#: default 6,369-parameter net), reused across flushes; the per-row cost
+#: is flat from 8 rows up, so a larger block would only cost memory.
+COMMIT_BLOCK = 16
+
 
 class ArmBlocks:
     """Lazily computed blocked passes over a day's scoring contexts.
@@ -93,6 +99,43 @@ class ArmBlocks:
         )
 
 
+class ReplayColumns:
+    """The replay's feature rows, arm values and rewards, beside its triples.
+
+    A ring of ``capacity`` entries in the replay's FIFO order:
+    :meth:`extend` appends and overwrites the oldest entries past
+    capacity, exactly as the bandit trims its triple list.  The storage is
+    allocated once, so a training flush never allocates a replay-sized
+    block; :meth:`order` maps replay positions to storage rows.
+    """
+
+    def __init__(self, width: int, capacity: int) -> None:
+        self.rows = np.zeros((capacity, width))
+        self.arms = np.zeros(capacity, dtype=int)
+        self.rewards = np.zeros(capacity)
+        self.start = 0
+        self.size = 0
+
+    def extend(self, rows: list[np.ndarray], triples: list[TrialTriple]) -> None:
+        """Append the trials' rows in order, evicting the oldest past capacity."""
+        capacity = self.arms.size
+        count = min(len(triples), capacity)
+        if count == 0:
+            return
+        slots = (self.start + self.size + np.arange(count)) % capacity
+        self.rows[slots] = rows[-count:]
+        self.arms[slots] = [triple.workload for triple in triples[-count:]]
+        self.rewards[slots] = [triple.reward for triple in triples[-count:]]
+        total = self.size + count
+        if total > capacity:
+            self.start = (self.start + total - capacity) % capacity
+        self.size = min(total, capacity)
+
+    def order(self) -> np.ndarray:
+        """Storage row of every replay position, oldest first."""
+        return (self.start + np.arange(self.size)) % self.arms.size
+
+
 class NNUCBBandit(CapacityEstimator):
     """Contextual bandit ``B_{theta,D}`` with an MLP reward model.
 
@@ -111,6 +154,7 @@ class NNUCBBandit(CapacityEstimator):
         if context_dim <= 0:
             raise ValueError(f"context_dim must be positive, got {context_dim}")
         self.config = config
+        self._context_dim = context_dim
         self.capacities = np.asarray(config.candidate_capacities, dtype=float)
         self._cap_norm = float(self.capacities.max())
         layer_sizes = [context_dim + 1 + self.capacities.size, *config.hidden_sizes, 1]
@@ -127,8 +171,14 @@ class NNUCBBandit(CapacityEstimator):
             self._d_diag = np.full(dim, config.lam)
         self._buffer: list[TrialTriple] = []
         self._replay: list[TrialTriple] = []
+        # Each trial's training row, built once when the trial is buffered.
+        self._buffer_rows: list[np.ndarray] = []
+        self._replay_columns = ReplayColumns(self.network.input_dim, config.replay_size)
         self.num_updates = 0
         self.num_train_steps = 0
+        # Chosen-arm rows whose ``D`` update is queued (:meth:`_commit`).
+        self._pending_rows = np.empty((COMMIT_BLOCK, self.network.input_dim))
+        self._num_pending = 0
         # Context-independent tail of every grid arm's feature row
         # ``[x; c/|C|max; onehot]`` — scoring rebuilds only the context part.
         self._arm_row_tail = np.stack(
@@ -195,9 +245,11 @@ class NNUCBBandit(CapacityEstimator):
         one small GEMM per layer against the current ``D``
         (:func:`repro.nn.mlp.weighted_gradient_norms`).  The ``"full"``
         regime builds the rows from the same parts and reduces them with
-        ``D^-1``.  The per-arm gradient loop this replaces is the oracle
+        ``D^-1``.  Queued covariance commits land first.  The per-arm
+        gradient loop this replaces is the oracle
         :func:`repro.check.differential.reference_arm_bonuses`.
         """
+        self._flush_commits()
         if self._d_inv is not None:
             rows = gradient_rows(inputs, signals)
             values = ((rows @ self._d_inv) * rows).sum(axis=1)
@@ -306,7 +358,9 @@ class NNUCBBandit(CapacityEstimator):
 
     def estimate(self, context: np.ndarray, broker_id: int | None = None) -> float:
         """Choose the capacity with maximum UCB; update ``D`` (line 12)."""
-        return self._estimate_scored(context, broker_id, lambda: self.ucb_scores(context))
+        capacity = self._estimate_scored(context, broker_id, lambda: self.ucb_scores(context))
+        self._flush_commits()
+        return capacity
 
     def _estimate_scored(self, context: np.ndarray, broker_id: int | None, score) -> float:
         """:meth:`estimate` with the arm scores supplied by ``score()``."""
@@ -326,7 +380,7 @@ class NNUCBBandit(CapacityEstimator):
         order as the per-context loop.
         """
         blocks = ArmBlocks(self, contexts, np.ones(contexts.shape[0], dtype=bool))
-        return np.array(
+        capacities = np.array(
             [
                 self._estimate_scored(
                     contexts[row],
@@ -337,31 +391,53 @@ class NNUCBBandit(CapacityEstimator):
             ],
             dtype=float,
         )
+        self._flush_commits()
+        return capacities
 
     def _commit(self, chosen: int, context: np.ndarray) -> None:
-        """Count the pull and update ``D`` with the chosen arm's gradient.
+        """Count the pull and queue ``D``'s update with the chosen arm's row.
 
-        The gradient is a one-row pass (:meth:`repro.nn.MLP.sample_gradient`,
-        bitwise the oracle :func:`repro.check.differential.param_gradient`):
-        batched GEMM rows
-        differ from it by round-off, and ``D`` accumulates every update, so
-        only the one-row gradient keeps the covariance state bit-identical
-        to the reference oracles and across batch sizes.
+        The row is bitwise ``_features(context, capacities[chosen])``: the
+        arm's precomputed tail carries the same scaled capacity and one-hot.
+        Up to ``COMMIT_BLOCK`` rows wait for one :meth:`_flush_commits`,
+        which runs before any bonus reads ``D`` and before an estimate call
+        returns, so no reader ever sees ``D`` without them.
         """
         self._arm_pulls[chosen] += 1
-        # Bitwise ``_features(context, capacities[chosen])``: the arm's
-        # precomputed tail carries the same scaled capacity and one-hot.
-        row = np.concatenate([np.asarray(context, dtype=float), self._arm_row_tail[chosen]])
-        self._update_covariance(self.network.sample_gradient(row))
+        row = self._pending_rows[self._num_pending]
+        row[: self._context_dim] = context
+        row[self._context_dim :] = self._arm_row_tail[chosen]
+        self._num_pending += 1
+        if self._num_pending == COMMIT_BLOCK:
+            self._flush_commits()
+
+    def _flush_commits(self) -> None:
+        """Apply the queued commits to ``D``, one row after another.
+
+        The gradients come from one :meth:`repro.nn.MLP.sample_gradients`
+        block, each bitwise the one-row gradient of the oracle
+        :func:`repro.check.differential.param_gradient` (up to the sign of
+        zeros, which squaring drops and ``+ 0.0`` normalizes).  ``D``
+        accumulates them in broker order, so its rounding is the
+        per-broker loop's.
+        """
+        count, self._num_pending = self._num_pending, 0
+        if count == 0:
+            return
+        gradients = self.network.sample_gradients(self._pending_rows[:count])
+        if self._d_inv is not None:
+            for gradient in gradients:
+                self._update_covariance(gradient + 0.0)
+            return
+        np.square(gradients, out=gradients)
+        for squares in gradients:
+            self._d_diag += squares
 
     def _update_covariance(self, gradient: np.ndarray) -> None:
-        """``D <- D + g g^T`` (diagonal: ``D <- D + g*g``)."""
-        if self._d_inv is not None:
-            d_inv_g = self._d_inv @ gradient
-            denom = 1.0 + float(gradient @ d_inv_g)
-            self._d_inv -= np.outer(d_inv_g, d_inv_g) / denom
-        else:
-            self._d_diag += gradient**2
+        """``D <- D + g g^T`` on the full inverse: one Sherman-Morrison step."""
+        d_inv_g = self._d_inv @ gradient
+        denom = 1.0 + float(gradient @ d_inv_g)
+        self._d_inv -= np.outer(d_inv_g, d_inv_g) / denom
 
     def update(
         self,
@@ -384,9 +460,11 @@ class NNUCBBandit(CapacityEstimator):
             arm_input = int(round(capacity))
         else:
             arm_input = int(round(workload))
-        self._buffer.append(
-            TrialTriple(np.asarray(context, dtype=float), arm_input, float(reward))
-        )
+        # A copy: the caller's row is usually a view of the whole day's
+        # context matrix, which a stored view would keep alive.
+        context = np.array(context, dtype=float)
+        self._buffer.append(TrialTriple(context, arm_input, float(reward)))
+        self._buffer_rows.append(self._features(context, float(arm_input)))
         self.num_updates += 1
         obs.add("bandit.updates")
         if len(self._buffer) >= self.config.batch_size:
@@ -405,6 +483,8 @@ class NNUCBBandit(CapacityEstimator):
         obs.add("bandit.train_steps", self.num_train_steps - steps_before)
 
     def _train_on_buffer_inner(self) -> None:
+        self._replay_columns.extend(self._buffer_rows, self._buffer)
+        self._buffer_rows.clear()
         self._replay.extend(self._buffer)
         self._buffer.clear()
         if len(self._replay) > self.config.replay_size:
@@ -412,13 +492,7 @@ class NNUCBBandit(CapacityEstimator):
 
         picked = self._stratified_sample()
         sample_size = picked.size
-        rows = np.stack(
-            [
-                self._features(self._replay[i].context, float(self._replay[i].workload))
-                for i in picked
-            ]
-        )
-        targets = np.array([self._replay[i].reward for i in picked])
+        rows, targets = self._replay_design(picked)
         batch = self.config.minibatch
         for _ in range(self.config.train_epochs):
             order = self._rng.permutation(sample_size)
@@ -429,6 +503,22 @@ class NNUCBBandit(CapacityEstimator):
                 )
                 self.num_train_steps += 1
 
+    def _replay_arms(self) -> np.ndarray:
+        """Arm value of every replay trial, oldest first."""
+        columns = self._replay_columns
+        return columns.arms[columns.order()]
+
+    def _replay_design(self, picked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Training rows and reward targets of the replay trials ``picked``.
+
+        Gathered from the rows built when each trial was buffered; the
+        per-trial ``_features`` rebuild is the oracle
+        :func:`repro.check.differential.reference_replay_design`.
+        """
+        columns = self._replay_columns
+        slots = columns.order()[picked]
+        return columns.rows[slots], columns.rewards[slots]
+
     def _stratified_sample(self) -> np.ndarray:
         """Replay indices balanced across arm values.
 
@@ -438,7 +528,7 @@ class NNUCBBandit(CapacityEstimator):
         arm's mean everywhere.  Sampling an (approximately) equal number of
         rows per distinct arm value keeps the whole reward curve in view.
         """
-        arms = np.array([triple.workload for triple in self._replay])
+        arms = self._replay_arms()
         unique = np.unique(arms)
         per_arm = max(1, self.config.replay_sample // unique.size)
         chunks = []
@@ -509,6 +599,12 @@ class NNUCBBandit(CapacityEstimator):
         self._d_diag = None if d_diag is None else np.array(d_diag, dtype=float)
         self._buffer = triples_from_state(payload["buffer"])
         self._replay = triples_from_state(payload["replay"])
+        self._buffer_rows = [self._features(t.context, float(t.workload)) for t in self._buffer]
+        self._replay_columns.start = self._replay_columns.size = 0
+        self._replay_columns.extend(
+            [self._features(t.context, float(t.workload)) for t in self._replay], self._replay
+        )
+        self._num_pending = 0
         self.num_updates = int(payload["num_updates"])
         self.num_train_steps = int(payload["num_train_steps"])
 

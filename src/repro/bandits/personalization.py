@@ -83,6 +83,9 @@ class PersonalizedCapacityEstimator(CapacityEstimator):
         self.max_history = max_history
         self.personal_explore = min(personal_explore, len(EXPLORE_QUANTILES))
         self._history: dict[int, list[TrialTriple]] = {}
+        # Per broker: the history's feature rows, arm values and rewards,
+        # built on first use and then extended as trials arrive.
+        self._history_columns: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._pull_count: dict[int, int] = {}
         self._linear_heads: dict[int, np.ndarray] = {}
 
@@ -119,27 +122,44 @@ class PersonalizedCapacityEstimator(CapacityEstimator):
 
     def _residual_correction(self, broker_id: int) -> np.ndarray:
         """Kernel-smoothed, shrunk residual curve over the arm grid."""
-        history = self._history.get(broker_id, ())
-        if len(history) < self.min_triples:
+        if len(self._history.get(broker_id, ())) < self.min_triples:
             return np.zeros(self.base.capacities.size)
-        rows = np.stack(
-            [self.base._features(t.context, float(t.workload)) for t in history]
-        )
-        residuals = np.array([t.reward for t in history]) - self.base.network.predict(rows)
-        arms = np.array([float(t.workload) for t in history])
+        rows, arms, rewards = self._history_design(broker_id)
+        residuals = rewards - self.base.network.predict(rows)
         # Gaussian kernel weights of each own-trial arm against each grid arm.
         distances = (self.base.capacities[:, None] - arms[None, :]) / self.kernel_width
         weights = np.exp(-0.5 * distances**2)
         return (weights @ residuals) / (weights.sum(axis=1) + self.prior_mass)
+
+    def _history_design(self, broker_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The broker's history as ``(feature rows, arm values, rewards)``.
+
+        Each trial's row is built once: the first call for a broker builds
+        the rows of its history so far, and :meth:`update` appends to them.
+        The per-trial ``_features`` rebuild is the oracle
+        :func:`repro.check.differential.reference_history_design`.
+        """
+        columns = self._history_columns.get(broker_id)
+        if columns is None:
+            history = self._history[broker_id]
+            columns = (
+                np.stack([self.base._features(t.context, float(t.workload)) for t in history]),
+                np.array([float(t.workload) for t in history]),
+                np.array([t.reward for t in history]),
+            )
+            self._history_columns[broker_id] = columns
+        return columns
 
     # ------------------------------------------------------------------
     # Estimation
     # ------------------------------------------------------------------
     def estimate(self, context: np.ndarray, broker_id: int | None = None) -> float:
         """Structured exploration, then personalized UCB argmax."""
-        return self._estimate_routed(
+        capacity = self._estimate_routed(
             context, broker_id, lambda: self.base.arm_parts(context)
         )
+        self.base._flush_commits()
+        return capacity
 
     def _estimate_rows(self, contexts: np.ndarray, broker_ids: np.ndarray) -> np.ndarray:
         """Day-batched :meth:`estimate` over the base bandit's blocked passes.
@@ -158,7 +178,7 @@ class PersonalizedCapacityEstimator(CapacityEstimator):
                 may_score[row] = False
                 pulls[broker_id] = count + 1
         blocks = ArmBlocks(self.base, contexts, may_score)
-        return np.array(
+        capacities = np.array(
             [
                 self._estimate_routed(
                     contexts[row], int(broker_id), lambda row=row: blocks(row)
@@ -167,6 +187,8 @@ class PersonalizedCapacityEstimator(CapacityEstimator):
             ],
             dtype=float,
         )
+        self.base._flush_commits()
+        return capacities
 
     def _estimate_routed(self, context: np.ndarray, broker_id: int | None, parts) -> float:
         """Route one estimate; ``parts()`` supplies the arms' forward/backward parts."""
@@ -214,14 +236,25 @@ class PersonalizedCapacityEstimator(CapacityEstimator):
             arm_input = int(round(capacity))
         else:
             arm_input = int(round(workload))
+        # A copy: the caller's row is usually a view of the whole day's
+        # context matrix, which a stored view would keep alive.
+        context = np.array(context, dtype=float)
         history = self._history.setdefault(broker_id, [])
-        history.append(
-            TrialTriple(np.asarray(context, dtype=float), arm_input, float(reward))
-        )
+        history.append(TrialTriple(context, arm_input, float(reward)))
         if len(history) > self.max_history:
             del history[: len(history) - self.max_history]
+        columns = self._history_columns.get(broker_id)
+        if columns is not None:
+            rows, arms, rewards = columns
+            row = self.base._features(context, float(arm_input))
+            first = rows.shape[0] + 1 - len(history)
+            self._history_columns[broker_id] = (
+                np.concatenate([rows[first:], row[None]]),
+                np.append(arms[first:], float(arm_input)),
+                np.append(rewards[first:], float(reward)),
+            )
         if self.mode == "linear" and len(history) >= self.min_triples:
-            self._fit_linear_head(broker_id, history)
+            self._fit_linear_head(broker_id)
 
     # ------------------------------------------------------------------
     # Durable state (repro.state contract)
@@ -252,6 +285,7 @@ class PersonalizedCapacityEstimator(CapacityEstimator):
             int(broker_id): triples_from_state(history)
             for broker_id, history in payload["history"].items()
         }
+        self._history_columns = {}
         self._pull_count = {
             int(broker_id): int(count)
             for broker_id, count in payload["pull_count"].items()
@@ -261,16 +295,13 @@ class PersonalizedCapacityEstimator(CapacityEstimator):
             for broker_id, head in payload["linear_heads"].items()
         }
 
-    def _fit_linear_head(self, broker_id: int, history: list[TrialTriple]) -> None:
+    def _fit_linear_head(self, broker_id: int) -> None:
         """Anchored ridge refit of the last layer (the ``"linear"`` mode)."""
         last = self.base.network.layers[-1]
         anchor = np.concatenate([last.weight[0], last.bias])
-        rows = np.stack(
-            [self.base._features(t.context, float(t.workload)) for t in history]
-        )
+        rows, _, targets = self._history_design(broker_id)
         features = self.base.network.hidden_features(rows)
         design = np.hstack([features, np.ones((features.shape[0], 1))])
-        targets = np.array([t.reward for t in history])
         gram = design.T @ design + self.anchor_strength * np.eye(design.shape[1])
         rhs = design.T @ targets + self.anchor_strength * anchor
         self._linear_heads[broker_id] = np.linalg.solve(gram, rhs)

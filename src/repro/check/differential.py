@@ -32,8 +32,9 @@ The agreements checked:
 * batched MLP scoring (``forward_backward`` gradient rows and the
   gradient-free diagonal bonus) vs the per-sample reference path, to
   floating-point round-off.
-* the day-batched ``estimate_batch`` vs the per-broker ``estimate`` loop:
-  identical capacities and bitwise-identical bandit state.
+* the day-batched ``estimate_batch`` vs the per-broker ``estimate`` loop
+  committing through :func:`reference_commit`: identical capacities and
+  bitwise-identical bandit state.
 * the platform's table-gather utilities and pair-only affinities vs the
   per-call-normalising full grid: bitwise equal on a live, appealing,
   skill-growing, snapshot-restored city.
@@ -42,7 +43,9 @@ It also holds the scalar reference kernels the production hot paths
 replaced, as oracles: :func:`candidate_broker_selection` and
 :func:`quickselect_union` (CBS), :func:`param_gradient`,
 :func:`exploration_bonus` and :func:`reference_arm_bonuses` (NN-UCB
-scoring),
+scoring), :func:`reference_commit` (the covariance update),
+:func:`reference_replay_arms` / :func:`reference_replay_design` /
+:func:`reference_history_design` (per-trial feature rows),
 :func:`per_context_estimates` (the day estimate), and
 :func:`reference_ground_truth_affinity` / :func:`reference_predicted_utility`
 (the platform's utilities).
@@ -470,6 +473,50 @@ def reference_arm_bonuses(bandit, inputs: list, signals: list) -> np.ndarray:
     )
 
 
+def reference_commit(bandit, chosen: int, context: np.ndarray) -> None:
+    """Oracle for :meth:`~repro.bandits.NNUCBBandit._commit`: no queue.
+
+    Counts the pull, rebuilds the chosen arm's row with ``_features``,
+    takes its :func:`param_gradient` and applies ``D <- D + g g^T`` at
+    once: ``D += g**2`` on the diagonal, a Sherman-Morrison step on the
+    full inverse.
+    """
+    bandit._arm_pulls[chosen] += 1
+    row = bandit._features(context, float(bandit.capacities[chosen]))
+    gradient = param_gradient(bandit.network, row)
+    if bandit._d_inv is not None:
+        d_inv_g = bandit._d_inv @ gradient
+        bandit._d_inv -= np.outer(d_inv_g, d_inv_g) / (1.0 + float(gradient @ d_inv_g))
+    else:
+        bandit._d_diag += gradient**2
+
+
+def reference_replay_arms(bandit) -> np.ndarray:
+    """Oracle for ``NNUCBBandit._replay_arms``: read off the replay triples."""
+    return np.array([triple.workload for triple in bandit._replay])
+
+
+def reference_replay_design(bandit, picked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for ``NNUCBBandit._replay_design``: ``_features`` per picked trial."""
+    triples = [bandit._replay[i] for i in picked]
+    rows = np.stack([bandit._features(t.context, float(t.workload)) for t in triples])
+    return rows, np.array([t.reward for t in triples])
+
+
+def reference_history_design(estimator, broker_id: int) -> tuple:
+    """Oracle for ``PersonalizedCapacityEstimator._history_design``.
+
+    Rebuilds every trial's row of the broker's history with ``_features``
+    on every call.
+    """
+    history = estimator._history[broker_id]
+    return (
+        np.stack([estimator.base._features(t.context, float(t.workload)) for t in history]),
+        np.array([float(t.workload) for t in history]),
+        np.array([t.reward for t in history]),
+    )
+
+
 def per_context_estimates(estimator, contexts: np.ndarray, broker_ids: np.ndarray) -> np.ndarray:
     """Oracle for a day-batched ``_estimate_rows``: ``estimate`` per row, in order."""
     return np.array(
@@ -548,8 +595,9 @@ def reference_predicted_utility(population, stream, request_indices) -> np.ndarr
 
 
 def install_reference_kernels(patch) -> None:
-    """Route NN-UCB scoring, the day estimate, CBS, every KM solve and the
-    platform's utilities through the oracles.
+    """Route NN-UCB scoring, the covariance commit, the training and
+    personalization feature rows, the day estimate, CBS, every KM solve and
+    the platform's utilities through the oracles.
 
     ``patch`` is a :class:`pytest.MonkeyPatch` (or anything with its
     ``setattr(target, name, value)``); it scopes and undoes the change.
@@ -567,8 +615,12 @@ def install_reference_kernels(patch) -> None:
     km = importlib.import_module("repro.matching.hungarian")
 
     patch.setattr(NNUCBBandit, "arm_bonuses", reference_arm_bonuses)
+    patch.setattr(NNUCBBandit, "_commit", reference_commit)
+    patch.setattr(NNUCBBandit, "_replay_arms", reference_replay_arms)
+    patch.setattr(NNUCBBandit, "_replay_design", reference_replay_design)
     patch.setattr(NNUCBBandit, "_estimate_rows", per_context_estimates)
     patch.setattr(PersonalizedCapacityEstimator, "_estimate_rows", per_context_estimates)
+    patch.setattr(PersonalizedCapacityEstimator, "_history_design", reference_history_design)
     patch.setattr(vfga, "select_candidate_brokers", quickselect_union)
     patch.setattr(km, "SMALL_KM_COLS", 0)
     patch.setattr(platform, "ground_truth_affinity", reference_ground_truth_affinity)
@@ -725,13 +777,15 @@ def assert_batched_scoring_matches(case: tuple) -> None:
 ESTIMATE_CONTEXT_DIM = 4
 
 
-def _estimate_case_estimator(kind: str, rng: np.random.Generator):
+def _estimate_case_estimator(kind: str, rng: np.random.Generator, explore_run: int):
     """A small, partly trained estimator of ``kind`` for the batch property.
 
     Warm-up days estimate and feed back a random subset of a broker pool,
     so the batch under test meets every route: global coverage (no warm-up
     days), epsilon draws, structured personal exploration, the generic
-    fallback (too little broker history) and personalized UCB.
+    fallback (too little broker history) and personalized UCB.  With an
+    ``explore_run`` a personalized estimator explores at least once per
+    broker, so the run's fresh brokers never score.
     """
     from repro.bandits import (
         NeuralThompsonBandit,
@@ -763,7 +817,7 @@ def _estimate_case_estimator(kind: str, rng: np.random.Generator):
             base,
             min_triples=int(rng.integers(1, 3)),
             mode=kind,
-            personal_explore=int(rng.integers(0, 3)),
+            personal_explore=max(int(rng.integers(0, 3)), int(explore_run > 0)),
         )
     pool = int(rng.integers(1, 40))
     for _ in range(int(rng.integers(0, 4))):
@@ -785,31 +839,45 @@ def assert_batched_estimate_matches(case: tuple) -> None:
 
     Two deep copies of one estimator decide the same broker rows — one
     through the block kernel of :meth:`CapacityEstimator.estimate_batch`,
-    one by calling ``estimate`` per row — and must end with identical
-    capacities, bitwise-equal ``_d_diag`` / ``_d_inv``, ``_arm_pulls``,
-    personal ``_pull_count`` and RNG state, and scores within
-    :data:`BATCHED_MLP_RTOL`.  With ``audit`` on, both must record the same
-    ``(broker, capacity, rule)`` notes with mean/bonus within tolerance.
+    one by calling ``estimate`` per row with every covariance update
+    applied at once by :func:`reference_commit` and every personalization
+    row rebuilt by :func:`reference_history_design` — and must end with
+    identical capacities, bitwise-equal ``_d_diag`` / ``_d_inv``,
+    ``_arm_pulls``, personal ``_pull_count`` and RNG state, and scores
+    within :data:`BATCHED_MLP_RTOL`.  With ``audit`` on, both must record
+    the same ``(broker, capacity, rule)`` notes with mean/bonus within
+    tolerance.
 
     Args:
-        case: ``(kind, num_brokers, audit, seed)`` — kind is one of
-            ``"nnucb"``, ``"residual"``, ``"linear"``, ``"thompson"`` or
-            ``"full"`` (see :func:`repro.check.property.random_estimate_case`).
+        case: ``(kind, num_brokers, audit, seed, explore_run)`` — kind is
+            one of ``"nnucb"``, ``"residual"``, ``"linear"``,
+            ``"thompson"`` or ``"full"``; the batch opens with
+            ``explore_run`` never-seen brokers, whose commits a
+            personalized estimator queues without scoring, before its
+            ``num_brokers`` drawn rows (see
+            :func:`repro.check.property.random_estimate_case`).
     """
     import copy
+    import functools
 
     from repro.obs.audit import AuditConfig, DecisionAudit
     from repro.obs.telemetry import Telemetry, use as use_telemetry
 
-    kind, num_brokers, audit, seed = case
+    kind, num_brokers, audit, seed, explore_run = case
     rng = np.random.default_rng(seed)
-    estimator = _estimate_case_estimator(kind, rng)
-    contexts = rng.normal(size=(num_brokers, ESTIMATE_CONTEXT_DIM))
-    broker_ids = rng.integers(0, 48, size=num_brokers)
+    estimator = _estimate_case_estimator(kind, rng, explore_run)
+    contexts = rng.normal(size=(explore_run + num_brokers, ESTIMATE_CONTEXT_DIM))
+    broker_ids = np.concatenate(
+        [1000 + np.arange(explore_run), rng.integers(0, 48, size=num_brokers)]
+    )
 
     def run(batched: bool):
         twin = copy.deepcopy(estimator)
         base = getattr(twin, "base", twin)
+        if not batched:
+            base._commit = functools.partial(reference_commit, base)
+            if twin is not base:
+                twin._history_design = functools.partial(reference_history_design, twin)
         scores: list[np.ndarray] = []
         combine = base.combine_scores
 
@@ -831,7 +899,9 @@ def assert_batched_estimate_matches(case: tuple) -> None:
 
     batched, batched_base, got, got_scores, got_notes = run(True)
     looped, looped_base, expected, expected_scores, expected_notes = run(False)
-    where = f"{kind} estimator, {num_brokers} brokers, audit={audit}, seed={seed}"
+    where = (
+        f"{kind} estimator, {explore_run} + {num_brokers} brokers, audit={audit}, seed={seed}"
+    )
     if not np.array_equal(got, expected):
         raise AssertionError(f"capacities differ on {where}: {got!r} vs {expected!r}")
     for name in ("_d_diag", "_d_inv", "_arm_pulls"):

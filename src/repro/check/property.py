@@ -272,20 +272,42 @@ def random_mlp_case(
 ESTIMATOR_KINDS = ("nnucb", "residual", "linear", "thompson", "full")
 
 
-def random_estimate_case(rng: np.random.Generator) -> tuple[str, int, bool, int]:
-    """A ``(kind, num_brokers, audit, seed)`` batched-estimate case.
+def random_estimate_case(rng: np.random.Generator) -> tuple[str, int, bool, int, int]:
+    """A ``(kind, num_brokers, audit, seed, explore_run)`` batched-estimate case.
 
     Batch sizes sit on the scoring-block edges — 0, 1, ``SCORING_BLOCK``
     minus one, exactly one block and one past it — where an off-by-one in
-    the blocked passes would show; the seed builds the estimator and its
-    warm-up history (:func:`repro.check.differential.assert_batched_estimate_matches`).
+    the blocked passes would show.  The batch opens with a run of
+    never-seen brokers whose commits queue without scoring; run lengths
+    sit on the commit-queue and scoring-block edges, so a bonus that reads
+    ``D`` before the queue is flushed would show.  The seed builds the
+    estimator and its warm-up history
+    (:func:`repro.check.differential.assert_batched_estimate_matches`).
     """
-    from repro.bandits.neural_ucb import SCORING_BLOCK
+    from repro.bandits.neural_ucb import COMMIT_BLOCK, SCORING_BLOCK
 
     kind = ESTIMATOR_KINDS[int(rng.integers(len(ESTIMATOR_KINDS)))]
     sizes = (0, 1, SCORING_BLOCK - 1, SCORING_BLOCK, SCORING_BLOCK + 1)
     num_brokers = sizes[int(rng.integers(len(sizes)))]
-    return kind, num_brokers, bool(rng.integers(2)), int(rng.integers(0, 2**31))
+    runs = (
+        0,
+        1,
+        COMMIT_BLOCK - 1,
+        COMMIT_BLOCK,
+        COMMIT_BLOCK + 1,
+        SCORING_BLOCK - 1,
+        SCORING_BLOCK,
+        SCORING_BLOCK + 1,
+        2 * SCORING_BLOCK + 1,
+    )
+    explore_run = runs[int(rng.integers(len(runs)))]
+    return (
+        kind,
+        num_brokers,
+        bool(rng.integers(2)),
+        int(rng.integers(0, 2**31)),
+        explore_run,
+    )
 
 
 def random_platform_case(rng: np.random.Generator) -> tuple[dict, int]:

@@ -9,8 +9,8 @@ manual backprop that exposes
 
 - batched forward / backward passes for supervised training (Eq. 6) with
   the :class:`~repro.nn.optimizers.Adam` update,
-- the exact one-row gradient :meth:`~repro.nn.MLP.sample_gradient` behind
-  the covariance update,
+- exact per-sample gradients, a block of rows at a time
+  (:meth:`~repro.nn.MLP.sample_gradients`), behind the covariance update,
 - cache-free batched forward/backward parts (per-layer activations and
   back-propagated signals) from which per-sample gradients can be reduced
   without materializing them,

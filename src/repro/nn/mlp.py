@@ -7,7 +7,7 @@ Implements the reward mapping function of Eq. 4,
 with manual backpropagation.  Beyond ordinary supervised training, the
 NN-enhanced UCB policy (Eq. 5) needs the flattened per-sample gradient
 ``g_theta(x, c)`` of the scalar output with respect to every parameter:
-:meth:`MLP.sample_gradient` computes it for one row and
+:meth:`MLP.sample_gradients` computes it exactly for a block of rows and
 :meth:`MLP.forward_backward` provides the parts to reduce it for a batch.
 """
 
@@ -41,6 +41,13 @@ class MLP:
             for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:])
         ]
         self._relu_masks: list[np.ndarray] = []
+        # Reused output of :meth:`sample_gradients`; never copied or pickled.
+        self._gradient_scratch: np.ndarray | None = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_gradient_scratch"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Shape bookkeeping
@@ -130,40 +137,61 @@ class MLP:
     def sample_gradient(self, x: np.ndarray) -> np.ndarray:
         """Exact per-sample gradient ``g_theta(x) = grad_theta S_theta(x)``.
 
-        Laid out in :meth:`param_vector` order.  Runs the same one-row
-        operations in the same shapes as the :meth:`forward` /
-        :meth:`backward` pair — including accumulating into a zeroed
-        buffer — so the result is bitwise the oracle
-        :func:`repro.check.differential.param_gradient`, but the layers'
-        training-gradient buffers, input caches and relu masks are never
-        touched (nothing to save or restore).  This is the gradient the
-        NN-UCB covariance update consumes.
+        Laid out in :meth:`param_vector` order: the one-row call of
+        :meth:`sample_gradients`, returned as a fresh array.  Adding
+        ``0.0`` turns the kernel's ``-0.0`` products into the ``+0.0`` that
+        accumulating into a zeroed buffer gives, so the result is bitwise
+        the oracle :func:`repro.check.differential.param_gradient`.
+        """
+        return self.sample_gradients(np.atleast_2d(np.asarray(x, dtype=float)))[0] + 0.0
+
+    def sample_gradients(self, rows: np.ndarray) -> np.ndarray:
+        """Per-sample gradients of ``K`` rows, each bitwise its one-row pass.
+
+        The one-row passes run as stacked ``(K, 1, n) @ W^T`` matmuls, which
+        NumPy evaluates as ``K`` one-row products (a plain ``(K, n)`` GEMM
+        associates its sums differently; ``tests/nn/test_mlp.py`` holds the
+        contract).  Every ``delta (x) a`` weight entry is one exact
+        elementwise product, and the bias entries are ``delta`` itself, so
+        row ``k`` equals :meth:`sample_gradient` of ``rows[k]`` up to the
+        sign of zero entries.
+
+        Returns a ``(K, num_params)`` view of a scratch buffer the network
+        reuses: the next call overwrites it.  The layers' training caches
+        are not touched.
         """
         if self.output_dim != 1:
             raise ValueError("sample_gradient requires a scalar-output network")
-        out = np.atleast_2d(np.asarray(x, dtype=float))
-        inputs: list[np.ndarray] = []
+        rows = np.asarray(rows, dtype=float)
+        count = rows.shape[0]
+        if self._gradient_scratch is None or self._gradient_scratch.shape[0] < count:
+            self._gradient_scratch = np.empty((count, self.num_params))
+        gradients = self._gradient_scratch[:count]
+        activation = rows.reshape(count, 1, -1)
+        activations = [activation]
         masks: list[np.ndarray] = []
         for layer in self.layers[:-1]:
-            inputs.append(out)
-            out = out @ layer.weight.T + layer.bias
-            mask = out > 0.0
+            activation = activation @ layer.weight.T + layer.bias
+            mask = activation > 0.0
             masks.append(mask)
-            out = out * mask
-        inputs.append(out)
-        gradient = np.zeros(self.num_params)
-        end = gradient.size
-        grad = np.ones((1, 1))
+            activation = activation * mask
+            activations.append(activation)
+        signal = np.ones((count, 1, 1))
+        end = self.num_params
         for index in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[index]
             bias_start = end - layer.bias.size
             weight_start = bias_start - layer.weight.size
-            gradient[weight_start:bias_start] += (grad.T @ inputs[index]).ravel()
-            gradient[bias_start:end] += grad.sum(axis=0)
+            np.multiply(
+                signal.transpose(0, 2, 1),
+                activations[index],
+                out=gradients[:, weight_start:bias_start].reshape(count, *layer.weight.shape),
+            )
+            gradients[:, bias_start:end] = signal[:, 0, :]
             end = weight_start
             if index > 0:
-                grad = (grad @ layer.weight) * masks[index - 1]
-        return gradient
+                signal = (signal @ layer.weight) * masks[index - 1]
+        return gradients
 
     def forward_backward(
         self, x: np.ndarray

@@ -213,7 +213,7 @@ def test_batched_estimate_matches_loop_past_one_block(kind, audit):
 
     for seed in range(3):
         differential.assert_batched_estimate_matches(
-            (kind, SCORING_BLOCK + 1, audit, seed)
+            (kind, SCORING_BLOCK + 1, audit, seed, 0)
         )
 
 
@@ -241,7 +241,7 @@ def test_batched_estimate_assert_catches_misaligned_block(monkeypatch):
     monkeypatch.setattr(neural_ucb.ArmBlocks, "__call__", shifted)
     with pytest.raises(AssertionError):
         for seed in range(5):
-            differential.assert_batched_estimate_matches(("nnucb", 65, False, seed))
+            differential.assert_batched_estimate_matches(("nnucb", 65, False, seed, 0))
 
 
 # ----------------------------------------------------------------------

@@ -247,3 +247,69 @@ def test_forward_backward_outputs_are_bitwise_predict(rng):
         (reference**2 * weights).sum(axis=1),
         rtol=1e-12,
     )
+
+
+# ----------------------------------------------------------------------
+# The block kernel behind the covariance commit
+# ----------------------------------------------------------------------
+#: The bandit MLP's layer shapes (``fan_out, fan_in``) on the default
+#: (64, 16) hidden layers and an 82-wide input.
+BANDIT_LAYER_SHAPES = ((64, 82), (16, 64), (1, 16))
+
+
+def _bits(array: np.ndarray) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 2, 63, 64, 65])
+def test_stacked_one_row_matmuls_are_bitwise_one_row_products(count, rng):
+    """The premise of ``MLP.sample_gradients``: NumPy evaluates a stacked
+    ``(K, 1, n) @ W`` as ``K`` one-row products, bit for bit, on the bandit
+    net's forward (``a @ W.T``) and backward (``delta @ W``) shapes, with
+    dead-ReLU (all-zero) rows and ``-0.0`` entries among the inputs."""
+    for fan_out, fan_in in BANDIT_LAYER_SHAPES:
+        weight = rng.normal(size=(fan_out, fan_in))
+        for matrix, width in ((weight.T, fan_in), (weight, fan_out)):
+            rows = rng.normal(size=(count, width))
+            rows[rng.random(rows.shape) < 0.3] = 0.0
+            rows[rng.random(rows.shape) < 0.1] = -0.0
+            rows[count // 2] = 0.0
+            stacked = (rows[:, None, :] @ matrix)[:, 0, :]
+            one_row = np.concatenate([rows[k : k + 1] @ matrix for k in range(count)])
+            assert _bits(stacked) == _bits(one_row), (
+                f"numpy {np.__version__}: a stacked ({count}, 1, {width}) @ "
+                f"{matrix.shape} matmul is not bitwise {count} one-row products "
+                "on this NumPy/BLAS build; MLP.sample_gradients relies on it for "
+                "a covariance D bit-identical to the per-broker oracle"
+            )
+
+
+@pytest.mark.parametrize("count", [1, 2, 63, 64, 65])
+def test_sample_gradients_rows_are_bitwise_param_gradient(count, rng):
+    network = MLP([82, 64, 16, 1], rng)
+    for layer in network.layers:
+        layer.bias[:] = rng.normal(size=layer.bias.shape)
+    rows = rng.normal(size=(count, 82))
+    rows[rng.random(rows.shape) < 0.1] = -0.0
+    rows[count // 2] = -5.0  # drives most hidden units dead
+    block = network.sample_gradients(rows)
+    assert block.shape == (count, network.num_params)
+    for row, gradient in zip(rows, block):
+        reference = param_gradient(network, row)
+        assert _bits(gradient + 0.0) == _bits(reference)
+        assert _bits(gradient**2) == _bits(reference**2)
+        assert _bits(network.sample_gradient(row)) == _bits(reference)
+
+
+def test_sample_gradients_reuses_one_buffer_that_copies_leave_out(rng):
+    import copy
+    import pickle
+
+    network = MLP([6, 8, 1], rng)
+    first = network.sample_gradients(rng.normal(size=(4, 6)))
+    second = network.sample_gradients(rng.normal(size=(3, 6)))
+    assert np.shares_memory(first, second)
+    for twin in (copy.deepcopy(network), pickle.loads(pickle.dumps(network))):
+        assert twin._gradient_scratch is None
+        row = rng.normal(size=6)
+        assert _bits(twin.sample_gradient(row)) == _bits(network.sample_gradient(row))
