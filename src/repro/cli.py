@@ -64,17 +64,22 @@ from repro.simulation import SyntheticConfig, generate_city
 log = get_logger("cli")
 
 
-def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--brokers", type=_positive_int, default=200, help="number of brokers |B|")
-    parser.add_argument("--requests", type=_positive_int, default=8000, help="number of requests |R|")
-    parser.add_argument("--days", type=_positive_int, default=14, help="covering days")
+def _add_config_arguments(
+    parser: argparse.ArgumentParser, brokers: int = 200, requests: int = 8000, days: int = 14
+) -> None:
+    parser.add_argument(
+        "--brokers", type=_positive_int, default=brokers, help="number of brokers |B|"
+    )
+    parser.add_argument(
+        "--requests", type=_positive_int, default=requests, help="number of requests |R|"
+    )
+    parser.add_argument("--days", type=_positive_int, default=days, help="covering days")
     parser.add_argument(
         "--imbalance", type=_finite_positive_float, default=0.015,
         help="sigma = |R|/|B| per batch",
     )
     parser.add_argument("--seed", type=int, default=7, help="matcher seed")
     parser.add_argument("--instance-seed", type=int, default=1, help="city generation seed")
-    _add_jobs_argument(parser)
 
 
 def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
@@ -593,6 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="run the algorithm roster on a synthetic city")
     _add_config_arguments(compare)
+    _add_jobs_argument(compare)
     compare.add_argument(
         "--algorithms", nargs="+", default=list(ALGORITHM_NAMES), choices=ALGORITHM_NAMES
     )
@@ -603,6 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_cmd = sub.add_parser("sweep", help="one Fig. 8 column")
     _add_config_arguments(sweep_cmd)
+    _add_jobs_argument(sweep_cmd)
     sweep_cmd.add_argument("factor", choices=("num_brokers", "num_requests", "num_days", "imbalance"))
     sweep_cmd.add_argument("values", nargs="+", type=float)
     sweep_cmd.add_argument(
@@ -629,12 +636,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     motivate = sub.add_parser("motivate", help="the Sec. II measurement study")
     _add_config_arguments(motivate)
+    _add_jobs_argument(motivate)
     motivate.set_defaults(func=_cmd_motivate)
 
     develop = sub.add_parser(
         "develop", help="the Matthew-effect study under learning-by-doing"
     )
     _add_config_arguments(develop)
+    _add_jobs_argument(develop)
     develop.add_argument("--growth", type=float, default=0.02, help="learning-by-doing rate")
     develop.add_argument(
         "--algorithms", nargs="+", default=["Top-3", "RR", "LACB-Opt"], choices=ALGORITHM_NAMES
@@ -644,15 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="event-driven serving mode (micro-batched matching)"
     )
-    serve.add_argument("--brokers", type=_positive_int, default=50, help="number of brokers |B|")
-    serve.add_argument("--requests", type=_positive_int, default=2000, help="number of requests |R|")
-    serve.add_argument("--days", type=_positive_int, default=7, help="covering days")
-    serve.add_argument(
-        "--imbalance", type=_finite_positive_float, default=0.015,
-        help="sigma = |R|/|B| per batch",
-    )
-    serve.add_argument("--seed", type=int, default=7, help="matcher seed")
-    serve.add_argument("--instance-seed", type=int, default=1, help="city generation seed")
+    _add_config_arguments(serve, brokers=50, requests=2000, days=7)
     serve.add_argument(
         "--algorithms", nargs="+", default=["Top-3", "AN", "LACB", "LACB-Opt"],
         choices=ALGORITHM_NAMES,

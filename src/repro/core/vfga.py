@@ -141,16 +141,6 @@ class ValueFunctionGuidedAssigner:
             The batch assignment ``M^(i)``; workloads and the value function
             are updated as a side effect.
         """
-        with obs.span("vfga.assign_batch"):
-            return self._assign_batch(day, batch, request_ids, utilities)
-
-    def _assign_batch(
-        self,
-        day: int,
-        batch: int,
-        request_ids: np.ndarray,
-        utilities: np.ndarray,
-    ) -> Assignment:
         request_ids = np.asarray(request_ids, dtype=int)
         utilities = np.asarray(utilities, dtype=float)
         if utilities.shape != (request_ids.size, self.num_brokers):

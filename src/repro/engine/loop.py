@@ -47,12 +47,19 @@ decision time.  This reproduces the paper's running-time axis, which
 measures algorithm time, not simulator time.  Hooks receive the measured
 ``matcher_seconds`` on each event and must not re-time anything themselves;
 :class:`~repro.engine.hooks.DecisionTimer` is the canonical accumulator.
+
+With telemetry off, a matcher call costs two clock reads.  With it on,
+the call runs inside a live ``engine.<call>`` span opened before the clock
+starts, so every span the matcher records nests under it; the span closes
+with the engine's tick, its ``matcher_seconds`` bit for bit and the call's
+CPU seconds, the only ``process_time`` reads the loop makes.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -61,6 +68,7 @@ if TYPE_CHECKING:  # imported lazily to keep the engine import-light
     from repro.algorithms.base import Matcher
     from repro.core.types import Assignment, DayOutcome
     from repro.engine.hooks import RunHook
+    from repro.obs.telemetry import Telemetry
     from repro.simulation.platform import RealEstatePlatform
 
 
@@ -91,13 +99,11 @@ class DayStartEvent:
         day: day index.
         contexts: the day's broker working-status contexts ``x_b``.
         matcher_seconds: wall-clock seconds spent inside ``begin_day``.
-        matcher_cpu_seconds: CPU seconds (``process_time``) of the same call.
     """
 
     day: int
     contexts: np.ndarray
     matcher_seconds: float
-    matcher_cpu_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,6 @@ class BatchAssignedEvent:
         assignment: the matching ``M^(i)`` the matcher produced.
         matcher_seconds: wall-clock seconds spent inside ``assign_batch``
             (excludes ``predicted_utilities`` and ``submit_assignment``).
-        matcher_cpu_seconds: CPU seconds (``process_time``) of the same call.
     """
 
     day: int
@@ -120,7 +125,6 @@ class BatchAssignedEvent:
     utilities: np.ndarray
     assignment: Assignment
     matcher_seconds: float
-    matcher_cpu_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -132,14 +136,12 @@ class DayEndEvent:
         outcome: the platform's realized end-of-day feedback.
         contexts: the contexts the day started with.
         matcher_seconds: wall-clock seconds spent inside ``end_day``.
-        matcher_cpu_seconds: CPU seconds (``process_time``) of the same call.
     """
 
     day: int
     outcome: DayOutcome
     contexts: np.ndarray
     matcher_seconds: float
-    matcher_cpu_seconds: float = 0.0
 
 
 @dataclass
@@ -182,8 +184,11 @@ class DayLoopEngine:
         Returns:
             The run's :class:`RunContext` (also handed to every hook).
         """
+        from repro.obs.telemetry import current
+
+        telemetry = current()
         hooks = tuple(hooks)
-        hooks += _telemetry_hooks(hooks)
+        hooks += _telemetry_hooks(hooks, telemetry)
         hooks += _check_hooks(hooks)
         if not 0 <= start_day <= platform.num_days:
             raise ValueError(
@@ -201,13 +206,18 @@ class DayLoopEngine:
         for hook in hooks:
             hook.on_run_start(context)
 
-        timed = self._timed
+        clock, traced = self.clock, partial(self._traced, telemetry, matcher)
         try:
             for day in range(start_day, context.num_days):
-                _set_observed_day(day)
+                _set_observed_day(telemetry, day)
                 contexts = platform.start_day(day)
-                _, seconds, cpu = timed(matcher.begin_day, day, contexts)
-                day_event = DayStartEvent(day, contexts, seconds, cpu)
+                if telemetry is None:
+                    tick = clock()
+                    matcher.begin_day(day, contexts)
+                    seconds = clock() - tick
+                else:
+                    _, seconds = traced("begin_day", (day, contexts), day=str(day))
+                day_event = DayStartEvent(day, contexts, seconds)
                 for hook in hooks:
                     hook.on_day_start(day_event)
 
@@ -219,43 +229,59 @@ class DayLoopEngine:
                         # Environment work: the deployed model's predictions are
                         # computed outside the matcher clock by construction.
                         utilities = platform.predicted_utilities(request_ids)
-                        assignment, seconds, cpu = timed(
-                            matcher.assign_batch, day, batch, request_ids, utilities
-                        )
+                        if telemetry is None:
+                            tick = clock()
+                            assignment = matcher.assign_batch(day, batch, request_ids, utilities)
+                            seconds = clock() - tick
+                        else:
+                            assignment, seconds = traced(
+                                "assign_batch", (day, batch, request_ids, utilities),
+                                day=str(day), batch=str(batch),
+                            )
                         platform.submit_assignment(assignment)
                         self._served(seconds)
                         batch_event = BatchAssignedEvent(
-                            day, batch, request_ids, utilities, assignment, seconds, cpu
+                            day, batch, request_ids, utilities, assignment, seconds
                         )
                         for hook in hooks:
                             hook.on_batch_assigned(batch_event)
 
                 outcome = platform.finish_day()
-                _, seconds, cpu = timed(matcher.end_day, day, outcome, contexts)
-                end_event = DayEndEvent(day, outcome, contexts, seconds, cpu)
+                if telemetry is None:
+                    tick = clock()
+                    matcher.end_day(day, outcome, contexts)
+                    seconds = clock() - tick
+                else:
+                    _, seconds = traced("end_day", (day, outcome, contexts), day=str(day))
+                end_event = DayEndEvent(day, outcome, contexts, seconds)
                 for hook in hooks:
                     hook.on_day_end(end_event)
         except BaseException:
             # An interrupt (StopAfterDay) or a fault: no run-end event, but
             # hooks still release what they scoped to this run.
-            _set_observed_day(-1)
+            _set_observed_day(telemetry, -1)
             for hook in hooks:
                 hook.on_run_abort(context)
             raise
 
-        _set_observed_day(-1)
+        _set_observed_day(telemetry, -1)
         self._finish(context)
         for hook in hooks:
             hook.on_run_end(context)
         return context
 
-    def _timed(self, call: Callable, *args) -> tuple[object, float, float]:
-        """``call(*args)`` on the matcher clock: ``(result, seconds, cpu_seconds)``."""
-        cpu_tick = time.process_time()
-        tick = self.clock()
-        result = call(*args)
-        seconds = self.clock() - tick
-        return result, seconds, time.process_time() - cpu_tick
+    def _traced(
+        self, telemetry: Telemetry, matcher: Matcher, call: str, args: tuple, **attrs: str
+    ) -> tuple[object, float]:
+        """``matcher.<call>(*args)`` on the matcher clock inside its live
+        ``engine.<call>`` span (see "Timing seam"): ``(result, seconds)``."""
+        with telemetry.measured_span(f"engine.{call}", **attrs) as span:
+            cpu_tick = time.process_time()
+            tick = self.clock()
+            result = getattr(matcher, call)(*args)
+            seconds = self.clock() - tick
+            span.measured(tick, seconds, time.process_time() - cpu_tick)
+        return result, seconds
 
     def _split(
         self, day: int, batch: int, request_ids: np.ndarray
@@ -270,8 +296,8 @@ class DayLoopEngine:
         """Called after the last day, before the run-end hooks fire."""
 
 
-def _set_observed_day(day: int) -> None:
-    """Stamp the executing day onto the active tracer (no-op when off).
+def _set_observed_day(telemetry: Telemetry | None, day: int) -> None:
+    """Stamp the executing day onto the run's tracer (no-op when off).
 
     Interior spans (KM solve, CBS pruning, bandit predict/update) open
     during matcher calls, before any lifecycle event fires — so per-day
@@ -279,26 +305,21 @@ def _set_observed_day(day: int) -> None:
     tracer instead, and every span finished while it is set carries it
     (see :attr:`repro.obs.tracing.SpanRecord.day`).
     """
-    from repro.obs.telemetry import current
-
-    telemetry = current()
     if telemetry is not None:
         telemetry.tracer.day = day
 
 
-def _telemetry_hooks(hooks: tuple) -> tuple:
-    """The auto-attached telemetry hook, if telemetry is on for this process.
+def _telemetry_hooks(hooks: tuple, telemetry: Telemetry | None) -> tuple:
+    """The auto-attached telemetry hook, if telemetry is on for this run.
 
     Imported lazily: :mod:`repro.obs.hook` depends on this module's event
     types, so a top-level import would be circular.  With telemetry off
-    (the default) the cost is one ``sys.modules`` lookup per run.
+    (the default) nothing is imported.
     """
-    from repro.obs.hook import TelemetryHook
-    from repro.obs.telemetry import current
-
-    telemetry = current()
     if telemetry is None:
         return ()
+    from repro.obs.hook import TelemetryHook
+
     if any(isinstance(hook, TelemetryHook) for hook in hooks):
         return ()
     return (TelemetryHook(telemetry),)

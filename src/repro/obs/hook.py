@@ -1,13 +1,12 @@
-"""TelemetryHook: the bridge from engine lifecycle events to metrics/spans.
+"""TelemetryHook: the bridge from engine lifecycle events to metrics.
 
-The day-loop engine measures matcher seconds itself (the timing seam of
-:mod:`repro.engine.loop`); this hook never re-times anything.  It books the
-engine-measured ``matcher_seconds`` into per-phase distributions
-(``engine.begin_day`` / ``engine.assign_batch`` / ``engine.end_day`` —
-their sums add up exactly to ``RunResult.decision_time``), synthesizes the
-corresponding spans for the Chrome trace (carrying the engine-measured CPU
-seconds), and accumulates the workload / utility / assignment
-distributions the paper's figures are built from.
+The day-loop engine times matcher calls itself and, with telemetry on,
+records each as a live ``engine.*`` phase span (the timing seam of
+:mod:`repro.engine.loop`); the spans' ``span.engine.*`` distributions add
+up exactly to ``RunResult.decision_time``.  This hook never times or
+records a phase: it reads those series for its progress fields and
+accumulates the workload / utility / assignment distributions the
+paper's figures are built from.
 
 When the owning :class:`~repro.obs.telemetry.Telemetry` carries a
 :class:`~repro.obs.stream.TelemetryStreamWriter`, the hook additionally
@@ -30,9 +29,10 @@ import time
 import numpy as np
 
 from repro.engine.hooks import RunHook
-from repro.engine.loop import BatchAssignedEvent, DayEndEvent, DayStartEvent, RunContext
+from repro.engine.loop import BatchAssignedEvent, DayEndEvent, RunContext
 from repro.obs.alerts import AlertMonitor
 from repro.obs.audit import DecisionAudit
+from repro.obs.profile import ENGINE_PHASES
 from repro.obs.quality import QualityMonitor
 from repro.obs.telemetry import Telemetry
 
@@ -64,9 +64,9 @@ class TelemetryHook(RunHook):
         # every batch, and per-call registry lookups (label sorting, key
         # construction) would dominate the telemetry overhead budget.
         registry, labels = telemetry.registry, telemetry.labels()
-        self._begin_day = registry.distribution("engine.begin_day", **labels)
-        self._assign_batch = registry.distribution("engine.assign_batch", **labels)
-        self._end_day = registry.distribution("engine.end_day", **labels)
+        self._begin_day, self._assign_batch, self._end_day = (
+            registry.distribution(f"span.{phase}", **labels) for phase in ENGINE_PHASES
+        )
         self._batches = registry.counter("engine.batches", **labels)
         self._assignments = registry.counter("engine.assignments", **labels)
         self._days = registry.counter("engine.days", **labels)
@@ -96,24 +96,7 @@ class TelemetryHook(RunHook):
                 telemetry.audit, context.batches_per_day, context.matcher.name
             )
 
-    def on_day_start(self, event: DayStartEvent) -> None:
-        self._begin_day.observe(event.matcher_seconds)
-        self.telemetry.record_span(
-            "engine.begin_day",
-            event.matcher_seconds,
-            cpu=event.matcher_cpu_seconds,
-            day=str(event.day),
-        )
-
     def on_batch_assigned(self, event: BatchAssignedEvent) -> None:
-        self._assign_batch.observe(event.matcher_seconds)
-        self.telemetry.record_span(
-            "engine.assign_batch",
-            event.matcher_seconds,
-            cpu=event.matcher_cpu_seconds,
-            day=str(event.day),
-            batch=str(event.batch),
-        )
         self._batches.inc()
         self._assignments.inc(len(event.assignment))
         self._batch_requests.observe(event.request_ids.size)
@@ -121,13 +104,6 @@ class TelemetryHook(RunHook):
         self._quality.on_batch(event)
 
     def on_day_end(self, event: DayEndEvent) -> None:
-        self._end_day.observe(event.matcher_seconds)
-        self.telemetry.record_span(
-            "engine.end_day",
-            event.matcher_seconds,
-            cpu=event.matcher_cpu_seconds,
-            day=str(event.day),
-        )
         self._days.inc()
         outcome = event.outcome
         self._day_utility.observe(float(outcome.total_realized_utility))

@@ -1,30 +1,22 @@
 """Phase profiler: deterministic wall/CPU attribution over the span stream.
 
-The tracer (:mod:`repro.obs.tracing`) records two kinds of spans.  *Live*
-spans close via context manager, so the single-threaded tracer appends
-them in strict post-order — a record at depth ``d`` is the parent of the
-immediately preceding unclaimed records at depth ``d + 1``.  *Synthesized*
-engine-phase spans (``engine.begin_day`` / ``assign_batch`` / ``end_day``)
-are booked by the telemetry hook *after* the timed matcher call returned,
-so they appear after their interior spans at the same depth.  The profiler
-reconstructs one tree from both: an engine-phase record adopts, besides
-its depth children, every same-depth record still unclaimed — exactly the
-live roots that finished since the previous engine phase.
+Every span the tracer (:mod:`repro.obs.tracing`) records is live: it is
+appended when its context manager exits, so the single-threaded tracer
+appends in strict post-order — a record at depth ``d`` is the parent of
+the immediately preceding unclaimed records at depth ``d + 1``.  The
+engine phases (``engine.begin_day`` / ``assign_batch`` / ``end_day``) are
+such spans, opened around each matcher call, so the matcher's interior
+spans are their children and spans other hooks record between matcher
+calls (checkpoint writes, invariant checks) are roots of their own.
 
-Append order, not timestamps, drives the reconstruction: synthesized spans
-are time-shifted (their window starts at ``now - duration`` after event
-dispatch), so temporal containment is unreliable, but the single-threaded
-append order is exact.  One consequence is documented rather than fought:
-spans recorded by *other hooks* between the matcher call and the telemetry
-event (checkpoint writes, invariant checks) are adopted by the enclosing
-engine phase frame — visually "work done at that point of the day", with
-self time clamped at zero.
+Append order, not timestamps, drives the reconstruction; the stream keeps
+spans in append order.
 
 Per-day attribution comes from :attr:`SpanRecord.day`, stamped by the day
 loop, and per-algorithm attribution from the span's ``algorithm`` attr,
 stamped by the telemetry layer — so every table here is a pure function
 of the recorded spans: byte-identical spans give byte-identical profiles.
-CPU seconds are measured on the engine phases only; live spans record
+CPU seconds are measured on the engine phases only; other spans record
 wall time and report CPU as unknown.
 
 Outputs:
@@ -46,9 +38,7 @@ from typing import Iterable, Sequence
 
 from repro.obs.tracing import SpanRecord
 
-#: Synthesized engine phases: their totals sum to
-#: ``RunResult.decision_time``, and they adopt unclaimed same-depth spans
-#: during tree reconstruction.
+#: The engine's phase spans: their totals sum to ``RunResult.decision_time``.
 ENGINE_PHASES = ("engine.begin_day", "engine.assign_batch", "engine.end_day")
 
 
@@ -61,8 +51,9 @@ class ProfileNode:
 
     @property
     def self_seconds(self) -> float:
-        """Wall time not covered by children (clamped at zero: adopted
-        hook spans may exceed the engine-measured matcher window)."""
+        """Wall time not covered by children (clamped at zero: children
+        are timed by separate clock reads, so their sum can round above
+        the parent's duration)."""
         return max(0.0, self.record.duration - sum(c.record.duration for c in self.children))
 
 
@@ -79,27 +70,13 @@ def build_forest(records: Iterable[SpanRecord]) -> list[ProfileNode]:
 
 def _build_lane(records: Sequence[SpanRecord]) -> list[ProfileNode]:
     # pending[d]: completed, not-yet-claimed nodes at depth d, in order.
+    # What is left unclaimed are the roots (and, in a stream cut short,
+    # the children of spans that never closed), shallowest first.
     pending: dict[int, list[ProfileNode]] = {}
     for record in records:
-        depth = record.depth
-        children = pending.pop(depth + 1, [])
-        if record.name in ENGINE_PHASES:
-            # The engine phase closed after its interior spans: adopt the
-            # unclaimed same-depth nodes (the live roots since the previous
-            # engine phase) in addition to ordinary depth children.  Earlier
-            # engine phases stay siblings — they partition decision time and
-            # must never nest under each other.
-            same_depth = pending.get(depth, [])
-            adopted = [n for n in same_depth if n.record.name not in ENGINE_PHASES]
-            if adopted:
-                pending[depth] = [n for n in same_depth if n.record.name in ENGINE_PHASES]
-            children = adopted + children
-        pending.setdefault(depth, []).append(ProfileNode(record, children))
-    roots: list[ProfileNode] = []
-    for depth in sorted(pending):
-        roots.extend(pending[depth])
-    roots.sort(key=lambda node: node.record.start)
-    return roots
+        children = pending.pop(record.depth + 1, [])
+        pending.setdefault(record.depth, []).append(ProfileNode(record, children))
+    return [node for depth in sorted(pending) for node in pending[depth]]
 
 
 def _walk(forest: Iterable[ProfileNode]):

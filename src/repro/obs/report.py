@@ -4,12 +4,13 @@
 (see :mod:`repro.obs.stream`) plus ``DIR/manifest.json`` and prints
 
 - the manifest header (version, git SHA, platform, wall-clock),
-- a per-phase time breakdown: for every algorithm, the engine-measured
-  decision-time phases (``engine.begin_day`` / ``assign_batch`` /
-  ``end_day``) and the instrumented interior spans (KM solve, CBS pruning,
-  bandit predict/update, value-function updates), each with call counts,
-  totals, share of decision time and p50/p95/p99 latencies from the
-  mergeable quantile sketches, and
+- a per-phase time breakdown from the registry's ``span.*`` series: for
+  every algorithm, the engine phase spans that partition decision time
+  (``engine.begin_day`` / ``assign_batch`` / ``end_day``) and the
+  instrumented interior spans (KM solve, CBS pruning, bandit
+  predict/update, value-function updates), each with call counts, totals,
+  share of decision time and p50/p95/p99 latencies from the mergeable
+  quantile sketches, and
 - profiler sections built from the streamed spans in append order, per
   algorithm: top self-time hotspots and per-day engine-phase wall/CPU
   attribution (see :mod:`repro.obs.profile`).
@@ -75,10 +76,10 @@ def load_spans(directory) -> list[SpanRecord]:
 
 
 def decision_time_by_algorithm(registry: MetricsRegistry) -> dict[str, float]:
-    """Per algorithm, the summed engine phase totals (= decision seconds)."""
+    """Per algorithm, the summed engine phase span totals (= decision seconds)."""
     totals: dict[str, float] = {}
     for phase in ENGINE_PHASES:
-        for labels, metric in registry.find(phase):
+        for labels, metric in registry.find(f"span.{phase}"):
             algorithm = labels.get("algorithm", "")
             totals[algorithm] = totals.get(algorithm, 0.0) + metric.sum
     return totals
@@ -88,10 +89,11 @@ def phase_rows(registry: MetricsRegistry) -> list[tuple]:
     """Breakdown rows: (algorithm, phase, calls, total s, mean ms, share,
     p50 ms, p95 ms, p99 ms).
 
-    Engine phases come first (they partition decision time); interior spans
-    (``span.*`` distributions) follow, ordered by total descending.  Shares are
-    relative to the algorithm's decision time; interior spans nest inside
-    engine phases, so their shares are a drill-down, not a second sum.
+    Every row is a ``span.*`` distribution.  Engine phases come first (they
+    partition decision time); interior spans follow, ordered by total
+    descending.  Shares are relative to the algorithm's decision time;
+    interior spans nest inside engine phases, so their shares are a
+    drill-down, not a second sum.
     Percentiles come from each phase's quantile sketch — exact across
     process merges, so a ``jobs=8`` sweep reports the same tail latencies
     as the serial run.
@@ -100,18 +102,11 @@ def phase_rows(registry: MetricsRegistry) -> list[tuple]:
     engine_rows = []
     span_rows = []
     for name, labels, metric in registry.items():
-        if metric.kind != "distribution":
+        if metric.kind != "distribution" or not name.startswith("span."):
             continue
         algorithm = labels.get("algorithm", "")
-        if name in ENGINE_PHASES:
-            bucket, phase = engine_rows, name
-        elif name.startswith("span."):
-            phase = name[len("span."):]
-            if phase in ENGINE_PHASES:
-                continue  # the synthesized engine spans; already listed above
-            bucket = span_rows
-        else:
-            continue
+        phase = name[len("span."):]
+        bucket = engine_rows if phase in ENGINE_PHASES else span_rows
         total = decision.get(algorithm, 0.0)
         share = f"{metric.sum / total:7.1%}" if total > 0 else "      -"
         if metric.count:

@@ -14,7 +14,9 @@ matcher's display name, maintained by
 and metric as an ``algorithm`` label.  Spans double-book: each finished
 span also feeds a ``span.<name>`` distribution in the registry, so
 per-phase time totals survive the cross-segment registry merge even
-though raw span timestamps do not align across processes.
+though raw span timestamps do not align across processes.  The engine's
+phase spans are no exception: ``span.engine.begin_day`` /
+``assign_batch`` / ``end_day`` are the decision-time series.
 
 Activate with :func:`enable` / :func:`disable`, or scoped with::
 
@@ -105,13 +107,12 @@ class Telemetry:
             attrs["algorithm"] = self.run_label
         return _Span(self.tracer, name, attrs)
 
-    def record_span(
-        self, name: str, duration: float, cpu: float = -1.0, **attrs: str
-    ) -> None:
-        """Book an externally measured duration as a span ending now."""
+    def measured_span(self, name: str, **attrs: str):
+        """A live span its owner times (:meth:`Tracer.measured_span`),
+        labeled like :meth:`span`; the engine's phase spans."""
         if self.run_label and "algorithm" not in attrs:
             attrs["algorithm"] = self.run_label
-        self.tracer.record_span(name, duration, cpu=cpu, **attrs)
+        return self.tracer.measured_span(name, **attrs)
 
     def _book_span(self, record: SpanRecord) -> None:
         key = ("span", record.name)

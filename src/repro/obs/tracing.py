@@ -1,12 +1,17 @@
 """Span tracing: nested begin/end records and Chrome-trace rendering.
 
 A :class:`Tracer` collects :class:`SpanRecord` entries — one per completed
-span, with start offset, duration and nesting depth — from the
-context-manager :meth:`Tracer.span` API::
+span, with start offset, duration and nesting depth — from two
+context-manager APIs.  :meth:`Tracer.span` reads the tracer clock on entry
+and exit::
 
-    with tracer.span("vfga.assign_batch", algorithm="LACB-Opt"):
-        with tracer.span("matching.solve"):
+    with tracer.span("matching.solve", algorithm="LACB-Opt"):
+        with tracer.span("matching.cbs_prune"):
             ...
+
+:meth:`Tracer.measured_span` nests the same way but records its owner's
+timing — the day loop's engine phases.  A span is recorded as it closes,
+so records are in post-order: children first.
 
 Records leave the process in append order through the run's stream
 segment (:mod:`repro.obs.stream`); :func:`chrome_trace` renders any list
@@ -45,8 +50,8 @@ class SpanRecord:
             maintains — the substrate of per-day profiling).
         cpu: CPU seconds consumed inside the span; ``-1.0`` when
             unmeasured.  Only the engine phases carry it (the engine times
-            matcher calls on both clocks); live spans measure wall time
-            alone, because a ``process_time`` call per span is what
+            traced matcher calls on both clocks); other spans measure wall
+            time alone, because a ``process_time`` call per span is what
             telemetry would cost on hot paths.
         attrs: free-form string attributes (algorithm, day, ...).
     """
@@ -109,6 +114,24 @@ class _Span:
         tracer._finish(self.name, self._start, end - self._start, tracer._depth, self.attrs)
 
 
+class _MeasuredSpan(_Span):
+    """Context manager produced by :meth:`Tracer.measured_span`."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> _MeasuredSpan:
+        self._tracer._depth += 1
+        return self
+
+    def measured(self, start: float, duration: float, cpu: float = -1.0) -> None:
+        """Record the span with its owner's timing; called last in the block."""
+        tracer = self._tracer
+        tracer._finish(self.name, start, duration, tracer._depth - 1, self.attrs, cpu)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._tracer._depth -= 1
+
+
 class Tracer:
     """Collects nested span records on a monotonic clock.
 
@@ -141,19 +164,16 @@ class Tracer:
         """Open a nested span; closes (and records) on context exit."""
         return _Span(self, name, attrs)
 
-    def record_span(
-        self, name: str, duration: float, cpu: float = -1.0, **attrs: str
-    ) -> SpanRecord:
-        """Record an already-measured span ending now.
+    def measured_span(self, name: str, **attrs: str) -> _MeasuredSpan:
+        """Open a nested span whose owner supplies its timing.
 
-        Lifecycle hooks receive engine-measured ``matcher_seconds`` *after*
-        the timed call returned; this synthesizes the corresponding span
-        as ``[now - duration, now]`` without re-timing anything.  Pass
-        ``cpu`` when the caller measured CPU seconds alongside wall time
-        (the engine does for matcher phases).
+        Spans opened inside the block nest under it, as under
+        :meth:`span`.  The owner ends the block with
+        ``measured(start, duration, cpu)``, ``start`` read on this tracer's
+        clock, and the record carries exactly those; a block that raises
+        before ``measured`` records nothing.
         """
-        end = self._clock()
-        return self._finish(name, end - duration, duration, self._depth, dict(attrs), cpu=cpu)
+        return _MeasuredSpan(self, name, attrs)
 
     def _finish(
         self,

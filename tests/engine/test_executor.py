@@ -65,7 +65,7 @@ def _telemetry_grid():
 
 
 #: Distributions of measured seconds: they differ between any two runs.
-TIMING_SERIES = ("span.", "engine.begin_day", "engine.assign_batch", "engine.end_day")
+TIMING_SERIES = ("span.",)
 
 
 def _streamed(directory, specs, jobs):

@@ -2,15 +2,19 @@
 the decision time they claim to break down."""
 
 import json
+import time
 
+import numpy as np
 import pytest
 
 from repro.algorithms import make_matcher
-from repro.engine import DayLoopEngine, MetricsCollector
+from repro.engine import DayLoopEngine, MetricsCollector, RunHook
 from repro.obs import telemetry as obs
 from repro.obs.hook import TelemetryHook
+from repro.obs.profile import build_forest
 from repro.obs.report import ENGINE_PHASES
 from repro.obs.telemetry import Telemetry
+from repro.serving import MicroBatchPolicy, ServingEngine, derive_arrivals
 from repro.simulation import SyntheticConfig, generate_city
 
 
@@ -21,7 +25,23 @@ def _telemetry_off():
     obs.disable()
 
 
-def _run_with_telemetry(name="LACB-Opt", brokers=30, requests=600, days=4):
+class _MatcherSeconds(RunHook):
+    """Every event's engine-measured ``matcher_seconds``, in event order."""
+
+    def __init__(self) -> None:
+        self.seconds = []
+
+    def on_day_start(self, event):
+        self.seconds.append(event.matcher_seconds)
+
+    def on_batch_assigned(self, event):
+        self.seconds.append(event.matcher_seconds)
+
+    def on_day_end(self, event):
+        self.seconds.append(event.matcher_seconds)
+
+
+def _run_with_telemetry(name="LACB-Opt", brokers=30, requests=600, days=4, hooks=()):
     platform = generate_city(
         SyntheticConfig(
             num_brokers=brokers, num_requests=requests, num_days=days,
@@ -32,18 +52,36 @@ def _run_with_telemetry(name="LACB-Opt", brokers=30, requests=600, days=4):
     collector = MetricsCollector()
     with obs.use(telemetry):
         # No TelemetryHook passed: the engine must auto-attach one.
-        DayLoopEngine().run(platform, make_matcher(name, platform, seed=1), hooks=[collector])
+        DayLoopEngine().run(
+            platform, make_matcher(name, platform, seed=1), hooks=[collector, *hooks]
+        )
     return telemetry, collector.result
 
 
 def test_engine_phase_timers_sum_exactly_to_decision_time():
-    telemetry, result = _run_with_telemetry()
+    measured = _MatcherSeconds()
+    telemetry, result = _run_with_telemetry(hooks=[measured])
     label = {"algorithm": "LACB-Opt"}
-    phase_total = sum(
-        telemetry.registry.distribution(phase, **label).sum for phase in ENGINE_PHASES
-    )
-    # Both sides add the same engine-measured floats in the same order.
-    assert phase_total == pytest.approx(result.decision_time, rel=1e-12)
+    phases = [r for r in telemetry.tracer.records if r.name in ENGINE_PHASES]
+    # One span per matcher call, lasting its matcher_seconds bit for bit.
+    assert [r.duration for r in phases] == measured.seconds
+    # Summed the way DecisionTimer sums (per day in call order, then over
+    # days), the spans give RunResult's decision time exactly.
+    daily = np.zeros(len(result.daily_decision_time))
+    for record in phases:
+        daily[record.day] += record.duration
+    assert np.array_equal(daily, result.daily_decision_time)
+    assert float(daily.sum()) == result.decision_time
+    # Each span.engine.* series folds exactly those durations.
+    for phase in ENGINE_PHASES:
+        total = 0.0
+        for record in phases:
+            if record.name == phase:
+                total += record.duration
+        assert telemetry.registry.distribution(f"span.{phase}", **label).sum == total
+    # The engine.* twins of those series are gone from the registry.
+    names = {name for name, _labels, _metric in telemetry.registry.items()}
+    assert names.isdisjoint(ENGINE_PHASES)
 
 
 def test_engine_counters_and_distributions():
@@ -58,21 +96,30 @@ def test_engine_counters_and_distributions():
 
 
 def test_instrumented_spans_cover_decision_time_within_10_percent():
-    """The report's phase breakdown must account for >= 90% of decision time.
+    """The span tree of a run accounts for its decision time.
 
-    The top-level instrumented spans (bandit predict/update, VFGA batch
-    assignment and day settlement) live strictly inside the engine-timed
-    matcher calls, so their total is bounded above by decision time and the
-    uninstrumented remainder must stay under 10%.
+    The engine phases are the roots and together last exactly the decision
+    time; every instrumented span nests under one of them.  At day level
+    the interior spans (bandit predict, value-function rollover, bandit
+    update) leave less than 10% of their phase uninstrumented; per batch
+    the VFGA pipeline's own work between its spans is the phase's self time.
     """
     telemetry, result = _run_with_telemetry()
     label = {"algorithm": "LACB-Opt"}
-    top_level = ("bandit.predict", "vfga.assign_batch", "vfga.end_day", "bandit.update")
-    covered = sum(
-        telemetry.registry.distribution(f"span.{name}", **label).sum for name in top_level
+    forest = build_forest(telemetry.tracer.records)
+    assert {node.record.name for node in forest} == set(ENGINE_PHASES)
+    assert sum(node.record.duration for node in forest) == pytest.approx(
+        result.decision_time, rel=1e-12
     )
-    assert covered <= result.decision_time * 1.02
-    assert covered >= result.decision_time * 0.90
+    for phase, interior in (
+        ("engine.begin_day", {"bandit.predict"}),
+        ("engine.end_day", {"vfga.end_day", "bandit.update"}),
+    ):
+        nodes = [node for node in forest if node.record.name == phase]
+        assert {c.record.name for node in nodes for c in node.children} == interior
+        wall = sum(node.record.duration for node in nodes)
+        covered = sum(c.record.duration for node in nodes for c in node.children)
+        assert wall * 0.90 <= covered <= wall
     # The interior spans the paper's timing story is about all fired.
     for interior in ("matching.solve", "matching.cbs_prune", "vfga.td_update"):
         assert telemetry.registry.distribution(f"span.{interior}", **label).count > 0
@@ -110,6 +157,33 @@ def test_full_run_chrome_trace_is_valid(tmp_path):
     assert {event["ph"] for event in trace["traceEvents"]} == {"X"}
     names = {event["name"] for event in trace["traceEvents"]}
     assert set(ENGINE_PHASES) <= names
+
+
+def _no_process_time():
+    raise AssertionError("time.process_time called with telemetry off")
+
+
+def test_untraced_runs_make_no_process_time_call(monkeypatch):
+    """With telemetry off the matcher clock is two perf_counter reads per
+    call: neither the day loop nor the serving engine reads CPU time."""
+    monkeypatch.setattr(time, "process_time", _no_process_time)
+    config = SyntheticConfig(num_brokers=12, num_requests=120, num_days=2, seed=3)
+    platform = generate_city(config)
+    DayLoopEngine().run(platform, make_matcher("LACB-Opt", platform, seed=1))
+    platform = generate_city(config)
+    engine = ServingEngine(
+        policy=MicroBatchPolicy(max_wait=5.0, max_size=4),
+        schedule=derive_arrivals(platform.stream, profile="bursty"),
+    )
+    report = engine.run(platform, make_matcher("LACB", platform, seed=1))
+    assert report.micro_batches > 0
+
+
+def test_traced_engine_phases_carry_cpu_seconds():
+    telemetry, _result = _run_with_telemetry(name="LACB", days=2, requests=120)
+    phases = [r for r in telemetry.tracer.records if r.name in ENGINE_PHASES]
+    assert {r.name for r in phases} == set(ENGINE_PHASES)
+    assert all(r.cpu >= 0.0 for r in phases)
 
 
 def test_interrupted_run_releases_its_label_and_day():

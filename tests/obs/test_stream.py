@@ -145,7 +145,7 @@ def test_merged_registry_percentiles_survive_prior_spans_calls(tmp_path):
     view.spans()
     view.spans()  # repeated merges must be idempotent too
     for registry in (view.merged_registry(), untouched.merged_registry()):
-        assert registry.distribution("engine.assign_batch", algorithm="Top-3").count > 0
+        assert registry.distribution("span.engine.assign_batch", algorithm="Top-3").count > 0
     assert _comparable(view.merged_registry()) == _comparable(untouched.merged_registry())
 
 
@@ -200,7 +200,7 @@ def test_kill_mid_run_leaves_recoverable_partial_stream(tmp_path):
     registry = view.merged_registry()
     assert registry.counter("engine.days", algorithm="Top-3").value == 1
     # The partial registry's sketches answer quantile queries sanely.
-    assign = registry.distribution("engine.assign_batch", algorithm="Top-3")
+    assign = registry.distribution("span.engine.assign_batch", algorithm="Top-3")
     assert assign.count > 0
     assert assign.quantile(0.99) >= assign.quantile(0.5)
 

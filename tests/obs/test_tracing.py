@@ -1,4 +1,4 @@
-"""Tracer: nesting, synthesized spans, and Chrome-trace rendering."""
+"""Tracer: nesting, owner-measured spans, and Chrome-trace rendering."""
 
 import json
 import time
@@ -38,14 +38,34 @@ def test_nested_spans_record_depth_and_duration():
     assert tracer.depth == 0
 
 
-def test_record_span_books_an_external_duration_ending_now():
+def test_measured_span_is_a_live_parent_with_its_owners_timing():
+    """Spans opened inside a measured span nest under it; the record carries
+    the owner's start, duration and CPU exactly, not the tracer clock's."""
     clock = FakeClock()
     tracer = Tracer(clock=clock)
     clock.advance(2.0)
-    record = tracer.record_span("engine.begin_day", 0.5, day="3")
-    assert record.duration == 0.5
-    assert record.start == 1.5  # [now - duration, now]
-    assert record.attrs == {"day": "3"}
+    with tracer.measured_span("engine.begin_day", day="3") as phase:
+        with tracer.span("bandit.predict"):
+            clock.advance(0.25)
+        phase.measured(102.0, 0.3, 0.125)
+        clock.advance(1.0)  # the tracer clock plays no part in the record
+    inner, outer = tracer.records
+    assert (inner.name, inner.depth) == ("bandit.predict", 1)
+    assert (outer.name, outer.depth) == ("engine.begin_day", 0)
+    assert (outer.start, outer.duration, outer.cpu) == (2.0, 0.3, 0.125)
+    assert outer.attrs == {"day": "3"}
+    assert tracer.depth == 0
+
+
+def test_measured_span_that_raises_records_nothing_and_unwinds():
+    tracer = Tracer(clock=FakeClock())
+    try:
+        with tracer.measured_span("engine.assign_batch"):
+            raise RuntimeError("matcher fault")
+    except RuntimeError:
+        pass
+    assert tracer.records == []
+    assert tracer.depth == 0
 
 
 def test_on_finish_callback_sees_every_record():
@@ -55,7 +75,8 @@ def test_on_finish_callback_sees_every_record():
     tracer.on_finish = seen.append
     with tracer.span("a"):
         clock.advance(0.1)
-    tracer.record_span("b", 0.2)
+    with tracer.measured_span("b") as span:
+        span.measured(100.1, 0.2)
     assert [record.name for record in seen] == ["a", "b"]
 
 
@@ -65,7 +86,8 @@ def test_chrome_trace_schema_is_perfetto_loadable(tmp_path):
     tracer = Tracer(clock=clock)
     with tracer.span("matching.solve", algorithm="KM"):
         clock.advance(0.001)
-    tracer.record_span("engine.begin_day", 0.5)
+    with tracer.measured_span("engine.begin_day") as span:
+        span.measured(clock(), 0.5)
 
     path = tmp_path / "trace.json"
     write_chrome_trace(path, tracer.records)
@@ -99,7 +121,8 @@ def test_chrome_trace_export_bytes_equal_json_dumps(tmp_path):
             clock.advance(0.25)
             with tracer.span("matching.solve", algorithm="KM"):
                 clock.advance(1e-7)
-    tracer.record_span("engine.begin_day", 0.5, cpu=0.125)
+    with tracer.measured_span("engine.begin_day") as span:
+        span.measured(clock(), 0.5, 0.125)
 
     path = tmp_path / "trace.json"
     write_chrome_trace(path, tracer.records)
