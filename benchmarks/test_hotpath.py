@@ -24,6 +24,13 @@ kernel and a scalar reference kernel, kept as an oracle in
   micro-batch shapes LACB-Opt serving solves (1x1, 2x4 and 3x9 utility
   matrices after CBS, plus one private zero column per row).  Recorded,
   not gated; the two paths must return the same matching.
+* **Wide KM solves** — the array path's row insertion (``_km_insert_row``,
+  with its step-one exit) vs. the reference row loop
+  (``reference_hungarian`` over ``reference_km_insert_row``) on the two
+  wide shapes the end-to-end benchmark solves: a day-dense batch after CBS
+  (30x160 utilities, cost 30x190) and an uncut long-horizon batch (10x500,
+  cost 10x510), each on uniform and on tied, contested utilities.
+  Recorded, not gated; matchings and potentials must be bitwise equal.
 
 This bench times the kernels on |B| >= 2000 (scoring, CBS) and 500-broker
 (day estimate) instances, enforces the speedup floors (scoring >= 3x,
@@ -53,16 +60,19 @@ from benchmarks.common import SMOKE, write_artifact
 from repro.bandits import PersonalizedCapacityEstimator
 from repro.bandits.neural_ucb import COMMIT_BLOCK, NNUCBBandit
 from repro.check.differential import (
+    assert_km_insertions_match,
     install_reference_kernels,
     quickselect_union,
     reference_commit,
+    reference_hungarian,
 )
+from repro.check.property import contested_utilities
 from repro.core.config import BanditConfig
 from repro.core.selection import select_candidate_brokers
 from repro.engine import MatcherSpec, PlatformSpec, RunSpec
 from repro.engine.executor import execute_spec
 from repro.matching import solve_assignment
-from repro.matching.hungarian import _hungarian_arrays, _hungarian_lists
+from repro.matching.hungarian import _hungarian_arrays, _hungarian_lists, _padded_cost
 from repro.simulation import SyntheticConfig
 
 # CI smoke mode: small instances, floors relaxed to "fast is not slower".
@@ -80,6 +90,11 @@ KM_SHAPE = (16, 250) if SMOKE else (64, 2000)
 KM_SMALL_SHAPES = ((1, 1), (2, 4), (3, 9))
 #: Solves per timed pass of one small shape (they take microseconds each).
 KM_SMALL_SOLVES = 200 if SMOKE else 2000
+#: Wide utility shapes (requests x real columns) of the end-to-end
+#: benchmark's solves: day-dense after CBS, long-horizon uncut.
+KM_WIDE_SHAPES = ((30, 160), (10, 500))
+#: Instances per timed pass of one wide shape and utility regime.
+KM_WIDE_SOLVES = 4 if SMOKE else 40
 
 #: Day-estimate instance: brokers per day, and the trained-up days before
 #: the timed one (enough for every broker to finish structured personal
@@ -313,6 +328,39 @@ def test_hotpath_speedups(benchmark, monkeypatch):
         })
 
     # ------------------------------------------------------------------
+    # Wide KM solves: array path vs the reference row loop (recorded).
+    # ------------------------------------------------------------------
+    km_wide = []
+    for n_rows, n_cols in KM_WIDE_SHAPES:
+        for regime in ("uniform", "tied"):
+            costs = [
+                _padded_cost(
+                    rng.uniform(0.0, 1.0, size=(n_rows, n_cols))
+                    if regime == "uniform"
+                    else contested_utilities(rng, (n_rows, n_cols)),
+                    pad_square=False,
+                )
+                for _ in range(KM_WIDE_SOLVES)
+            ]
+
+            def solves(path, costs=costs):
+                for cost in costs:
+                    path(cost)
+
+            production_best, _ = _best_of(REPEATS, lambda: solves(_hungarian_arrays))
+            oracle_best, _ = _best_of(REPEATS, lambda: solves(reference_hungarian))
+            for cost in costs:  # raises on the first bit that differs
+                assert_km_insertions_match(cost)
+            km_wide.append({
+                "shape": [n_rows, n_cols],
+                "cost_shape": list(costs[0].shape),
+                "regime": regime,
+                "production_us": production_best / KM_WIDE_SOLVES * 1e6,
+                "oracle_us": oracle_best / KM_WIDE_SOLVES * 1e6,
+                "speedup": oracle_best / production_best,
+            })
+
+    # ------------------------------------------------------------------
     # Seeded compare run: bit-identical with the oracles installed.
     # ------------------------------------------------------------------
     def compare_run():
@@ -399,6 +447,11 @@ def test_hotpath_speedups(benchmark, monkeypatch):
             "shapes": km_small,
             "bit_identical": all(entry["bit_identical"] for entry in km_small),
         },
+        "km_wide": {
+            "solves_per_pass": KM_WIDE_SOLVES,
+            "shapes": km_wide,
+            "bit_identical": True,
+        },
         "compare_run": {
             "num_brokers": COMPARE_CONFIG.num_brokers,
             "num_requests": COMPARE_CONFIG.num_requests,
@@ -438,6 +491,12 @@ def test_hotpath_speedups(benchmark, monkeypatch):
             f"KM small {entry['shape'][0]}x{entry['shape'][1]}:     "
             f"{entry['arrays_us']:.1f}us arrays -> {entry['lists_us']:.1f}us lists "
             f"({entry['speedup']:.1f}x, identical={entry['bit_identical']})"
+        )
+    for entry in km_wide:
+        print(
+            f"KM wide {entry['cost_shape'][0]}x{entry['cost_shape'][1]} {entry['regime']}: "
+            f"{entry['oracle_us']:.0f}us oracle -> {entry['production_us']:.0f}us "
+            f"({entry['speedup']:.1f}x, bit-identical)"
         )
     print("compare run:       bit-identical fast vs reference (LACB-Opt, seeded)")
 

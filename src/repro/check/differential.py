@@ -14,8 +14,10 @@ The agreements checked:
   matchings.  Totals — not pair sets — are compared: optima are frequently
   non-unique (ties), and the solvers legitimately differ on zero-weight
   pairs (the auction oracle drops them; KM reports them).
-* KM's list path for small instances vs its array path: identical
-  ``col_of_row``, ties included.
+* KM's list path for small instances vs its array path vs the reference
+  row loop (:func:`reference_hungarian`): identical ``col_of_row``, ties
+  included, and the array path's potentials bitwise equal to the
+  oracle's after every row insertion.
 * ``pad_square=True`` vs the rectangular solve: Sec. VI-B's dummy-vertex
   squaring is a pure running-time experiment and must not change results.
 * CBS pruning vs the unpruned instance (Theorem 2): equal optimal totals.
@@ -46,7 +48,9 @@ replaced, as oracles: :func:`candidate_broker_selection` and
 scoring), :func:`reference_commit` (the covariance update),
 :func:`reference_replay_arms` / :func:`reference_replay_design` /
 :func:`reference_history_design` (per-trial feature rows),
-:func:`per_context_estimates` (the day estimate), and
+:func:`per_context_estimates` (the day estimate),
+:func:`reference_km_insert_row` / :func:`reference_hungarian` (KM's
+array-path row insertion), and
 :func:`reference_ground_truth_affinity` / :func:`reference_predicted_utility`
 (the platform's utilities).
 :func:`install_reference_kernels` routes a whole run through them, which
@@ -66,6 +70,7 @@ from repro.core.selection import select_candidate_brokers, topk_selection_mask
 from repro.matching.hungarian import (
     _hungarian_arrays,
     _hungarian_lists,
+    _km_insert_row,
     _padded_cost,
     solve_assignment,
 )
@@ -164,17 +169,98 @@ def assert_incremental_matches_cold(sequence) -> None:
         assert_backends_agree(weights)
 
 
+def reference_km_insert_row(
+    cost: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    row_of_col: np.ndarray,
+    way: np.ndarray,
+    row: int,
+) -> None:
+    """Oracle of :func:`repro.matching.hungarian._km_insert_row`: one row
+    insertion with every step done in full.
+
+    Each step allocates its running minimum, ``used`` mask and masked
+    copy, lowers ``min_reduced`` on strict ``<`` over unused columns,
+    takes the first minimum (``np.argmin``'s tie-break) and moves the
+    tree's potentials through fancy indexing; there is no step-one exit.
+    The production kernel must leave ``u``, ``v`` and ``row_of_col``
+    bitwise equal to this after every insertion.
+    """
+    n_cols = v.size - 1
+    inf = np.inf
+    row_of_col[0] = row
+    j0 = 0
+    min_reduced = np.full(n_cols, inf)  # over real columns 1..n_cols
+    used = np.zeros(n_cols + 1, dtype=bool)
+    used_rows: list[int] = []
+    while True:
+        used[j0] = True
+        used_rows.append(row_of_col[j0])
+        i0 = row_of_col[j0]
+        reduced = cost[i0 - 1, :] - u[i0] - v[1:]
+        unused = ~used[1:]
+        improve = unused & (reduced < min_reduced)
+        min_reduced[improve] = reduced[improve]
+        way[1:][improve] = j0
+        masked = np.where(unused, min_reduced, inf)
+        j1 = int(np.argmin(masked)) + 1
+        delta = masked[j1 - 1]
+        # Update potentials: tight edges stay tight, one new edge
+        # becomes tight; unreached columns get closer by delta.
+        u[used_rows] += delta
+        v[used] -= delta
+        min_reduced[unused] -= delta
+        j0 = j1
+        if row_of_col[j0] == 0:
+            break
+    # Augment along the alternating path back to the sentinel column.
+    while j0 != 0:
+        j1 = way[j0]
+        row_of_col[j0] = row_of_col[j1]
+        j0 = j1
+
+
+def reference_km_state(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reference row loop: ``(u, v, row_of_col)`` after inserting the
+    rows of a validated, non-empty ``cost`` in order with
+    :func:`reference_km_insert_row`."""
+    n_rows, n_cols = cost.shape
+    u = np.zeros(n_rows + 1)
+    v = np.zeros(n_cols + 1)
+    row_of_col = np.zeros(n_cols + 1, dtype=int)
+    way = np.zeros(n_cols + 1, dtype=int)
+    for row in range(1, n_rows + 1):
+        reference_km_insert_row(cost, u, v, row_of_col, way, row)
+    return u, v, row_of_col
+
+
+def reference_hungarian(cost: np.ndarray) -> np.ndarray:
+    """``col_of_row`` of :func:`reference_km_state` — the oracle of both
+    of :func:`~repro.matching.hungarian.hungarian`'s paths."""
+    _, _, row_of_col = reference_km_state(cost)
+    col_of_row = np.zeros(cost.shape[0], dtype=int)
+    matched = row_of_col[1:] > 0
+    col_of_row[row_of_col[1:][matched] - 1] = np.nonzero(matched)[0]
+    return col_of_row
+
+
 def assert_small_km_matches(weights: np.ndarray) -> None:
-    """KM's list path returns the array path's matching, exactly.
+    """KM's list path, its array path and the reference row loop agree
+    exactly.
 
     Runs both row-insertion implementations behind
     :func:`~repro.matching.hungarian.hungarian` directly, whichever side
     of :data:`~repro.matching.hungarian.SMALL_KM_COLS` the instance falls
-    on: on the cost :func:`solve_assignment` builds (negated utilities plus
-    a private zero column per row) and on the raw matrix as a
-    minimization.  ``col_of_row`` must be identical — same
-    optimum *and* same tie resolution, since run-level bit-identity rests
-    on the two paths picking the same pairs.
+    on, and :func:`reference_hungarian`: on the cost
+    :func:`solve_assignment` builds (negated utilities plus a private zero
+    column per row) and on the raw matrix as a minimization.
+    ``col_of_row`` must be identical three ways — same optimum *and* same
+    tie resolution, since run-level bit-identity rests on every path
+    picking the same pairs.  The array path's row insertion must also
+    leave ``u``, ``v`` and ``row_of_col`` bitwise equal to
+    :func:`reference_km_insert_row`'s after every row (int64 views, so a
+    signed zero counts): the incremental solver records that state.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape[0] > weights.shape[1]:
@@ -184,13 +270,39 @@ def assert_small_km_matches(weights: np.ndarray) -> None:
         return
     padded = _padded_cost(weights, pad_square=False)
     for name, cost in (("padded", padded), ("raw", weights)):
+        where = f"the {name} cost of shape {cost.shape}:\n{weights!r}"
         lists = _hungarian_lists(cost)
         arrays = _hungarian_arrays(cost)
         if not np.array_equal(lists, arrays):
-            raise AssertionError(
-                f"list KM {lists!r} != array KM {arrays!r} on the {name} "
-                f"cost of shape {cost.shape}:\n{weights!r}"
-            )
+            raise AssertionError(f"list KM {lists!r} != array KM {arrays!r} on {where}")
+        oracle = reference_hungarian(cost)
+        if not np.array_equal(arrays, oracle):
+            raise AssertionError(f"array KM {arrays!r} != oracle KM {oracle!r} on {where}")
+        assert_km_insertions_match(cost, where)
+
+
+def assert_km_insertions_match(cost: np.ndarray, where: str | None = None) -> None:
+    """KM's array-path row insertion leaves the oracle's state, bit for bit.
+
+    Inserts the rows of a validated, non-empty ``cost`` with
+    :func:`~repro.matching.hungarian._km_insert_row` and
+    :func:`reference_km_insert_row` in lockstep; ``u``, ``v`` and
+    ``row_of_col`` must be bitwise equal after every row.  ``where``
+    names the instance in the failure message.
+    """
+    if where is None:
+        where = f"a cost of shape {cost.shape}"
+    n_rows, n_cols = cost.shape
+    fast, reference = (
+        (np.zeros(n_rows + 1), np.zeros(n_cols + 1),
+         np.zeros(n_cols + 1, dtype=int), np.zeros(n_cols + 1, dtype=int))
+        for _ in range(2)
+    )
+    for row in range(1, n_rows + 1):
+        _km_insert_row(cost, *fast, row)
+        reference_km_insert_row(cost, *reference, row)
+        for label, got, expected in zip(("u", "v", "row_of_col"), fast, reference):
+            _assert_bitwise(f"array KM {label} after row {row}", got, expected, where)
 
 
 def assert_pad_square_agrees(weights: np.ndarray) -> None:
@@ -602,8 +714,9 @@ def install_reference_kernels(patch) -> None:
     ``patch`` is a :class:`pytest.MonkeyPatch` (or anything with its
     ``setattr(target, name, value)``); it scopes and undoes the change.
     CBS is replaced where :mod:`repro.core.vfga` looks it up, the utility
-    functions where :mod:`repro.simulation.platform` does; KM's list-path
-    column limit drops to zero, so every solve takes the array path.
+    functions where :mod:`repro.simulation.platform` does; both of
+    :func:`~repro.matching.hungarian.hungarian`'s paths become
+    :func:`reference_hungarian`, so every KM solve runs the oracle.
     A seeded run must be bit-identical with or without the oracles
     installed.
     """
@@ -622,7 +735,8 @@ def install_reference_kernels(patch) -> None:
     patch.setattr(PersonalizedCapacityEstimator, "_estimate_rows", per_context_estimates)
     patch.setattr(PersonalizedCapacityEstimator, "_history_design", reference_history_design)
     patch.setattr(vfga, "select_candidate_brokers", quickselect_union)
-    patch.setattr(km, "SMALL_KM_COLS", 0)
+    patch.setattr(km, "_hungarian_lists", reference_hungarian)
+    patch.setattr(km, "_hungarian_arrays", reference_hungarian)
     patch.setattr(platform, "ground_truth_affinity", reference_ground_truth_affinity)
     patch.setattr(platform, "predicted_utility", reference_predicted_utility)
 

@@ -205,19 +205,53 @@ def random_utilities(
     return values
 
 
+#: Utility shapes of the benchmark's wide KM solves, as ranges of
+#: (rows, real columns): a day-dense batch after CBS (cost ~30x190) and an
+#: uncut long-horizon batch (cost ~10x510).
+WIDE_KM_SHAPES = (((20, 30), (120, 240)), ((5, 10), (400, 500)))
+
+
 def random_km_case(rng: np.random.Generator, max_rows: int = 12) -> np.ndarray:
     """A utility matrix whose KM solve lands on either side of
-    :data:`~repro.matching.hungarian.SMALL_KM_COLS`.
+    :data:`~repro.matching.hungarian.SMALL_KM_COLS`, up to the widest
+    solves the benchmark runs.
 
     A maximizing solve adds a private zero column per row, so its cost has
     ``n_cols + n_rows`` columns (rows and columns swap first when rows are
-    the larger side); real columns are drawn up to twice the limit, so
-    roughly half the cases take each path.  Values come from every
-    :func:`random_utilities` regime.
+    the larger side).  Three cases in four have up to ``max_rows`` rows and
+    real columns drawn up to twice the limit, so roughly half of them take
+    each path; the fourth has one of :data:`WIDE_KM_SHAPES`.  One case in
+    three is :func:`contested_utilities`, whose row insertions grow
+    multi-step trees; the others come from every :func:`random_utilities`
+    regime.
     """
-    n_rows = int(rng.integers(1, max_rows + 1))
-    n_cols = int(rng.integers(1, 2 * SMALL_KM_COLS + 1))
-    return random_utilities(rng, shape=(n_rows, n_cols))
+    draw = int(rng.integers(8))
+    if draw < 6:
+        shape = (int(rng.integers(1, max_rows + 1)), int(rng.integers(1, 2 * SMALL_KM_COLS + 1)))
+    else:
+        (row_low, row_high), (col_low, col_high) = WIDE_KM_SHAPES[draw - 6]
+        shape = (
+            int(rng.integers(row_low, row_high + 1)),
+            int(rng.integers(col_low, col_high + 1)),
+        )
+    if rng.random() < 1 / 3:
+        return contested_utilities(rng, shape)
+    return random_utilities(rng, shape=shape)
+
+
+def contested_utilities(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """Utilities where every row's best columns are the same one to three.
+
+    Quarter-step background values (many ties) plus a whole-number bonus
+    of 2 or 3 on a few shared hot columns: once the hot columns are taken,
+    each inserted row's first choice is occupied, so KM's row insertion
+    runs past its first step and displaces earlier rows.
+    """
+    n_rows, n_cols = shape
+    values = rng.integers(0, 4, size=shape) / 4.0
+    hot = rng.choice(n_cols, size=min(n_cols, int(rng.integers(1, 4))), replace=False)
+    values[:, hot] += rng.integers(2, 4, size=(n_rows, hot.size))
+    return values
 
 
 def random_utility_row(

@@ -26,14 +26,18 @@ from repro.obs import telemetry as obs
 #: (:func:`_hungarian_lists`), wider ones on NumPy arrays.  Each step of a
 #: row insertion scans every column: on lists that costs per column, on
 #: arrays it is a fixed per-call overhead plus a cheap per-column part, so
-#: the crossover is a column count, whatever the row count.  Lists took
-#: 0.47x the array time at 48 columns, 0.85x at 96, 1.0-1.1x at 112-128
-#: and 1.3x at 160, alike for 1 to 30 rows (best of 5, one shared 2-vCPU
-#: guest); a cell-count rule would put 1x999 on lists at 6x the array
-#: time.  Every LACB-Opt serving micro-batch (at most 8 requests, 64 CBS
-#: candidates and 8 dummy columns) takes the list path; paper-scale
-#: 30-request batches (~180 columns) and uncut 500-broker solves do not.
-SMALL_KM_COLS = 96
+#: the crossover is a column count.  Against the array path with its
+#: step-one exit, lists took 0.8-1.2x the array time at 24 columns,
+#: 1.2-2.3x at 48 and 1.9-2.9x at 64 for 1 to 16 rows.  Thirty rows
+#: contesting few real columns grow deep trees; there lists took 0.57x
+#: at 48 columns, 0.69x at 56, 0.99x at 64 and 2.3x at 80 (best of 7,
+#: one shared 2-vCPU guest; docs/performance.md has the table).  48
+#: splits the difference: past it arrays win at 1 to 16 rows, and 30-row
+#: solves of 49-63 columns lose at most ~1.7x on arrays.  No benchmark
+#: solve has 49-96 columns: every serving micro-batch (at most 45 cost
+#: columns) stays on lists, and paper-scale 30-request batches (126-271
+#: columns after CBS) and uncut 500-broker solves stay on arrays.
+SMALL_KM_COLS = 48
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
@@ -56,9 +60,13 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     Two implementations run that same arithmetic: instances with at most
     :data:`SMALL_KM_COLS` columns on Python lists (:func:`_hungarian_lists`),
     where NumPy's per-call overhead would dominate a micro-batch solve,
-    and wider ones on arrays (:func:`_hungarian_arrays`).  Both return
-    the identical ``col_of_row``, ties included;
-    :func:`repro.check.differential.assert_small_km_matches` pins that.
+    and wider ones on arrays (:func:`_hungarian_arrays`, whose row
+    insertion :func:`_km_insert_row` stops after one step when a row's
+    first-choice column is free).  Both return the identical
+    ``col_of_row``, ties included, and the array path leaves the same
+    potentials bit for bit as the plain row insertion kept as the oracle
+    :func:`repro.check.differential.reference_km_insert_row`;
+    :func:`repro.check.differential.assert_small_km_matches` pins both.
 
     Note on warm starts: reusing column potentials across consecutive
     batches (the incremental-matching idea of Abeywickrama et al., cited
@@ -131,31 +139,70 @@ def _km_insert_row(
     insertion (the augmenting path only traverses columns whose pointer
     was set while growing this row's tree), so it carries no state across
     insertions and needs no recording.
+
+    Every step is the one
+    :func:`repro.check.differential.reference_km_insert_row` takes, and
+    leaves ``u``, ``v`` and ``row_of_col`` bitwise equal to it; only the
+    bookkeeping is cheaper:
+
+    * Step one runs while the tree holds only the sentinel.  Every
+      column's running minimum is still ``+inf``, so each finite reduced
+      cost improves on it and the step's minimum is the plain ``argmin``
+      of the row's reduced costs (the first minimum, as in the oracle).  Most
+      rows stop there, on a free first-choice column, with no scratch
+      array allocated.
+    * Later steps fill their scratch arrays through ufunc ``out=``.  A
+      column leaving the pool has its running minimum set to ``+inf``,
+      so the ``argmin`` over all columns is the one over unused columns
+      and the decrement needs no mask (``inf - delta`` stays ``inf``).
+    * The tree's potentials move one scalar at a time, the arithmetic
+      of the oracle's fancy-indexed update; trees are small (2.0 steps
+      per row on a day-dense episode, 98% of rows at most 8).
     """
-    n_cols = v.size - 1
-    inf = np.inf
     row_of_col[0] = row
-    j0 = 0
-    min_reduced = np.full(n_cols, inf)  # over real columns 1..n_cols
-    used = np.zeros(n_cols + 1, dtype=bool)
-    used_rows: list[int] = []
+    v_real = v[1:]
+    reduced = cost[row - 1] - u[row] - v_real
+    j1 = int(reduced.argmin()) + 1
+    delta = reduced[j1 - 1]
+    u[row] += delta
+    v[0] -= delta
+    if row_of_col[j1] == 0:
+        row_of_col[j1] = row
+        return
+
+    # The first choice is taken: grow the tree from step one's state.
+    n_cols = v_real.size
+    min_reduced = reduced  # over real columns 1..n_cols
+    min_reduced -= delta
+    way_real = way[1:]
+    way_real.fill(0)
+    unused = np.ones(n_cols, dtype=bool)
+    improve = np.empty(n_cols, dtype=bool)
+    reduced = np.empty(n_cols)
+    used_rows = [row]
+    used_cols = [0]
+    j0 = j1
     while True:
-        used[j0] = True
-        used_rows.append(row_of_col[j0])
+        unused[j0 - 1] = False
+        min_reduced[j0 - 1] = np.inf
+        used_cols.append(j0)
         i0 = row_of_col[j0]
-        reduced = cost[i0 - 1, :] - u[i0] - v[1:]
-        unused = ~used[1:]
-        improve = unused & (reduced < min_reduced)
-        min_reduced[improve] = reduced[improve]
-        way[1:][improve] = j0
-        masked = np.where(unused, min_reduced, inf)
-        j1 = int(np.argmin(masked)) + 1
-        delta = masked[j1 - 1]
+        used_rows.append(i0)
+        np.subtract(cost[i0 - 1], u[i0], out=reduced)
+        np.subtract(reduced, v_real, out=reduced)
+        np.less(reduced, min_reduced, out=improve)
+        np.logical_and(improve, unused, out=improve)
+        np.copyto(min_reduced, reduced, where=improve)
+        np.copyto(way_real, j0, where=improve)
+        j1 = int(min_reduced.argmin()) + 1
+        delta = min_reduced[j1 - 1]
         # Update potentials: tight edges stay tight, one new edge
         # becomes tight; unreached columns get closer by delta.
-        u[used_rows] += delta
-        v[used] -= delta
-        min_reduced[unused] -= delta
+        for i in used_rows:
+            u[i] += delta
+        for j in used_cols:
+            v[j] -= delta
+        np.subtract(min_reduced, delta, out=min_reduced)
         j0 = j1
         if row_of_col[j0] == 0:
             break

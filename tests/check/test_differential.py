@@ -150,6 +150,53 @@ def test_assert_small_km_matches_catches_divergence(monkeypatch):
         differential.assert_small_km_matches(np.ones((2, 3)))
 
 
+def test_assert_small_km_matches_catches_a_diverging_oracle(monkeypatch):
+    real = differential.reference_hungarian
+    # An oracle that breaks ties toward the last column: still optimal,
+    # but not the matching both production paths return.
+    monkeypatch.setattr(
+        differential, "reference_hungarian", lambda cost: cost.shape[1] - 1 - real(cost[:, ::-1])
+    )
+    with pytest.raises(AssertionError, match="oracle KM"):
+        differential.assert_small_km_matches(np.ones((2, 3)))
+
+
+def test_assert_small_km_matches_catches_a_one_ulp_potential(monkeypatch):
+    real = differential._km_insert_row
+
+    def drifting(cost, u, v, row_of_col, way, row):
+        real(cost, u, v, row_of_col, way, row)
+        v[-1] = np.nextafter(v[-1], np.inf)  # the matching does not move
+
+    monkeypatch.setattr(differential, "_km_insert_row", drifting)
+    with pytest.raises(AssertionError, match="array KM v after row 1"):
+        differential.assert_small_km_matches(np.ones((2, 3)))
+
+
+def test_random_km_case_runs_multi_step_insertions_on_wide_shapes():
+    """Both wide shapes reach the array path's general loop, not only its
+    step-one exit: some row's first-choice column is already taken."""
+    from repro.matching.hungarian import SMALL_KM_COLS, _km_insert_row, _padded_cost
+
+    multi_step = {"day-dense": 0, "long-horizon": 0}
+    for index in range(NUM_CASES):
+        weights = prop.random_km_case(prop.case_rng(106, index))
+        if weights.shape[0] > weights.shape[1]:
+            weights = weights.T
+        cost = _padded_cost(weights, pad_square=False)
+        n_rows, n_cols = cost.shape
+        if n_cols <= SMALL_KM_COLS or not (n_rows >= 20 or n_cols >= 400):
+            continue
+        shape = "day-dense" if n_rows >= 20 else "long-horizon"
+        u, v = np.zeros(n_rows + 1), np.zeros(n_cols + 1)
+        row_of_col, way = np.zeros(n_cols + 1, dtype=int), np.zeros(n_cols + 1, dtype=int)
+        for row in range(1, n_rows + 1):
+            first_choice = int(np.argmin(cost[row - 1] - u[row] - v[1:])) + 1
+            multi_step[shape] += bool(row_of_col[first_choice])
+            _km_insert_row(cost, u, v, row_of_col, way, row)
+    assert min(multi_step.values()) > 0, multi_step
+
+
 def test_fast_topk_matches_quickselect_on_randomized_instances():
     count = run_property(
         lambda case: differential.assert_fast_topk_matches_quickselect(*case),

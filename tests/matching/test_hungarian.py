@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from repro.check.flow import min_cost_flow_assignment
+from repro.check.property import contested_utilities
 from repro.check.invariants import oracle_assignment
 from repro.matching import (
     assert_valid_matching,
@@ -182,3 +183,54 @@ def test_zero_weight_pair_survives_alongside_negative_column(backend):
 def test_zero_weight_pair_reported_with_pad_square():
     result = solve_assignment(np.array([[0.0]]), pad_square=True)
     assert result.pairs == [(0, 0)]
+
+
+# ----------------------------------------------------------------------
+# The array-path row insertion leaves the oracle's potentials, bit for bit
+# ----------------------------------------------------------------------
+def _wide_tied_weights(seed, shape):
+    """Tied utilities with a few hot columns every row wants, so row
+    insertions run past their first step."""
+    return contested_utilities(np.random.default_rng(seed), shape)
+
+
+@pytest.mark.parametrize("shape", [(30, 160), (10, 500), (12, 120)])
+def test_array_path_potentials_match_the_oracle_bitwise(shape, monkeypatch):
+    from repro.check.differential import reference_hungarian, reference_km_state
+
+    weights = _wide_tied_weights(1, shape)
+    cost = KM._padded_cost(weights, pad_square=False)
+    assert cost.shape[1] > KM.SMALL_KM_COLS
+    seen = []
+    insert = KM._km_insert_row
+
+    def spy(cost, u, v, row_of_col, way, row):
+        seen.append((u, v, row_of_col))
+        insert(cost, u, v, row_of_col, way, row)
+
+    monkeypatch.setattr(KM, "_km_insert_row", spy)
+    col_of_row = _hungarian_arrays(cost)
+    u, v, row_of_col = seen[-1]
+    ref_u, ref_v, ref_row_of_col = reference_km_state(cost)
+    assert u.view(np.int64).tolist() == ref_u.view(np.int64).tolist()
+    assert v.view(np.int64).tolist() == ref_v.view(np.int64).tolist()
+    np.testing.assert_array_equal(row_of_col, ref_row_of_col)
+    np.testing.assert_array_equal(col_of_row, reference_hungarian(cost))
+
+
+def test_incremental_warm_equals_cold_on_wide_tied_instances():
+    from repro.matching.incremental import IncrementalKMSolver
+
+    rng = np.random.default_rng(4)
+    weights = _wide_tied_weights(2, (30, 160))
+    solver = IncrementalKMSolver()
+    for step in range(6):
+        result = solver.solve(weights)
+        reference = solve_assignment(weights)
+        assert result.pairs == reference.pairs
+        assert result.total_weight == reference.total_weight  # bitwise
+        # Redraw a trailing block of rows: the next solve resumes mid-way.
+        first = int(rng.integers(1, weights.shape[0]))
+        weights = weights.copy()
+        weights[first:] = _wide_tied_weights(10 + step, (30 - first, 160))
+    assert solver.stats["warm"] == 5
