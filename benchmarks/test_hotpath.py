@@ -19,6 +19,12 @@ kernel and a scalar reference kernel, kept as an oracle in
   ``COMMIT_BLOCK`` rows vs one row at a time on the same kernel vs the
   per-row ``param_gradient`` oracle.  Recorded, not gated; all three must
   leave a bitwise-equal ``D``.
+* **Training step** (Alg. 1 line 17, Eq. 6) — ``MLP.train_step`` on the
+  long-horizon-width net ((82, 64, 16, 1), ``lam`` = 0.001, 64-row
+  minibatches) with Adam, L2 and zero-grad in one pass over the flat
+  parameter vector vs the per-layer step ``reference_train_step``.
+  Recorded, not gated; both must leave a bitwise-equal ``theta`` and
+  bitwise-equal Adam moments.
 * **Small KM solves** — the list-based row insertion that ``hungarian``
   runs up to ``SMALL_KM_COLS`` columns vs. the NumPy array path, on the
   micro-batch shapes LACB-Opt serving solves (1x1, 2x4 and 3x9 utility
@@ -65,6 +71,7 @@ from repro.check.differential import (
     quickselect_union,
     reference_commit,
     reference_hungarian,
+    reference_train_step,
 )
 from repro.check.property import contested_utilities
 from repro.core.config import BanditConfig
@@ -106,6 +113,10 @@ ESTIMATE_WARM_DAYS = 6
 #: context width of the e2ebench long-horizon city.
 COMMIT_ROWS = 256 if SMOKE else 4096
 COMMIT_CONTEXT_DIM = 70
+
+#: Training-step instance: steps per timed pass on the commit bench's net,
+#: each on one ``BanditConfig.minibatch``-row minibatch.
+TRAIN_STEPS = 100 if SMOKE else 1000
 
 SCORING_FLOOR = 1.0 if SMOKE else 3.0
 ESTIMATE_FLOOR = 1.0 if SMOKE else 2.0
@@ -302,6 +313,39 @@ def test_hotpath_speedups(benchmark, monkeypatch):
     )
 
     # ------------------------------------------------------------------
+    # Training step: flat-vector step vs the per-layer oracle (recorded).
+    # ------------------------------------------------------------------
+    train_bandit = NNUCBBandit(COMMIT_CONTEXT_DIM, BanditConfig(), np.random.default_rng(6))
+    train_config = train_bandit.config
+    train_rows = rng.normal(0.0, 1.0, size=(train_config.minibatch, train_bandit.network.input_dim))
+    train_targets = rng.uniform(0.0, 1.0, size=train_config.minibatch)
+
+    def train(step, twin):
+        for _ in range(TRAIN_STEPS):
+            step(twin.network, train_rows, train_targets, twin.optimizer, lam=train_config.lam)
+
+    def production_step(network, *args, **kwargs):
+        return network.train_step(*args, **kwargs)
+
+    train_state = {}
+    for label, step in (("production", production_step), ("oracle", reference_train_step)):
+        twin = copy.deepcopy(train_bandit)
+        train(step, twin)
+        train_state[label] = (
+            twin.network.theta.tobytes(),
+            twin.optimizer._first.tobytes(),
+            twin.optimizer._second.tobytes(),
+        )
+    train_identical = train_state["production"] == train_state["oracle"]
+    assert train_identical, "the flat-vector training step left a different theta or moments"
+    train_best, train_times = _timed_estimates(
+        REPEATS, train_bandit, lambda twin: train(production_step, twin)
+    )
+    train_ref_best, _ = _timed_estimates(
+        REPEATS, train_bandit, lambda twin: train(reference_train_step, twin)
+    )
+
+    # ------------------------------------------------------------------
     # Small KM solves: list path vs array path (recorded, not gated).
     # ------------------------------------------------------------------
     km_small = []
@@ -437,6 +481,17 @@ def test_hotpath_speedups(benchmark, monkeypatch):
             "speedup": commit_row_best / commit_blocked_best,
             "d_bit_identical": commit_identical,
         },
+        "train_step": {
+            "layer_sizes": list(train_bandit.network.layer_sizes),
+            "minibatch": train_config.minibatch,
+            "lam": train_config.lam,
+            "steps_per_pass": TRAIN_STEPS,
+            "production_seconds": train_times,
+            "production_us": train_best / TRAIN_STEPS * 1e6,
+            "oracle_us": train_ref_best / TRAIN_STEPS * 1e6,
+            "speedup": train_ref_best / train_best,
+            "bit_identical": train_identical,
+        },
         "km_solve": {
             "shape": list(KM_SHAPE),
             "seconds": km_times,
@@ -484,6 +539,12 @@ def test_hotpath_speedups(benchmark, monkeypatch):
         f"time -> {commit_blocked_best / COMMIT_ROWS * 1e6:.1f}us/row in "
         f"{COMMIT_BLOCK}-row blocks (oracle {commit_ref_best / COMMIT_ROWS * 1e6:.1f}us/row, "
         f"D identical={commit_identical}, recorded only)"
+    )
+    print(
+        f"Training step:     {train_ref_best / TRAIN_STEPS * 1e6:.0f}us/step oracle -> "
+        f"{train_best / TRAIN_STEPS * 1e6:.0f}us/step "
+        f"(net {train_bandit.network.layer_sizes}, {train_config.minibatch}-row minibatch, "
+        f"bit-identical={train_identical}, recorded only)"
     )
     print(f"KM solve:          {km_best:.3f}s (shape {KM_SHAPE}, context only)")
     for entry in km_small:

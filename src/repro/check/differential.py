@@ -40,6 +40,9 @@ The agreements checked:
 * the platform's table-gather utilities and pair-only affinities vs the
   per-call-normalising full grid: bitwise equal on a live, appealing,
   skill-growing, snapshot-restored city.
+* the flat-vector training step vs the per-layer step
+  (:func:`reference_train_step`): bitwise-equal ``theta``, Adam moments,
+  step count and loss after every minibatch.
 
 It also holds the scalar reference kernels the production hot paths
 replaced, as oracles: :func:`candidate_broker_selection` and
@@ -48,6 +51,7 @@ replaced, as oracles: :func:`candidate_broker_selection` and
 scoring), :func:`reference_commit` (the covariance update),
 :func:`reference_replay_arms` / :func:`reference_replay_design` /
 :func:`reference_history_design` (per-trial feature rows),
+:func:`reference_train_step` (the per-layer training step),
 :func:`per_context_estimates` (the day estimate),
 :func:`reference_km_insert_row` / :func:`reference_hungarian` (KM's
 array-path row insertion), and
@@ -629,6 +633,60 @@ def reference_history_design(estimator, broker_id: int) -> tuple:
     )
 
 
+def reference_train_step(network, inputs, targets, optimizer, lam: float = 0.0) -> float:
+    """Oracle for :meth:`~repro.nn.MLP.train_step`: the per-layer step.
+
+    Zeroes each layer's gradients, backpropagates layer by layer down to
+    the input gradient, adds the L2 gradient of a rebuilt
+    :meth:`~repro.nn.MLP.param_vector` slice by slice, and runs the Adam
+    update tensor by tensor on per-layer views of the optimizer's moments.
+    The production step must leave ``theta``, the moments, the step count
+    and the returned loss bitwise equal.
+    """
+    from repro.nn.losses import l2_penalty, mse_loss
+
+    targets = np.asarray(targets, dtype=float).reshape(-1)
+    for layer in network.layers:
+        layer.zero_grad()
+    predictions = network.predict(inputs)
+    loss, grad_pred = mse_loss(predictions, targets)
+    grad = network.layers[-1].backward(np.atleast_2d(grad_pred.reshape(-1, 1)))
+    for layer, mask in zip(reversed(network.layers[:-1]), reversed(network._relu_masks)):
+        grad = layer.backward(grad * mask)
+    if lam > 0.0:
+        reg_loss, reg_grad = l2_penalty(network.param_vector(), lam)
+        loss += reg_loss
+        offset = 0
+        for layer in network.layers:
+            w_size = layer.weight.size
+            layer.grad_weight += reg_grad[offset : offset + w_size].reshape(layer.weight.shape)
+            offset += w_size
+            b_size = layer.bias.size
+            layer.grad_bias += reg_grad[offset : offset + b_size]
+            offset += b_size
+    optimizer.allocate(network)
+    optimizer._step_count += 1
+    bias1 = 1.0 - optimizer.beta1**optimizer._step_count
+    bias2 = 1.0 - optimizer.beta2**optimizer._step_count
+    moments = optimizer.layer_moments()
+    for index, layer in enumerate(network.layers):
+        m_w, v_w, m_b, v_b = moments[index]
+        for moment, second, grad, param in (
+            (m_w, v_w, layer.grad_weight, layer.weight),
+            (m_b, v_b, layer.grad_bias, layer.bias),
+        ):
+            moment *= optimizer.beta1
+            moment += (1.0 - optimizer.beta1) * grad
+            second *= optimizer.beta2
+            second += (1.0 - optimizer.beta2) * grad**2
+            param -= (
+                optimizer.learning_rate
+                * (moment / bias1)
+                / (np.sqrt(second / bias2) + optimizer.eps)
+            )
+    return loss
+
+
 def per_context_estimates(estimator, contexts: np.ndarray, broker_ids: np.ndarray) -> np.ndarray:
     """Oracle for a day-batched ``_estimate_rows``: ``estimate`` per row, in order."""
     return np.array(
@@ -708,8 +766,8 @@ def reference_predicted_utility(population, stream, request_indices) -> np.ndarr
 
 def install_reference_kernels(patch) -> None:
     """Route NN-UCB scoring, the covariance commit, the training and
-    personalization feature rows, the day estimate, CBS, every KM solve and
-    the platform's utilities through the oracles.
+    personalization feature rows, every training step, the day estimate,
+    CBS, every KM solve and the platform's utilities through the oracles.
 
     ``patch`` is a :class:`pytest.MonkeyPatch` (or anything with its
     ``setattr(target, name, value)``); it scopes and undoes the change.
@@ -722,6 +780,7 @@ def install_reference_kernels(patch) -> None:
     """
     from repro.bandits import NNUCBBandit, PersonalizedCapacityEstimator
     from repro.core import vfga
+    from repro.nn import MLP
     from repro.simulation import platform
 
     # The module, not the same-named function re-exported by repro.matching.
@@ -732,6 +791,7 @@ def install_reference_kernels(patch) -> None:
     patch.setattr(NNUCBBandit, "_replay_arms", reference_replay_arms)
     patch.setattr(NNUCBBandit, "_replay_design", reference_replay_design)
     patch.setattr(NNUCBBandit, "_estimate_rows", per_context_estimates)
+    patch.setattr(MLP, "train_step", reference_train_step)
     patch.setattr(PersonalizedCapacityEstimator, "_estimate_rows", per_context_estimates)
     patch.setattr(PersonalizedCapacityEstimator, "_history_design", reference_history_design)
     patch.setattr(vfga, "select_candidate_brokers", quickselect_union)
@@ -885,6 +945,40 @@ def assert_batched_scoring_matches(case: tuple) -> None:
             f"batched exploration bonus deviates from per-sample path on "
             f"layers {layer_sizes}: {batched_bonus!r} vs {reference_bonus!r}"
         )
+
+
+def assert_train_step_matches(case: tuple) -> None:
+    """:meth:`~repro.nn.MLP.train_step` equals :func:`reference_train_step`, bitwise.
+
+    Two identical networks and Adam optimizers take the same minibatch
+    steps, one through each path; after every step ``theta``, the flat
+    moments, the step count and the returned loss must be bitwise equal.
+
+    Args:
+        case: ``(layer_sizes, inputs, targets, net_seed, lam, minibatch,
+            steps)`` — see :func:`repro.check.property.random_train_case`.
+            Step ``k`` trains on rows ``[k * minibatch, (k + 1) *
+            minibatch)``, so the last minibatch may be short.
+    """
+    from repro.nn import MLP, Adam
+
+    layer_sizes, inputs, targets, net_seed, lam, minibatch, steps = case
+    networks = [MLP(layer_sizes, np.random.default_rng(net_seed)) for _ in range(2)]
+    optimizers = [Adam(0.01) for _ in range(2)]
+    where = f"layers {layer_sizes}, lam={lam}, minibatch {minibatch}"
+    for step in range(steps):
+        rows = slice(step * minibatch, (step + 1) * minibatch)
+        got = networks[0].train_step(inputs[rows], targets[rows], optimizers[0], lam=lam)
+        expected = reference_train_step(
+            networks[1], inputs[rows], targets[rows], optimizers[1], lam=lam
+        )
+        at = f"{where}, step {step}"
+        _assert_bitwise("loss", np.array([got]), np.array([expected]), at)
+        _assert_bitwise("theta", networks[0].theta, networks[1].theta, at)
+        _assert_bitwise("first moment", optimizers[0]._first, optimizers[1]._first, at)
+        _assert_bitwise("second moment", optimizers[0]._second, optimizers[1]._second, at)
+        if optimizers[0]._step_count != optimizers[1]._step_count:
+            raise AssertionError(f"Adam step counts differ on {at}")
 
 
 #: Context width of the batched-estimate property's estimators.

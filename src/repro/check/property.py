@@ -302,6 +302,28 @@ def random_mlp_case(
     return layer_sizes, inputs, int(rng.integers(0, 2**31))
 
 
+def random_train_case(
+    rng: np.random.Generator,
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, int, float, int, int]:
+    """A ``(layer_sizes, inputs, targets, net_seed, lam, minibatch, steps)``
+    training-step case.
+
+    Shapes and the network seed come from :func:`random_mlp_case`; one to
+    six minibatch steps run over ``inputs``, the last of which is short
+    whenever its drawn row count falls below ``minibatch``.  ``lam`` is
+    zero (no L2 pass) or positive.
+    """
+    layer_sizes, _, net_seed = random_mlp_case(rng)
+    steps = int(rng.integers(1, 7))
+    minibatch = int(rng.integers(1, 9))
+    rows = (steps - 1) * minibatch + int(rng.integers(1, minibatch + 1))
+    scale = 10.0 ** rng.integers(-2, 3)
+    inputs = rng.normal(0.0, scale, size=(rows, layer_sizes[0]))
+    targets = rng.uniform(0.0, 1.0, size=rows)
+    lam = float(rng.choice([0.0, 1e-3, 0.5]))
+    return layer_sizes, inputs, targets, net_seed, lam, minibatch, steps
+
+
 #: Estimator kinds the batched-estimate property draws from.
 ESTIMATOR_KINDS = ("nnucb", "residual", "linear", "thompson", "full")
 

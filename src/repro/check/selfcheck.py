@@ -12,9 +12,10 @@ Runs the whole correctness layer against a small simulated city:
    :mod:`repro.check.differential` over randomized instances: KM-vs-oracle
    agreement, square-padding agreement, CBS preservation, warm-started
    incremental KM vs cold solves over perturbation sequences, top-k
-   selection vs brute force, batched MLP scoring, the day-batched
-   capacity estimate vs the per-broker loop, and the platform's
-   utilities vs their full-grid oracles.
+   selection vs brute force, batched MLP scoring, the flat-vector training
+   step vs the per-layer step, the day-batched capacity estimate vs the
+   per-broker loop, and the platform's utilities vs their full-grid
+   oracles (:data:`PROPERTY_SUITES`).
 
 Everything found comes back in one :class:`SelfCheckReport`; the CLI
 renders it and exits nonzero when any violation survived.
@@ -125,74 +126,86 @@ def run_self_check(
     return report
 
 
+#: The property phase's differential suites: ``(invariant, check,
+#: case generator, shrinker)``.  Each check looks its function up in
+#: :mod:`repro.check.differential` when called, so a patched module
+#: attribute takes effect.
+PROPERTY_SUITES = (
+    (
+        "property.backends_agree",
+        lambda case: differential.assert_backends_agree(case),
+        prop.random_utilities,
+        prop.shrink_matrix,
+    ),
+    (
+        "property.km_small_path_matches",
+        lambda case: differential.assert_small_km_matches(case),
+        prop.random_km_case,
+        prop.shrink_matrix,
+    ),
+    (
+        "property.pad_square_agrees",
+        lambda case: differential.assert_pad_square_agrees(case),
+        lambda rng: prop.random_utilities(rng, allow_negative=False),
+        prop.shrink_matrix,
+    ),
+    (
+        "property.cbs_preserves",
+        lambda case: differential.assert_cbs_preserves(case),
+        lambda rng: prop.random_utilities(rng, allow_negative=False),
+        prop.shrink_matrix,
+    ),
+    (
+        "property.incremental_matches_cold",
+        lambda case: differential.assert_incremental_matches_cold(case),
+        prop.random_perturbation_sequence,
+        prop.shrink_sequence,
+    ),
+    (
+        "property.topk_bruteforce",
+        lambda case: differential.assert_topk_matches_bruteforce(*case),
+        lambda rng: (prop.random_utility_row(rng), int(rng.integers(0, 12))),
+        None,
+    ),
+    (
+        "property.fast_topk_matches_quickselect",
+        lambda case: differential.assert_fast_topk_matches_quickselect(*case),
+        prop.random_topk_case,
+        None,
+    ),
+    (
+        "property.batched_scoring_matches",
+        lambda case: differential.assert_batched_scoring_matches(case),
+        prop.random_mlp_case,
+        None,
+    ),
+    (
+        "property.train_step_matches",
+        lambda case: differential.assert_train_step_matches(case),
+        prop.random_train_case,
+        None,
+    ),
+    (
+        "property.batched_estimate_matches",
+        lambda case: differential.assert_batched_estimate_matches(case),
+        prop.random_estimate_case,
+        None,
+    ),
+    (
+        "property.platform_utilities_match",
+        lambda case: differential.assert_platform_utilities_match(case),
+        prop.random_platform_case,
+        None,
+    ),
+)
+
+
 def _run_property_phase(
     violations: list[Violation], num_cases: int, seed: int
 ) -> int:
-    """Drive every differential suite; convert failures into violations."""
-    suites = [
-        (
-            "property.backends_agree",
-            differential.assert_backends_agree,
-            prop.random_utilities,
-            prop.shrink_matrix,
-        ),
-        (
-            "property.km_small_path_matches",
-            differential.assert_small_km_matches,
-            prop.random_km_case,
-            prop.shrink_matrix,
-        ),
-        (
-            "property.pad_square_agrees",
-            differential.assert_pad_square_agrees,
-            lambda rng: prop.random_utilities(rng, allow_negative=False),
-            prop.shrink_matrix,
-        ),
-        (
-            "property.cbs_preserves",
-            differential.assert_cbs_preserves,
-            lambda rng: prop.random_utilities(rng, allow_negative=False),
-            prop.shrink_matrix,
-        ),
-        (
-            "property.incremental_matches_cold",
-            differential.assert_incremental_matches_cold,
-            prop.random_perturbation_sequence,
-            prop.shrink_sequence,
-        ),
-        (
-            "property.topk_bruteforce",
-            lambda case: differential.assert_topk_matches_bruteforce(*case),
-            lambda rng: (prop.random_utility_row(rng), int(rng.integers(0, 12))),
-            None,
-        ),
-        (
-            "property.fast_topk_matches_quickselect",
-            lambda case: differential.assert_fast_topk_matches_quickselect(*case),
-            prop.random_topk_case,
-            None,
-        ),
-        (
-            "property.batched_scoring_matches",
-            differential.assert_batched_scoring_matches,
-            prop.random_mlp_case,
-            None,
-        ),
-        (
-            "property.batched_estimate_matches",
-            differential.assert_batched_estimate_matches,
-            prop.random_estimate_case,
-            None,
-        ),
-        (
-            "property.platform_utilities_match",
-            differential.assert_platform_utilities_match,
-            prop.random_platform_case,
-            None,
-        ),
-    ]
+    """Drive every suite of :data:`PROPERTY_SUITES`; convert failures into violations."""
     cases_run = 0
-    for invariant, check, generate, shrink in suites:
+    for invariant, check, generate, shrink in PROPERTY_SUITES:
         with obs.span(invariant):
             try:
                 cases_run += prop.run_property(

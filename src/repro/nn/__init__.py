@@ -8,7 +8,9 @@ machinery; this package implements a small fully-connected network with
 manual backprop that exposes
 
 - batched forward / backward passes for supervised training (Eq. 6) with
-  the :class:`~repro.nn.optimizers.Adam` update,
+  the :class:`~repro.nn.optimizers.Adam` update; parameters, gradients and
+  Adam moments each live in one flat vector (the layers' arrays are views),
+  so a training step's zero-grad, L2 and update are one pass each,
 - exact per-sample gradients, a block of rows at a time
   (:meth:`~repro.nn.MLP.sample_gradients`), behind the covariance update,
 - cache-free batched forward/backward parts (per-layer activations and

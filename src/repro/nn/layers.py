@@ -1,4 +1,11 @@
-"""Dense (fully connected) layer with manual forward/backward passes."""
+"""Dense (fully connected) layer with manual forward/backward passes.
+
+A standalone layer owns its arrays.  Inside an :class:`~repro.nn.MLP` the
+network calls :meth:`Dense.bind`, after which ``weight`` / ``bias`` and
+``grad_weight`` / ``grad_bias`` are reshaped views into the network's flat
+parameter and gradient vectors: every in-place write through them lands in
+those vectors, so the optimizer can update all layers in one pass.
+"""
 
 from __future__ import annotations
 
@@ -36,6 +43,19 @@ class Dense:
         """Total parameter count (weights plus biases)."""
         return self.weight.size + self.bias.size
 
+    def bind(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Re-home the parameters and gradients as views of flat slices.
+
+        ``params`` and ``grads`` are ``num_params``-long contiguous slices
+        laid out as the raveled weight, then the bias.  Nothing is copied:
+        the caller's slices must already hold the values.
+        """
+        split = self.weight.size
+        self.weight = params[:split].reshape(self.weight.shape)
+        self.bias = params[split:]
+        self.grad_weight = grads[:split].reshape(self.weight.shape)
+        self.grad_bias = grads[split:]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Apply the affine map to a ``(batch, fan_in)`` input."""
         if x.ndim != 2 or x.shape[1] != self.fan_in:
@@ -45,16 +65,21 @@ class Dense:
         self._last_input = x
         return x @ self.weight.T + self.bias
 
+    def accumulate(self, grad_output: np.ndarray) -> None:
+        """Accumulate ``(batch, fan_out)`` output gradients into
+        ``grad_weight`` / ``grad_bias``, without the input gradient."""
+        if self._last_input is None:
+            raise RuntimeError("backward() called before forward()")
+        self.grad_weight += grad_output.T @ self._last_input
+        self.grad_bias += grad_output.sum(axis=0)
+
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Backpropagate ``(batch, fan_out)`` output gradients.
 
         Accumulates parameter gradients into ``grad_weight`` / ``grad_bias``
         and returns the gradient with respect to the layer input.
         """
-        if self._last_input is None:
-            raise RuntimeError("backward() called before forward()")
-        self.grad_weight += grad_output.T @ self._last_input
-        self.grad_bias += grad_output.sum(axis=0)
+        self.accumulate(grad_output)
         return grad_output @ self.weight
 
     def zero_grad(self) -> None:

@@ -9,6 +9,12 @@ NN-enhanced UCB policy (Eq. 5) needs the flattened per-sample gradient
 ``g_theta(x, c)`` of the scalar output with respect to every parameter:
 :meth:`MLP.sample_gradients` computes it exactly for a block of rows and
 :meth:`MLP.forward_backward` provides the parts to reduce it for a batch.
+
+The network stores ``theta`` as one flat vector, and its training
+gradient as another, both in :meth:`MLP.param_vector` order (per layer the
+raveled weight, then the bias).  Every layer's arrays are views into them,
+so a :meth:`MLP.train_step` zeroes, regularizes and updates all parameters
+with one pass each over the flat vectors.
 """
 
 from __future__ import annotations
@@ -40,14 +46,34 @@ class MLP:
             Dense(fan_in, fan_out, rng)
             for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:])
         ]
+        #: Flat parameters and training gradient; the layers' arrays are views.
+        self.theta = np.concatenate(
+            [array.ravel() for layer in self.layers for array in (layer.weight, layer.bias)]
+        )
+        self.theta_grad = np.zeros_like(self.theta)
+        self._bind_layers()
         self._relu_masks: list[np.ndarray] = []
         # Reused output of :meth:`sample_gradients`; never copied or pickled.
         self._gradient_scratch: np.ndarray | None = None
+
+    def _bind_layers(self) -> None:
+        """Point every layer's parameters and gradients into the flat vectors."""
+        start = 0
+        for layer in self.layers:
+            end = start + layer.num_params
+            layer.bind(self.theta[start:end], self.theta_grad[start:end])
+            start = end
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_gradient_scratch"] = None
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        # A deepcopy or unpickle copies each layer view as a detached array;
+        # the copied flat vectors hold the same values, so re-home the views.
+        self.__dict__.update(state)
+        self._bind_layers()
 
     # ------------------------------------------------------------------
     # Shape bookkeeping
@@ -70,7 +96,7 @@ class MLP:
     @property
     def num_params(self) -> int:
         """Total number of learnable parameters ``d``."""
-        return sum(layer.num_params for layer in self.layers)
+        return self.theta.size
 
     # ------------------------------------------------------------------
     # Forward / backward
@@ -112,27 +138,32 @@ class MLP:
         Must follow a :meth:`forward` call on the same batch.  Returns the
         gradient with respect to the network input.
         """
+        return self._accumulate_gradients(grad_output) @ self.layers[0].weight
+
+    def _accumulate_gradients(self, grad_output: np.ndarray) -> np.ndarray:
+        """Accumulate every layer's parameter gradients from output gradients.
+
+        Returns the gradient with respect to the first layer's output; the
+        input gradient, which training never reads, is left to the caller.
+        """
         grad = np.atleast_2d(np.asarray(grad_output, dtype=float))
-        grad = self.layers[-1].backward(grad)
-        for layer, mask in zip(reversed(self.layers[:-1]), reversed(self._relu_masks)):
-            grad = layer.backward(grad * mask)
+        for layer, mask in zip(reversed(self.layers[1:]), reversed(self._relu_masks)):
+            layer.accumulate(grad)
+            grad = (grad @ layer.weight) * mask
+        self.layers[0].accumulate(grad)
         return grad
 
     def zero_grad(self) -> None:
         """Clear accumulated gradients in every layer."""
-        for layer in self.layers:
-            layer.zero_grad()
+        self.theta_grad.fill(0.0)
 
     # ------------------------------------------------------------------
     # Flattened parameter access (needed by the UCB covariance matrix)
     # ------------------------------------------------------------------
     def param_vector(self) -> np.ndarray:
-        """Concatenate all weights and biases into one flat vector ``theta``."""
-        chunks = []
-        for layer in self.layers:
-            chunks.append(layer.weight.ravel())
-            chunks.append(layer.bias.ravel())
-        return np.concatenate(chunks)
+        """A copy of the flat parameter vector ``theta``: per layer the
+        raveled weight, then the bias."""
+        return self.theta.copy()
 
     def sample_gradient(self, x: np.ndarray) -> np.ndarray:
         """Exact per-sample gradient ``g_theta(x) = grad_theta S_theta(x)``.
@@ -244,6 +275,12 @@ class MLP:
     ) -> float:
         """One gradient step on the regularized loss of Eq. 6.
 
+        Zero-grad, the L2 gradient and the optimizer update each run once
+        over the flat vectors, and backpropagation skips the input gradient.
+        The per-layer step it replaced is kept as the oracle
+        :func:`repro.check.differential.reference_train_step`; both leave
+        ``theta``, the Adam moments and the loss bitwise equal.
+
         Args:
             inputs: ``(batch, input_dim)`` design matrix.
             targets: ``(batch,)`` observed rewards (sign-up rates).
@@ -257,24 +294,13 @@ class MLP:
         self.zero_grad()
         predictions = self.predict(inputs)
         loss, grad_pred = mse_loss(predictions, targets)
-        self.backward(grad_pred.reshape(-1, 1))
+        self._accumulate_gradients(grad_pred.reshape(-1, 1))
         if lam > 0.0:
-            reg_loss, reg_grad = l2_penalty(self.param_vector(), lam)
+            reg_loss, reg_grad = l2_penalty(self.theta, lam)
             loss += reg_loss
-            self._add_grad_vector(reg_grad)
+            self.theta_grad += reg_grad
         optimizer.step(self)
         return loss
-
-    def _add_grad_vector(self, grad: np.ndarray) -> None:
-        """Accumulate a flat gradient vector into the per-layer buffers."""
-        offset = 0
-        for layer in self.layers:
-            w_size = layer.weight.size
-            layer.grad_weight += grad[offset : offset + w_size].reshape(layer.weight.shape)
-            offset += w_size
-            b_size = layer.bias.size
-            layer.grad_bias += grad[offset : offset + b_size]
-            offset += b_size
 
     # ------------------------------------------------------------------
     # Durable state (repro.state contract)

@@ -6,6 +6,12 @@ Alg. 1 line 17 writes the update as plain gradient descent
 updates every layer: the Sec. V-D layer transfer never freezes the shared
 network, it fits per-broker heads on
 :meth:`~repro.nn.MLP.hidden_features` (:mod:`repro.bandits.personalization`).
+
+The moments live in two flat vectors laid out like the network's flat
+``theta``, so one step is one elementwise pass over all parameters, with
+two step temporaries reused through ufunc ``out=``.  Every element sees the
+same IEEE operations, in the same order, as the per-layer loop kept as the
+oracle :func:`repro.check.differential.reference_train_step`.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 
 class Adam:
-    """Adam optimizer (Kingma & Ba) over the per-layer gradient buffers."""
+    """Adam optimizer (Kingma & Ba) over the network's flat parameter vector."""
 
     def __init__(
         self,
@@ -37,37 +43,62 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self._step_count = 0
-        self._moments: dict[int, list[np.ndarray]] = {}
+        # Flat first and second moments in ``theta`` order, allocated on the
+        # first step, and each layer's (weight, bias) shapes for snapshots.
+        self._first: np.ndarray | None = None
+        self._second: np.ndarray | None = None
+        self._shapes: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+
+    def allocate(self, model: "MLP") -> None:
+        """Create zero moments shaped like ``model`` unless they exist."""
+        if self._first is None:
+            self._first = np.zeros_like(model.theta)
+            self._second = np.zeros_like(model.theta)
+            self._shapes = [(layer.weight.shape, layer.bias.shape) for layer in model.layers]
+
+    def layer_moments(self) -> dict[int, list[np.ndarray]]:
+        """Per-layer views ``{index: [m_w, v_w, m_b, v_b]}`` of the flat moments.
+
+        Empty before the first step.
+        """
+        moments: dict[int, list[np.ndarray]] = {}
+        start = 0
+        for index, (weight_shape, bias_shape) in enumerate(self._shapes):
+            split = start + int(np.prod(weight_shape))
+            end = split + int(np.prod(bias_shape))
+            moments[index] = [
+                self._first[start:split].reshape(weight_shape),
+                self._second[start:split].reshape(weight_shape),
+                self._first[split:end],
+                self._second[split:end],
+            ]
+            start = end
+        return moments
 
     def step(self, model: "MLP") -> None:
-        """Apply one bias-corrected Adam update to every layer."""
+        """Apply one bias-corrected Adam update to every parameter."""
+        self.allocate(model)
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
-        for index, layer in enumerate(model.layers):
-            state = self._moments.setdefault(
-                index,
-                [
-                    np.zeros_like(layer.weight),
-                    np.zeros_like(layer.weight),
-                    np.zeros_like(layer.bias),
-                    np.zeros_like(layer.bias),
-                ],
-            )
-            m_w, v_w, m_b, v_b = state
-            for moment, second, grad, param in (
-                (m_w, v_w, layer.grad_weight, layer.weight),
-                (m_b, v_b, layer.grad_bias, layer.bias),
-            ):
-                moment *= self.beta1
-                moment += (1.0 - self.beta1) * grad
-                second *= self.beta2
-                second += (1.0 - self.beta2) * grad**2
-                param -= (
-                    self.learning_rate
-                    * (moment / bias1)
-                    / (np.sqrt(second / bias2) + self.eps)
-                )
+        grad, moment, second = model.theta_grad, self._first, self._second
+        # Two fresh temporaries per step: as fast as a kept scratch pair,
+        # and nothing that copies or pickles must leave out.
+        update = np.multiply(grad, 1.0 - self.beta1)
+        moment *= self.beta1
+        moment += update
+        second *= self.beta2
+        np.square(grad, out=update)
+        update *= 1.0 - self.beta2
+        second += update
+        # lr * (m / bias1) / (sqrt(v / bias2) + eps), in that order.
+        np.divide(moment, bias1, out=update)
+        update *= self.learning_rate
+        denom = np.divide(second, bias2)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        model.theta -= update
 
     def snapshot(self) -> dict:
         """Deep snapshot of the step count and per-layer moment estimates."""
@@ -77,7 +108,7 @@ class Adam:
                 "step_count": int(self._step_count),
                 "moments": {
                     index: [moment.copy() for moment in moments]
-                    for index, moments in self._moments.items()
+                    for index, moments in self.layer_moments().items()
                 },
             },
         )
@@ -86,7 +117,19 @@ class Adam:
         """Reinstall the Adam moments from a :meth:`snapshot`."""
         payload = expect(state, "nn.adam")
         self._step_count = int(payload["step_count"])
-        self._moments = {
-            int(index): [np.array(moment, dtype=float) for moment in moments]
-            for index, moments in payload["moments"].items()
-        }
+        layers = [
+            [np.array(moment, dtype=float) for moment in moments]
+            for _, moments in sorted(
+                (int(index), moments) for index, moments in payload["moments"].items()
+            )
+        ]
+        self._shapes = [(m_w.shape, m_b.shape) for m_w, _, m_b, _ in layers]
+        if layers:
+            self._first = np.concatenate(
+                [part.ravel() for m_w, _, m_b, _ in layers for part in (m_w, m_b)]
+            )
+            self._second = np.concatenate(
+                [part.ravel() for _, v_w, _, v_b in layers for part in (v_w, v_b)]
+            )
+        else:
+            self._first = self._second = None

@@ -250,3 +250,44 @@ def test_arm_feature_rows_matches_per_arm_features(rng):
     rows = bandit.arm_feature_rows(context)
     reference = np.stack([bandit._features(context, c) for c in bandit.capacities])
     np.testing.assert_array_equal(rows, reference)
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+@pytest.mark.parametrize("personalized", [False, True])
+def test_copies_of_a_trained_bandit_keep_training_bitwise(how, personalized, rng):
+    """A copy's layer views must follow its own flat vectors: a copy that
+    trained a detached view would drift from the original."""
+    import copy
+    import pickle
+
+    from repro.bandits import PersonalizedCapacityEstimator
+    from repro.state import state_equal
+
+    base = _bandit(rng, batch_size=4, minibatch=3, lam=0.01)
+    estimator = PersonalizedCapacityEstimator(base) if personalized else base
+
+    def feed(target, stream):
+        for context, capacity, reward, broker in stream:
+            target.estimate(context, broker)
+            target.update(context, capacity, reward, broker, capacity=capacity)
+
+    def trials(seed, count):
+        draw = np.random.default_rng(seed)
+        return [
+            (draw.normal(size=3), float(draw.choice(base.capacities)), float(draw.uniform()),
+             int(draw.integers(0, 5)))
+            for _ in range(count)
+        ]
+
+    feed(estimator, trials(1, 12))
+    steps = base.num_train_steps
+    assert steps > 0
+    twin = copy.deepcopy(estimator) if how == "deepcopy" else pickle.loads(pickle.dumps(estimator))
+    twin_base = getattr(twin, "base", twin)
+    assert not np.shares_memory(twin_base.network.layers[0].weight, base.network.theta)
+    more = trials(2, 12)
+    feed(estimator, more)
+    feed(twin, more)
+    assert twin_base.num_train_steps == base.num_train_steps > steps
+    assert twin_base.network.theta.tobytes() == base.network.theta.tobytes()
+    assert state_equal(twin.snapshot(), estimator.snapshot())

@@ -219,6 +219,52 @@ def test_batched_scoring_matches_on_randomized_networks():
     assert count == NUM_CASES
 
 
+def test_train_step_matches_reference_on_randomized_networks():
+    count = run_property(
+        differential.assert_train_step_matches,
+        prop.random_train_case,
+        num_cases=NUM_CASES,
+        seed=107,
+        name="train_step_matches",
+    )
+    assert count == NUM_CASES
+
+
+def test_train_step_cases_cover_short_minibatches_and_both_lams():
+    cases = [prop.random_train_case(prop.case_rng(107, i)) for i in range(NUM_CASES)]
+    assert {lam > 0.0 for *_, lam, _, _ in cases} == {False, True}
+    short = [
+        case for case in cases if case[1].shape[0] < case[5] * case[6] and case[6] > 1
+    ]
+    assert short
+    assert {case[6] for case in cases} == set(range(1, 7))
+
+
+def test_train_step_assert_catches_a_reassociated_update(monkeypatch):
+    """Sanity: ``(lr * m) / bias1`` rounds differently from ``lr * (m / bias1)``."""
+    from repro.nn import Adam
+
+    real = Adam.step
+
+    def reassociated(self, model):
+        before = model.theta.copy()
+        real(self, model)
+        model.theta[:] = before - (
+            (self.learning_rate * self._first) / (1.0 - self.beta1**self._step_count)
+        ) / (np.sqrt(self._second / (1.0 - self.beta2**self._step_count)) + self.eps)
+
+    monkeypatch.setattr(Adam, "step", reassociated)
+    with pytest.raises(AssertionError, match="theta"):
+        run_property(
+            differential.assert_train_step_matches,
+            prop.random_train_case,
+            num_cases=NUM_CASES,
+            seed=107,
+            shrink=None,
+            name="train_step_matches",
+        )
+
+
 def test_fast_topk_assert_catches_wrong_tie_rule(monkeypatch):
     """Sanity: the oracle fires if the fast kernel breaks ties differently."""
     from repro.core import selection

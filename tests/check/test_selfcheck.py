@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.check import runtime
 from repro.check.runtime import Violation
-from repro.check.selfcheck import SelfCheckReport, run_self_check
+from repro.check.selfcheck import PROPERTY_SUITES, SelfCheckReport, run_self_check
 
 
 def test_self_check_runs_clean_on_small_city():
@@ -19,8 +19,7 @@ def test_self_check_runs_clean_on_small_city():
     assert report.violations == []
     assert report.invariants_checked > 0
     assert report.solver_checks > 0
-    # 10 property suites x 25 cases each.
-    assert report.property_cases == 250
+    assert report.property_cases == len(PROPERTY_SUITES) * 25
     assert report.algorithms == ("KM", "LACB-Opt")
 
 

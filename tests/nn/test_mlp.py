@@ -313,3 +313,73 @@ def test_sample_gradients_reuses_one_buffer_that_copies_leave_out(rng):
         assert twin._gradient_scratch is None
         row = rng.normal(size=6)
         assert _bits(twin.sample_gradient(row)) == _bits(network.sample_gradient(row))
+
+
+# ----------------------------------------------------------------------
+# Flat parameter and gradient vectors
+# ----------------------------------------------------------------------
+def _assert_layers_are_views(network):
+    start = 0
+    for layer in network.layers:
+        for param, grad in ((layer.weight, layer.grad_weight), (layer.bias, layer.grad_bias)):
+            end = start + param.size
+            assert param.base is network.theta and grad.base is network.theta_grad
+            assert np.shares_memory(param, network.theta[start:end])
+            assert np.shares_memory(grad, network.theta_grad[start:end])
+            start = end
+    assert start == network.theta.size == network.num_params
+
+
+def test_layers_are_views_of_the_flat_vectors(rng):
+    network = MLP([5, 7, 3, 1], rng)
+    _assert_layers_are_views(network)
+    assert _bits(network.param_vector()) == _bits(network.theta)
+    network.theta[:] = np.arange(network.theta.size, dtype=float)
+    assert network.layers[0].weight[0, 1] == 1.0
+    assert network.layers[-1].bias[0] == network.theta.size - 1
+    network.layers[1].grad_bias += 2.0
+    assert np.count_nonzero(network.theta_grad) == network.layers[1].bias.size
+    network.zero_grad()
+    assert not network.theta_grad.any()
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+def test_copies_rehome_the_layer_views(how, rng):
+    import copy
+    import pickle
+
+    network = MLP([5, 7, 3, 1], rng)
+    optimizer = Adam(0.01)
+    x, y = rng.normal(size=(9, 5)), rng.uniform(size=9)
+    network.train_step(x, y, optimizer, lam=0.01)
+    twin = copy.deepcopy(network) if how == "deepcopy" else pickle.loads(pickle.dumps(network))
+    _assert_layers_are_views(twin)
+    assert not np.shares_memory(twin.theta, network.theta)
+    assert _bits(twin.theta) == _bits(network.theta)
+    twin_optimizer = copy.deepcopy(optimizer)
+    for _ in range(3):
+        network.train_step(x, y, optimizer, lam=0.01)
+        twin.train_step(x, y, twin_optimizer, lam=0.01)
+    assert _bits(twin.theta) == _bits(network.theta)
+
+
+def test_restore_writes_through_the_views(rng):
+    source = MLP([4, 6, 1], rng)
+    target = MLP([4, 6, 1], np.random.default_rng(99))
+    target.restore(source.snapshot())
+    _assert_layers_are_views(target)
+    assert _bits(target.theta) == _bits(source.theta)
+
+
+def test_backward_still_returns_the_input_gradient(rng):
+    network = MLP([4, 6, 3, 1], rng)
+    x = rng.normal(size=(5, 4))
+    network.zero_grad()
+    network.forward(x)
+    grad_input = network.backward(np.ones((5, 1)))
+    eps = 1e-6
+    for column in range(4):
+        step = np.zeros_like(x)
+        step[:, column] = eps
+        numeric = (network.predict(x + step) - network.predict(x - step)) / (2 * eps)
+        np.testing.assert_allclose(grad_input[:, column], numeric, rtol=1e-5, atol=1e-7)

@@ -9,9 +9,10 @@ must keep deciding as the original does.
 
 The reference arithmetic is the oracle set of
 :func:`repro.check.differential.install_reference_kernels`: an immediate
-``param_gradient`` commit per broker and a per-trial ``_features`` rebuild
-on every training flush and personalization call, which is the arithmetic
-the checkpoints of earlier releases were written with.
+``param_gradient`` commit per broker, a per-trial ``_features`` rebuild
+on every training flush and personalization call, and the per-layer
+training step with per-layer Adam moments, which is the arithmetic the
+checkpoints of earlier releases were written with.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def test_day_snapshots_carry_the_reference_keys_and_bytes(algorithm, monkeypatch
         assert set(estimator["base"]["payload"]) == BANDIT_KEYS
 
 
-@pytest.mark.parametrize("algorithm", ["LACB", "LACB-Opt"])
+@pytest.mark.parametrize("algorithm", ["LACB", "LACB-Opt", "AN"])
 def test_reference_written_checkpoints_resume_bit_identically(
     algorithm, monkeypatch, tmp_path
 ):

@@ -5,6 +5,7 @@ import logging
 
 import pytest
 
+from repro.check.selfcheck import PROPERTY_SUITES
 from repro.cli import build_parser, main
 
 
@@ -246,7 +247,7 @@ def test_check_command_writes_report(capsys, tmp_path):
     payload = json.loads((report_dir / "check_report.json").read_text())
     assert payload["ok"] is True
     assert payload["violations"] == []
-    assert payload["property_cases"] == 50  # 10 suites x 5 cases
+    assert payload["property_cases"] == len(PROPERTY_SUITES) * 5
 
 
 def test_compare_with_check_flag(capsys):
