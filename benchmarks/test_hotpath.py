@@ -10,6 +10,13 @@ kernel and a scalar reference kernel, kept as an oracle in
 * **Day estimate** (Alg. 2 lines 1-2) — ``estimate_batch`` of a trained
   personalized bandit over a whole day of brokers (blocked passes) vs.
   the per-broker ``estimate`` loop on the reference kernels.
+* **Scored day estimate** — the production ``estimate_batch`` alone on
+  the long-horizon-width net (70 context features, (64, 16) hidden
+  layers), after enough fed-back days that every broker is past structured
+  exploration with at least ``min_triples`` own trials: µs per scored
+  broker of the day loop (bonus, pick, one-row commit).  Recorded, not
+  gated, and no oracle ratio: ``estimate.speedup`` divides by the oracle
+  side, so it moves when the oracles do.
 * **CBS pruning** (Alg. 3) — one ``np.partition`` boundary pass over the
   whole utility matrix vs. the per-row quickselect union
   (``quickselect_union``), which Theorem 2 keeps as the correctness oracle.
@@ -58,6 +65,7 @@ Run modes::
 import copy
 import os
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -80,6 +88,9 @@ from repro.engine import MatcherSpec, PlatformSpec, RunSpec
 from repro.engine.executor import execute_spec
 from repro.matching import solve_assignment
 from repro.matching.hungarian import _hungarian_arrays, _hungarian_lists, _padded_cost
+from repro.obs.audit import AuditConfig, DecisionAudit
+from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import use as use_telemetry
 from repro.simulation import SyntheticConfig
 
 # CI smoke mode: small instances, floors relaxed to "fast is not slower".
@@ -144,15 +155,15 @@ def _best_of(repeats, fn):
     return min(times), times
 
 
-def _make_bandit() -> NNUCBBandit:
-    return NNUCBBandit(CONTEXT_DIM, BanditConfig(), np.random.default_rng(3))
+def _make_bandit(context_dim: int = CONTEXT_DIM) -> NNUCBBandit:
+    return NNUCBBandit(context_dim, BanditConfig(), np.random.default_rng(3))
 
 
-def _trained_personalized(rng) -> PersonalizedCapacityEstimator:
+def _trained_personalized(rng, context_dim: int = CONTEXT_DIM) -> PersonalizedCapacityEstimator:
     """A personalized LACB estimator after ``ESTIMATE_WARM_DAYS`` fed-back days."""
-    estimator = PersonalizedCapacityEstimator(_make_bandit())
+    estimator = PersonalizedCapacityEstimator(_make_bandit(context_dim))
     for _ in range(ESTIMATE_WARM_DAYS):
-        contexts = rng.normal(0.0, 1.0, size=(ESTIMATE_BROKERS, CONTEXT_DIM))
+        contexts = rng.normal(0.0, 1.0, size=(ESTIMATE_BROKERS, context_dim))
         capacities = estimator.estimate_batch(contexts)
         for broker_id, (context, capacity) in enumerate(zip(contexts, capacities)):
             estimator.update(
@@ -171,6 +182,16 @@ def _oracles(monkeypatch):
     with monkeypatch.context() as patch:
         install_reference_kernels(patch)
         yield
+
+
+def _capacity_rules(estimator, contexts) -> list[str]:
+    """The rule behind each broker's capacity on a day of ``contexts``,
+    read from a decision audit of a deep copy (the estimator is untouched)."""
+    telemetry = Telemetry()
+    telemetry.audit_session = DecisionAudit(AuditConfig(), 1, "hotpath")
+    with use_telemetry(telemetry):
+        copy.deepcopy(estimator).estimate_batch(contexts)
+    return [note[2] for note in telemetry.audit_session._capacity_notes]
 
 
 def _timed_estimates(repeats, estimator, estimate):
@@ -242,6 +263,18 @@ def test_hotpath_speedups(benchmark, monkeypatch):
     # Context only: the same kernel one context at a time.
     estimate_one_best, _ = _timed_estimates(REPEATS, estimator, per_broker)
     estimate_speedup = estimate_ref_best / estimate_fast_best
+
+    # ------------------------------------------------------------------
+    # Scored day estimate: the production loop alone (recorded, not gated).
+    # ------------------------------------------------------------------
+    scored_rng = np.random.default_rng(17)
+    scored_estimator = _trained_personalized(scored_rng, COMMIT_CONTEXT_DIM)
+    scored_contexts = scored_rng.normal(0.0, 1.0, size=(ESTIMATE_BROKERS, COMMIT_CONTEXT_DIM))
+    scored_rules = _capacity_rules(scored_estimator, scored_contexts)
+    scored_brokers = sum(rule in ("ucb", "personal-ucb") for rule in scored_rules)
+    scored_best, scored_times = _timed_estimates(
+        REPEATS, scored_estimator, lambda twin: twin.estimate_batch(scored_contexts)
+    )
 
     # ------------------------------------------------------------------
     # CBS pruning: one argpartition boundary pass vs. per-row quickselect.
@@ -456,6 +489,18 @@ def test_hotpath_speedups(benchmark, monkeypatch):
             "capacities_identical": True,
             "covariance_bit_identical": True,
         },
+        "estimate_scored": {
+            "num_brokers": ESTIMATE_BROKERS,
+            "warm_days": ESTIMATE_WARM_DAYS,
+            "layer_sizes": list(scored_estimator.base.network.layer_sizes),
+            "min_history": min(len(h) for h in scored_estimator._history.values()),
+            "min_triples": scored_estimator.min_triples,
+            "rules": dict(Counter(scored_rules)),
+            "scored_brokers": scored_brokers,
+            "seconds": scored_times,
+            "best": scored_best,
+            "us_per_scored_broker": scored_best / scored_brokers * 1e6,
+        },
         "cbs": {
             "shape": list(CBS_SHAPE),
             "top_k": CBS_TOP_K,
@@ -529,6 +574,11 @@ def test_hotpath_speedups(benchmark, monkeypatch):
         f"({estimate_speedup:.1f}x, floor {ESTIMATE_FLOOR:.0f}x, "
         f"{ESTIMATE_BROKERS} brokers; one context at a time "
         f"{estimate_one_best:.3f}s)"
+    )
+    print(
+        f"Scored estimate:   {scored_best / scored_brokers * 1e6:.1f}us per scored broker "
+        f"({scored_brokers} of {ESTIMATE_BROKERS} brokers scored, net "
+        f"{scored_estimator.base.network.layer_sizes}, recorded only)"
     )
     print(
         f"CBS pruning:       {cbs_ref_best * 1e3:.2f}ms -> {cbs_fast_best * 1e3:.2f}ms "

@@ -179,15 +179,15 @@ class NNUCBBandit(CapacityEstimator):
         # Chosen-arm rows whose ``D`` update is queued (:meth:`_commit`).
         self._pending_rows = np.empty((COMMIT_BLOCK, self.network.input_dim))
         self._num_pending = 0
+        # The chosen-arm row of a commit applied at once (:meth:`_commit_now`).
+        self._commit_row = np.empty(self.network.input_dim)
+        # The grid as Python floats, for the per-broker pick (:meth:`_ucb_arm`).
+        self._capacity_values = self.capacities.tolist()
         # Context-independent tail of every grid arm's feature row
         # ``[x; c/|C|max; onehot]`` — scoring rebuilds only the context part.
         self._arm_row_tail = np.stack(
             [self._features(np.empty(0), c) for c in self.capacities]
         )
-        # Decision provenance: while an audit session is active, scoring
-        # stashes its (means, bonuses) split here so the chosen arm's
-        # components can be recorded without recomputing anything.
-        self.last_score_parts: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Scoring (Eq. 5)
@@ -245,30 +245,16 @@ class NNUCBBandit(CapacityEstimator):
         one small GEMM per layer against the current ``D``
         (:func:`repro.nn.mlp.weighted_gradient_norms`).  The ``"full"``
         regime builds the rows from the same parts and reduces them with
-        ``D^-1``.  Queued covariance commits land first.  The per-arm
+        ``D^-1``.  The caller flushes queued commits first.  The per-arm
         gradient loop this replaces is the oracle
         :func:`repro.check.differential.reference_arm_bonuses`.
         """
-        self._flush_commits()
         if self._d_inv is not None:
             rows = gradient_rows(inputs, signals)
             values = ((rows @ self._d_inv) * rows).sum(axis=1)
         else:
             values = weighted_gradient_norms(inputs, signals, 1.0 / self._d_diag)
         return np.sqrt(np.maximum(values, 0.0))
-
-    def score_parts(
-        self, parts: tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]
-    ) -> np.ndarray:
-        """Scores of every arm from :class:`ArmBlocks` parts (Eq. 5)."""
-        means, inputs, signals = parts
-        return self._scores_from(means, self.arm_bonuses(inputs, signals))
-
-    def _scores_from(self, means: np.ndarray, bonuses: np.ndarray) -> np.ndarray:
-        """Combine means and bonuses; stash the split for decision audits."""
-        if obs_audit.current() is not None:
-            self.last_score_parts = (means, bonuses)
-        return self.combine_scores(means, bonuses)
 
     def combine_scores(self, means: np.ndarray, bonuses: np.ndarray) -> np.ndarray:
         """Eq. 5's ``mean + alpha * bonus`` — the score-combination hook.
@@ -282,16 +268,69 @@ class NNUCBBandit(CapacityEstimator):
     def ucb_scores(self, context: np.ndarray) -> np.ndarray:
         """Upper confidence bound of every candidate capacity (Eq. 5).
 
-        A one-context call of the day-batched kernel: the arms' forward /
+        A one-context call of the day loop's scoring: the arms' forward /
         backward pass, then :meth:`arm_bonuses` against the current ``D``.
         """
-        return self.score_parts(self.arm_parts(context))
+        self._flush_commits()
+        means, inputs, signals = self.arm_parts(context)
+        return self.combine_scores(means, self.arm_bonuses(inputs, signals))
+
+    def _ucb_arm(self, scores: list[float]) -> int:
+        """The UCB pick over Python-float scores, conservative tie-break included.
+
+        Among arms scoring within ``tie_tolerance`` of the maximum (relative
+        to the score spread) the smallest capacity *value* wins, the first
+        in index order on equal values — not the lowest index, which is only
+        the same thing when the grid is sorted ascending (BanditConfig
+        accepts arbitrary arm orderings).  The same IEEE operations as the
+        NumPy form ``qualified[np.argmin(capacities[qualified])]``, and like
+        it this raises when a score is NaN or no arm qualifies.
+        """
+        top = max(scores)
+        threshold = top - self.config.tie_tolerance * max(top - min(scores), 1e-12)
+        capacities = self._capacity_values
+        best = -1
+        for arm, score in enumerate(scores):
+            if score != score:
+                best = -1
+                break
+            if score >= threshold and (best < 0 or capacities[arm] < capacities[best]):
+                best = arm
+        if best < 0:
+            raise ValueError(f"no arm qualifies among the UCB scores {scores}")
+        return best
 
     # ------------------------------------------------------------------
     # Alg. 1: explore, update covariance, learn from feedback
     # ------------------------------------------------------------------
-    def select_arm(self, context: np.ndarray) -> int:
-        """Arm index with maximum UCB, with three practical safeguards.
+    def estimate(self, context: np.ndarray, broker_id: int | None = None) -> float:
+        """Choose the capacity with maximum UCB; update ``D`` (line 12)."""
+        contexts = np.atleast_2d(np.asarray(context, dtype=float))
+        return float(self._decide_day(contexts, [broker_id], blocked=False)[0])
+
+    def _estimate_rows(self, contexts: np.ndarray, broker_ids: np.ndarray) -> np.ndarray:
+        """Day-batched :meth:`estimate`: the day loop with every row scoring."""
+        return self._decide_day(contexts, broker_ids.astype(int).tolist())
+
+    def _decide_day(
+        self,
+        contexts: np.ndarray,
+        broker_ids: list,
+        explore_arms: list | None = None,
+        personal_means=None,
+        blocked: bool = True,
+    ) -> np.ndarray:
+        """The day loop of both estimators: decide and commit broker by broker.
+
+        The network is fixed for the whole call, so the arms' means,
+        activations and back-propagated signals come from
+        :class:`ArmBlocks` (from one :meth:`arm_parts` pass per row when
+        not ``blocked``: the one-context :meth:`estimate`, which the
+        differential suites hold the blocks against); the ``D``-dependent
+        bonus, the RNG draws and the covariance update run per broker, in
+        row order.  A row with an arm in ``explore_arms`` takes it unscored
+        (personalized structured exploration).  Every other row picks with
+        three safeguards:
 
         1. *Coverage*: while some arm has fewer than ``min_arm_pulls``
            global pulls, the least-pulled arm is chosen — without it the
@@ -300,99 +339,69 @@ class NNUCBBandit(CapacityEstimator):
            model never sees the rest of the grid.
         2. *Epsilon exploration*: capacity choices gate which workloads can
            be observed, so a small exploration floor keeps data flowing.
-        3. *Conservative indifference*: among arms whose score is within
-           ``tie_tolerance`` of the maximum, the smallest capacity wins.
-           A demand-limited broker's reward is flat in its own capacity, so
+        3. *Conservative indifference* (:meth:`_ucb_arm`): a
+           demand-limited broker's reward is flat in its own capacity, so
            its argmax is noise — yet granting it a huge capacity lets the
            matcher overload it the day demand shifts.  Brokers with a real
            learned peak are unaffected (their peak clears the tolerance).
+
+        ``personal_means(broker_id, means, inputs)`` returns a broker's
+        personalized means, or ``None`` to score it on the shared ones.
+        Unscored commits wait in the ``COMMIT_BLOCK`` queue; a scored
+        broker flushes it, in order, before its bonus reads ``D``, and its
+        own commit is then applied at once (:meth:`_commit_now`).  The
+        active audit session is looked up once per call.
+
+        Returns each row's chosen capacity.
         """
-        return self._pick(self.ucb_scores, context)
-
-    def _pick(self, score_fn, context: np.ndarray) -> int:
-        return self._pick_explain(lambda: score_fn(context))[0]
-
-    def _pick_explain(self, score) -> tuple[int, str]:
-        """:meth:`_pick` plus the rule that fired (for decision audits).
-
-        ``score()`` returns every arm's score; it is called only when the
-        UCB rule decides.  Returns ``(arm_index, rule)`` with rule one of
-        ``"coverage"`` (least-pulled arm under the global pull floor),
-        ``"epsilon"`` (exploration draw), or ``"ucb"`` (score argmax with
-        the conservative tie-break).  Consumes exactly the same randomness
-        as before the split — audited runs stay bit-identical.
-        """
-        self.last_score_parts = None
-        if self._arm_pulls.min() < self.config.min_arm_pulls:
-            return int(np.argmin(self._arm_pulls)), "coverage"
-        if self.config.epsilon > 0 and self._rng.random() < self.config.epsilon:
-            return int(self._rng.integers(self.capacities.size)), "epsilon"
-        scores = score()
-        spread = float(scores.max() - scores.min())
-        threshold = scores.max() - self.config.tie_tolerance * max(spread, 1e-12)
-        qualified = np.nonzero(scores >= threshold)[0]
-        # Smallest capacity *value* among the near-max arms — not the lowest
-        # index, which is only the same thing when the grid is sorted
-        # ascending (BanditConfig accepts arbitrary arm orderings).
-        return int(qualified[np.argmin(self.capacities[qualified])]), "ucb"
-
-    def _note_choice(
-        self, broker_id: int | None, chosen: int, capacity: float, rule: str
-    ) -> None:
-        """Record a capacity choice into the active audit session (if any).
-
-        The mean/bonus split is whatever the scoring path stashed in
-        ``last_score_parts`` — absent for coverage/epsilon picks, which
-        never scored.  Always clears the stash so a later un-scored pick
-        cannot report a stale split.
-        """
-        parts, self.last_score_parts = self.last_score_parts, None
+        config = self.config
+        capacities = self._capacity_values
+        if blocked:
+            if explore_arms is None:
+                may_score = np.ones(len(broker_ids), dtype=bool)
+            else:
+                may_score = np.array([arm is None for arm in explore_arms], dtype=bool)
+            parts = ArmBlocks(self, contexts, may_score)
+        else:
+            parts = lambda row: self.arm_parts(contexts[row])  # noqa: E731
         session = obs_audit.current()
-        if session is None or broker_id is None:
-            return
-        mean = bonus = None
-        if parts is not None:
-            means, bonuses = parts
-            mean, bonus = float(means[chosen]), float(bonuses[chosen])
-        session.note_capacity(broker_id, capacity, rule, mean=mean, bonus=bonus)
-
-    def estimate(self, context: np.ndarray, broker_id: int | None = None) -> float:
-        """Choose the capacity with maximum UCB; update ``D`` (line 12)."""
-        capacity = self._estimate_scored(context, broker_id, lambda: self.ucb_scores(context))
+        covered = False
+        chosen = []
+        for row, broker_id in enumerate(broker_ids):
+            context = contexts[row]
+            arm = None if explore_arms is None else explore_arms[row]
+            means = None
+            if arm is not None:
+                rule = "personal-explore"
+                self._commit(arm, context)
+            else:
+                # Pulls only grow, so once every arm clears the floor it stays clear.
+                covered = covered or self._arm_pulls.min() >= config.min_arm_pulls
+                if not covered:
+                    arm, rule = int(np.argmin(self._arm_pulls)), "coverage"
+                elif config.epsilon > 0 and self._rng.random() < config.epsilon:
+                    arm, rule = int(self._rng.integers(len(capacities))), "epsilon"
+                if arm is not None:
+                    self._commit(arm, context)
+                else:
+                    self._flush_commits()
+                    means, inputs, signals = parts(row)
+                    rule = "ucb"
+                    if personal_means is not None:
+                        personal = personal_means(broker_id, means, inputs)
+                        if personal is not None:
+                            means, rule = personal, "personal-ucb"
+                    bonuses = self.arm_bonuses(inputs, signals)
+                    arm = self._ucb_arm(self.combine_scores(means, bonuses).tolist())
+                    self._commit_now(arm, context)
+            if session is not None and broker_id is not None:
+                mean = bonus = None
+                if means is not None:
+                    mean, bonus = float(means[arm]), float(bonuses[arm])
+                session.note_capacity(broker_id, capacities[arm], rule, mean=mean, bonus=bonus)
+            chosen.append(capacities[arm])
         self._flush_commits()
-        return capacity
-
-    def _estimate_scored(self, context: np.ndarray, broker_id: int | None, score) -> float:
-        """:meth:`estimate` with the arm scores supplied by ``score()``."""
-        chosen, rule = self._pick_explain(score)
-        capacity = float(self.capacities[chosen])
-        self._note_choice(broker_id, chosen, capacity, rule)
-        self._commit(chosen, context)
-        return capacity
-
-    def _estimate_rows(self, contexts: np.ndarray, broker_ids: np.ndarray) -> np.ndarray:
-        """Day-batched :meth:`estimate`: blocked passes, sequential decisions.
-
-        The network is fixed for the whole call, so the arms' means,
-        activations and back-propagated signals come from
-        :class:`ArmBlocks`; only the ``D``-dependent bonus reduction, the
-        RNG draws and the covariance update run per context, in the same
-        order as the per-context loop.
-        """
-        blocks = ArmBlocks(self, contexts, np.ones(contexts.shape[0], dtype=bool))
-        capacities = np.array(
-            [
-                self._estimate_scored(
-                    contexts[row],
-                    int(broker_id),
-                    lambda row=row: self.score_parts(blocks(row)),
-                )
-                for row, broker_id in enumerate(broker_ids)
-            ],
-            dtype=float,
-        )
-        self._flush_commits()
-        return capacities
+        return np.array(chosen, dtype=float)
 
     def _commit(self, chosen: int, context: np.ndarray) -> None:
         """Count the pull and queue ``D``'s update with the chosen arm's row.
@@ -410,6 +419,25 @@ class NNUCBBandit(CapacityEstimator):
         self._num_pending += 1
         if self._num_pending == COMMIT_BLOCK:
             self._flush_commits()
+
+    def _commit_now(self, chosen: int, context: np.ndarray) -> None:
+        """Count the pull and apply ``D``'s update at once (a scored commit).
+
+        The caller has flushed the queue, so ``D`` still accumulates in
+        broker order.  The gradient is :meth:`repro.nn.MLP.row_gradient` of
+        the :meth:`_commit` row, bitwise the queue's one-row gradient; the
+        oracle is :func:`repro.check.differential.reference_commit`.
+        """
+        self._arm_pulls[chosen] += 1
+        row = self._commit_row
+        row[: self._context_dim] = context
+        row[self._context_dim :] = self._arm_row_tail[chosen]
+        gradient = self.network.row_gradient(row)
+        if self._d_inv is not None:
+            self._update_covariance(gradient + 0.0)
+        else:
+            np.square(gradient, out=gradient)
+            self._d_diag += gradient
 
     def _flush_commits(self) -> None:
         """Apply the queued commits to ``D``, one row after another.

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bandits.base import CapacityEstimator
-from repro.bandits.neural_ucb import ArmBlocks, NNUCBBandit
+from repro.bandits.neural_ucb import NNUCBBandit
 from repro.core.types import TrialTriple, triples_from_state, triples_to_state
 from repro.state.protocol import expect, versioned
 
@@ -103,22 +103,23 @@ class PersonalizedCapacityEstimator(CapacityEstimator):
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def _personal_scores(self, broker_id: int, parts) -> np.ndarray:
-        """Personalized scores from the base bandit's :class:`ArmBlocks` parts.
+    def _personal_means(self, broker_id, means: np.ndarray, inputs: list) -> np.ndarray | None:
+        """The broker's personalized arm means from the shared pass's parts.
 
-        The ``"linear"`` head reads the activations entering the last layer
-        — ``inputs[-1]`` of the pass, the shared representation — and the
-        ``"residual"`` mode shifts the shared means; the bonus is the base
-        bandit's, against the shared ``D``.
+        ``None`` when the broker has fewer than ``min_triples`` own trials
+        (it scores on the shared means).  The ``"linear"`` head reads the
+        activations entering the last layer — ``inputs[-1]`` of the pass,
+        the shared representation — and the ``"residual"`` mode shifts the
+        shared means; the bonus stays the base bandit's, against the shared
+        ``D``.
         """
-        means, inputs, signals = parts
+        if broker_id is None or len(self._history.get(broker_id, ())) < self.min_triples:
+            return None
         if self.mode == "linear" and broker_id in self._linear_heads:
             features = inputs[-1]
             design = np.hstack([features, np.ones((features.shape[0], 1))])
-            means = design @ self._linear_heads[broker_id]
-        else:
-            means = means + self._residual_correction(broker_id)
-        return self.base._scores_from(means, self.base.arm_bonuses(inputs, signals))
+            return design @ self._linear_heads[broker_id]
+        return means + self._residual_correction(broker_id)
 
     def _residual_correction(self, broker_id: int) -> np.ndarray:
         """Kernel-smoothed, shrunk residual curve over the arm grid."""
@@ -155,65 +156,34 @@ class PersonalizedCapacityEstimator(CapacityEstimator):
     # ------------------------------------------------------------------
     def estimate(self, context: np.ndarray, broker_id: int | None = None) -> float:
         """Structured exploration, then personalized UCB argmax."""
-        capacity = self._estimate_routed(
-            context, broker_id, lambda: self.base.arm_parts(context)
+        contexts = np.atleast_2d(np.asarray(context, dtype=float))
+        explore_arms = [self._explore_arm(broker_id)]
+        return float(
+            self.base._decide_day(
+                contexts, [broker_id], explore_arms, self._personal_means, blocked=False
+            )[0]
         )
-        self.base._flush_commits()
-        return capacity
 
     def _estimate_rows(self, contexts: np.ndarray, broker_ids: np.ndarray) -> np.ndarray:
-        """Day-batched :meth:`estimate` over the base bandit's blocked passes.
+        """Day-batched :meth:`estimate`: the base bandit's day loop.
 
-        Rows still in structured exploration never score, so they are left
-        out of the blocked passes; every other row's parts come from one
-        :class:`~repro.bandits.neural_ucb.ArmBlocks` pass per block, and
-        the decisions run per row in order, as in :meth:`estimate`.
+        Rows still in structured exploration take their fixed arm unscored
+        (and are left out of the blocked passes); every other row scores on
+        its personalized means, or on the shared ones before the broker has
+        ``min_triples`` own trials.
         """
-        pulls: dict[int, int] = {}
-        may_score = np.ones(contexts.shape[0], dtype=bool)
-        for row, broker_id in enumerate(broker_ids):
-            broker_id = int(broker_id)
-            count = pulls.get(broker_id, self._pull_count.get(broker_id, 0))
-            if count < self.personal_explore:
-                may_score[row] = False
-                pulls[broker_id] = count + 1
-        blocks = ArmBlocks(self.base, contexts, may_score)
-        capacities = np.array(
-            [
-                self._estimate_routed(
-                    contexts[row], int(broker_id), lambda row=row: blocks(row)
-                )
-                for row, broker_id in enumerate(broker_ids)
-            ],
-            dtype=float,
-        )
-        self.base._flush_commits()
-        return capacities
+        broker_ids = broker_ids.astype(int).tolist()
+        explore_arms = [self._explore_arm(broker_id) for broker_id in broker_ids]
+        return self.base._decide_day(contexts, broker_ids, explore_arms, self._personal_means)
 
-    def _estimate_routed(self, context: np.ndarray, broker_id: int | None, parts) -> float:
-        """Route one estimate; ``parts()`` supplies the arms' forward/backward parts."""
+    def _explore_arm(self, broker_id) -> int | None:
+        """The broker's next structured-exploration arm, counting the pull,
+        or ``None`` once its ``personal_explore`` pulls are spent."""
         pulls = self._pull_count.get(broker_id, 0)
-        if broker_id is not None and pulls < self.personal_explore:
-            self._pull_count[broker_id] = pulls + 1
-            quantile = EXPLORE_QUANTILES[pulls]
-            chosen = int(round(quantile * (self.base.capacities.size - 1)))
-            rule = "personal-explore"
-            self.base.last_score_parts = None  # never scored on this path
-        elif broker_id is None or len(self._history.get(broker_id, ())) < self.min_triples:
-            return self.base._estimate_scored(
-                context, broker_id, lambda: self.base.score_parts(parts())
-            )
-        else:
-            chosen, rule = self.base._pick_explain(
-                lambda: self._personal_scores(broker_id, parts())
-            )
-            if rule == "ucb":
-                rule = "personal-ucb"
-        self.base._note_choice(
-            broker_id, chosen, float(self.base.capacities[chosen]), rule
-        )
-        self.base._commit(chosen, context)
-        return float(self.base.capacities[chosen])
+        if broker_id is None or pulls >= self.personal_explore:
+            return None
+        self._pull_count[broker_id] = pulls + 1
+        return int(round(EXPLORE_QUANTILES[pulls] * (self.base.capacities.size - 1)))
 
     # ------------------------------------------------------------------
     # Feedback

@@ -590,7 +590,8 @@ def reference_arm_bonuses(bandit, inputs: list, signals: list) -> np.ndarray:
 
 
 def reference_commit(bandit, chosen: int, context: np.ndarray) -> None:
-    """Oracle for :meth:`~repro.bandits.NNUCBBandit._commit`: no queue.
+    """Oracle for :meth:`~repro.bandits.NNUCBBandit._commit` (queued) and
+    ``_commit_now`` (a scored commit applied at once on reused buffers).
 
     Counts the pull, rebuilds the chosen arm's row with ``_features``,
     takes its :func:`param_gradient` and applies ``D <- D + g g^T`` at
@@ -788,6 +789,7 @@ def install_reference_kernels(patch) -> None:
 
     patch.setattr(NNUCBBandit, "arm_bonuses", reference_arm_bonuses)
     patch.setattr(NNUCBBandit, "_commit", reference_commit)
+    patch.setattr(NNUCBBandit, "_commit_now", reference_commit)
     patch.setattr(NNUCBBandit, "_replay_arms", reference_replay_arms)
     patch.setattr(NNUCBBandit, "_replay_design", reference_replay_design)
     patch.setattr(NNUCBBandit, "_estimate_rows", per_context_estimates)
@@ -1083,7 +1085,7 @@ def assert_batched_estimate_matches(case: tuple) -> None:
         twin = copy.deepcopy(estimator)
         base = getattr(twin, "base", twin)
         if not batched:
-            base._commit = functools.partial(reference_commit, base)
+            base._commit = base._commit_now = functools.partial(reference_commit, base)
             if twin is not base:
                 twin._history_design = functools.partial(reference_history_design, twin)
         scores: list[np.ndarray] = []

@@ -46,7 +46,7 @@ class BanditConfig:
             only practical for small reward models).
         min_arm_pulls: forced-coverage floor — every candidate capacity is
             pulled globally at least this often before pure UCB argmax takes
-            over (cold-start safeguard; see ``NNUCBBandit.select_arm``).
+            over (cold-start safeguard; see ``NNUCBBandit._decide_day``).
         epsilon: probability of pulling a uniformly random arm instead of
             the UCB argmax.  Capacity choices gate which workloads can ever
             be *observed* (a capacity of 5 guarantees no data beyond

@@ -53,8 +53,10 @@ class MLP:
         self.theta_grad = np.zeros_like(self.theta)
         self._bind_layers()
         self._relu_masks: list[np.ndarray] = []
-        # Reused output of :meth:`sample_gradients`; never copied or pickled.
+        # Reused outputs of :meth:`sample_gradients` and :meth:`row_gradient`;
+        # never copied or pickled.
         self._gradient_scratch: np.ndarray | None = None
+        self._row_scratch: tuple | None = None
 
     def _bind_layers(self) -> None:
         """Point every layer's parameters and gradients into the flat vectors."""
@@ -67,6 +69,7 @@ class MLP:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_gradient_scratch"] = None
+        state["_row_scratch"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -223,6 +226,53 @@ class MLP:
             if index > 0:
                 signal = (signal @ layer.weight) * masks[index - 1]
         return gradients
+
+    def row_gradient(self, row: np.ndarray) -> np.ndarray:
+        """One row's gradient ``g_theta(row)``, on buffers reused across calls.
+
+        The operations of :meth:`sample_gradients`' one-row pass — a
+        ``(1, n) @ W^T`` one-row product and ``+ b`` per layer, the ReLU
+        masks, then ``delta (x) a`` and ``delta`` per layer — written with
+        ``out=`` into preallocated activations, masks and signals, so the
+        result is bitwise that pass's row.  Returns a ``(num_params,)``
+        view of a buffer the next call overwrites.
+        """
+        if self._row_scratch is None:
+            self._row_scratch = self._make_row_scratch()
+        activations, masks, signals, gradient, blocks = self._row_scratch
+        activations[0][0] = row
+        for layer, mask, inputs, outputs in zip(self.layers, masks, activations, activations[1:]):
+            np.matmul(inputs, layer.weight.T, out=outputs)
+            outputs += layer.bias
+            np.greater(outputs, 0.0, out=mask)
+            outputs *= mask
+        signal = signals[-1]
+        for index in range(len(self.layers) - 1, -1, -1):
+            weight_block, bias_block = blocks[index]
+            np.multiply(signal.T, activations[index], out=weight_block)
+            bias_block[:] = signal[0]
+            if index > 0:
+                np.matmul(signal, self.layers[index].weight, out=signals[index - 1])
+                signal = signals[index - 1]
+                signal *= masks[index - 1]
+        return gradient
+
+    def _make_row_scratch(self) -> tuple:
+        """Buffers of :meth:`row_gradient`: per layer its input activation,
+        ReLU mask and output signal (the last a constant ``1``), and the
+        flat gradient with each layer's ``(weight, bias)`` views into it."""
+        activations = [np.empty((1, layer.fan_in)) for layer in self.layers]
+        masks = [np.empty((1, layer.fan_out), dtype=bool) for layer in self.layers[:-1]]
+        signals = [np.empty((1, layer.fan_out)) for layer in self.layers]
+        signals[-1].fill(1.0)
+        gradient = np.empty(self.num_params)
+        blocks = []
+        start = 0
+        for layer in self.layers:
+            split, end = start + layer.weight.size, start + layer.num_params
+            blocks.append((gradient[start:split].reshape(layer.weight.shape), gradient[split:end]))
+            start = end
+        return activations, masks, signals, gradient, blocks
 
     def forward_backward(
         self, x: np.ndarray

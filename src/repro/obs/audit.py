@@ -37,6 +37,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro.obs import telemetry as obs_telemetry
+
 
 #: Decimal digits kept on every recorded float: audit records are written
 #: once per day but hold per-assignment detail, so compactness matters
@@ -208,8 +210,6 @@ def current() -> DecisionAudit | None:
     scoping isolates audit sessions for free, and a run that dies mid-day
     cannot leak a live session into the next run's records.
     """
-    from repro.obs import telemetry as obs_telemetry
-
     telemetry = obs_telemetry.current()
     return telemetry.audit_session if telemetry is not None else None
 

@@ -136,7 +136,7 @@ def test_theorem1_parameters(rng):
 # Regression: tie-break must pick the smallest capacity *value*
 # ----------------------------------------------------------------------
 def test_tiebreak_prefers_smallest_capacity_on_unsorted_grid(rng):
-    """`_pick` used to take the lowest *index* within the tolerance band,
+    """The pick used to take the lowest *index* within the tolerance band,
     which silently assumed an ascending capacity grid — on an unsorted
     grid the "conservative indifference" rule handed out the wrong arm."""
     bandit = _bandit(
@@ -145,16 +145,15 @@ def test_tiebreak_prefers_smallest_capacity_on_unsorted_grid(rng):
         min_arm_pulls=0,
         epsilon=0.0,
     )
-    flat_scores = lambda context: np.zeros(bandit.capacities.size)
-    chosen = bandit._pick(flat_scores, rng.normal(size=3))
-    assert bandit.capacities[chosen] == 8.0
+    bandit.combine_scores = lambda means, bonuses: np.zeros(bandit.capacities.size)
+    assert bandit.estimate(rng.normal(size=3)) == 8.0
 
 
 def test_tiebreak_unchanged_on_sorted_grid(rng):
     bandit = _bandit(rng, min_arm_pulls=0, epsilon=0.0)
-    flat_scores = lambda context: np.ones(bandit.capacities.size)
-    chosen = bandit._pick(flat_scores, rng.normal(size=3))
-    assert chosen == 0  # grid [10, 20, 30, 40]: smallest value is index 0
+    bandit.combine_scores = lambda means, bonuses: np.ones(bandit.capacities.size)
+    # grid [10, 20, 30, 40]: smallest value is index 0
+    assert bandit.estimate(rng.normal(size=3)) == 10.0
 
 
 def test_tiebreak_ignores_arms_outside_tolerance(rng):
@@ -166,9 +165,8 @@ def test_tiebreak_ignores_arms_outside_tolerance(rng):
         tie_tolerance=0.05,
     )
     # Arm 2 is clearly best; arm 1 (capacity 8) is far below the band.
-    scores = lambda context: np.array([0.96, 0.1, 1.0])
-    chosen = bandit._pick(scores, rng.normal(size=3))
-    assert chosen == 2
+    bandit.combine_scores = lambda means, bonuses: np.array([0.96, 0.1, 1.0])
+    assert bandit.estimate(rng.normal(size=3)) == 16.0
 
 
 # ----------------------------------------------------------------------
@@ -219,11 +217,11 @@ def test_fast_and_reference_scores_agree(rng, monkeypatch):
     for _ in range(5):
         context = rng.normal(size=3)
         fast = bandit.ucb_scores(context)
-        fast_arm = bandit._pick(bandit.ucb_scores, context)
+        fast_arm = bandit._ucb_arm(fast.tolist())
         with monkeypatch.context() as patch:
             patch.setattr(NNUCBBandit, "arm_bonuses", differential.reference_arm_bonuses)
             reference = bandit.ucb_scores(context)
-            reference_arm = bandit._pick(bandit.ucb_scores, context)
+            reference_arm = bandit._ucb_arm(reference.tolist())
         np.testing.assert_allclose(fast, reference, rtol=1e-9, atol=1e-12)
         assert fast_arm == reference_arm
 

@@ -100,5 +100,6 @@ def test_linear_mode_fits_heads(rng):
     for _ in range(4):
         estimator.update(context, 10, 0.3, broker_id=4, capacity=10.0)
     assert 4 in estimator._linear_heads
-    scores = estimator._personal_scores(4, estimator.base.arm_parts(context))
+    means, inputs, _signals = estimator.base.arm_parts(context)
+    scores = estimator._personal_means(4, means, inputs)
     assert scores.shape == estimator.capacities.shape

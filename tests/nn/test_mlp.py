@@ -315,6 +315,30 @@ def test_sample_gradients_reuses_one_buffer_that_copies_leave_out(rng):
         assert _bits(twin.sample_gradient(row)) == _bits(network.sample_gradient(row))
 
 
+@pytest.mark.parametrize("sizes", [[82, 64, 16, 1], [9, 8, 4, 1], [6, 1]])
+def test_row_gradient_is_bitwise_the_one_row_pass(sizes, rng):
+    """The scored commit's kernel: the same bits as ``sample_gradients``'
+    one-row pass, with dead ReLUs and ``-0.0`` inputs, on reused buffers
+    that copies leave out."""
+    import copy
+    import pickle
+
+    network = MLP(sizes, rng)
+    for layer in network.layers:
+        layer.bias[:] = rng.normal(size=layer.bias.shape)
+    rows = rng.normal(size=(6, sizes[0]))
+    rows[rng.random(rows.shape) < 0.1] = -0.0
+    rows[2] = -5.0  # drives most hidden units dead
+    for row in rows:
+        gradient = network.row_gradient(row)
+        assert _bits(gradient) == _bits(network.sample_gradients(row[None])[0])
+        assert _bits(gradient + 0.0) == _bits(param_gradient(network, row))
+    assert np.shares_memory(network.row_gradient(rows[0]), network.row_gradient(rows[1]))
+    for twin in (copy.deepcopy(network), pickle.loads(pickle.dumps(network))):
+        assert twin._row_scratch is None
+        assert _bits(twin.row_gradient(rows[3])) == _bits(network.row_gradient(rows[3]))
+
+
 # ----------------------------------------------------------------------
 # Flat parameter and gradient vectors
 # ----------------------------------------------------------------------
